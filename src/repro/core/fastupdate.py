@@ -107,8 +107,9 @@ class FastUpdateAgent:
         if source != "fast":
             # A fresh cascade starts here; fast arrivals already had
             # their depth recorded by _handle_payload.
+            push_depth = self._push_depth
             for update in new_updates:
-                self._push_depth.setdefault(update.uid, 0)
+                push_depth.setdefault(update.uid, 0)
         for target in self._choose_targets(sender):
             self._offer(target, new_updates)
 
@@ -130,22 +131,28 @@ class FastUpdateAgent:
 
     def _offer(self, target: int, updates: Sequence[Update]) -> None:
         already = self._offered.setdefault(target, set())
-        fresh = [u for u in updates if u.uid not in already]
-        if not fresh:
+        depth_of = self._push_depth.get
+        entries: List[Tuple[UpdateId, object]] = []
+        depth = 0
+        for update in updates:
+            uid = update.uid
+            if uid in already:
+                continue
+            already.add(uid)
+            entries.append((uid, update.timestamp))
+            hops = depth_of(uid, 0)
+            if hops > depth:
+                depth = hops
+        if not entries:
             return
-        already.update(u.uid for u in fresh)
-        entries: Tuple[Tuple[UpdateId, object], ...] = tuple(
-            (u.uid, u.timestamp) for u in fresh
-        )
-        depth = max(self._push_depth.get(u.uid, 0) for u in fresh)
         self.stats.offers_sent += 1
         trace = self.runtime.trace
         if trace.wants("fast.offer"):
             trace.record(
-                self.runtime.now, "fast.offer", node=self.node, target=target, count=len(fresh)
+                self.runtime.now, "fast.offer", node=self.node, target=target, count=len(entries)
             )
         self.transport.send(
-            self.node, target, FastUpdateOffer(self.node, entries, depth=depth)
+            self.node, target, FastUpdateOffer(self.node, tuple(entries), depth=depth)
         )
 
     def _on_log_purge(self, purged_uids: List[UpdateId]) -> None:
@@ -174,9 +181,8 @@ class FastUpdateAgent:
     def _handle_offer(self, src: int, message: FastUpdateOffer) -> None:
         # Steps 14-15: answer YES with the ids we lack, else NO.
         self.stats.offers_received += 1
-        needed = tuple(
-            uid for uid in message.ids() if not self.server.has_update(uid)
-        )
+        has = self.server.log.has
+        needed = tuple([uid for uid, _ in message.entries if not has(uid)])
         self.transport.send(self.node, src, FastUpdateReply(self.node, needed))
 
     def _handle_reply(self, src: int, message: FastUpdateReply) -> None:
@@ -185,20 +191,24 @@ class FastUpdateAgent:
             self.stats.replies_no += 1
             return
         self.stats.replies_yes += 1
+        get = self.server.log.get
+        depth_of = self._push_depth.get
         bodies = []
+        depth = 0
         for uid in message.needed:
-            # The update may have been purged meanwhile; skip silently —
-            # anti-entropy will repair.
-            if self.server.log.has(uid):
-                try:
-                    bodies.append(self.server.log.get(uid))
-                except ReplicationError:
-                    continue
+            try:
+                bodies.append(get(uid))
+            except ReplicationError:
+                # Purged meanwhile; skip silently — anti-entropy will
+                # repair.
+                continue
+            hops = depth_of(uid, 0)
+            if hops > depth:
+                depth = hops
         if not bodies:
             return
         self.stats.payloads_sent += 1
         self.stats.updates_pushed += len(bodies)
-        depth = max(self._push_depth.get(u.uid, 0) for u in bodies)
         self.transport.send(
             self.node, src, FastUpdatePayload(self.node, tuple(bodies), depth=depth)
         )
@@ -207,9 +217,9 @@ class FastUpdateAgent:
         hops = message.depth + 1
         # Record cascade depth before integrating so the re-push
         # triggered inside integrate() sees the right value.
+        push_depth = self._push_depth
         for update in message.updates:
-            if update.uid not in self._push_depth:
-                self._push_depth[update.uid] = hops
+            push_depth.setdefault(update.uid, hops)
         new_updates = self.server.integrate(message.updates, "fast", sender=src)
         self.stats.updates_received += len(new_updates)
         if new_updates:

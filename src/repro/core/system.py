@@ -420,16 +420,20 @@ class ReplicationSystem:
 
     def _record_applied(self, node: int, updates: List[Update], source: str) -> None:
         now = self.runtime.now
+        apply_times = self._apply_times
+        watching = self._watch  # empty unless run_until_replicated is waiting
         for update in updates:
-            times = self._apply_times.setdefault(update.uid, {})
+            uid = update.uid
+            times = apply_times.get(uid)
+            if times is None:
+                times = apply_times[uid] = {}
             if node not in times:
                 times[node] = now
-            watch = self._watch.get(update.uid)
-            if watch is not None:
-                remaining, _ = watch
+            if watching and uid in watching:
+                remaining, _ = watching[uid]
                 remaining.discard(node)
                 if not remaining:
-                    self._watch.pop(update.uid, None)
+                    del watching[uid]
                     self.runtime.stop()
         self.runtime.publish(
             TOPIC_UPDATE_APPLIED,

@@ -24,6 +24,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..errors import ReplicationError
@@ -64,9 +65,21 @@ class Update:
         if self.payload_bytes < 0:
             raise ReplicationError(f"negative payload {self.payload_bytes}")
 
-    @property
+    @cached_property
     def uid(self) -> UpdateId:
+        """``(origin, seq)``, built once per write.
+
+        Every log, push table and apply-time map keyed by it then holds
+        a reference to this one tuple instead of a copy of its own.
+        """
         return (self.origin, self.seq)
+
+    def __getstate__(self) -> Dict[str, object]:
+        # uid is derived state: a frame carries the six fields only and
+        # the receiver rebuilds the tuple on first use.
+        state = self.__dict__.copy()
+        state.pop("uid", None)
+        return state
 
     def size_bytes(self) -> int:
         return UPDATE_HEADER_BYTES + len(self.key) + self.payload_bytes
@@ -178,10 +191,7 @@ class WriteLog:
 
     def has(self, uid: UpdateId) -> bool:
         """Whether the write is known (in the prefix, ahead, or purged)."""
-        origin, seq = uid
-        if seq <= self._purged_floor.get(origin, 0):
-            return True
-        return uid in self._entries
+        return uid in self._entries or uid[1] <= self._purged_floor.get(uid[0], 0)
 
     def get(self, uid: UpdateId) -> Update:
         """Return a stored update (raises for unknown or purged ids)."""
@@ -210,39 +220,62 @@ class WriteLog:
     # -- adding -----------------------------------------------------------------
 
     def add(self, update: Update) -> bool:
-        """Insert a write; returns True when it is new.
-
-        Out-of-order arrivals are accepted; the summary prefix only
-        advances across gap-free runs.
-        """
-        if self.has(update.uid):
-            return False
-        self._entries[update.uid] = update
-        self.total_added += 1
-        origin = update.origin
-        if origin not in self._ahead and origin not in self._prefix:
-            self._origins_cache = None  # first entry from this origin
-        ahead = self._ahead.setdefault(origin, {})
-        ahead[update.seq] = update
-        # Fold any now-contiguous run into the summary prefix (and the
-        # per-origin index arrays).
-        next_seq = self.summary.get(origin) + 1
-        if next_seq in ahead:
-            prefix = self._prefix.setdefault(origin, [])
-            seqs = self._prefix_seqs.setdefault(origin, [])
-            while next_seq in ahead:
-                folded = ahead.pop(next_seq)
-                prefix.append(folded)
-                seqs.append(next_seq)
-                self.summary.advance(origin, next_seq)
-                next_seq += 1
-        if not ahead:
-            del self._ahead[origin]
-        return True
+        """Insert one write; returns True when it is new."""
+        return bool(self.add_all((update,)))
 
     def add_all(self, updates: Iterable[Update]) -> List[Update]:
-        """Insert many writes; returns those that were new."""
-        return [u for u in updates if self.add(u)]
+        """Insert a batch of writes; returns those that were new.
+
+        Out-of-order arrivals are accepted; the summary prefix only
+        advances across gap-free runs. The common arrival — the next
+        sequence number of an origin with nothing parked ahead — goes
+        straight onto that origin's prefix; anything else is parked
+        ahead, and whatever run it completes is folded in.
+        """
+        entries = self._entries
+        floors = self._purged_floor
+        parked = self._ahead
+        prefixes = self._prefix
+        prefix_seqs = self._prefix_seqs
+        tips = self.summary.own_entries()
+        new: List[Update] = []
+        for update in updates:
+            uid = update.uid
+            if uid in entries:
+                continue
+            origin, seq = uid
+            if seq <= floors.get(origin, 0):
+                continue
+            entries[uid] = update
+            new.append(update)
+            next_seq = tips.get(origin, 0) + 1
+            ahead = parked.get(origin)
+            if ahead is None:
+                prefix = prefixes.get(origin)
+                if prefix is None:
+                    self._origins_cache = None  # first entry from this origin
+                if seq == next_seq:
+                    if prefix is None:
+                        prefix = prefixes[origin] = []
+                        prefix_seqs[origin] = []
+                    prefix.append(update)
+                    prefix_seqs[origin].append(seq)
+                    tips[origin] = seq
+                    continue
+                ahead = parked[origin] = {}
+            ahead[seq] = update
+            if next_seq in ahead:
+                prefix = prefixes.setdefault(origin, [])
+                seqs = prefix_seqs.setdefault(origin, [])
+                while next_seq in ahead:
+                    prefix.append(ahead.pop(next_seq))
+                    seqs.append(next_seq)
+                    next_seq += 1
+                tips[origin] = next_seq - 1
+                if not ahead:
+                    del parked[origin]
+        self.total_added += len(new)
+        return new
 
     # -- anti-entropy support ------------------------------------------------------
 
@@ -256,8 +289,12 @@ class WriteLog:
 
         Cost is O(missing + origins): per origin one bisect locates the
         suffix the peer lacks, and ahead-of-prefix entries (always newer
-        than the whole prefix) are appended after it.
+        than the whole prefix) are appended after it. A peer whose
+        vector equals ours — most sessions of a quiet system — lacks
+        nothing, which one dict comparison settles.
         """
+        if not self._ahead and peer_summary == self.summary:
+            return []
         missing: List[Update] = []
         for origin in self._sorted_origins():
             floor = peer_summary.get(origin)

@@ -115,9 +115,13 @@ class ReplicaServer:
     ) -> List[Update]:
         """Absorb remote writes; returns only the genuinely new ones."""
         new_updates = self.log.add_all(updates)
+        if not new_updates:
+            return new_updates
+        witness = self.clock.witness
+        apply = self.store.apply
         for update in new_updates:
-            self.clock.witness(update.timestamp)
-            self.store.apply(update)
+            witness(update.timestamp)
+            apply(update)
         self._notify(new_updates, source, sender)
         return new_updates
 

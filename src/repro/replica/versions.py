@@ -94,6 +94,18 @@ class SummaryVector:
             self._detach()
         self._entries[origin] = seq
 
+    def own_entries(self) -> Dict[int, int]:
+        """The entry dict itself, detached from any copies.
+
+        For the write log that owns this vector: folding a batch, it
+        advances entries in place and itself keeps each step a +1 (the
+        check :meth:`advance` would make per write). The reference is
+        only good until the next :meth:`copy`.
+        """
+        if self._shared:
+            self._detach()
+        return self._entries
+
     def merge(self, other: "SummaryVector") -> None:
         """Elementwise maximum (used for ack vectors, not data receipt)."""
         if self._shared:

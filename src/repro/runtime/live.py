@@ -214,7 +214,7 @@ class AsyncioTransport:
         Attaching after :meth:`start_pumps` (a node joining a running
         cluster) creates the node's mailbox and pump immediately.
         """
-        if node not in self.topology.nodes:
+        if node not in self.topology:
             raise SimulationError(f"node {node} not in topology")
         self._handlers[node] = handler
         if self._pumping:

@@ -326,8 +326,10 @@ async def _node_main(spec: NodeSpec) -> None:
             if not stop and time.monotonic() - last_contact > HUB_GIVE_UP_SECONDS:
                 break
     finally:
+        # Leave no task for the closing loop to destroy mid-flight.
         if push_task is not None:
             push_task.cancel()
+            await asyncio.gather(push_task, return_exceptions=True)
         await transport.close()
 
 

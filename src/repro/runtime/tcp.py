@@ -385,7 +385,7 @@ class TcpTransport:
         self.topology = topology
         self.local_nodes: Set[int] = {int(n) for n in local_nodes}
         for node in self.local_nodes:
-            if node not in topology.nodes:
+            if node not in topology:
                 raise SimulationError(f"node {node} not in topology")
         self.directory: Dict[int, Tuple[str, int]] = dict(directory or {})
         self.latency = latency if latency is not None else FixedLatency()
@@ -402,6 +402,9 @@ class TcpTransport:
         self._pumps: Dict[int, "asyncio.Task[None]"] = {}
         self._pumping = False
         self._peers: Dict[int, _PeerLink] = {}
+        #: Set by :meth:`close`: a timer that fires afterwards must not
+        #: open a link whose task nobody is left to await.
+        self._closed = False
         self._server: Optional[asyncio.AbstractServer] = None
         self._inbound_tasks: Set["asyncio.Task[None]"] = set()
         self.address: Optional[Tuple[str, int]] = None
@@ -429,6 +432,7 @@ class TcpTransport:
 
     async def close(self) -> None:
         """Stop serving, close every peer link, cancel the pumps."""
+        self._closed = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -625,6 +629,13 @@ class TcpTransport:
             return
         if corrupt:
             frame = corrupt_frame_bytes(frame)
+        self._enqueue_frame(dst, frame)
+
+    def _enqueue_frame(self, dst: int, frame: bytes) -> None:
+        """Queue ``frame`` on the link to ``dst``, opening it on first use."""
+        if self._closed:
+            self._meter_drop(dst, "disconnected")
+            return
         peer = self._peers.get(dst)
         if peer is None:
             peer = self._peers[dst] = _PeerLink(self, dst)
@@ -639,10 +650,7 @@ class TcpTransport:
             frame = encode_frame(("dup", src, dst, message), self.max_frame_bytes)
         except TransportError:
             return
-        peer = self._peers.get(dst)
-        if peer is None:
-            peer = self._peers[dst] = _PeerLink(self, dst)
-        peer.queue.put_nowait(frame)
+        self._enqueue_frame(dst, frame)
 
     # -- receiving ---------------------------------------------------------
 

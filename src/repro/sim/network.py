@@ -240,7 +240,7 @@ class Network:
 
     def attach(self, node: int, handler: Handler) -> None:
         """Register the delivery callback for ``node``."""
-        if node not in self.topology.nodes:
+        if node not in self.topology:
             raise SimulationError(f"node {node} not in topology")
         self._handlers[node] = handler
 

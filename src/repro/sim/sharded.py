@@ -308,13 +308,17 @@ class ShardEngine:
 
     def _record_applied(self, node: int, updates) -> None:
         now = self.sim.now
-        watched = self._watched
+        apply_times = self._apply_times
+        watched = self._watched  # empty unless a convergence wait is armed
         for update in updates:
-            times = self._apply_times.setdefault(update.uid, {})
+            uid = update.uid
+            times = apply_times.get(uid)
+            if times is None:
+                times = apply_times[uid] = {}
             if node not in times:
                 times[node] = now
-                if update.uid in watched:
-                    self._watch_hits.append((update.uid, node, now))
+                if watched and uid in watched:
+                    self._watch_hits.append((uid, node, now))
 
     def watch(self, uid: Uid) -> List[Tuple[int, float]]:
         """Start reporting applications of ``uid``; returns prior ones."""

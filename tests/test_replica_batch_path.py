@@ -1,0 +1,270 @@
+"""The batch-native update path: one shared uid per write, one pass per batch.
+
+Four fences around the rewrite of ``WriteLog.add_all`` and the cached
+``Update.uid``:
+
+* ``add_all`` is observably the fold of the pre-batch ``add`` (kept
+  below as the oracle) over duplicates, gaps, out-of-order arrivals and
+  a purge in the middle;
+* an ``Update`` survives the wire unchanged and no bigger;
+* every table keyed by a write's id holds the *same* tuple object;
+* the equal-summaries shortcut of ``updates_since`` answers exactly what
+  the per-origin walk answers.
+"""
+
+from __future__ import annotations
+
+import pickle
+from bisect import bisect_right
+from typing import List
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.system import ReplicationSystem
+from repro.core.variants import fast_consistency
+from repro.demand.static import ExplicitDemand
+from repro.replica.log import MaxEntries, Update, WriteLog
+from repro.replica.messages import FastUpdatePayload
+from repro.replica.timestamps import Timestamp
+from repro.replica.versions import SummaryVector
+from repro.runtime.tcp import FrameDecoder, encode_frame
+from repro.topology.simple import line
+
+
+def make_update(origin: int, seq: int) -> Update:
+    return Update(
+        origin=origin,
+        seq=seq,
+        timestamp=Timestamp(seq * 3 + origin, origin),
+        key=f"k{origin}",
+        value=(origin, seq),
+    )
+
+
+# -- (a) add_all == fold of the pre-batch add ---------------------------------
+
+
+class OneAtATimeLog(WriteLog):
+    """The oracle: ``add`` / ``add_all`` exactly as they were before the
+    batch path (every write parked in ``_ahead`` first, then folded)."""
+
+    def add(self, update: Update) -> bool:
+        if self.has(update.uid):
+            return False
+        self._entries[update.uid] = update
+        self.total_added += 1
+        origin = update.origin
+        if origin not in self._ahead and origin not in self._prefix:
+            self._origins_cache = None
+        ahead = self._ahead.setdefault(origin, {})
+        ahead[update.seq] = update
+        next_seq = self.summary.get(origin) + 1
+        if next_seq in ahead:
+            prefix = self._prefix.setdefault(origin, [])
+            seqs = self._prefix_seqs.setdefault(origin, [])
+            while next_seq in ahead:
+                folded = ahead.pop(next_seq)
+                prefix.append(folded)
+                seqs.append(next_seq)
+                self.summary.advance(origin, next_seq)
+                next_seq += 1
+        if not ahead:
+            del self._ahead[origin]
+        return True
+
+    def add_all(self, updates) -> List[Update]:
+        return [u for u in updates if self.add(u)]
+
+
+uid_pairs = st.tuples(
+    st.integers(min_value=0, max_value=3), st.integers(min_value=1, max_value=12)
+)
+#: Any mix of in-order, ahead-of-prefix, gap-filling and repeated ids.
+batches = st.lists(st.lists(uid_pairs, max_size=12), max_size=8)
+
+
+def observable(log: WriteLog):
+    return (
+        log.summary.as_dict(),
+        [u.uid for u in log.all_updates()],
+        log.ahead_ids(),
+        log.total_added,
+        log.total_purged,
+        log.origins(),
+    )
+
+
+class TestAddAllIsTheFoldOfAdd:
+    @given(batches, st.integers(min_value=0, max_value=8), st.integers(0, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_batches_with_a_purge_in_the_middle(self, groups, purge_at, limit):
+        log = WriteLog(policy=MaxEntries(limit=limit))
+        oracle = OneAtATimeLog(policy=MaxEntries(limit=limit))
+        for index, group in enumerate(groups):
+            if index == purge_at:
+                assert log.purge() == oracle.purge()
+            batch = [make_update(origin, seq) for origin, seq in group]
+            assert log.add_all(batch) == oracle.add_all(batch)
+            assert observable(log) == observable(oracle)
+            # The copy a session shipped earlier must not see the batch.
+            assert log.summary.copy().as_dict() == oracle.summary.as_dict()
+
+    @given(st.lists(uid_pairs, max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_single_adds_agree_too(self, pairs):
+        log, oracle = WriteLog(), OneAtATimeLog()
+        for origin, seq in pairs:
+            update = make_update(origin, seq)
+            assert log.add(update) == oracle.add(update)
+        assert observable(log) == observable(oracle)
+
+    def test_shipped_summary_copy_is_not_advanced_by_a_later_batch(self):
+        log = WriteLog()
+        log.add_all([make_update(0, 1)])
+        shipped = log.summary.copy()
+        log.add_all([make_update(0, 2), make_update(1, 1)])
+        assert shipped.as_dict() == {0: 1}
+        assert log.summary.as_dict() == {0: 2, 1: 1}
+
+
+# -- (b) the wire form does not pay for the cache -----------------------------
+
+
+def pinned_payload() -> FastUpdatePayload:
+    updates = tuple(
+        Update(
+            origin=origin,
+            seq=seq,
+            timestamp=Timestamp(10 * seq + origin, origin),
+            key=f"key-{seq:02d}",
+            value="v" * 128,
+        )
+        for origin, seq in ((0, 1), (0, 2), (3, 7))
+    )
+    return FastUpdatePayload(2, updates, depth=1)
+
+
+class TestUpdateOnTheWire:
+    def test_round_trip_preserves_equality_hash_and_uid(self):
+        update = make_update(2, 9)
+        assert update.uid == (2, 9)  # cached before it is pickled
+        clone = pickle.loads(pickle.dumps(update, pickle.HIGHEST_PROTOCOL))
+        assert clone == update
+        assert hash(clone) == hash(update)
+        assert clone.uid == (2, 9)
+        assert clone.uid is clone.uid
+
+    def test_uid_is_not_carried(self):
+        touched, untouched = make_update(2, 9), make_update(2, 9)
+        touched.uid
+        assert pickle.dumps(touched, 5) == pickle.dumps(untouched, 5)
+        assert "uid" not in pickle.loads(pickle.dumps(touched, 5)).__dict__
+
+    def test_pinned_payload_frame_is_no_bigger_than_before(self):
+        payload = pinned_payload()
+        for update in payload.updates:
+            update.uid
+        # Byte counts of these two frames at the commit before the cache.
+        assert len(encode_frame(payload)) <= 537
+        envelope = ("msg", 2, 1, FastUpdatePayload(2, payload.updates[:1], depth=1))
+        assert len(encode_frame(envelope)) <= 434
+        (decoded,) = FrameDecoder().feed(encode_frame(payload))
+        assert decoded == payload
+        assert [u.uid for u in decoded.updates] == [(0, 1), (0, 2), (3, 7)]
+
+
+# -- (c) one tuple per write, everywhere ---------------------------------------
+
+
+class TestOneSharedUidPerWrite:
+    def test_every_table_holds_the_updates_own_tuple(self):
+        topology = line(5)
+        demand = ExplicitDemand({n: float(n) for n in topology.nodes})
+        system = ReplicationSystem(
+            topology=topology, demand=demand, config=fast_consistency(), seed=3
+        )
+        system.start()
+        update = system.inject_write(node=0, key="k", value="v")
+        assert system.run_until_replicated(update.uid, max_time=50.0) is not None
+        uid = update.uid
+        (tracked,) = [key for key in system._apply_times if key == uid]
+        assert tracked is uid
+        pushed = 0
+        for node in system.nodes.values():
+            (stored,) = [key for key in node.server.log._entries if key == uid]
+            assert stored is uid
+            for key in node.fast._push_depth:
+                if key == uid:
+                    assert key is uid
+                    pushed += 1
+            for offered in node.fast._offered.values():
+                for key in offered:
+                    if key == uid:
+                        assert key is uid
+        assert pushed >= 2  # the cascade really went through the push path
+
+
+# -- (d) updates_since: shortcut == walk ---------------------------------------
+
+
+def walk(log: WriteLog, peer: SummaryVector) -> List[Update]:
+    """``updates_since`` without the equal-summaries shortcut."""
+    missing: List[Update] = []
+    for origin in log.origins():
+        floor = peer.get(origin)
+        seqs = log._prefix_seqs.get(origin)
+        if seqs and seqs[-1] > floor:
+            missing.extend(log._prefix[origin][bisect_right(seqs, floor):])
+        ahead = log._ahead.get(origin)
+        if ahead:
+            missing.extend(ahead[seq] for seq in sorted(ahead) if seq > floor)
+    return missing
+
+
+def filled_log(with_ahead: bool) -> WriteLog:
+    log = WriteLog()
+    log.add_all([make_update(0, 1), make_update(0, 2), make_update(1, 1)])
+    if with_ahead:
+        log.add_all([make_update(1, 3), make_update(2, 2)])
+    return log
+
+
+class TestUpdatesSinceShortcut:
+    def test_equal_dominated_and_incomparable_vectors(self):
+        for with_ahead in (False, True):
+            log = filled_log(with_ahead)
+            peers = {
+                "equal": log.summary.copy(),
+                "dominated": SummaryVector({0: 1}),
+                "dominating": SummaryVector({0: 5, 1: 5, 2: 5}),
+                "incomparable": SummaryVector({0: 1, 1: 4, 3: 2}),
+                "empty": SummaryVector(),
+            }
+            for name, peer in peers.items():
+                assert log.updates_since(peer) == walk(log, peer), (name, with_ahead)
+            equal = log.updates_since(peers["equal"])
+            if with_ahead:
+                # Parked writes are beyond our own summary, so a peer
+                # with an equal vector still lacks them.
+                assert [u.uid for u in equal] == [(1, 3), (2, 2)]
+            else:
+                assert equal == []
+
+    def test_equal_vector_after_a_purge(self):
+        log = filled_log(with_ahead=False)
+        log.policy = MaxEntries(limit=1)
+        assert log.purge() == 2
+        peer = log.summary.copy()
+        assert log.updates_since(peer) == walk(log, peer) == []
+
+    @given(
+        st.lists(uid_pairs, max_size=30),
+        st.dictionaries(st.integers(0, 3), st.integers(0, 12), max_size=4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_generated_logs_and_peers(self, pairs, peer_entries):
+        log = WriteLog()
+        log.add_all([make_update(origin, seq) for origin, seq in pairs])
+        for peer in (SummaryVector(peer_entries), log.summary.copy()):
+            assert log.updates_since(peer) == walk(log, peer)
