@@ -138,10 +138,23 @@ class WeightedRandomPolicy(PartnerSelectionPolicy):
         return neighbors[-1]
 
 
+#: The policies that draw random numbers.  Only these get a per-node
+#: RNG stream; a ``random.Random`` is ~2.5 KB, which at 10^4 nodes is
+#: worth not allocating for policies that never call it.
+STOCHASTIC_POLICIES = frozenset((POLICY_RANDOM, POLICY_WEIGHTED))
+
+
 def make_policy(
-    config: ProtocolConfig, view: DemandView, rng: random.Random
+    config: ProtocolConfig, view: DemandView, rng: Optional[random.Random] = None
 ) -> PartnerSelectionPolicy:
-    """Instantiate the policy named by ``config.partner_policy``."""
+    """Instantiate the policy named by ``config.partner_policy``.
+
+    ``rng`` is required only for :data:`STOCHASTIC_POLICIES`.
+    """
+    if rng is None and config.partner_policy in STOCHASTIC_POLICIES:
+        raise ConfigurationError(
+            f"policy {config.partner_policy!r} needs an rng stream"
+        )
     if config.partner_policy == POLICY_RANDOM:
         return RandomPolicy(rng)
     if config.partner_policy == POLICY_DEMAND:

@@ -63,7 +63,7 @@ from .config import (
     KNOWLEDGE_SNAPSHOT,
     ProtocolConfig,
 )
-from .policies import make_policy
+from .policies import STOCHASTIC_POLICIES, make_policy
 from .protocol import ReplicationNode
 
 #: Topic published whenever any replica first absorbs updates.
@@ -132,7 +132,10 @@ def build_node_stack(
                 )
             tables[node] = table
     view = _make_view(runtime, topology, demand, config, node, tables)
-    policy = make_policy(config, view, runtime.rng.stream("policy", node))
+    policy_rng = None
+    if config.partner_policy in STOCHASTIC_POLICIES:
+        policy_rng = runtime.rng.stream("policy", node)
+    policy = make_policy(config, view, policy_rng)
     advertiser = None
     if advertised:
         advertiser = DemandAdvertiser(

@@ -1,19 +1,37 @@
 """The discrete-event simulation engine.
 
-:class:`Simulator` is a classic event-heap kernel: callbacks are
+:class:`Simulator` is a classic event-queue kernel: callbacks are
 scheduled at future simulated times and executed in (time, priority,
 insertion) order. It also hosts the cross-cutting services every
 simulation needs — deterministic RNG streams (:mod:`repro.sim.rng`),
 structured tracing (:mod:`repro.sim.trace`) and a tiny topic-based
 pub/sub bus that metrics collectors subscribe to.
 
-The heap stores plain ``(time, priority, seq, handle, callback, args)``
-tuples: ordering is decided by the first three scalar elements, so every
-push/pop comparison runs in C instead of ``Event.__lt__`` — the hottest
-call site by count in profile runs.  ``handle`` is ``None`` for events
-scheduled through the trusted :meth:`Simulator.schedule_fast` path
-(kernel-originated, fire-and-forget deliveries that are never
-cancelled), which also skips argument validation and handle allocation.
+Pending events are plain ``(time, priority, seq, handle, callback,
+args)`` tuples: ordering is decided by the first three scalar elements,
+so every comparison runs in C instead of ``Event.__lt__`` — the hottest
+call site by count in profile runs.  They live in two structures that
+one loop, :meth:`Simulator._drain`, merges by that key:
+
+* the **heap** takes everything scheduled through the trusted
+  :meth:`Simulator.schedule_fast` path (``handle`` is ``None``:
+  kernel-originated, fire-and-forget deliveries that are never
+  cancelled, no argument validation, no handle allocation) and every
+  cancellable event that does not sort last among the cancellable ones;
+* the **lane**, a deque kept sorted by construction, takes a
+  cancellable event whose key is greater than the lane's tail.  A
+  constant timeout set from a monotone clock always qualifies, which
+  is the anti-entropy session timeout: set at both endpoints of every
+  session and cancelled about one round trip later.  ``cancel`` trims
+  dead entries off the lane head, so such timers leave in O(1) and
+  never pass through the heap; an entry cancelled behind a live head
+  waits there until the head fires or is cancelled.
+
+Because keys are unique, taking the smaller of the two heads yields the
+same total order a single heap would.  :meth:`Simulator.run`,
+:meth:`Simulator.step`, :meth:`Simulator._peek_live` and a shard's
+window (:meth:`repro.sim.sharded.ShardEngine.step_window`, through
+``run``) all go through ``_drain``; nothing else pops.
 
 The engine replaces the NS-2 kernel the paper's authors built on; the
 paper measures everything in "average session times", so no packet-level
@@ -23,7 +41,9 @@ fidelity is needed — only ordered delivery of timestamped callbacks.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, List, Optional, Tuple
+import math
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
 from .events import DEFAULT_PRIORITY, EventHandle, _sequence
@@ -36,7 +56,7 @@ RUN_UNTIL = "until"  # reached the time horizon
 RUN_MAX_EVENTS = "max-events"  # executed the event budget
 RUN_STOPPED = "stopped"  # stop() called from inside a callback
 
-#: One heap element: ``(time, priority, seq, handle_or_None, callback, args)``.
+#: One pending event: ``(time, priority, seq, handle_or_None, callback, args)``.
 HeapEntry = Tuple[float, int, int, Optional[EventHandle], Callable[..., Any], tuple]
 
 #: Compaction only kicks in past this many dead heap entries, so small
@@ -72,6 +92,9 @@ class Simulator:
         self.rng = RngRegistry(seed)
         self.trace = trace if trace is not None else Tracer()
         self._heap: List[HeapEntry] = []
+        # Sorted side lane of cancellable timers; its head is never a
+        # cancelled entry (cancel() and the drain loop both trim it).
+        self._lane: Deque[HeapEntry] = deque()
         self._pending = 0
         self._cancelled_in_heap = 0
         self._stopping = False
@@ -90,9 +113,6 @@ class Simulator:
         label: str = "",
     ) -> EventHandle:
         """Schedule ``callback(*args)`` to run ``delay`` from now."""
-        # Body duplicated from schedule_at (minus the absolute-time
-        # arithmetic): session timers fire through here constantly and
-        # the delegation call showed up in macro profiles.
         time = self.now + delay
         if time < self.now:
             raise SimulationError(
@@ -100,12 +120,7 @@ class Simulator:
             )
         if not callable(callback):
             raise SimulationError(f"callback {callback!r} is not callable")
-        seq = next(_sequence)
-        handle = EventHandle(time=float(time), priority=priority, seq=seq)
-        handle.sim = self
-        _heappush(self._heap, (handle.time, priority, seq, handle, callback, args))
-        self._pending += 1
-        return handle
+        return self._enqueue(time, priority, callback, args)
 
     def schedule_at(
         self,
@@ -122,10 +137,23 @@ class Simulator:
             )
         if not callable(callback):
             raise SimulationError(f"callback {callback!r} is not callable")
+        return self._enqueue(time, priority, callback, args)
+
+    def _enqueue(
+        self, time: float, priority: int, callback: Callable[..., Any], args: tuple
+    ) -> EventHandle:
+        """Queue one validated cancellable event; lane if it sorts last there."""
         seq = next(_sequence)
         handle = EventHandle(time=float(time), priority=priority, seq=seq)
         handle.sim = self
-        _heappush(self._heap, (handle.time, priority, seq, handle, callback, args))
+        entry = (handle.time, priority, seq, handle, callback, args)
+        lane = self._lane
+        # seq is unique, so the comparison never reaches the handles.
+        if not lane or entry > lane[-1]:
+            handle.in_lane = True
+            lane.append(entry)
+        else:
+            _heappush(self._heap, entry)
         self._pending += 1
         return handle
 
@@ -163,12 +191,19 @@ class Simulator:
             return False
         handle.cancelled = True
         self._pending -= 1
+        if handle.in_lane:
+            # Keep the lane head live: session timeouts are cancelled
+            # roughly in the order they were set, so dead entries leave
+            # here instead of waiting to be popped at their time.
+            lane = self._lane
+            while lane and lane[0][3].cancelled:
+                lane.popleft()
+            return True
         self._cancelled_in_heap += 1
         # Cancelled events otherwise sit in the heap until their time
-        # comes (session timeouts are cancelled constantly), inflating
-        # every push/pop by log(dead + live). Compact once the dead
-        # majority passes the threshold; heapify keeps the pop order
-        # bit-identical because sort keys are unique.
+        # comes, inflating every push/pop by log(dead + live). Compact
+        # once the dead majority passes the threshold; heapify keeps
+        # the pop order bit-identical because sort keys are unique.
         if (
             self._cancelled_in_heap > _COMPACT_MIN_CANCELLED
             and self._cancelled_in_heap * 2 > len(self._heap)
@@ -178,7 +213,8 @@ class Simulator:
 
     def _compact_heap(self) -> None:
         """Drop cancelled events from the heap and restore the invariant."""
-        self._heap = [
+        # In place: a running _drain holds a reference to the list.
+        self._heap[:] = [
             entry for entry in self._heap if entry[3] is None or not entry[3].cancelled
         ]
         heapq.heapify(self._heap)
@@ -219,24 +255,9 @@ class Simulator:
         """Execute the single next event.
 
         Returns:
-            True if an event was executed, False if the heap is empty.
+            True if an event was executed, False if none is pending.
         """
-        heap = self._heap
-        while heap:
-            entry = _heappop(heap)
-            handle = entry[3]
-            if handle is not None:
-                if handle.cancelled:
-                    self._cancelled_in_heap -= 1
-                    continue
-                # A late cancel() through the handle then reports False.
-                handle.fired = True
-            self._pending -= 1
-            self.now = entry[0]
-            self.events_executed += 1
-            entry[4](*entry[5])
-            return True
-        return False
+        return self._drain(math.inf, 1)[0] != RUN_EXHAUSTED
 
     def run(
         self, until: Optional[float] = None, max_events: Optional[int] = None
@@ -256,58 +277,74 @@ class Simulator:
             raise SimulationError("run() called re-entrantly from a callback")
         self._running = True
         self._stopping = False
-        executed = 0
-        heap = self._heap  # rebound only by _compact_heap, handled below
         try:
-            # The loop body is step() inlined: one pass over heap[0]
-            # decides live-ness, the stop conditions, and execution
-            # without a second peek or a method call per event.
-            while True:
-                if self._stopping:
-                    return RUN_STOPPED
-                if max_events is not None and executed >= max_events:
-                    return RUN_MAX_EVENTS
-                heap = self._heap
-                while heap:
-                    entry = heap[0]
-                    handle = entry[3]
-                    if handle is not None and handle.cancelled:
-                        _heappop(heap)
-                        self._cancelled_in_heap -= 1
-                        continue
-                    break
-                else:
-                    if until is not None and until > self.now:
-                        self.now = until
-                    return RUN_EXHAUSTED
-                if until is not None and entry[0] > until:
-                    self.now = until
-                    return RUN_UNTIL
-                _heappop(heap)
-                if handle is not None:
-                    # A late cancel() through the handle then reports False.
-                    handle.fired = True
-                self._pending -= 1
-                self.now = entry[0]
-                self.events_executed += 1
-                entry[4](*entry[5])
-                executed += 1
+            reason, _ = self._drain(math.inf if until is None else until, max_events)
         finally:
             self._running = False
+        if reason == RUN_UNTIL or (
+            reason == RUN_EXHAUSTED and until is not None and until > self.now
+        ):
+            self.now = until
+        return reason
 
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""
         self._stopping = True
 
     def _peek_live(self) -> Optional[HeapEntry]:
-        """Return the next non-cancelled heap entry without popping it."""
+        """Return the next non-cancelled entry without executing it."""
+        return self._drain(-math.inf, None)[1]
+
+    def _drain(
+        self, until: float, max_events: Optional[int]
+    ) -> Tuple[str, Optional[HeapEntry]]:
+        """The kernel's one pop loop: run live events with ``time <= until``.
+
+        Every way of consuming events (:meth:`run`, :meth:`step`,
+        :meth:`_peek_live`, a shard's window) goes through here, so the
+        lane and the heap are merged in exactly one place.  Each turn
+        takes the smaller of the two heads by ``(time, priority, seq)``;
+        the lane head is live by invariant, dead heap heads are
+        discarded on the way.
+
+        Returns:
+            ``(reason, head)`` where ``reason`` is a ``RUN_*`` constant
+            and ``head`` is the live entry that lies beyond ``until``
+            when the reason is ``RUN_UNTIL`` (else None).  With
+            ``until=-inf`` nothing runs and ``head`` is the next event.
+        """
+        lane = self._lane
         heap = self._heap
-        while heap:
-            entry = heap[0]
-            handle = entry[3]
-            if handle is not None and handle.cancelled:
+        executed = 0
+        while max_events is None or executed < max_events:
+            if lane and (not heap or lane[0] < heap[0]):
+                entry = lane[0]
+                if entry[0] > until:
+                    return RUN_UNTIL, entry
+                lane.popleft()
+                while lane and lane[0][3].cancelled:
+                    lane.popleft()
+                # A late cancel() through the handle then reports False.
+                entry[3].fired = True
+            elif heap:
+                entry = heap[0]
+                handle = entry[3]
+                if handle is not None and handle.cancelled:
+                    _heappop(heap)
+                    self._cancelled_in_heap -= 1
+                    continue
+                if entry[0] > until:
+                    return RUN_UNTIL, entry
                 _heappop(heap)
-                self._cancelled_in_heap -= 1
-                continue
-            return entry
-        return None
+                if handle is not None:
+                    handle.fired = True
+            else:
+                return RUN_EXHAUSTED, None
+            self._pending -= 1
+            self.now = entry[0]
+            self.events_executed += 1
+            entry[4](*entry[5])
+            executed += 1
+            if self._stopping:
+                return RUN_STOPPED, None
+        return RUN_MAX_EVENTS, None

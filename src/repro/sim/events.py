@@ -9,13 +9,13 @@ Events at the same timestamp are ordered by ``priority`` (lower fires
 first) and then by insertion order, which makes simulations fully
 deterministic for a fixed seed.
 
-The engine's heap stores plain ``(time, priority, seq, handle,
-callback, args)`` tuples rather than objects: tuple comparison runs
-entirely in C and, because ``seq`` is unique, never reaches the
-non-comparable tail elements.  ``EventHandle`` therefore carries only
-scalars plus two state flags — it holds no reference to the callback or
-its arguments, so a retained handle can never keep a fired event's
-payload alive.
+The engine queues plain ``(time, priority, seq, handle, callback,
+args)`` tuples, in its heap and its timer lane, rather than objects:
+tuple comparison runs entirely in C and, because ``seq`` is unique,
+never reaches the non-comparable tail elements.  ``EventHandle``
+therefore carries only scalars plus three state flags — it holds no
+reference to the callback or its arguments, so a retained handle can
+never keep a fired event's payload alive.
 
 :class:`Event` remains as the object view of one scheduled entry (the
 pre-tuple heap element).  It is still part of the public
@@ -56,9 +56,12 @@ class EventHandle:
         cancelled: Set by :meth:`Simulator.cancel`.
         fired: Set by the engine when the event executes; a fired handle
             can no longer cancel anything.
+        in_lane: Set by the engine when the entry sits in its sorted
+            timer lane rather than the heap (tells ``cancel`` which
+            structure to tidy).
     """
 
-    __slots__ = ("time", "priority", "seq", "sim", "cancelled", "fired")
+    __slots__ = ("time", "priority", "seq", "sim", "cancelled", "fired", "in_lane")
 
     def __init__(self, time: float, priority: int, seq: int):
         self.time = time
@@ -67,6 +70,7 @@ class EventHandle:
         self.sim = None
         self.cancelled = False
         self.fired = False
+        self.in_lane = False
 
     def __lt__(self, other: "EventHandle") -> bool:
         return (self.time, self.priority, self.seq) < (

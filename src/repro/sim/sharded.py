@@ -49,14 +49,11 @@ import math
 from collections import deque
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-import heapq
 from time import process_time
 
 from ..errors import SimulationError
 from .engine import Simulator
 from .network import FixedLatency, LatencyModel, Network
-
-_heappop = heapq.heappop
 
 #: One cross-shard message in flight: ``(arrival_time, src, dst, message)``.
 Crossing = Tuple[float, int, int, object]
@@ -355,42 +352,19 @@ class ShardEngine:
         deliver = self.network._deliver
         for arrival, src, dst, message in inbox:
             sim.schedule_at(arrival, deliver, src, dst, message)
-        bound = math.nextafter(end, math.inf) if inclusive else end
-        # Simulator.run's inlined hot loop, with the horizon check
-        # swapped for the window bound — the per-event cost must match
-        # the single kernel's or the shards lose their head start.
-        pop = _heappop
+        # One kernel drain per window, not per event: the shard pays
+        # exactly the single kernel's per-event cost.  run() is
+        # inclusive, so a half-open window stops one ulp short of end.
         started = process_time()
-        while True:
-            heap = sim._heap  # rebound only by compaction
-            while heap:
-                entry = heap[0]
-                handle = entry[3]
-                if handle is not None and handle.cancelled:
-                    pop(heap)
-                    sim._cancelled_in_heap -= 1
-                    continue
-                break
-            else:
-                break  # exhausted
-            if entry[0] >= bound:
-                break
-            pop(heap)
-            if handle is not None:
-                handle.fired = True
-            sim._pending -= 1
-            sim.now = entry[0]
-            sim.events_executed += 1
-            entry[4](*entry[5])
+        sim.run(until=end if inclusive else math.nextafter(end, -math.inf))
         self.busy_seconds += process_time() - started
         if sim.now < end:
             sim.now = end
         outbox = self.network.outbox
         self.network.outbox = []
-        entry = sim._peek_live()
         hits = self._watch_hits
         self._watch_hits = []
-        return outbox, (None if entry is None else entry[0]), hits
+        return outbox, self.next_time(), hits
 
     def next_time(self) -> Optional[float]:
         entry = self.sim._peek_live()

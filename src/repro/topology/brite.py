@@ -15,6 +15,17 @@ router-level BRITE models the paper relies on:
 
 Both models place nodes on a BRITE-like plane first (uniform or
 heavy-tailed placement) and produce connected graphs by construction.
+
+Cost: :func:`barabasi_albert` is O(n·m·log n) — degrees are integers, so
+the weighted draws run on a Fenwick tree (point update per edge, one
+prefix-sum descent per draw) and n = 10⁵ builds in seconds.
+:func:`waxman` is inherently O(n²): its weights depend on the joining
+node's position, so every joiner weighs every earlier node afresh
+(:func:`_weighted_sample_distinct`).  Both consume one ``rng.random()``
+per attachment and take the first candidate whose running weight
+reaches the draw; ``tests/test_topology_generators.py`` holds the plain
+quadratic BA loop as the oracle the Fenwick version must equal, RNG
+state included.
 """
 
 from __future__ import annotations
@@ -167,6 +178,31 @@ def _weighted_sample_distinct(
     return chosen
 
 
+def _fenwick_add(tree: List[int], index: int, delta: int) -> None:
+    """Add ``delta`` to element ``index`` (0-based) of a Fenwick tree."""
+    index += 1
+    while index < len(tree):
+        tree[index] += delta
+        index += index & -index
+
+
+def _fenwick_find(tree: List[int], target: int) -> int:
+    """0-based index of the first element whose prefix sum is >= ``target``.
+
+    ``target`` must lie in ``1..sum``; zero-weight elements are never
+    returned because their prefix equals their predecessor's.
+    """
+    position = 0
+    step = 1 << ((len(tree) - 1).bit_length() - 1)
+    while step:
+        probe = position + step
+        if probe < len(tree) and tree[probe] < target:
+            position = probe
+            target -= tree[probe]
+        step >>= 1
+    return position
+
+
 def barabasi_albert(
     config: Optional[BriteConfig] = None,
     rng: Optional[random.Random] = None,
@@ -191,16 +227,35 @@ def barabasi_albert(
         for j in core[i + 1 :]:
             topo.add_edge(i, j)
 
-    degrees: Dict[int, int] = {node: topo.degree(node) for node in core}
+    # Preferential attachment over a Fenwick tree of integer degrees
+    # (1-based; node i sits at tree[i + 1]).  A draw takes the first
+    # node whose inclusive prefix sum reaches r; degrees are integers,
+    # so that is the first prefix >= ceil(r), found by one descent.  A
+    # chosen node's weight is zeroed for the joiner's remaining draws
+    # (sampling without replacement) and restored, plus its new edge,
+    # once the joiner is wired.
+    tree = [0] * (config.n + 1)
+    degree = [0] * config.n
+    for node in core:
+        degree[node] = config.m
+        _fenwick_add(tree, node, config.m)
+    total = config.m * len(core)
     for new in range(config.m + 1, config.n):
-        existing = list(degrees)
-        weights = [degrees[node] for node in existing]
-        targets = _weighted_sample_distinct(existing, weights, config.m, rng)
-        degrees[new] = 0
+        targets: List[int] = []
+        remaining = total
+        for _ in range(config.m):
+            # max(1, ...): a draw of exactly 0.0 must skip zeroed nodes.
+            target = _fenwick_find(tree, max(1, math.ceil(rng.random() * remaining)))
+            targets.append(target)
+            _fenwick_add(tree, target, -degree[target])
+            remaining -= degree[target]
         for target in targets:
             topo.add_edge(new, target)
-            degrees[new] += 1
-            degrees[target] += 1
+            degree[target] += 1
+            _fenwick_add(tree, target, degree[target])
+        degree[new] = config.m
+        _fenwick_add(tree, new, config.m)
+        total += 2 * config.m
     return topo
 
 

@@ -201,3 +201,13 @@ class TestMakePolicy:
         config = ProtocolConfig(partner_policy=name)
         policy = make_policy(config, slope_view(), random.Random(0))
         assert isinstance(policy, cls)
+
+    @pytest.mark.parametrize("name", ["demand", "round-robin"])
+    def test_policies_that_never_draw_need_no_rng(self, name):
+        config = ProtocolConfig(partner_policy=name)
+        assert make_policy(config, slope_view()).select([1, 2]) in (1, 2)
+
+    @pytest.mark.parametrize("name", ["random", "weighted-random"])
+    def test_policies_that_draw_refuse_a_missing_rng(self, name):
+        with pytest.raises(ConfigurationError, match="rng"):
+            make_policy(ProtocolConfig(partner_policy=name), slope_view())

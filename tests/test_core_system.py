@@ -37,6 +37,27 @@ class TestConstruction:
         assert set(system.nodes) == set(range(6))
         assert all(n.fast is None for n in system.nodes.values())
 
+    def test_policy_rng_streams_exist_only_for_policies_that_draw(self):
+        # A random.Random is ~2.5 KB; demand-ordered and round-robin
+        # selection never draw, so they must not cost one per node.
+        def policy_streams(config):
+            system = ReplicationSystem(
+                ring(6), ConstantDemand(1.0), config, seed=1
+            )
+            return [
+                name
+                for name in system.sim.rng.stream_names()
+                if name.startswith("policy/")
+            ]
+
+        assert policy_streams(fast_consistency()) == []
+        assert policy_streams(weak_consistency(partner_policy="round-robin")) == []
+        for config in (
+            weak_consistency(),
+            weak_consistency(partner_policy="weighted-random"),
+        ):
+            assert sorted(policy_streams(config)) == [f"policy/{n}" for n in range(6)]
+
     def test_fast_variant_builds_fast_agents(self):
         system = ReplicationSystem(
             ring(6), ConstantDemand(1.0), fast_consistency(), seed=1

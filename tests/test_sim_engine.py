@@ -127,7 +127,9 @@ class TestCancellation:
         assert fired_handle.fired and not fired_handle.cancelled
         assert cancelled_handle.cancelled and not cancelled_handle.fired
         payload_slots = set(type(fired_handle).__slots__)
-        assert payload_slots == {"time", "priority", "seq", "sim", "cancelled", "fired"}
+        assert payload_slots == {
+            "time", "priority", "seq", "sim", "cancelled", "fired", "in_lane"
+        }
 
     def test_schedule_fast_fires_in_order_without_handle(self, sim):
         fired = []

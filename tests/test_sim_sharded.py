@@ -11,6 +11,7 @@ worker-pool lifecycle) exists in service of that property.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -164,6 +165,40 @@ class TestIdentitySerial:
             sharded_time = sharded.run_until_replicated(update2.uid, max_time=40.0)
             assert sharded_time == single_time
             assert sharded.apply_times(update2.uid) == system.apply_times(update.uid)
+
+    def test_identical_when_session_timeouts_fire(self):
+        # A timeout below one round trip (2 x link_delay = 0.04) fires
+        # at every initiator with no loss needed, so timers run to
+        # their end through the kernel's timer lane on every shard
+        # instead of being cancelled off it.
+        topo = make_topology(40)
+        config = replace(fast_consistency(), session_timeout=0.03)
+
+        def timeouts(stacks):
+            return {n: stack.anti_entropy.stats.timeouts for n, stack in stacks.items()}
+
+        system = ReplicationSystem(
+            topology=topo, demand=UniformRandomDemand(seed=3), config=config, seed=5
+        )
+        system.start()
+        update = system.inject_write(0)
+        system.run_until(8.0)
+        single_timeouts = timeouts(system.nodes)
+        assert sum(single_timeouts.values()) > 100
+
+        with ShardedSimulator(
+            topo, UniformRandomDemand(seed=3), config, seed=5, shards=3
+        ) as sharded:
+            sharded.start()
+            update2 = sharded.inject_write(0)
+            sharded.run_until(8.0)
+            sharded_timeouts = {}
+            for engine in sharded._engines:
+                sharded_timeouts.update(timeouts(engine.nodes))
+            assert sharded_timeouts == single_timeouts
+            assert sharded.events_executed == system.sim.events_executed
+            assert sharded.apply_times(update2.uid) == system.apply_times(update.uid)
+            assert sharded.traffic() == system.traffic()
 
     def test_two_leg_run_matches_single_leg(self):
         # Driving the same horizon in two run_until calls must land in

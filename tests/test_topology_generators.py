@@ -2,19 +2,25 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TopologyError
 from repro.topology.brite import (
     PLACEMENT_HEAVY_TAIL,
+    PLACEMENT_RANDOM,
     BriteConfig,
     barabasi_albert,
     internet_like,
     place_nodes,
     waxman,
 )
+from repro.topology.graph import Topology
 from repro.topology.simple import (
     balanced_tree,
     complete,
@@ -172,6 +178,127 @@ class TestBarabasiAlbert:
         assert topo.is_connected()
         again = internet_like(25, seed=9)
         assert sorted(topo.edges()) == sorted(again.edges())
+
+
+def reference_barabasi_albert(config: BriteConfig, rng: random.Random) -> Topology:
+    """The quadratic BA generator as it stood before the Fenwick tree.
+
+    Kept here, and only here, as the oracle: every joiner rebuilds the
+    candidate and weight lists over all earlier nodes and each draw
+    scans them linearly, popping the winner so it cannot be drawn twice.
+    """
+    points = place_nodes(config, rng)
+    topo = Topology(f"ba-{config.n}-m{config.m}")
+    for node, point in enumerate(points):
+        topo.add_node(node, point)
+    core = list(range(config.m + 1))
+    for i in core:
+        for j in core[i + 1 :]:
+            topo.add_edge(i, j)
+    degrees = {node: topo.degree(node) for node in core}
+    for new in range(config.m + 1, config.n):
+        pool = list(degrees)
+        pool_weights = [degrees[node] for node in pool]
+        targets = []
+        for _ in range(min(config.m, len(pool))):
+            total = sum(pool_weights)
+            r = rng.random() * total
+            acc = 0.0
+            index = len(pool) - 1
+            for i, w in enumerate(pool_weights):
+                acc += w
+                if r <= acc:
+                    index = i
+                    break
+            targets.append(pool.pop(index))
+            pool_weights.pop(index)
+        degrees[new] = 0
+        for target in targets:
+            topo.add_edge(new, target)
+            degrees[new] += 1
+            degrees[target] += 1
+    return topo
+
+
+class ZeroDrawRandom(random.Random):
+    """Returns exactly 0.0 from ``random()`` on chosen calls.
+
+    A real generator does so once in 2**53 draws; the Fenwick descent
+    must then still skip the nodes already taken by this joiner.
+    """
+
+    def __init__(self, seed, zero_every):
+        super().__init__(seed)
+        self._calls = 0
+        self._zero_every = zero_every
+
+    def random(self):
+        self._calls += 1
+        value = super().random()
+        return 0.0 if self._calls % self._zero_every == 0 else value
+
+
+def assert_same_graph(a: Topology, b: Topology) -> None:
+    assert a.name == b.name
+    assert a.nodes == b.nodes
+    assert list(a.edges()) == list(b.edges())
+    for node in a.nodes:
+        assert a.neighbors(node) == b.neighbors(node)
+        assert a.position(node) == b.position(node)
+
+
+class TestBarabasiAlbertEquivalence:
+    """The O(n·m·log n) generator equals the quadratic one, draw for draw."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        m=st.integers(min_value=1, max_value=5),
+        extra=st.integers(min_value=1, max_value=395),
+        placement=st.sampled_from([PLACEMENT_RANDOM, PLACEMENT_HEAVY_TAIL]),
+        seed=st.integers(min_value=0, max_value=2**63 - 1),
+    )
+    @example(m=1, extra=1, placement=PLACEMENT_RANDOM, seed=0)  # n = m + 1
+    @example(m=5, extra=1, placement=PLACEMENT_HEAVY_TAIL, seed=1)  # n = m + 1
+    @example(m=5, extra=395, placement=PLACEMENT_HEAVY_TAIL, seed=2)  # n = 400
+    def test_equals_reference(self, m, extra, placement, seed):
+        config = BriteConfig(n=m + extra, m=m, placement=placement)
+        rng_new, rng_ref = random.Random(seed), random.Random(seed)
+        assert_same_graph(
+            barabasi_albert(config, rng_new), reference_barabasi_albert(config, rng_ref)
+        )
+        # Same number of draws consumed: whatever the caller seeds next
+        # from this generator is unchanged too.
+        assert rng_new.getstate() == rng_ref.getstate()
+
+    @pytest.mark.parametrize("zero_every", [1, 2, 3, 7])
+    def test_equals_reference_when_a_draw_is_exactly_zero(self, zero_every):
+        config = BriteConfig(n=40, m=3)
+        assert_same_graph(
+            barabasi_albert(config, ZeroDrawRandom(5, zero_every)),
+            reference_barabasi_albert(config, ZeroDrawRandom(5, zero_every)),
+        )
+
+    def test_internet_like_edge_list_is_pinned(self):
+        # sha256 of the edge list at the commit before the Fenwick tree.
+        topo = internet_like(2000, seed=7)
+        digest = hashlib.sha256(repr(list(topo.edges())).encode()).hexdigest()
+        assert digest == (
+            "2138c0c907ee185072e69a59d6b86a4c489d246a1530b9a45f15568743211f5f"
+        )
+
+    def test_build_time_grows_near_linearly(self):
+        # A ratio of two timings on the same machine, so its speed
+        # cancels: 4x the nodes costs ~16x when quadratic and ~4.5x when
+        # linearithmic.  Best of 3 sheds interference, which only adds.
+        def best_build_s(n):
+            best = float("inf")
+            for _ in range(3):
+                started = time.perf_counter()
+                internet_like(n, seed=3)
+                best = min(best, time.perf_counter() - started)
+            return best
+
+        assert best_build_s(8000) / best_build_s(2000) < 8.0
 
 
 class TestWaxman:
