@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--transport",
         choices=["queue", "tcp"],
         default="queue",
-        help="queue = one process, asyncio queues; tcp = one OS process "
+        help="queue = one process, one event loop; tcp = one OS process "
         "per node over real sockets",
     )
     p.add_argument(

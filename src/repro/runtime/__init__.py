@@ -9,7 +9,7 @@ interfaces defined here:
   :class:`~repro.sim.engine.Simulator` and
   :class:`~repro.sim.network.Network` (bit-identical traces);
 * :class:`AsyncioRuntime` / :class:`AsyncioTransport` — wall-clock
-  adapter over in-process asyncio queues;
+  adapter, in process: one delivery heap, direct handler calls;
 * :class:`ReplicaCluster` — the live client-facing API
   (``put`` / ``get`` / ``stats``) on top of ``AsyncioRuntime``.
 

@@ -24,7 +24,7 @@ Two adapters implement the port:
 * :class:`repro.runtime.simulation.SimRuntime` binds the protocol to
   the discrete-event simulator — virtual time, bit-reproducible traces;
 * :class:`repro.runtime.live.AsyncioRuntime` binds the same protocol
-  code to real wall-clock time over in-process asyncio queues, which is
+  code to real wall-clock time on one in-process event loop, which is
   what :class:`repro.runtime.cluster.ReplicaCluster` serves live client
   traffic on.
 

@@ -5,7 +5,7 @@ A cluster of replicas running the paper's protocol on the wall-clock
 
 * ``transport="queue"`` (default) — every node's protocol stack lives
   on one event loop on a background thread, exchanging messages through
-  in-process asyncio queues;
+  the transport's in-process delivery heap;
 * ``transport="tcp"`` — one OS process per node, each hosting its
   replica on a :class:`~repro.runtime.tcp.TcpTransport` over real
   sockets.  The parent runs a nameserver-style *hub*: node processes
@@ -1130,15 +1130,14 @@ class ReplicaCluster:
         try:
             ok, payload = future.result(timeout=_CALL_TIMEOUT)
         except concurrent.futures.TimeoutError as exc:
+            # The reply handler pops the id of every call that is
+            # answered; only one nothing answered leaves it behind.
+            loop = self._loop
+            if loop is not None and loop.is_running():
+                loop.call_soon_threadsafe(self._tcp_pending.pop, call_id, None)
             raise ReplicationError(
                 f"call to node {node} timed out after {_CALL_TIMEOUT}s"
             ) from exc
-        finally:
-            loop = self._loop
-            if loop is not None and loop.is_running():
-                loop.call_soon_threadsafe(
-                    lambda: self._tcp_pending.pop(call_id, None)
-                )
         if not ok:
             raise ReplicationError(str(payload))
         return payload
@@ -1321,12 +1320,15 @@ class ReplicaCluster:
             out["chaos"] = chaos
         if self._mode == "tcp":
             sessions: Dict[str, int] = {}
+            delivery: Dict[str, int] = {}
             traffic: Optional[Dict[str, object]] = None
             handler_errors = 0
             for node in self._node_ids:
                 payload = self._tcp_call(node, "stats", ())
                 for name, count in payload["sessions"].items():
                     sessions[name] = sessions.get(name, 0) + count
+                for name, count in payload["delivery"].items():
+                    delivery[name] = delivery.get(name, 0) + count
                 snapshot = payload["traffic"]
                 if traffic is None:
                     traffic = dict(snapshot)
@@ -1343,6 +1345,7 @@ class ReplicaCluster:
             out["sessions"] = sessions
             out["traffic"] = traffic
             out["handler_errors"] = handler_errors
+            out["delivery"] = delivery
         else:
             sessions = {}
             for stack in self.nodes.values():
@@ -1357,6 +1360,7 @@ class ReplicaCluster:
             if self.transport is not None:
                 out["traffic"] = self.transport.counters.snapshot()
                 out["handler_errors"] = len(self.transport.handler_errors)
+                out["delivery"] = self.transport.delivery_stats()
         if self._loop is not None and self._loop.is_running():
             out["uptime_units"] = self._call(lambda: self.runtime.now)
         return out

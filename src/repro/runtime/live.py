@@ -1,10 +1,11 @@
 """AsyncioRuntime: the wall-clock adapter of the runtime port.
 
 The same protocol code that runs inside the discrete-event simulator
-runs here against real time: callbacks are scheduled with
-``loop.call_later``, and messages travel through per-node
-:class:`asyncio.Queue` mailboxes drained by one pump task per node —
-an in-process model of one event-loop server per replica.
+runs here against real time.  Cancellable callbacks (session timers,
+fault replays) are scheduled with ``loop.call_later``; messages in
+flight are fire-and-forget, so they wait in one :class:`DeliveryQueue`
+per transport — a heap behind a single loop timer — whose drain calls
+the destination node's handler directly: one hop per message.
 
 Time is still measured in protocol units (the paper's session times);
 ``time_scale`` maps one unit to wall-clock seconds, so a cluster can be
@@ -18,6 +19,8 @@ This module is imported lazily by :mod:`repro.runtime` so that
 from __future__ import annotations
 
 import asyncio
+from heapq import heappop, heappush
+from math import inf
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
@@ -159,16 +162,105 @@ class AsyncioRuntime(Runtime):
         self._bus.unsubscribe(topic, handler)
 
 
-class AsyncioTransport:
-    """Queue-backed transport between in-process replicas.
+class DeliveryQueue:
+    """Messages in flight: ``(due, seq, item)`` in one heap, one loop timer.
 
-    Each attached node owns an :class:`asyncio.Queue` mailbox and a pump
-    task that drains it, invoking the node's handler one message at a
-    time — per-replica delivery is serialized exactly like a one-thread
-    server.  Link latency (in protocol units, scaled by the runtime's
-    ``time_scale``) and probabilistic loss mirror the simulator's
-    :class:`~repro.sim.network.Network` semantics; all traffic is
-    metered via :class:`~repro.sim.network.TrafficCounters`.
+    The live transports never cancel a delivery, so a message needs no
+    timer handle of its own.  :meth:`push` files it under its wall-clock
+    due time; one ``loop.call_at`` timer stays armed for the head of the
+    heap, and when it fires every due entry is handed to ``sink`` as one
+    list in ``(due, seq)`` order: equal due times keep send order, a
+    smaller one overtakes (distance/jitter latency, packet reorder).
+    ``sink(items)`` runs on the loop and must not raise.
+    """
+
+    __slots__ = ("_runtime", "_sink", "_heap", "_seq", "_timer", "_armed",
+                 "_closed", "peak")
+
+    def __init__(self, runtime: "AsyncioRuntime", sink: Callable[[List[Any]], None]):
+        self._runtime = runtime
+        self._sink = sink
+        self._heap: List[Tuple[float, int, Any]] = []
+        self._seq = 0
+        self._timer: Optional[asyncio.TimerHandle] = None
+        #: Due time the timer is armed for: inf while disarmed, -inf
+        #: while a drain runs (no push can undercut that).
+        self._armed = inf
+        self._closed = False
+        #: Most entries ever in flight at once.
+        self.peak = 0
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def push(self, delay: float, item: Any) -> bool:
+        """File ``item`` for delivery ``delay`` protocol units from now;
+        False, filing nothing, once the queue is closed."""
+        if self._closed:
+            return False
+        runtime = self._runtime
+        loop = runtime.loop
+        due = loop.time() + (delay * runtime.time_scale if delay > 0.0 else 0.0)
+        self._seq += 1
+        heap = self._heap
+        heappush(heap, (due, self._seq, item))
+        if len(heap) > self.peak:
+            self.peak = len(heap)
+        if due < self._armed:
+            self._arm(loop, due)
+        return True
+
+    def _arm(self, loop: asyncio.AbstractEventLoop, due: float) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+        self._armed = due
+        self._timer = loop.call_at(due, self._drain)
+
+    def _drain(self) -> None:
+        loop = self._runtime.loop
+        heap = self._heap
+        # The loop fires a timer up to one clock resolution early; the
+        # entry it was armed for is due by definition.
+        horizon = max(loop.time(), self._armed)
+        self._timer = None
+        # A push made by a handler inside the drain must not arm the
+        # timer for its own due time ahead of an earlier entry still in
+        # the heap: re-arm once, for the head, when the drain is done.
+        self._armed = -inf
+        due = []
+        while heap and heap[0][0] <= horizon:
+            due.append(heappop(heap)[2])
+        try:
+            self._sink(due)
+        finally:
+            self._armed = inf
+            if heap:
+                self._arm(loop, heap[0][0])
+
+    def close(self) -> List[Any]:
+        """Disarm for good; returns what was still in flight, in order,
+        for the owner to meter as dropped."""
+        self._closed = True
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        left = [entry[2] for entry in sorted(self._heap)]
+        self._heap.clear()
+        return left
+
+
+class AsyncioTransport:
+    """Transport between in-process replicas on one event loop.
+
+    A send files the message in the transport's :class:`DeliveryQueue`
+    under its link latency; the queue's drain calls the destination
+    node's handler directly.  Handlers are synchronous on the one loop
+    thread and a send never delivers inline, so per-replica delivery is
+    serialized exactly like a one-thread server with no mailbox or task
+    in between.  Link latency (in protocol units, scaled by the
+    runtime's ``time_scale``) and probabilistic loss mirror the
+    simulator's :class:`~repro.sim.network.Network` semantics; all
+    traffic is metered via :class:`~repro.sim.network.TrafficCounters`.
 
     Args:
         runtime: Owning :class:`AsyncioRuntime` (clock + RNG).
@@ -199,8 +291,8 @@ class AsyncioTransport:
         #: same carry semantics as the simulator's Network.
         self.link_state = LinkState()
         self._handlers: Dict[int, MessageHandler] = {}
-        self._queues: Dict[int, "asyncio.Queue[Tuple[int, object]]"] = {}
-        self._pumps: Dict[int, "asyncio.Task[None]"] = {}
+        #: ``(src, dst, message, duplicate)`` items awaiting their latency.
+        self._in_flight = DeliveryQueue(runtime, self._deliver_due)
         self._pumping = False
         #: (node, exception) pairs from handlers that raised; a bad
         #: message must not kill the replica's delivery loop.
@@ -209,19 +301,14 @@ class AsyncioTransport:
     # -- attachment -----------------------------------------------------
 
     def attach(self, node: int, handler: MessageHandler) -> None:
-        """Register the delivery callback for ``node``.
-
-        Attaching after :meth:`start_pumps` (a node joining a running
-        cluster) creates the node's mailbox and pump immediately.
-        """
+        """Register the delivery callback for ``node`` (a node joining a
+        running cluster receives from its next due message on)."""
         if node not in self.topology:
             raise SimulationError(f"node {node} not in topology")
         self._handlers[node] = handler
-        if self._pumping:
-            self._ensure_pump(node)
 
     def detach(self, node: int) -> None:
-        """Remove a node's handler; queued messages to it are dropped."""
+        """Remove a node's handler; in-flight messages to it are dropped."""
         self._handlers.pop(node, None)
 
     def handler_for(self, node: int) -> Optional[MessageHandler]:
@@ -261,45 +348,28 @@ class AsyncioTransport:
         """Open a windowed packet-level fault on every channel."""
         self.link_state.packet.apply(action, params, duration, self.runtime.now)
 
-    # -- pump lifecycle --------------------------------------------------
+    # -- delivery lifecycle ----------------------------------------------
 
     def start_pumps(self) -> None:
-        """Create one mailbox and pump task per attached node."""
+        """Start delivering: until now every due message is dropped."""
         self._pumping = True
-        for node in self._handlers:
-            self._ensure_pump(node)
-
-    def _ensure_pump(self, node: int) -> None:
-        if node not in self._pumps:
-            self._queues[node] = asyncio.Queue()
-            self._pumps[node] = self.runtime.loop.create_task(self._pump(node))
-
-    async def _pump(self, node: int) -> None:
-        queue = self._queues[node]
-        while True:
-            src, message = await queue.get()
-            if not self.link_state.node_is_up(node):
-                # Crashed while the message sat in the mailbox.
-                self._drop(src, node, message_kind(message), "crashed-in-flight")
-                continue
-            handler = self._handlers.get(node)
-            if handler is None:
-                self._drop(src, node, message_kind(message), "no-handler")
-                continue
-            self.counters.messages_delivered += 1
-            try:
-                handler(src, message)
-            except Exception as exc:  # noqa: BLE001 - replica must survive
-                self.handler_errors.append((node, exc))
 
     async def stop_pumps(self) -> None:
-        """Cancel every pump task and wait for them to wind down."""
+        """Stop delivering for good; what is in flight is metered as dropped."""
         self._pumping = False
-        for task in self._pumps.values():
-            task.cancel()
-        await asyncio.gather(*self._pumps.values(), return_exceptions=True)
-        self._pumps.clear()
-        self._queues.clear()
+        for src, dst, message, duplicate in self._in_flight.close():
+            if not duplicate:
+                self._drop(src, dst, message_kind(message), "shutdown")
+
+    def delivery_stats(self) -> Dict[str, int]:
+        """What replaced the mailboxes: in-flight depth now and at peak
+        (the socket fields are the TCP transport's; zero here)."""
+        return {
+            "in_flight": len(self._in_flight),
+            "in_flight_peak": self._in_flight.peak,
+            "socket_writes": 0,
+            "frames_coalesced": 0,
+        }
 
     # -- neighbours ------------------------------------------------------
 
@@ -355,10 +425,9 @@ class AsyncioTransport:
                 self.counters.reorders_applied += 1
             dup_p = packet.duplicate_probability(now)
             if dup_p and self._rng.random() < dup_p:
-                self.runtime.schedule(
-                    delay, self._suppress_duplicate, src, dst, message, label="dup"
-                )
-        self.runtime.schedule(delay, self._deliver, src, dst, message, label=kind)
+                self._in_flight.push(delay, (src, dst, message, True))
+        if not self._in_flight.push(delay, (src, dst, message, False)):
+            self._drop(src, dst, kind, "shutdown")
         return True
 
     def broadcast(self, src: int, message: object) -> int:
@@ -384,19 +453,31 @@ class AsyncioTransport:
                 reason="duplicate-suppressed",
             )
 
+    def _deliver_due(self, items: List[Tuple[int, int, object, bool]]) -> None:
+        for src, dst, message, duplicate in items:
+            if duplicate:
+                self._suppress_duplicate(src, dst, message)
+            else:
+                self._deliver(src, dst, message)
+
     def _deliver(self, src: int, dst: int, message: object) -> None:
         # Failures that occurred while the message was in flight still
         # prevent delivery (the channel is not clairvoyant).
-        if self.link_state.active and not (
-            self.link_state.node_is_up(src) and self.link_state.node_is_up(dst)
+        link_state = self.link_state
+        if link_state.active and not (
+            link_state.node_is_up(src) and link_state.node_is_up(dst)
         ):
             self._drop(src, dst, message_kind(message), "crashed-in-flight")
             return
-        queue = self._queues.get(dst)
-        if queue is None:
+        handler = self._handlers.get(dst) if self._pumping else None
+        if handler is None:
             self._drop(src, dst, message_kind(message), "no-handler")
             return
-        queue.put_nowait((src, message))
+        self.counters.messages_delivered += 1
+        try:
+            handler(src, message)
+        except Exception as exc:  # noqa: BLE001 - replica must survive
+            self.handler_errors.append((dst, exc))
 
     def _drop(self, src: int, dst: int, kind: str, reason: str) -> None:
         self.counters.messages_dropped += 1

@@ -366,6 +366,7 @@ def _handle_call(spec, runtime, transport, stack, method, args):
                 },
                 "traffic": transport.counters.snapshot(),
                 "handler_errors": len(transport.handler_errors),
+                "delivery": transport.delivery_stats(),
             }
         raise ReplicationError(f"unknown cluster call {method!r}")
     except Exception as exc:  # noqa: BLE001 - serialized to the hub

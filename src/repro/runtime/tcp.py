@@ -18,13 +18,21 @@ cluster can span OS processes (or machines):
   port)`` via its :attr:`directory`, which the cluster hub fills
   nameserver-style: node processes bind an ephemeral port, register it,
   and receive the complete directory before the protocol starts.
+* **One hop per message** — messages wait out their link latency in
+  the transport's :class:`~repro.runtime.live.DeliveryQueue`; its drain
+  calls local handlers directly and writes remote frames straight to
+  the connected peer's socket transport, joining the frames one drain
+  holds for one peer into a single ``write``.  Inbound connections are
+  an :class:`asyncio.Protocol` whose ``data_received`` decodes and
+  delivers in place.  No mailbox, pump or sender task sits in between.
 * **Reconnect with backoff** — outbound links reconnect lazily with
-  exponential backoff; sends while a peer is unreachable are *dropped
-  and metered*, never raised (``ignore_disconnects`` semantics, after
-  eugene-eeo/rated): the replication protocol is built to survive lost
-  messages, so a flapping peer costs retries, not crashes.  Once the
-  peer is back, the next send past the backoff window reconnects and
-  delivery resumes.
+  exponential backoff; frames queued while a connect is in flight are
+  flushed when it succeeds, and sends while a peer is unreachable are
+  *dropped and metered*, never raised (``ignore_disconnects``
+  semantics, after eugene-eeo/rated): the replication protocol is
+  built to survive lost messages, so a flapping peer costs retries,
+  not crashes.  Once the peer is back, the next send past the backoff
+  window reconnects and delivery resumes.
 
 Fault injection shares the live transports'
 :class:`~repro.runtime.linkstate.LinkState`: a chaos controller
@@ -56,7 +64,7 @@ from ..sim.network import (
 )
 from .base import MessageHandler
 from .linkstate import LinkState
-from .live import AsyncioRuntime
+from .live import AsyncioRuntime, DeliveryQueue
 
 #: Header size: 4-byte unsigned big-endian frame length followed by the
 #: 4-byte CRC-32 of the payload.
@@ -196,16 +204,6 @@ async def read_frames(
             yield frame
 
 
-async def send_frame(
-    writer: "asyncio.StreamWriter",
-    payload: object,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-) -> None:
-    """Write one frame and drain."""
-    writer.write(encode_frame(payload, max_frame_bytes))
-    await writer.drain()
-
-
 # -- synchronous helpers (the chaos CLI client is a plain socket) ---------
 
 
@@ -254,86 +252,125 @@ class SyncFrameChannel:
 # ---------------------------------------------------------------------------
 
 
-class _PeerLink:
+#: In-flight item tags: how the drain ships ``(src, dst, message, tag)``.
+_PLAIN, _CORRUPT, _DUPLICATE = range(3)
+
+
+class _PeerLink(asyncio.Protocol):
     """Outbound connection to one remote node, with lazy reconnect.
 
-    A sender task drains the outbound queue; when the peer is
-    unreachable, frames are dropped (metered by the owning transport)
-    and reconnection attempts are spaced by exponential backoff.
+    While connected, :meth:`flush` writes the frames one drain queued
+    straight to the socket transport, joined into a single ``write``.
+    A connect task exists only while connecting: frames wait in
+    :attr:`pending` and are flushed when it succeeds.  When the peer is
+    unreachable they are dropped (metered by the owning transport) and
+    reconnection attempts are spaced by exponential backoff.
     """
 
-    __slots__ = (
-        "transport",
-        "node",
-        "queue",
-        "task",
-        "writer",
-        "backoff",
-        "next_attempt",
-    )
+    __slots__ = ("owner", "node", "pending", "sock", "connecting", "backoff",
+                 "next_attempt")
 
-    def __init__(self, transport: "TcpTransport", node: int):
-        self.transport = transport
+    def __init__(self, owner: "TcpTransport", node: int):
+        self.owner = owner
         self.node = node
-        self.queue: "asyncio.Queue[bytes]" = asyncio.Queue()
-        self.writer: Optional[asyncio.StreamWriter] = None
-        self.backoff = transport.reconnect_base
+        self.pending: List[bytes] = []
+        self.sock: Optional[asyncio.WriteTransport] = None
+        self.connecting: Optional["asyncio.Task[None]"] = None
+        self.backoff = owner.reconnect_base
         self.next_attempt = 0.0
-        self.task = transport.runtime.loop.create_task(self._run())
 
-    async def _run(self) -> None:
-        loop = self.transport.runtime.loop
-        while True:
-            frame = await self.queue.get()
-            writer = await self._ensure_connected(loop)
-            if writer is None:
-                self.transport._meter_drop(self.node, "disconnected")
-                continue
-            try:
-                writer.write(frame)
-                await writer.drain()
-            except (ConnectionError, OSError):
-                # ignore_disconnects: the frame is lost, the protocol's
-                # retries will cover it; we just arm the backoff.
-                self._disconnect(loop)
-                self.transport._meter_drop(self.node, "disconnected")
+    def flush(self) -> None:
+        """Ship :attr:`pending`: write it, start a connect, or drop it."""
+        frames = self.pending
+        if self.sock is not None:
+            if self.sock.is_closing():
+                # The peer reset and ``connection_lost`` has not run yet:
+                # a write now would be discarded without a trace.
+                self.drop_pending("disconnected")
+                return
+            self.sock.write(b"".join(frames))
+            self.owner.socket_writes += 1
+            self.owner.frames_coalesced += len(frames) - 1
+            frames.clear()
+        elif self.connecting is None:
+            loop = self.owner.runtime.loop
+            address = self.owner.directory.get(self.node)
+            if address is None or loop.time() < self.next_attempt:
+                self.drop_pending("disconnected")
+            else:
+                self.connecting = loop.create_task(self._connect(loop, address))
 
-    async def _ensure_connected(self, loop) -> Optional[asyncio.StreamWriter]:
-        if self.writer is not None:
-            return self.writer
-        if loop.time() < self.next_attempt:
-            return None
-        address = self.transport.directory.get(self.node)
-        if address is None:
-            self._arm_backoff(loop)
-            return None
+    async def _connect(self, loop, address: Tuple[str, int]) -> None:
         try:
-            _, writer = await asyncio.wait_for(
-                asyncio.open_connection(address[0], address[1]),
-                timeout=self.transport.connect_timeout,
+            await asyncio.wait_for(
+                loop.create_connection(lambda: self, address[0], address[1]),
+                timeout=self.owner.connect_timeout,
             )
         except (ConnectionError, OSError, asyncio.TimeoutError):
+            # ignore_disconnects: the frames are lost, the protocol's
+            # retries will cover them; we just arm the backoff.
             self._arm_backoff(loop)
-            return None
-        self.writer = writer
-        self.backoff = self.transport.reconnect_base
-        return writer
+            self.drop_pending("disconnected")
+        finally:
+            self.connecting = None
+
+    def connection_made(self, transport) -> None:
+        self.sock = transport
+        self.backoff = self.owner.reconnect_base
+        if self.pending:
+            self.flush()
+
+    def connection_lost(self, exc) -> None:
+        self.sock = None
+        self._arm_backoff(self.owner.runtime.loop)
 
     def _arm_backoff(self, loop) -> None:
         self.next_attempt = loop.time() + self.backoff
-        self.backoff = min(self.backoff * 2, self.transport.reconnect_cap)
+        self.backoff = min(self.backoff * 2, self.owner.reconnect_cap)
 
-    def _disconnect(self, loop) -> None:
-        if self.writer is not None:
-            self.writer.close()
-            self.writer = None
-        self._arm_backoff(loop)
+    def drop_pending(self, reason: str) -> None:
+        for _ in self.pending:
+            self.owner._drop(-1, self.node, "frame", reason)
+        self.pending.clear()
 
     def close(self) -> None:
-        self.task.cancel()
-        if self.writer is not None:
-            self.writer.close()
-            self.writer = None
+        if self.connecting is not None:
+            self.connecting.cancel()
+        if self.sock is not None:
+            self.sock.close()
+        self.drop_pending("shutdown")
+
+
+class _InboundLink(asyncio.Protocol):
+    """One accepted peer connection: bytes in, messages delivered in place."""
+
+    __slots__ = ("owner", "decoder", "sock")
+
+    def __init__(self, owner: "TcpTransport"):
+        self.owner = owner
+        self.decoder = FrameDecoder(
+            owner.max_frame_bytes, on_corrupt=owner._on_corrupt
+        )
+        self.sock: Optional[asyncio.Transport] = None
+
+    def connection_made(self, transport) -> None:
+        self.sock = transport
+        self.owner._inbound.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            frames = self.decoder.feed(data)
+        except TransportError as exc:
+            # One-line rejection; drop the connection, the peer's
+            # backoff will re-establish a clean one.
+            self.owner.frame_errors.append(str(exc))
+            self.sock.close()
+            return
+        for frame in frames:
+            self.owner._on_frame(frame)
+
+    def connection_lost(self, exc) -> None:
+        self.owner._inbound.discard(self)
 
 
 class TcpTransport:
@@ -342,9 +379,10 @@ class TcpTransport:
     Each process owns one ``TcpTransport`` serving its *local* nodes
     (one, in the cluster's spawn-per-node mode); sends to non-local
     nodes travel as frames to the peer process listed in the
-    :attr:`directory`.  Local delivery is serialized per node through a
-    mailbox-and-pump, exactly like :class:`AsyncioTransport`, so a
-    replica behaves as a one-thread server in every world.
+    :attr:`directory`.  Local handlers are called directly from the
+    delivery drain and from the inbound protocol's ``data_received``,
+    exactly like :class:`AsyncioTransport`: synchronous handlers on one
+    loop thread make a replica a one-thread server in every world.
 
     Link latency (protocol units, scaled by the runtime's
     ``time_scale``) and probabilistic loss are applied at the *sender*,
@@ -398,16 +436,19 @@ class TcpTransport:
         self.link_state = LinkState()
         self._rng = runtime.rng.stream(seed_stream)
         self._handlers: Dict[int, MessageHandler] = {}
-        self._queues: Dict[int, "asyncio.Queue[Tuple[int, object]]"] = {}
-        self._pumps: Dict[int, "asyncio.Task[None]"] = {}
+        #: ``(src, dst, message, tag)`` items awaiting their latency.
+        self._in_flight = DeliveryQueue(runtime, self._dispatch_due)
         self._pumping = False
         self._peers: Dict[int, _PeerLink] = {}
-        #: Set by :meth:`close`: a timer that fires afterwards must not
-        #: open a link whose task nobody is left to await.
-        self._closed = False
+        #: Peers the current drain queued frames for, flushed at its end.
+        self._unflushed: List[_PeerLink] = []
         self._server: Optional[asyncio.AbstractServer] = None
-        self._inbound_tasks: Set["asyncio.Task[None]"] = set()
+        self._inbound: Set[_InboundLink] = set()
         self.address: Optional[Tuple[str, int]] = None
+        #: ``write`` calls on peer sockets, and frames that rode along in
+        #: another frame's write instead of costing their own.
+        self.socket_writes = 0
+        self.frames_coalesced = 0
         #: (node, exception) pairs from handlers that raised.
         self.handler_errors: List[Tuple[int, BaseException]] = []
         #: One-line records of refused inbound frames (oversized etc.).
@@ -423,37 +464,33 @@ class TcpTransport:
         """
         if self._server is not None:
             raise TransportError("transport already serving")
-        self._server = await asyncio.start_server(
-            self._on_connection, host, port
+        self._server = await self.runtime.loop.create_server(
+            lambda: _InboundLink(self), host, port
         )
         sock_host, sock_port = self._server.sockets[0].getsockname()[:2]
         self.address = (sock_host, sock_port)
         return self.address
 
     async def close(self) -> None:
-        """Stop serving, close every peer link, cancel the pumps."""
-        self._closed = True
+        """Stop serving and sending for good; every message still in
+        flight or pending a connect is metered as dropped."""
+        self._pumping = False
+        for src, dst, message, tag in self._in_flight.close():
+            if tag != _DUPLICATE:
+                self._drop(src, dst, message_kind(message), "shutdown")
+        for link in list(self._inbound):
+            link.sock.close()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        peer_tasks = [peer.task for peer in self._peers.values()]
+        connecting = [p.connecting for p in self._peers.values() if p.connecting]
         for peer in self._peers.values():
             peer.close()
         self._peers.clear()
-        for task in self._inbound_tasks:
-            task.cancel()
-        self._pumping = False
-        for task in self._pumps.values():
-            task.cancel()
-        pending = (
-            list(self._pumps.values()) + list(self._inbound_tasks) + peer_tasks
-        )
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
-        self._pumps.clear()
-        self._queues.clear()
-        self._inbound_tasks.clear()
+        # One loop pass at least: closed socket transports release their
+        # sockets in a callback, and a cancelled connect must be awaited.
+        await asyncio.gather(asyncio.sleep(0), *connecting, return_exceptions=True)
 
     def update_directory(self, directory: Dict[int, Tuple[str, int]]) -> None:
         """Merge peer addresses (nameserver push or lazy lookup result)."""
@@ -470,11 +507,9 @@ class TcpTransport:
                 f"(local: {sorted(self.local_nodes)})"
             )
         self._handlers[node] = handler
-        if self._pumping:
-            self._ensure_pump(node)
 
     def detach(self, node: int) -> None:
-        """Remove a node's handler; queued messages to it are dropped."""
+        """Remove a node's handler; in-flight messages to it are dropped."""
         self._handlers.pop(node, None)
 
     def handler_for(self, node: int) -> Optional[MessageHandler]:
@@ -507,35 +542,21 @@ class TcpTransport:
         """Open a windowed packet-level fault on every channel."""
         self.link_state.packet.apply(action, params, duration, self.runtime.now)
 
-    # -- pump lifecycle ---------------------------------------------------
+    # -- delivery lifecycle -----------------------------------------------
 
     def start_pumps(self) -> None:
-        """Create one mailbox and pump task per attached local node."""
+        """Start delivering: until now every due message is dropped."""
         self._pumping = True
-        for node in self._handlers:
-            self._ensure_pump(node)
 
-    def _ensure_pump(self, node: int) -> None:
-        if node not in self._pumps:
-            self._queues[node] = asyncio.Queue()
-            self._pumps[node] = self.runtime.loop.create_task(self._pump(node))
-
-    async def _pump(self, node: int) -> None:
-        queue = self._queues[node]
-        while True:
-            src, message = await queue.get()
-            if not self.link_state.node_is_up(node):
-                self._drop(src, node, message_kind(message), "crashed-in-flight")
-                continue
-            handler = self._handlers.get(node)
-            if handler is None:
-                self._drop(src, node, message_kind(message), "no-handler")
-                continue
-            self.counters.messages_delivered += 1
-            try:
-                handler(src, message)
-            except Exception as exc:  # noqa: BLE001 - replica must survive
-                self.handler_errors.append((node, exc))
+    def delivery_stats(self) -> Dict[str, int]:
+        """In-flight depth now and at peak, and how many socket writes
+        carried how many extra frames."""
+        return {
+            "in_flight": len(self._in_flight),
+            "in_flight_peak": self._in_flight.peak,
+            "socket_writes": self.socket_writes,
+            "frames_coalesced": self.frames_coalesced,
+        }
 
     # -- neighbours -------------------------------------------------------
 
@@ -564,7 +585,7 @@ class TcpTransport:
             return True
         distance = self.topology.edge_weight(src, dst)
         delay = resolve_delay(self.latency, src, dst, distance, size)
-        corrupt = False
+        tag = _PLAIN
         packet = self.link_state.packet
         if packet.possible:
             # Same draw order as the other worlds (corrupt, latency,
@@ -580,7 +601,7 @@ class TcpTransport:
                     self.counters.corrupt_frames_dropped += 1
                     self._drop(src, dst, kind, "corrupt-frame")
                     return True
-                corrupt = True
+                tag = _CORRUPT
             factor = packet.latency_factor(now)
             if factor != 1.0:
                 delay *= factor
@@ -590,12 +611,9 @@ class TcpTransport:
                 self.counters.reorders_applied += 1
             dup_p = packet.duplicate_probability(now)
             if dup_p and self._rng.random() < dup_p:
-                self.runtime.schedule(
-                    delay, self._dispatch_duplicate, src, dst, message, label="dup"
-                )
-        self.runtime.schedule(
-            delay, self._dispatch, src, dst, message, corrupt, label=kind
-        )
+                self._in_flight.push(delay, (src, dst, message, _DUPLICATE))
+        if not self._in_flight.push(delay, (src, dst, message, tag)):
+            self._drop(src, dst, kind, "shutdown")
         return True
 
     def broadcast(self, src: int, message: object) -> int:
@@ -605,21 +623,29 @@ class TcpTransport:
                 sent += 1
         return sent
 
+    def _dispatch_due(self, items: List[Tuple[int, int, object, int]]) -> None:
+        for src, dst, message, tag in items:
+            if tag == _DUPLICATE:
+                self._dispatch_duplicate(src, dst, message)
+            else:
+                self._dispatch(src, dst, message, tag == _CORRUPT)
+        # Every frame this drain queued for one peer leaves in one write.
+        for peer in self._unflushed:
+            peer.flush()
+        self._unflushed.clear()
+
     def _dispatch(
         self, src: int, dst: int, message: object, corrupt: bool = False
     ) -> None:
         """After the link latency: deliver locally or frame to the peer."""
-        if self.link_state.active and not (
-            self.link_state.node_is_up(src) and self.link_state.node_is_up(dst)
+        link_state = self.link_state
+        if link_state.active and not (
+            link_state.node_is_up(src) and link_state.node_is_up(dst)
         ):
             self._drop(src, dst, message_kind(message), "crashed-in-flight")
             return
         if dst in self.local_nodes:
-            queue = self._queues.get(dst)
-            if queue is None:
-                self._drop(src, dst, message_kind(message), "no-handler")
-                return
-            queue.put_nowait((src, message))
+            self._deliver(src, dst, message)
             return
         try:
             frame = encode_frame(("msg", src, dst, message), self.max_frame_bytes)
@@ -631,15 +657,27 @@ class TcpTransport:
             frame = corrupt_frame_bytes(frame)
         self._enqueue_frame(dst, frame)
 
-    def _enqueue_frame(self, dst: int, frame: bytes) -> None:
-        """Queue ``frame`` on the link to ``dst``, opening it on first use."""
-        if self._closed:
-            self._meter_drop(dst, "disconnected")
+    def _deliver(self, src: int, dst: int, message: object) -> None:
+        """Hand a message to its local node's handler, in place."""
+        handler = self._handlers.get(dst) if self._pumping else None
+        if handler is None:
+            self._drop(src, dst, message_kind(message), "no-handler")
             return
+        self.counters.messages_delivered += 1
+        try:
+            handler(src, message)
+        except Exception as exc:  # noqa: BLE001 - replica must survive
+            self.handler_errors.append((dst, exc))
+
+    def _enqueue_frame(self, dst: int, frame: bytes) -> None:
+        """Queue ``frame`` for the drain's flush, opening the link to
+        ``dst`` on first use."""
         peer = self._peers.get(dst)
         if peer is None:
             peer = self._peers[dst] = _PeerLink(self, dst)
-        peer.queue.put_nowait(frame)
+        if not peer.pending:
+            self._unflushed.append(peer)
+        peer.pending.append(frame)
 
     def _dispatch_duplicate(self, src: int, dst: int, message: object) -> None:
         """Ship the channel's duplicate copy; the receiver suppresses it."""
@@ -653,28 +691,6 @@ class TcpTransport:
         self._enqueue_frame(dst, frame)
 
     # -- receiving ---------------------------------------------------------
-
-    async def _on_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._inbound_tasks.add(task)
-            task.add_done_callback(self._inbound_tasks.discard)
-        decoder = FrameDecoder(self.max_frame_bytes, on_corrupt=self._on_corrupt)
-        try:
-            async for frame in read_frames(reader, decoder):
-                self._on_frame(frame)
-        except TransportError as exc:
-            # One-line rejection; drop the connection, the peer's
-            # backoff will re-establish a clean one.
-            self.frame_errors.append(str(exc))
-        except (ConnectionError, OSError):
-            pass
-        except asyncio.CancelledError:
-            # close() tears inbound readers down; swallow so the
-            # streams machinery does not log a spurious traceback.
-            pass
-        finally:
-            writer.close()
 
     def _on_corrupt(self, reason: str) -> None:
         """A garbled inbound frame was skipped: meter, never raise."""
@@ -702,22 +718,9 @@ class TcpTransport:
         if self.link_state.active and not self.link_state.can_carry(src, dst):
             self._drop(src, dst, message_kind(message), "link-down")
             return
-        queue = self._queues.get(dst)
-        if queue is None:
-            self._drop(src, dst, message_kind(message), "no-handler")
-            return
-        queue.put_nowait((src, message))
+        self._deliver(src, dst, message)
 
     # -- metering ----------------------------------------------------------
-
-    def _meter_drop(self, dst: int, reason: str) -> None:
-        self.counters.messages_dropped += 1
-        trace = self.runtime.trace
-        if trace.wants("net.drop"):
-            trace.record(
-                self.runtime.now, "net.drop", src=-1, dst=dst, kind="frame",
-                reason=reason,
-            )
 
     def _drop(self, src: int, dst: int, kind: str, reason: str) -> None:
         self.counters.messages_dropped += 1

@@ -11,6 +11,7 @@ frame dispatch, drop-while-disconnected, and reconnect-after-restart.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import socket
 
 import pytest
@@ -235,7 +236,215 @@ async def _wait_for(predicate, timeout=5.0, interval=0.005):
         await asyncio.sleep(interval)
 
 
+@contextlib.contextmanager
+def _one_tick(loop):
+    """Freeze ``loop.time()``: every send inside shares one due time, so
+    one drain is certain to carry them all."""
+    frozen = loop.time()
+    loop.time = lambda: frozen
+    try:
+        yield
+    finally:
+        del loop.time
+
+
+@contextlib.contextmanager
+def _gated_connects(loop, fail=False):
+    """Hold every outbound connect at a gate; ``gate.set()`` lets them
+    through (or, with ``fail``, refuses them).  Yields ``(gate, attempts)``."""
+    real = loop.create_connection
+    gate = asyncio.Event()
+    attempts = []
+
+    async def create_connection(factory, host, port, **kwargs):
+        attempts.append((host, port))
+        await gate.wait()
+        if fail:
+            raise ConnectionRefusedError("gated connect refused")
+        return await real(factory, host, port, **kwargs)
+
+    loop.create_connection = create_connection
+    try:
+        yield gate, attempts
+    finally:
+        del loop.create_connection
+
+
+async def _started_pair(received, **kwargs):
+    """Two serving, started transports; node 1's deliveries land in
+    ``received``."""
+    a, b = _two_transports(**kwargs)
+    directory = {0: await a.serve(), 1: await b.serve()}
+    a.update_directory(directory)
+    b.update_directory(directory)
+    a.attach(0, lambda src, msg: None)
+    b.attach(1, lambda src, msg: received.append(msg))
+    a.start_pumps()
+    b.start_pumps()
+    return a, b
+
+
 class TestTcpTransport:
+    def test_two_frames_in_one_tick_ride_one_socket_write(self):
+        async def main():
+            received = []
+            a, b = await _started_pair(received)
+            try:
+                a.send(0, 1, "connect")
+                await _wait_for(lambda: received == ["connect"])
+                writes = a.socket_writes
+                with _one_tick(asyncio.get_running_loop()):
+                    a.send(0, 1, "one")
+                    a.send(0, 1, "two")
+                await _wait_for(lambda: len(received) == 3)
+                assert received == ["connect", "one", "two"]
+                assert a.socket_writes == writes + 1
+                assert a.frames_coalesced == 1
+                assert b.counters.messages_delivered == 3
+                stats = a.delivery_stats()
+                assert stats["in_flight"] == 0 and stats["in_flight_peak"] == 2
+                assert stats["socket_writes"] == a.socket_writes
+            finally:
+                await a.close()
+                await b.close()
+
+        asyncio.run(main())
+
+    def test_data_path_creates_no_task_once_connected(self):
+        async def main():
+            received = []
+            a, b = await _started_pair(received)
+            loop = asyncio.get_running_loop()
+            try:
+                a.send(0, 1, "connect")  # the one task: the connect itself
+                await _wait_for(lambda: received == ["connect"])
+                real, made = loop.create_task, []
+                loop.create_task = lambda *args, **kw: made.append(args) or real(
+                    *args, **kw
+                )
+                try:
+                    for i in range(20):
+                        a.send(0, 1, i)
+                    await _wait_for(lambda: len(received) == 21)
+                finally:
+                    del loop.create_task
+                assert received[1:] == list(range(20))
+                assert made == []
+            finally:
+                await a.close()
+                await b.close()
+
+        asyncio.run(main())
+
+    def test_frames_sent_during_a_connect_are_flushed_when_it_lands(self):
+        async def main():
+            received = []
+            a, b = await _started_pair(received)
+            try:
+                with _gated_connects(asyncio.get_running_loop()) as (gate, attempts):
+                    a.send(0, 1, "m0")
+                    await _wait_for(lambda: len(attempts) == 1)
+                    a.send(0, 1, "m1")
+                    a.send(0, 1, "m2")
+                    await _wait_for(lambda: len(a._peers[1].pending) == 3)
+                    assert len(attempts) == 1  # one connect, not one per frame
+                    assert received == [] and a.socket_writes == 0
+                    gate.set()
+                    await _wait_for(lambda: len(received) == 3)
+                assert received == ["m0", "m1", "m2"]
+                assert a.socket_writes == 1 and a.frames_coalesced == 2
+                assert a.counters.messages_dropped == 0
+                assert a._peers[1].connecting is None
+            finally:
+                await a.close()
+                await b.close()
+
+        asyncio.run(main())
+
+    def test_failed_connect_drops_its_frames_and_backoff_is_honoured(self):
+        async def main():
+            received = []
+            a, b = await _started_pair(received, reconnect_base=0.3, reconnect_cap=1.0)
+            loop = asyncio.get_running_loop()
+            try:
+                with _gated_connects(loop, fail=True) as (gate, attempts):
+                    a.send(0, 1, "m0")
+                    await _wait_for(lambda: len(attempts) == 1)
+                    a.send(0, 1, "m1")
+                    await _wait_for(lambda: len(a._peers[1].pending) == 2)
+                    assert a.counters.messages_dropped == 0
+                    failed_at = loop.time()
+                    gate.set()
+                    # Both frames of the failed connect: dropped, metered.
+                    await _wait_for(lambda: a.counters.messages_dropped == 2)
+                    peer = a._peers[1]
+                    assert not peer.pending and peer.connecting is None
+                    assert peer.next_attempt >= failed_at + 0.3
+                    # Inside the backoff window: dropped without a connect.
+                    a.send(0, 1, "m2")
+                    await _wait_for(lambda: a.counters.messages_dropped == 3)
+                    assert loop.time() < peer.next_attempt, "box stalled; rerun"
+                    assert len(attempts) == 1
+                # Past it (and with connects working again): delivered.
+                await asyncio.sleep(max(0.0, peer.next_attempt - loop.time()) + 0.01)
+                a.send(0, 1, "m3")
+                await _wait_for(lambda: received == ["m3"])
+                assert peer.backoff == 0.3  # reset by the successful connect
+                assert a.counters.messages_sent == 4
+            finally:
+                await a.close()
+                await b.close()
+
+        asyncio.run(main())
+
+    def test_frame_for_a_closing_socket_is_dropped_and_metered(self):
+        async def main():
+            received = []
+            a, b = await _started_pair(received)
+            try:
+                a.send(0, 1, "connect")
+                await _wait_for(lambda: received == ["connect"])
+                peer, writes = a._peers[1], a.socket_writes
+                # What a peer reset leaves behind: the socket transport is
+                # closing at once, ``connection_lost`` runs a loop pass
+                # later, and a write in between is discarded silently.
+                a.attach(0, lambda src, msg: peer.sock.abort())
+                with _one_tick(asyncio.get_running_loop()):
+                    a.send(1, 0, "reset")  # local hop, first in the drain
+                    a.send(0, 1, "lost")
+                await _wait_for(lambda: a.counters.messages_dropped == 1)
+                assert a.socket_writes == writes and a.frames_coalesced == 0
+                await _wait_for(lambda: peer.sock is None)
+                assert not peer.pending and received == ["connect"]
+            finally:
+                await a.close()
+                await b.close()
+
+        asyncio.run(main())
+
+    def test_close_meters_in_flight_and_pending_connect_frames(self):
+        async def main():
+            received = []
+            a, b = await _started_pair(received)
+            with _gated_connects(asyncio.get_running_loop()) as (gate, attempts):
+                a.send(0, 1, "pending the connect")
+                await _wait_for(lambda: len(attempts) == 1)
+                a.send(0, 1, "in the heap")
+                assert a.delivery_stats()["in_flight"] == 1
+                await a.close()
+                await b.close()
+            counters = a.counters
+            assert counters.messages_sent == 2 and counters.messages_dropped == 2
+            assert a.send(0, 1, "after close") is True  # metered, not lost
+            assert counters.messages_sent == (
+                counters.messages_delivered + counters.messages_dropped
+            )
+            assert a.delivery_stats()["in_flight"] == 0
+            assert asyncio.all_tasks() == {asyncio.current_task()}
+            assert received == []
+
+        asyncio.run(main())
+
     def test_delivers_between_two_transports(self):
         async def main():
             a, b = _two_transports()
@@ -394,6 +603,79 @@ class TestTcpTransport:
             assert asyncio.all_tasks() == {asyncio.current_task()}
 
         asyncio.run(main())
+
+
+class TestTcpClusterPlumbing:
+    def test_successful_put_wakes_the_hub_loop_once(self):
+        """``_tcp_call`` posts its dispatch and nothing else: the reply
+        handler already forgot the call id, so a second
+        ``call_soon_threadsafe`` would be a wasted self-pipe write and
+        loop wake per client op."""
+        from repro.runtime.cluster import ReplicaCluster
+
+        with ReplicaCluster(
+            line(2), seed=3, time_scale=0.01, transport="tcp", standby_hubs=0
+        ) as cluster:
+            cluster.put("warm", "up", node=0)
+            loop = cluster._loop
+            real, posted = loop.call_soon_threadsafe, []
+            loop.call_soon_threadsafe = lambda *args: posted.append(args) or real(
+                *args
+            )
+            try:
+                update = cluster.put("k", "v", node=1)
+            finally:
+                del loop.call_soon_threadsafe
+            assert len(posted) == 1
+            assert cluster._tcp_pending == {}
+            assert cluster.wait_replicated(update.uid, timeout=20.0)
+
+    def test_unanswered_call_times_out_and_forgets_its_id(self, monkeypatch):
+        from repro.errors import ReplicationError
+        from repro.runtime import cluster as cluster_module
+        from repro.runtime.cluster import ReplicaCluster
+
+        class DeafWriter:
+            def is_closing(self):
+                return False
+
+            def write(self, data):
+                pass
+
+        with ReplicaCluster(
+            line(2), seed=3, time_scale=0.01, transport="tcp", standby_hubs=0
+        ) as cluster:
+            monkeypatch.setattr(cluster_module, "_CALL_TIMEOUT", 0.2)
+            real = cluster._node_writers[1]
+            cluster._node_writers[1] = DeafWriter()
+            try:
+                with pytest.raises(ReplicationError, match="timed out"):
+                    cluster.put("k", "v", node=1)
+            finally:
+                cluster._node_writers[1] = real
+            assert cluster._call(lambda: dict(cluster._tcp_pending)) == {}
+
+    def test_stats_sum_the_delivery_block_over_node_processes(self):
+        from repro.runtime.cluster import ReplicaCluster
+
+        with ReplicaCluster(
+            line(3), seed=4, time_scale=0.005, transport="tcp", standby_hubs=0
+        ) as cluster:
+            update = cluster.put("k", "v", node=0)
+            assert cluster.wait_replicated(update.uid, timeout=20.0)
+            stats = cluster.stats()
+            delivery = stats["delivery"]
+            assert set(delivery) == {
+                "in_flight", "in_flight_peak", "socket_writes", "frames_coalesced",
+            }
+            # Every message crossed a socket: one write carries >= 1 frame.
+            assert 0 < delivery["socket_writes"]
+            assert (
+                delivery["socket_writes"] + delivery["frames_coalesced"]
+                <= stats["traffic"]["messages_sent"]
+            )
+            assert delivery["in_flight_peak"] >= 3  # summed: >= 1 per process
+            assert stats["traffic"]["messages_dropped"] == 0
 
 
 class TestNodeProcessShutdown:
