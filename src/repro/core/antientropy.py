@@ -24,7 +24,6 @@ message loss and crashed partners) and may be refused with BUSY when
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..errors import ReplicationError
@@ -45,37 +44,36 @@ ROLE_INITIATOR = "initiator"
 ROLE_RESPONDER = "responder"
 
 
-@dataclass
 class SessionState:
     """Book-keeping for one in-flight session at one endpoint."""
 
-    sid: int
-    peer: int
-    role: str
-    started_at: float
-    sent_batch: bool = False
-    received_batch: bool = False
-    timeout_handle: Optional[object] = None
+    __slots__ = ("sid", "peer", "role", "started_at", "sent_batch",
+                 "received_batch", "timeout_handle")
+
+    def __init__(self, sid: int, peer: int, role: str, started_at: float):
+        self.sid = sid
+        self.peer = peer
+        self.role = role
+        self.started_at = started_at
+        self.sent_batch = False
+        self.received_batch = False
+        self.timeout_handle: Optional[object] = None
 
     @property
     def complete(self) -> bool:
         return self.sent_batch and self.received_batch
 
 
-@dataclass
 class SessionStats:
-    """Per-node session counters surfaced in experiment reports."""
+    """Per-node session counters (all start at 0) surfaced in reports."""
 
-    initiated: int = 0
-    completed_initiator: int = 0
-    completed_responder: int = 0
-    refused_received: int = 0
-    refused_sent: int = 0
-    timeouts: int = 0
-    skipped_busy: int = 0
-    skipped_no_partner: int = 0
-    updates_sent: int = 0
-    updates_received: int = 0
+    __slots__ = ("initiated", "completed_initiator", "completed_responder",
+                 "refused_received", "refused_sent", "timeouts", "skipped_busy",
+                 "skipped_no_partner", "updates_sent", "updates_received")
+
+    def __init__(self) -> None:
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
     @property
     def completed(self) -> int:
@@ -84,6 +82,10 @@ class SessionStats:
 
 class AntiEntropyAgent:
     """Runs the weak-consistency part of the protocol at one node."""
+
+    __slots__ = ("runtime", "transport", "server", "config", "policy",
+                 "ack_manager", "node", "stats", "_sessions", "_initiating_sid",
+                 "_session_counter", "_interval_rng", "_started", "_stopped")
 
     def __init__(
         self,
@@ -190,27 +192,7 @@ class AntiEntropyAgent:
         self.transport.send(self.node, partner, SessionRequest(sid, self.node))
 
     # -- message handling ------------------------------------------------------
-
-    def on_message(self, src: int, message: object) -> None:
-        """Dispatch one session-layer message from ``src``.
-
-        :class:`~repro.core.protocol.ReplicationNode` routes straight to
-        the ``_handle_*`` leaf methods through its type-keyed dispatch
-        table; this method remains for direct callers and exotic
-        message subclasses.
-        """
-        if isinstance(message, SessionRequest):
-            self._handle_request(src, message)
-        elif isinstance(message, SessionBusy):
-            self._handle_busy(src, message)
-        elif isinstance(message, SummaryMessage):
-            self._handle_summary(src, message)
-        elif isinstance(message, UpdateBatch):
-            self._handle_batch(src, message)
-        elif isinstance(message, SessionAbort):
-            self._handle_abort(src, message)
-        else:
-            raise ReplicationError(f"unexpected session message {message!r}")
+    # ReplicationNode's route table calls these leaf handlers directly.
 
     def _handle_request(self, src: int, message: SessionRequest) -> None:
         if self.config.refuse_when_busy and self._sessions:
@@ -305,8 +287,9 @@ class AntiEntropyAgent:
         state = self._sessions.get(message.session_id)
         if state is None or state.peer != src:
             return
-        new_updates = self.server.integrate(message.updates, "session", sender=src)
-        self.stats.updates_received += len(new_updates)
+        if message.updates:  # most closing batches are empty: nothing to integrate
+            new_updates = self.server.integrate(message.updates, "session", sender=src)
+            self.stats.updates_received += len(new_updates)
         if message.closing:
             state.received_batch = True
         self._maybe_finish(state)

@@ -25,8 +25,7 @@ Island bridging (§6) plugs in through ``extra_targets``: overlay peers
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..demand.views import DemandView
 from ..errors import ReplicationError
@@ -36,19 +35,19 @@ from ..replica.server import ReplicaServer
 from ..runtime.base import Runtime
 from .config import PUSH_ALWAYS, PUSH_DOWNHILL, ProtocolConfig
 
+_NO_TARGETS: FrozenSet[int] = frozenset()
 
-@dataclass
+
 class FastUpdateStats:
-    """Per-node counters for the push path."""
+    """Per-node counters (all start at 0) for the push path."""
 
-    offers_sent: int = 0
-    offers_received: int = 0
-    replies_yes: int = 0
-    replies_no: int = 0
-    payloads_sent: int = 0
-    updates_pushed: int = 0
-    updates_received: int = 0
-    max_cascade_hops: int = 0
+    __slots__ = ("offers_sent", "offers_received", "replies_yes", "replies_no",
+                 "payloads_sent", "updates_pushed", "updates_received",
+                 "max_cascade_hops")
+
+    def __init__(self) -> None:
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
 
 class FastUpdateAgent:
@@ -66,6 +65,9 @@ class FastUpdateAgent:
             (island-leader bridges).
     """
 
+    __slots__ = ("runtime", "transport", "server", "config", "view",
+                 "own_demand", "node", "extra_targets", "stats", "_push_depth")
+
     def __init__(
         self,
         runtime: Runtime,
@@ -82,9 +84,12 @@ class FastUpdateAgent:
         self.view = view
         self.own_demand = own_demand
         self.node = server.node
-        self.extra_targets: Set[int] = {int(t) for t in extra_targets}
+        #: Immutable, so every node without bridges shares one empty set;
+        #: :meth:`ReplicationNode.add_bridge_targets` rebinds it.
+        self.extra_targets: FrozenSet[int] = (
+            frozenset(int(t) for t in extra_targets) or _NO_TARGETS
+        )
         self.stats = FastUpdateStats()
-        self._offered: Dict[int, Set[UpdateId]] = {}
         #: push hops each update had taken when it reached this node
         #: (0 for client writes and session arrivals).
         self._push_depth: Dict[UpdateId, int] = {}
@@ -93,7 +98,7 @@ class FastUpdateAgent:
         # purged uid can never be offered again (WriteLog.has() keeps
         # answering True below the purged floor, so integrate() never
         # reports it as new), so dropping its state is trace-identical
-        # and bounds _offered/_push_depth by live log size.
+        # and bounds _push_depth by live log size.
         server.log.on_purge(self._on_log_purge)
 
     # -- push side ---------------------------------------------------------
@@ -130,21 +135,17 @@ class FastUpdateAgent:
         return targets
 
     def _offer(self, target: int, updates: Sequence[Update]) -> None:
-        already = self._offered.setdefault(target, set())
+        # Each update goes to each target once: the log reports an
+        # update as new once per replica, and the targets are distinct.
         depth_of = self._push_depth.get
         entries: List[Tuple[UpdateId, object]] = []
         depth = 0
         for update in updates:
             uid = update.uid
-            if uid in already:
-                continue
-            already.add(uid)
             entries.append((uid, update.timestamp))
             hops = depth_of(uid, 0)
             if hops > depth:
                 depth = hops
-        if not entries:
-            return
         self.stats.offers_sent += 1
         trace = self.runtime.trace
         if trace.wants("fast.offer"):
@@ -160,23 +161,9 @@ class FastUpdateAgent:
         push_depth = self._push_depth
         for uid in purged_uids:
             push_depth.pop(uid, None)
-        if self._offered:
-            gone = set(purged_uids)
-            for offered in self._offered.values():
-                offered.difference_update(gone)
 
     # -- receive side ---------------------------------------------------------
-
-    def on_message(self, src: int, message: object) -> None:
-        """Dispatch one fast-update message from ``src``."""
-        if isinstance(message, FastUpdateOffer):
-            self._handle_offer(src, message)
-        elif isinstance(message, FastUpdateReply):
-            self._handle_reply(src, message)
-        elif isinstance(message, FastUpdatePayload):
-            self._handle_payload(src, message)
-        else:
-            raise ReplicationError(f"unexpected fast-update message {message!r}")
+    # ReplicationNode's route table calls these leaf handlers directly.
 
     def _handle_offer(self, src: int, message: FastUpdateOffer) -> None:
         # Steps 14-15: answer YES with the ids we lack, else NO.

@@ -32,6 +32,8 @@ from .config import (
 class PartnerSelectionPolicy:
     """Chooses which neighbour to start the next session with."""
 
+    __slots__ = ()
+
     def select(self, neighbors: Sequence[int]) -> Optional[int]:
         """Return the chosen partner, or None when there is none."""
         raise NotImplementedError
@@ -69,6 +71,8 @@ class DemandOrderedPolicy(PartnerSelectionPolicy):
     static §2 behaviour (beliefs never change) and the dynamic §4
     behaviour (beliefs shift between selections).
     """
+
+    __slots__ = ("_view", "_visited")
 
     def __init__(self, view: DemandView):
         self._view = view

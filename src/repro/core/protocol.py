@@ -17,7 +17,7 @@ injecting writes) lives in :mod:`repro.core.system`.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from ..demand.advertisement import DemandAdvert, DemandAdvertiser
 from ..demand.views import DemandView
@@ -33,14 +33,54 @@ from ..replica.messages import (
     UpdateBatch,
 )
 from ..replica.server import ReplicaServer
-from ..runtime.base import Runtime
+from ..runtime.base import MessageHandler, Runtime
 from .antientropy import AntiEntropyAgent
 from .config import ProtocolConfig
 from .fastupdate import FastUpdateAgent
 from .policies import PartnerSelectionPolicy
 
-_SESSION_TYPES = (SessionRequest, SessionBusy, SummaryMessage, UpdateBatch, SessionAbort)
-_FAST_TYPES = (FastUpdateOffer, FastUpdateReply, FastUpdatePayload)
+#: ``route(node, src, message)``: carries a delivered message to its handler.
+Route = Callable[["ReplicationNode", int, object], None]
+
+
+def _ignore_fast(node: "ReplicationNode", src: int, message: object) -> None:
+    # A fast-capable peer pushed at us even though we run the plain
+    # protocol; ignore rather than crash (mirrors a deployment
+    # mixing versions).
+    trace = node.runtime.trace
+    if trace.wants("node.ignored-fast"):
+        trace.record(node.runtime.now, "node.ignored-fast", node=node.node, src=src)
+
+
+def _advert(node: "ReplicationNode", src: int, message: object) -> None:
+    """Adverts at a node without an advertiser are silently dropped."""
+    if node.advertiser is not None:
+        node.advertiser.on_message(src, message)
+
+
+# Message type -> route. A route is the same for every node, so nodes
+# share these two tables instead of each holding a dict of its own bound
+# methods. It reaches the handler through the node's agent as the
+# message arrives, and so runs whatever the agent class defines at that
+# moment (the benchmark's span tracer wraps the ``_handle_*`` methods on
+# the classes before it builds a system).
+_ROUTES: Dict[type, Route] = {
+    SessionRequest: lambda n, src, m: n.anti_entropy._handle_request(src, m),
+    SessionBusy: lambda n, src, m: n.anti_entropy._handle_busy(src, m),
+    SummaryMessage: lambda n, src, m: n.anti_entropy._handle_summary(src, m),
+    UpdateBatch: lambda n, src, m: n.anti_entropy._handle_batch(src, m),
+    SessionAbort: lambda n, src, m: n.anti_entropy._handle_abort(src, m),
+    FastUpdateOffer: lambda n, src, m: n.fast._handle_offer(src, m),
+    FastUpdateReply: lambda n, src, m: n.fast._handle_reply(src, m),
+    FastUpdatePayload: lambda n, src, m: n.fast._handle_payload(src, m),
+    DemandAdvert: _advert,
+}
+_ROUTES_WITHOUT_FAST: Dict[type, Route] = {
+    **_ROUTES,
+    FastUpdateOffer: _ignore_fast,
+    FastUpdateReply: _ignore_fast,
+    FastUpdatePayload: _ignore_fast,
+}
 
 
 class ReplicationNode:
@@ -56,6 +96,10 @@ class ReplicationNode:
         own_demand: Callable returning this node's current true demand.
         advertiser: Optional demand advertiser (advertised knowledge).
     """
+
+    __slots__ = ("runtime", "transport", "server", "config", "view", "node",
+                 "ack_manager", "anti_entropy", "fast", "advertiser", "_routes",
+                 "_started")
 
     def __init__(
         self,
@@ -84,30 +128,9 @@ class ReplicationNode:
                 runtime, server, config, view, own_demand
             )
         self.advertiser = advertiser
-        # Type-keyed dispatch: one dict hit routes a delivered message to
-        # the owning agent's leaf handler, replacing the isinstance
-        # chains that used to dominate the delivery hot path.  Every
-        # handler has the uniform ``(src, message)`` signature.
-        anti_entropy = self.anti_entropy
-        self._dispatch = {
-            SessionRequest: anti_entropy._handle_request,
-            SessionBusy: anti_entropy._handle_busy,
-            SummaryMessage: anti_entropy._handle_summary,
-            UpdateBatch: anti_entropy._handle_batch,
-            SessionAbort: anti_entropy._handle_abort,
-        }
-        if self.fast is not None:
-            self._dispatch[FastUpdateOffer] = self.fast._handle_offer
-            self._dispatch[FastUpdateReply] = self.fast._handle_reply
-            self._dispatch[FastUpdatePayload] = self.fast._handle_payload
-        else:
-            for fast_type in _FAST_TYPES:
-                self._dispatch[fast_type] = self._ignore_fast
-        self._dispatch[DemandAdvert] = (
-            self.advertiser.on_message
-            if self.advertiser is not None
-            else self._ignore_advert
-        )
+        #: A shared table until something adds a route at this node,
+        #: which then gets a copy of its own (:meth:`_add_route`).
+        self._routes = _ROUTES if self.fast is not None else _ROUTES_WITHOUT_FAST
         self.transport.attach(self.node, self.on_message)
         self._started = False
 
@@ -132,49 +155,38 @@ class ReplicationNode:
 
     def on_message(self, src: int, message: object) -> None:
         """Route a delivered message to the owning agent."""
-        handler = self._dispatch.get(message.__class__)
-        if handler is None:
-            handler = self._resolve_handler(src, message)
-        handler(src, message)
+        route = self._routes.get(message.__class__)
+        if route is None:
+            route = self._resolve_route(src, message)
+        route(self, src, message)
 
-    def _resolve_handler(self, src: int, message: object):
-        """Slow path: subclassed message types fall back to isinstance.
+    def route(self, message_type: type, handler: MessageHandler) -> None:
+        """Deliver ``message_type`` at this node to ``handler(src, message)``.
 
-        The resolution is cached under the concrete type, so a subclass
-        pays the chain walk once and rides the dispatch dict afterwards.
+        For components riding on the replication transport (the
+        placement controller's three message types).
         """
-        if isinstance(message, _SESSION_TYPES):
-            handler = self.anti_entropy.on_message
-        elif isinstance(message, _FAST_TYPES):
-            handler = (
-                self.fast.on_message if self.fast is not None else self._ignore_fast
-            )
-        elif isinstance(message, DemandAdvert):
-            handler = (
-                self.advertiser.on_message
-                if self.advertiser is not None
-                else self._ignore_advert
-            )
-        else:
-            raise ReplicationError(
-                f"node {self.node}: unroutable message {message!r} from {src}"
-            )
-        self._dispatch[message.__class__] = handler
-        return handler
+        self._add_route(message_type, lambda _node, src, m: handler(src, m))
 
-    def _ignore_fast(self, src: int, message: object) -> None:
-        # A fast-capable peer pushed at us even though we run the plain
-        # protocol; ignore rather than crash (mirrors a deployment
-        # mixing versions).
-        trace = self.runtime.trace
-        if trace.wants("node.ignored-fast"):
-            trace.record(
-                self.runtime.now, "node.ignored-fast", node=self.node, src=src
-            )
+    def _add_route(self, message_type: type, route: Route) -> None:
+        if self._routes is _ROUTES or self._routes is _ROUTES_WITHOUT_FAST:
+            self._routes = dict(self._routes)
+        self._routes[message_type] = route
 
-    @staticmethod
-    def _ignore_advert(src: int, message: object) -> None:
-        """Adverts at a node without an advertiser are silently dropped."""
+    def _resolve_route(self, src: int, message: object) -> Route:
+        """Slow path: a subclassed message type takes its base's route.
+
+        The resolution is cached under the concrete type in this node's
+        own table, so a subclass pays the walk once.
+        """
+        for base in message.__class__.__mro__[1:]:
+            route = self._routes.get(base)
+            if route is not None:
+                self._add_route(message.__class__, route)
+                return route
+        raise ReplicationError(
+            f"node {self.node}: unroutable message {message!r} from {src}"
+        )
 
     def add_bridge_targets(self, peers) -> None:
         """Register overlay peers that always receive fast offers (§6)."""
@@ -182,4 +194,4 @@ class ReplicationNode:
             raise ReplicationError(
                 "island bridges require fast_update to be enabled"
             )
-        self.fast.extra_targets.update(int(p) for p in peers)
+        self.fast.extra_targets |= frozenset(int(p) for p in peers)

@@ -146,17 +146,35 @@ def build_node_stack(
             tables[node],
             period=config.advert_period,
         )
-    own_demand = lambda _node=node: demand.demand(_node, runtime.now)
     return ReplicationNode(
         runtime=runtime,
         server=server,
         config=config,
         policy=policy,
         view=view,
-        own_demand=own_demand,
+        own_demand=_OwnDemand(demand, node, runtime),
         advertiser=advertiser,
         ack_manager=ack_manager,
     )
+
+
+class _OwnDemand:
+    """``own_demand()`` of one node: its true demand right now.
+
+    Two per-node callbacks are slotted objects like this one, not
+    closures: a closure costs each node a function object, its defaults
+    and its cells, which at 10^4 nodes is megabytes.
+    """
+
+    __slots__ = ("demand", "node", "runtime")
+
+    def __init__(self, demand: DemandModel, node: int, runtime: Runtime):
+        self.demand = demand
+        self.node = node
+        self.runtime = runtime
+
+    def __call__(self) -> float:
+        return self.demand.demand(self.node, self.runtime.now)
 
 
 def _make_view(
@@ -167,15 +185,38 @@ def _make_view(
     node: int,
     tables: Optional[Dict[int, DemandTable]],
 ) -> DemandView:
-    """The demand view matching ``config.demand_knowledge``."""
+    """The demand view matching ``config.demand_knowledge``.
+
+    Advertised beliefs are each node's own. Oracle and snapshot beliefs
+    are the same at every node, so a deployment has one view of them: the
+    first node builds it and leaves it on the runtime for the others.
+    """
     knowledge = config.demand_knowledge
-    if knowledge == KNOWLEDGE_ORACLE:
-        return OracleDemandView(demand, lambda: runtime.now)
-    if knowledge == KNOWLEDGE_SNAPSHOT:
-        return SnapshotDemandView(demand, topology.nodes, at_time=0.0)
     if knowledge == KNOWLEDGE_ADVERTISED:
         return TableDemandView(tables[node])
-    raise ConfigurationError(f"unknown demand knowledge {knowledge!r}")
+    if runtime.demand_view is None:
+        if knowledge == KNOWLEDGE_ORACLE:
+            runtime.demand_view = OracleDemandView(demand, lambda: runtime.now)
+        elif knowledge == KNOWLEDGE_SNAPSHOT:
+            runtime.demand_view = SnapshotDemandView(
+                demand, topology.nodes, at_time=0.0
+            )
+        else:
+            raise ConfigurationError(f"unknown demand knowledge {knowledge!r}")
+    return runtime.demand_view
+
+
+class _AppliedAt:
+    """One node's new-updates listener: tells the system who applied."""
+
+    __slots__ = ("system", "node")
+
+    def __init__(self, system: "ReplicationSystem", node: int):
+        self.system = system
+        self.node = node
+
+    def __call__(self, updates: List[Update], source: str, sender) -> None:
+        self.system._record_applied(self.node, updates, source)
 
 
 class ReplicationSystem:
@@ -261,9 +302,7 @@ class ReplicationSystem:
                 if self.config.demand_knowledge == KNOWLEDGE_ADVERTISED
                 else None
             ),
-            on_new_updates=lambda updates, source, sender, _node=node: (
-                self._record_applied(_node, updates, source)
-            ),
+            on_new_updates=_AppliedAt(self, node),
         )
         self.servers[node] = replication_node.server
         self.nodes[node] = replication_node

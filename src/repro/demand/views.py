@@ -22,6 +22,8 @@ Clock = Callable[[], float]
 class DemandView:
     """What one node believes about other nodes' demand."""
 
+    __slots__ = ()
+
     def demand_of(self, node: int) -> float:
         """Believed demand of ``node`` right now."""
         raise NotImplementedError
@@ -38,6 +40,8 @@ class OracleDemandView(DemandView):
     This is the knowledge model implied by the paper's §4 example
     ("if B knows about this, B starts a session with C'").
     """
+
+    __slots__ = ("model", "clock")
 
     def __init__(self, model: DemandModel, clock: Clock):
         self.model = model

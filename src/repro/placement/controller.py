@@ -166,10 +166,10 @@ class PlacementController:
         topology = self.system.topology
         hops = bfs_distances(topology, self.home)
         link_delay = self.system.config.link_delay
-        self.system.nodes[self.home]._dispatch[DemandReport] = self._handle_report
-        self.system.nodes[self.home]._dispatch[PlacementAck] = self._handle_ack
+        self.system.nodes[self.home].route(DemandReport, self._handle_report)
+        self.system.nodes[self.home].route(PlacementAck, self._handle_ack)
         for site in self.sites:
-            self.system.nodes[site]._dispatch[PlacementCommand] = self._handle_command
+            self.system.nodes[site].route(PlacementCommand, self._handle_command)
             if site == self.home:
                 continue
             if not topology.has_edge(site, self.home):

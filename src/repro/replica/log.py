@@ -148,6 +148,21 @@ class AckedTruncation(TruncationPolicy):
 # ---------------------------------------------------------------------------
 
 
+def _prefix_cut(prefix: List[Update], floor: int) -> int:
+    """Index of the first entry of a non-empty ``prefix`` with ``seq > floor``.
+
+    A prefix is dense (entry ``i`` holds sequence ``prefix[0].seq + i``)
+    unless a truncation policy purged from its middle, and the stock
+    policies only ever remove a leading run: the index is then plain
+    arithmetic. A holed prefix is bisected on its sequence numbers,
+    listed for the occasion (``bisect``'s ``key=`` needs Python 3.10).
+    """
+    first = prefix[0].seq
+    if prefix[-1].seq - first + 1 == len(prefix):
+        return max(0, floor - first + 1)
+    return bisect_right([update.seq for update in prefix], floor)
+
+
 class WriteLog:
     """Per-replica store of known writes, ordered per origin.
 
@@ -155,10 +170,14 @@ class WriteLog:
     Writes beyond the prefix (delivered early by fast updates) are held
     and automatically folded into the prefix when the gap closes.
 
-    Internally each origin's prefix entries are kept as an array in
-    sequence order with a parallel sorted array of sequence numbers, so
-    "everything the peer lacks" is a bisect plus a slice per origin.
+    Internally each origin's prefix entries are kept as one array in
+    sequence order, so "everything the peer lacks" is a slice per
+    origin (see :func:`_prefix_cut` for where the slice starts).
     """
+
+    __slots__ = ("policy", "summary", "_entries", "_ahead", "_prefix",
+                 "_purged_floor", "_origins_cache", "_purge_listeners",
+                 "total_added", "total_purged")
 
     def __init__(self, policy: Optional[TruncationPolicy] = None):
         self.policy = policy if policy is not None else KeepAll()
@@ -167,9 +186,8 @@ class WriteLog:
         #: ids present but beyond the contiguous prefix, per origin
         self._ahead: Dict[int, Dict[int, Update]] = {}
         #: per-origin prefix entries in sequence order (holes only from
-        #: mid-prefix purges; the parallel ``_prefix_seqs`` stays sorted)
+        #: mid-prefix purges)
         self._prefix: Dict[int, List[Update]] = {}
-        self._prefix_seqs: Dict[int, List[int]] = {}
         self._purged_floor: Dict[int, int] = {}
         #: memoised sorted origin list; None when an origin appeared or
         #: vanished since the last query (per-session queries iterate
@@ -236,7 +254,6 @@ class WriteLog:
         floors = self._purged_floor
         parked = self._ahead
         prefixes = self._prefix
-        prefix_seqs = self._prefix_seqs
         tips = self.summary.own_entries()
         new: List[Update] = []
         for update in updates:
@@ -257,19 +274,15 @@ class WriteLog:
                 if seq == next_seq:
                     if prefix is None:
                         prefix = prefixes[origin] = []
-                        prefix_seqs[origin] = []
                     prefix.append(update)
-                    prefix_seqs[origin].append(seq)
                     tips[origin] = seq
                     continue
                 ahead = parked[origin] = {}
             ahead[seq] = update
             if next_seq in ahead:
                 prefix = prefixes.setdefault(origin, [])
-                seqs = prefix_seqs.setdefault(origin, [])
                 while next_seq in ahead:
                     prefix.append(ahead.pop(next_seq))
-                    seqs.append(next_seq)
                     next_seq += 1
                 tips[origin] = next_seq - 1
                 if not ahead:
@@ -287,21 +300,20 @@ class WriteLog:
         seeing if some of its summary timestamps are greater than the
         corresponding ones its partner['s]".
 
-        Cost is O(missing + origins): per origin one bisect locates the
-        suffix the peer lacks, and ahead-of-prefix entries (always newer
-        than the whole prefix) are appended after it. A peer whose
-        vector equals ours — most sessions of a quiet system — lacks
-        nothing, which one dict comparison settles.
+        Cost is O(missing + origins): per origin :func:`_prefix_cut`
+        locates the suffix the peer lacks, and ahead-of-prefix entries
+        (always newer than the whole prefix) are appended after it. A
+        peer whose vector equals ours — most sessions of a quiet system
+        — lacks nothing, which one dict comparison settles.
         """
         if not self._ahead and peer_summary == self.summary:
             return []
         missing: List[Update] = []
         for origin in self._sorted_origins():
             floor = peer_summary.get(origin)
-            seqs = self._prefix_seqs.get(origin)
-            if seqs and seqs[-1] > floor:
-                start = bisect_right(seqs, floor)
-                missing.extend(self._prefix[origin][start:])
+            prefix = self._prefix.get(origin)
+            if prefix and prefix[-1].seq > floor:
+                missing.extend(prefix[_prefix_cut(prefix, floor):])
             ahead = self._ahead.get(origin)
             if ahead:
                 missing.extend(
@@ -339,19 +351,18 @@ class WriteLog:
         """Ids of stored writes covered by ``vector``, per-origin ordered.
 
         The acked-truncation policy asks this every completed session;
-        per origin it is a bisect plus a slice of the prefix index (the
-        ahead set is only consulted for callers passing vectors beyond
-        our own summary).
+        per origin it is a slice of the prefix index (the ahead set is
+        only consulted for callers passing vectors beyond our own
+        summary).
         """
         out: List[UpdateId] = []
         for origin in self._sorted_origins():
             floor = vector.get(origin)
             if floor <= 0:
                 continue
-            seqs = self._prefix_seqs.get(origin)
-            if seqs:
-                end = bisect_right(seqs, floor)
-                out.extend((origin, seq) for seq in seqs[:end])
+            prefix = self._prefix.get(origin)
+            if prefix:
+                out.extend([u.uid for u in prefix[: _prefix_cut(prefix, floor)]])
             ahead = self._ahead.get(origin)
             if ahead:
                 out.extend(
@@ -382,15 +393,13 @@ class WriteLog:
             if seq > floor:
                 self._purged_floor[origin] = seq
             removed += 1
-        # Rebuild each affected origin's prefix arrays once.
+        # Rebuild each affected origin's prefix array once.
         for origin, seqs_gone in dropped.items():
             kept = [u for u in self._prefix[origin] if u.seq not in seqs_gone]
             if kept:
                 self._prefix[origin] = kept
-                self._prefix_seqs[origin] = [u.seq for u in kept]
             else:
                 del self._prefix[origin]
-                del self._prefix_seqs[origin]
                 if origin not in self._ahead:
                     self._origins_cache = None  # origin fully vanished
         self.total_purged += removed

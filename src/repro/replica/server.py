@@ -35,6 +35,9 @@ class ReplicaServer:
             (traffic accounting).
     """
 
+    __slots__ = ("node", "clock", "log", "store", "default_payload_bytes",
+                 "_next_seq", "_listeners", "local_writes", "reads_served")
+
     def __init__(
         self,
         node: int,

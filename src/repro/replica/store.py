@@ -29,10 +29,17 @@ class StoreEntry:
 
 
 class ContentStore:
-    """Key-value state derived from applied updates (LWW)."""
+    """Key-value state derived from applied updates (LWW).
+
+    Per key the store holds the winning :class:`Update` itself (the
+    object the write log holds too, so a win allocates nothing);
+    :meth:`read` shows it to clients as a :class:`StoreEntry`.
+    """
+
+    __slots__ = ("_data", "applied_count", "superseded_count")
 
     def __init__(self):
-        self._data: Dict[str, StoreEntry] = {}
+        self._data: Dict[str, Update] = {}
         self.applied_count = 0
         self.superseded_count = 0
 
@@ -43,12 +50,7 @@ class ContentStore:
         if current is not None and current.timestamp >= update.timestamp:
             self.superseded_count += 1
             return False
-        self._data[update.key] = StoreEntry(
-            value=update.value,
-            timestamp=update.timestamp,
-            origin=update.origin,
-            seq=update.seq,
-        )
+        self._data[update.key] = update
         return True
 
     def apply_all(self, updates: Iterable[Update]) -> int:
@@ -57,11 +59,19 @@ class ContentStore:
 
     def read(self, key: str) -> Optional[StoreEntry]:
         """Current entry for ``key`` (None when never written)."""
-        return self._data.get(key)
+        winner = self._data.get(key)
+        if winner is None:
+            return None
+        return StoreEntry(
+            value=winner.value,
+            timestamp=winner.timestamp,
+            origin=winner.origin,
+            seq=winner.seq,
+        )
 
     def value(self, key: str, default: object = None) -> object:
-        entry = self._data.get(key)
-        return default if entry is None else entry.value
+        winner = self._data.get(key)
+        return default if winner is None else winner.value
 
     def keys(self) -> Tuple[str, ...]:
         return tuple(self._data)
@@ -77,5 +87,5 @@ class ContentStore:
         paper's convergence property.
         """
         return tuple(
-            sorted((key, entry.timestamp) for key, entry in self._data.items())
+            sorted((key, winner.timestamp) for key, winner in self._data.items())
         )

@@ -49,6 +49,8 @@ class LamportClock:
     seen.
     """
 
+    __slots__ = ("node", "_counter")
+
     def __init__(self, node: int):
         if node < 0:
             raise ReplicationError(f"negative node id {node}")

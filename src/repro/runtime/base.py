@@ -262,11 +262,16 @@ class Runtime(ABC):
         rng: Named deterministic RNG streams
             (:class:`~repro.sim.rng.RngRegistry`).
         trace: Structured tracer (:class:`~repro.sim.trace.Tracer`).
+        demand_view: The deployment's one
+            :class:`~repro.demand.views.DemandView` under oracle or
+            snapshot knowledge, where every node believes the same; None
+            until :func:`~repro.core.system.build_node_stack` sets it.
     """
 
     transport: Transport
     rng: RngRegistry
     trace: Tracer
+    demand_view: Any = None
 
     # -- clock ----------------------------------------------------------
 

@@ -1,12 +1,13 @@
 """Long-run memory bounding of the fast-update push bookkeeping.
 
-The fast-update agent keeps per-uid state (``_push_depth``, the
-per-target ``_offered`` sets) to suppress duplicate offers. Before log
-truncation was wired to evict it, that state grew with every write
-ever integrated — a slow leak on long horizons. These tests pin the
-fix: with ``log_truncation="max-entries"`` the bookkeeping stays
-bounded by the live log, while a keep-all run on the same workload
-shows the unbounded growth the eviction removes.
+The fast-update agent keeps one piece of per-uid state, ``_push_depth``
+(the push hops each update had taken when it arrived, stamped on the
+offers and payloads that carry it onward). Before log truncation was
+wired to evict it, that state grew with every write ever integrated — a
+slow leak on long horizons. These tests pin the fix: with
+``log_truncation="max-entries"`` the bookkeeping stays bounded by the
+live log, while a keep-all run on the same workload shows the unbounded
+growth the eviction removes.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def run_workload(config):
 
 
 def test_keep_all_push_state_grows_with_every_write():
-    # The contrast case: without truncation the per-uid dicts retain an
+    # The contrast case: without truncation the per-uid dict retains an
     # entry for every write ever integrated, on every node.
     system = run_workload(fast_consistency())
     depths = [len(node.fast._push_depth) for node in system.nodes.values()]
@@ -62,11 +63,9 @@ def test_truncation_bounds_push_state_by_live_log():
         # the configured bound...
         assert len(live) <= MAX_LOG
         # ...and the push bookkeeping was evicted in lock-step: no
-        # entry outlives its log entry, so the dicts are bounded by the
+        # entry outlives its log entry, so the dict is bounded by the
         # live log instead of the write history (WRITES >> MAX_LOG).
         assert set(agent._push_depth) <= live
-        for offered in agent._offered.values():
-            assert offered <= live
 
 
 def test_truncated_run_still_converges_every_write():

@@ -13,7 +13,8 @@ from repro.core.variants import (
 from repro.demand.advertisement import DemandAdvert
 from repro.demand.static import ConstantDemand, ExplicitDemand
 from repro.errors import ReplicationError
-from repro.replica.messages import FastUpdateOffer, SessionRequest
+from repro.replica.messages import FastUpdateOffer, SessionRequest, SummaryMessage
+from repro.replica.versions import SummaryVector
 from repro.topology.simple import line
 
 
@@ -76,3 +77,56 @@ class TestRouting:
         system = build(weak_consistency())
         with pytest.raises(ReplicationError):
             system.nodes[0].add_bridge_targets([1])
+
+
+class Ping:
+    """A message type of some component riding on the replication transport."""
+
+
+class TestRoute:
+    def test_routed_type_reaches_its_handler_on_that_node_only(self):
+        system = build(fast_consistency(), n=3)
+        got = []
+        system.nodes[1].route(Ping, lambda src, message: got.append((src, message)))
+        ping = Ping()
+        system.nodes[1].on_message(0, ping)
+        assert got == [(0, ping)]
+        for other in (0, 2):
+            with pytest.raises(ReplicationError):
+                system.nodes[other].on_message(1, ping)
+        # The node's own protocol traffic still arrives.
+        system.nodes[1].on_message(0, SessionRequest(session_id=42, initiator=0))
+        assert system.nodes[1].anti_entropy.active_sessions == 1
+
+    def test_unrouted_nodes_share_one_table_and_allocate_none(self):
+        system = build(fast_consistency(), n=4)
+        shared = system.nodes[0]._routes
+        assert all(node._routes is shared for node in system.nodes.values())
+        system.nodes[2].route(Ping, lambda src, message: None)
+        assert system.nodes[2]._routes is not shared
+        assert Ping not in shared
+        assert all(system.nodes[n]._routes is shared for n in (0, 1, 3))
+        # A second route goes into the node's own table, not a new copy.
+        own = system.nodes[2]._routes
+        system.nodes[2].route(SessionRequest, lambda src, message: None)
+        assert system.nodes[2]._routes is own
+        assert shared[SessionRequest] is not own[SessionRequest]
+        # Plain-protocol nodes share a table too, a different one.
+        weak = build(weak_consistency(), n=2)
+        assert weak.nodes[0]._routes is weak.nodes[1]._routes is not shared
+
+    def test_subclassed_message_takes_its_base_route_cached_on_the_node(self):
+        class TaggedSummary(SummaryMessage):
+            pass
+
+        system = build(weak_consistency(), n=3)
+        shared = system.nodes[0]._routes
+        node = system.nodes[1]
+        node.on_message(0, SessionRequest(session_id=7, initiator=0))
+        tagged = TaggedSummary(7, 0, SummaryVector(), is_reply=True)
+        node.on_message(0, tagged)
+        # The responder answered the initiator's summary with its batch.
+        assert system.network.counters.by_kind.get("update-batch", 0) == 1
+        assert node._routes[TaggedSummary] is shared[SummaryMessage]
+        assert TaggedSummary not in shared
+        assert system.nodes[2]._routes is shared

@@ -74,11 +74,10 @@ class TestGoldenSessionSequence:
             topo, ExplicitDemand({0: 1.0, 1: 5.0}), fast_consistency(), seed=1
         )
         update = system.inject_write(0)
-        # Pre-load node 1 with the update, then force a fresh offer by
-        # clearing the dedup memory (simulating a repeated trigger).
+        # The write's one offer is in flight to node 1. Pre-load node 1
+        # with the update before the offer lands, so its answer is NO.
         system.servers[1].integrate([update], "session", sender=0)
         system.sim.trace.enable_only(["net.send"])
-        system.nodes[0].fast.on_new_updates([update], "client", None)
         system.run_until(0.2)
         kinds = [k for _, _, k in sent_messages(system)]
         assert kinds == ["fast-offer", "fast-reply"]  # NO -> no payload

@@ -9,7 +9,10 @@ Four fences around the rewrite of ``WriteLog.add_all`` and the cached
 * an ``Update`` survives the wire unchanged and no bigger;
 * every table keyed by a write's id holds the *same* tuple object;
 * the equal-summaries shortcut of ``updates_since`` answers exactly what
-  the per-origin walk answers.
+  the per-origin walk answers;
+* ``updates_since`` and ``covered_ids`` index a prefix by arithmetic and
+  answer exactly what bisecting a sorted array of its sequence numbers
+  (the oracle's ``_prefix_seqs``) answers, holes in the prefix included.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from hypothesis import strategies as st
 from repro.core.system import ReplicationSystem
 from repro.core.variants import fast_consistency
 from repro.demand.static import ExplicitDemand
-from repro.replica.log import MaxEntries, Update, WriteLog
+from repro.replica.log import MaxEntries, TruncationPolicy, Update, WriteLog
 from repro.replica.messages import FastUpdatePayload
 from repro.replica.timestamps import Timestamp
 from repro.replica.versions import SummaryVector
@@ -47,7 +50,47 @@ def make_update(origin: int, seq: int) -> Update:
 
 class OneAtATimeLog(WriteLog):
     """The oracle: ``add`` / ``add_all`` exactly as they were before the
-    batch path (every write parked in ``_ahead`` first, then folded)."""
+    batch path (every write parked in ``_ahead`` first, then folded), and
+    ``updates_since`` / ``covered_ids`` exactly as they were while the
+    log kept ``_prefix_seqs``, a sorted array of sequence numbers beside
+    each prefix, and bisected it. The array is this class's own now."""
+
+    def __init__(self, policy=None):
+        super().__init__(policy)
+        self._prefix_seqs = {}
+
+    def purge(self) -> int:
+        removed = super().purge()
+        self._prefix_seqs = {
+            origin: [u.seq for u in prefix] for origin, prefix in self._prefix.items()
+        }
+        return removed
+
+    def updates_since(self, peer_summary: SummaryVector) -> List[Update]:
+        missing: List[Update] = []
+        for origin in self.origins():
+            floor = peer_summary.get(origin)
+            seqs = self._prefix_seqs.get(origin)
+            if seqs and seqs[-1] > floor:
+                missing.extend(self._prefix[origin][bisect_right(seqs, floor):])
+            ahead = self._ahead.get(origin)
+            if ahead:
+                missing.extend(ahead[seq] for seq in sorted(ahead) if seq > floor)
+        return missing
+
+    def covered_ids(self, vector: SummaryVector):
+        out = []
+        for origin in self.origins():
+            floor = vector.get(origin)
+            if floor <= 0:
+                continue
+            seqs = self._prefix_seqs.get(origin)
+            if seqs:
+                out.extend((origin, seq) for seq in seqs[: bisect_right(seqs, floor)])
+            ahead = self._ahead.get(origin)
+            if ahead:
+                out.extend((origin, seq) for seq in sorted(ahead) if seq <= floor)
+        return out
 
     def add(self, update: Update) -> bool:
         if self.has(update.uid):
@@ -198,10 +241,6 @@ class TestOneSharedUidPerWrite:
                 if key == uid:
                     assert key is uid
                     pushed += 1
-            for offered in node.fast._offered.values():
-                for key in offered:
-                    if key == uid:
-                        assert key is uid
         assert pushed >= 2  # the cascade really went through the push path
 
 
@@ -213,7 +252,7 @@ def walk(log: WriteLog, peer: SummaryVector) -> List[Update]:
     missing: List[Update] = []
     for origin in log.origins():
         floor = peer.get(origin)
-        seqs = log._prefix_seqs.get(origin)
+        seqs = [u.seq for u in log._prefix.get(origin, ())]
         if seqs and seqs[-1] > floor:
             missing.extend(log._prefix[origin][bisect_right(seqs, floor):])
         ahead = log._ahead.get(origin)
@@ -268,3 +307,85 @@ class TestUpdatesSinceShortcut:
         log.add_all([make_update(origin, seq) for origin, seq in pairs])
         for peer in (SummaryVector(peer_entries), log.summary.copy()):
             assert log.updates_since(peer) == walk(log, peer)
+
+
+# -- (e) prefix arithmetic == bisect over the sequence numbers ------------------
+
+
+class PurgeThese(TruncationPolicy):
+    """Purges the ids it is told to: what it takes to hole a prefix (the
+    stock policies only ever remove a leading run of one)."""
+
+    def __init__(self, uids=()):
+        self.uids = list(uids)
+
+    def purgeable(self, log: WriteLog):
+        return self.uids
+
+
+vectors = st.dictionaries(
+    st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=14)
+).map(SummaryVector)
+
+
+def assert_same_answers(log: WriteLog, oracle: OneAtATimeLog, peers) -> None:
+    for peer in [*peers, log.summary.copy(), SummaryVector()]:
+        assert log.updates_since(peer) == oracle.updates_since(peer)
+        assert log.covered_ids(peer) == oracle.covered_ids(peer)
+
+
+class TestPrefixIndexIsTheBisect:
+    @given(batches, st.lists(uid_pairs, max_size=10), st.lists(vectors, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_any_purge_any_vector(self, groups, doomed, peers):
+        log = WriteLog(policy=PurgeThese())
+        oracle = OneAtATimeLog(policy=PurgeThese())
+        for index, group in enumerate(groups):
+            batch = [make_update(origin, seq) for origin, seq in group]
+            log.add_all(batch)
+            oracle.add_all(batch)
+            if index == len(groups) // 2:
+                log.policy.uids = oracle.policy.uids = doomed
+                assert log.purge() == oracle.purge()
+            assert observable(log) == observable(oracle)
+            assert_same_answers(log, oracle, peers)
+
+    @given(batches, st.integers(0, 8), st.lists(vectors, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_leading_run_purges_keep_the_prefix_dense(self, groups, limit, peers):
+        log = WriteLog(policy=MaxEntries(limit=limit))
+        oracle = OneAtATimeLog(policy=MaxEntries(limit=limit))
+        for group in groups:
+            batch = [make_update(origin, seq) for origin, seq in group]
+            log.add_all(batch)
+            oracle.add_all(batch)
+            assert log.purge() == oracle.purge()
+            for prefix in log._prefix.values():
+                assert [u.seq for u in prefix] == list(
+                    range(prefix[0].seq, prefix[0].seq + len(prefix))
+                )
+            assert_same_answers(log, oracle, peers)
+
+    def test_a_holed_prefix_takes_the_bisect(self):
+        log = WriteLog(policy=PurgeThese([(0, 3)]))
+        log.add_all([make_update(0, seq) for seq in range(1, 7)])
+        assert log.purge() == 1
+        assert [u.seq for u in log._prefix[0]] == [1, 2, 4, 5, 6]  # not dense
+        since = {
+            floor: [u.seq for u in log.updates_since(SummaryVector({0: floor}))]
+            for floor in range(7)
+        }
+        assert since == {
+            0: [1, 2, 4, 5, 6],
+            1: [2, 4, 5, 6],
+            2: [4, 5, 6],
+            3: [4, 5, 6],
+            4: [5, 6],
+            5: [6],
+            6: [],
+        }
+        covered = {
+            floor: [seq for _, seq in log.covered_ids(SummaryVector({0: floor}))]
+            for floor in (2, 3, 4, 9)
+        }
+        assert covered == {2: [1, 2], 3: [1, 2], 4: [1, 2, 4], 9: [1, 2, 4, 5, 6]}
