@@ -17,31 +17,15 @@ root so regressions show up across PRs:
 * **macro**: an n=100 fast-vs-weak convergence run end to end, plus the
   cost of tracing (full vs metrics-only vs disabled) on the same
   workload — the number that justifies ``build_system``'s
-  ``trace="metrics"`` default;
-* **macro scale ladder**: the same convergence macro at n=10³ and n=10⁴
-  (fast variant), single kernel vs
-  :class:`~repro.sim.sharded.ShardedSimulator`. Each sharded row
-  asserts exact result identity and records wall seconds, per-shard
-  busy CPU seconds and the core count. Sharding splits the *same*
-  total event work across kernels, so on a one-core runner no mode can
-  win wall-clock — the parallel claim is carried by the CPU-time
-  critical path: ``single busy / busy_max_s``, the speedup a ≥k-core
-  machine would realise. Wall-clock gates therefore apply only when
-  the runner actually has ≥k cores; what every machine must show is
-  the ≥2x projected speedup at k=4 and bounded windowing overhead on
-  the in-process (serial) rows. The timed legs run with the cyclic GC
-  paused: with several 10⁴-node object graphs resident, gen-2 scans
-  otherwise dominate and scale with how many contenders the *bench*
-  holds — a measurement artefact, not kernel cost.
+  ``trace="metrics"`` default.
 
 Set ``BENCH_HOTPATH_QUICK=1`` (the CI perf-smoke job does) to shrink
-the kernel and macro portions and drop the n=10⁴ ladder rung; the 10⁴
-log-diff gate always runs at full size.
+the kernel and macro portions; the 10⁴ log-diff gate always runs at
+full size.  The n=10⁴ macro lives in ``benchmarks/e2e`` (``sim-scale``).
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import time
@@ -57,7 +41,6 @@ from repro.replica.log import Update, WriteLog
 from repro.replica.timestamps import Timestamp
 from repro.replica.versions import SummaryVector
 from repro.sim.engine import Simulator
-from repro.sim.sharded import ShardedSimulator
 from repro.topology.brite import internet_like
 
 QUICK = os.environ.get("BENCH_HOTPATH_QUICK", "") not in ("", "0")
@@ -68,27 +51,6 @@ DIFF_ORIGINS = 32
 DIFF_MISSING = 40
 MACRO_NODES = 100
 SESSIONS_GATE = 2.0
-#: (nodes, horizon, [(shards, workers), ...]) rungs of the scale
-#: ladder; each horizon sits just past that size's convergence time so
-#: a fixed-horizon run covers the whole macro.
-SCALE_RUNGS = (
-    [(1_000, 6.2, [(2, "serial"), (2, "process")])]
-    if QUICK
-    else [
-        (1_000, 6.2, [(2, "serial"), (2, "process")]),
-        (10_000, 7.6, [(2, "serial"), (4, "serial"), (4, "process")]),
-    ]
-)
-#: Interleaving granularity for the ladder's wall-clock measurements.
-SCALE_LEGS = 8
-#: The rung whose speedup gates apply (the headline 10⁴ macro).
-SHARD_WALL_GATE_NODES = 10_000
-#: k=4 critical-path (single busy / busy_max) floor at 10⁴ nodes.
-SHARD_PROJECTED_GATE = 2.0
-#: Serial sharding re-runs the same events through k kernels plus the
-#: window protocol in one process; its wall time may trail the single
-#: kernel but the overhead must stay bounded.
-SHARD_SERIAL_FLOOR = 0.5
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
 
@@ -236,129 +198,6 @@ def _run_macro(config, trace_mode: str = "off") -> Dict[str, object]:
     }
 
 
-# ---------------------------------------------------------------------------
-# Macro scale ladder: single kernel vs sharded at n=10^3 / n=10^4
-# ---------------------------------------------------------------------------
-
-
-def _macro_scale_rung(nodes: int, horizon: float, shard_configs) -> Dict[str, object]:
-    """One ladder rung: the fast-variant macro at ``nodes``, single vs
-    sharded, with exact result-identity checks on every sharded row.
-
-    The single kernel and every sharded contender advance through the
-    same horizon in ``SCALE_LEGS`` alternating legs, so each wall-clock
-    ratio compares time slices measured seconds apart under the same
-    machine load — the same trick that makes the log-diff gate
-    load-tolerant. The legs run with the cyclic GC paused (see the
-    module docstring). Fixed-horizon runs are *event-identical* across
-    kernels, so identity covers apply times, traffic totals and exact
-    event counts.
-    """
-    topology = internet_like(nodes, seed=3)
-    config = fast_consistency()
-
-    single = ReplicationSystem(
-        topology=topology,
-        demand=UniformRandomDemand(seed=3),
-        config=config,
-        seed=5,
-    )
-    single.sim.trace.disable()
-    single.start()
-    single_update = single.inject_write(node=0)
-
-    contenders = []  # [shards, workers, simulator, update, seconds]
-    for shards, workers in shard_configs:
-        sharded = ShardedSimulator(
-            topology,
-            UniformRandomDemand(seed=3),
-            config,
-            seed=5,
-            shards=shards,
-            workers=workers,
-        )
-        sharded.start()
-        contenders.append([shards, workers, sharded, sharded.inject_write(0), 0.0])
-
-    single_s = 0.0
-    single_busy = 0.0
-    gc_was_enabled = gc.isenabled()
-    try:
-        gc.collect()
-        gc.disable()
-        for leg in range(1, SCALE_LEGS + 1):
-            until = horizon * leg / SCALE_LEGS
-            start = time.perf_counter()
-            cpu_start = time.process_time()
-            single.run_until(until)
-            single_busy += time.process_time() - cpu_start
-            single_s += time.perf_counter() - start
-            for entry in contenders:
-                start = time.perf_counter()
-                entry[2].run_until(until)
-                entry[4] += time.perf_counter() - start
-
-        base_apply = single.apply_times(single_update.uid)
-        base_traffic = single.traffic()
-        base_events = single.sim.events_executed
-        converged = max(base_apply.values()) if len(base_apply) == nodes else None
-
-        rows = []
-        lookahead = None
-        for shards, workers, sharded, update, seconds in contenders:
-            busy = [snap["busy_seconds"] for snap in sharded.snapshots()]
-            identical = (
-                sharded.apply_times(update.uid) == base_apply
-                and sharded.traffic() == base_traffic
-                and sharded.events_executed == base_events
-            )
-            lookahead = sharded.lookahead
-            rows.append(
-                {
-                    "shards": shards,
-                    "workers": workers,
-                    "seconds": round(seconds, 4),
-                    "busy_max_s": round(max(busy), 4),
-                    "busy_sum_s": round(sum(busy), 4),
-                    "identical": identical,
-                    "speedup_vs_single": round(single_s / seconds, 2),
-                    # CPU-time critical path: what a machine with >= k
-                    # idle cores would realise, independent of how many
-                    # cores this runner has or how loaded it is.
-                    "projected_parallel_speedup": round(
-                        single_busy / max(busy), 2
-                    ),
-                }
-            )
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-        gc.collect()
-        for entry in contenders:
-            entry[2].close()
-    return {
-        "nodes": nodes,
-        "horizon": horizon,
-        "cores": len(os.sched_getaffinity(0)),
-        "lookahead": lookahead,
-        "single": {
-            "seconds": round(single_s, 4),
-            "busy_s": round(single_busy, 4),
-            "converged_at": None if converged is None else round(converged, 6),
-            "events": base_events,
-            "events_per_s": round(base_events / single_s, 1),
-        },
-        "sharded": rows,
-    }
-
-
-def _bench_macro_scale() -> Dict[str, object]:
-    return {
-        f"macro_n{nodes}": _macro_scale_rung(nodes, horizon, shard_configs)
-        for nodes, horizon, shard_configs in SCALE_RUNGS
-    }
-
-
 def _bench_trace_modes() -> Dict[str, object]:
     """Time + peak memory of one sweep-shaped run per trace mode."""
     horizon = 10.0 if QUICK else 20.0
@@ -395,7 +234,6 @@ def test_hotpath_suite(report):
         "fast": _run_macro(fast_consistency()),
         "weak": _run_macro(weak_consistency()),
     }
-    scale = _bench_macro_scale()
     trace_modes = _bench_trace_modes()
 
     payload = {
@@ -408,7 +246,6 @@ def test_hotpath_suite(report):
             "measured_speedup": diffs[-1]["speedup"],
         },
         "macro_n100": macro,
-        **scale,
         "trace_modes": trace_modes,
     }
     RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
@@ -428,20 +265,6 @@ def test_hotpath_suite(report):
             f"macro n={MACRO_NODES} {variant}: {row['events_per_s']:.0f} events/s, "
             f"converged at {row['converged_at']}"
         )
-    for key, rung in scale.items():
-        lines.append(
-            f"{key}: single {rung['single']['seconds']}s wall / "
-            f"{rung['single']['busy_s']}s cpu "
-            f"({rung['single']['events']} events, cores={rung['cores']})"
-        )
-        for row in rung["sharded"]:
-            lines.append(
-                f"  sharded k={row['shards']} {row['workers']}: "
-                f"{row['seconds']}s ({row['speedup_vs_single']}x wall, "
-                f"busy max {row['busy_max_s']}s -> "
-                f"{row['projected_parallel_speedup']}x projected, "
-                f"identical={row['identical']})"
-            )
     for mode, row in trace_modes.items():
         lines.append(
             f"trace={mode}: {row['seconds']}s, peak {row['peak_kb']} KiB, "
@@ -459,45 +282,6 @@ def test_hotpath_suite(report):
     # Sanity: both protocol variants actually converged at n=100.
     assert macro["fast"]["converged_at"] is not None
     assert macro["weak"]["converged_at"] is not None
-    # Scale ladder: every sharded row must reproduce the single kernel's
-    # results exactly — a fast wrong kernel is worthless.
-    for key, rung in scale.items():
-        assert rung["single"]["converged_at"] is not None, key
-        for row in rung["sharded"]:
-            assert row["identical"], (
-                f"{key} k={row['shards']} {row['workers']}: sharded results "
-                "diverged from the single kernel"
-            )
-        if rung["nodes"] == SHARD_WALL_GATE_NODES:
-            for row in rung["sharded"]:
-                # The scale-up claim, in core-count-independent terms:
-                # at k=4 the per-shard CPU critical path must sit at
-                # least 2x under the single kernel's CPU time.
-                if row["shards"] >= 4:
-                    assert (
-                        row["projected_parallel_speedup"]
-                        >= SHARD_PROJECTED_GATE
-                    ), (
-                        f"k={row['shards']} {row['workers']} critical path "
-                        f"only {row['projected_parallel_speedup']}x the "
-                        f"single kernel (gate: {SHARD_PROJECTED_GATE}x)"
-                    )
-                # Wall-clock is gated only where the hardware can pay
-                # it: sharding re-runs the same events split across k
-                # kernels, so with < k cores there is no win to demand.
-                if rung["cores"] >= row["shards"]:
-                    assert row["speedup_vs_single"] > 1.0, (
-                        f"k={row['shards']} {row['workers']} sharding lost "
-                        f"wall-clock with {rung['cores']} cores available"
-                    )
-                elif row["workers"] == "serial":
-                    # Short of cores the serial rows still bound the
-                    # window-protocol overhead.
-                    assert row["speedup_vs_single"] >= SHARD_SERIAL_FLOOR, (
-                        f"k={row['shards']} serial overhead out of bounds: "
-                        f"{row['speedup_vs_single']}x vs the single kernel "
-                        f"(floor: {SHARD_SERIAL_FLOOR}x)"
-                    )
     # The metrics-only default must not store more records than full
     # tracing (it stores strictly fewer on any fast-update workload).
     assert (

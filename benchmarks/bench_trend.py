@@ -34,7 +34,7 @@ BASELINE_REF = "HEAD"
 TOLERANCE = 0.10
 
 HIGHER_IS_BETTER = ("_per_s", "per_s", "speedup", "ops_s")
-LOWER_IS_BETTER = ("seconds", "busy_max_s", "busy_sum_s", "busy_s", "_kb", "_ms", "latency", "p50", "p99")
+LOWER_IS_BETTER = ("seconds", "_kb", "_ms", "latency", "p50", "p99")
 
 
 def numeric_leaves(tree: object, prefix: str = "") -> Iterator[Tuple[str, float]]:

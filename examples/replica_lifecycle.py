@@ -46,13 +46,13 @@ def main() -> None:
           f"({purged} entries purged; stores still hold all 4 articles)")
 
     print("\n== a crashed replica blocks purging ==")
-    system.network.set_node_down(3)
+    system.network.links.set_node_down(3)
     for i in range(4, 7):
         system.inject_write(i % 3, key=f"article-{i}")
     system.run_until(55.0)
     print(f"t={system.sim.now:4.1f}  node 3 down, 3 new writes: {log_sizes(system)} "
           "(new entries stuck — node 3 never acknowledged)")
-    system.network.set_node_up(3)
+    system.network.links.set_node_up(3)
     system.run_until(90.0)
     print(f"t={system.sim.now:4.1f}  node 3 recovered:          {log_sizes(system)}")
 

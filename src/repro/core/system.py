@@ -426,7 +426,7 @@ class ReplicationSystem:
             )
         self.retired.add(node)
         self.nodes[node].stop()
-        self.network.set_node_down(node)
+        self.network.links.set_node_down(node)
         self.network.detach(node)
         # The retired node no longer gates convergence watches.
         for uid in list(self._watch):

@@ -39,12 +39,9 @@ backend instance.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import (
-    Dict,
     Iterable,
     Iterator,
     List,
@@ -245,176 +242,6 @@ class ProcessPoolBackend:
         for index, trial in self.run_trials_iter(scenarios):
             results[index] = trial
         return results  # type: ignore[return-value]
-
-
-def _shard_host_main(conn, spec: Dict[str, object], mesh=None) -> None:
-    """Worker-side loop: host one ShardEngine, serve method calls.
-
-    The protocol is a simple request/response over the pipe:
-    ``(method, args, kwargs)`` in, ``("ok", result)`` or
-    ``("err", traceback_string)`` out. ``("__stop__", ...)`` exits.
-
-    With ``mesh`` — ``(owner_map, inbound_queue, peer_queues)`` — the
-    engine is wrapped in a :class:`~repro.sim.sharded.ShardHost` so
-    window barriers exchange cross-shard messages directly between
-    workers instead of round-tripping through the coordinator.
-    """
-    from ..sim.sharded import ShardEngine, ShardHost
-
-    try:
-        engine = ShardEngine(**spec)
-        if mesh is not None:
-            owner, inbound, peers = mesh
-            engine = ShardHost(engine, owner, inbound, peers)
-        conn.send(("ok", None))
-    except BaseException:
-        conn.send(("err", traceback.format_exc()))
-        return
-    while True:
-        try:
-            method, args, kwargs = conn.recv()
-        except EOFError:
-            return
-        if method == "__stop__":
-            return
-        try:
-            conn.send(("ok", getattr(engine, method)(*args, **kwargs)))
-        except BaseException:
-            conn.send(("err", traceback.format_exc()))
-
-
-class ShardHostPool:
-    """Persistent worker processes, each hosting one shard engine.
-
-    The sharded kernel's barrier loop issues one synchronous round of
-    method calls per window, so the pool keeps a dedicated long-lived
-    process and pipe per shard instead of going through a task queue:
-    :meth:`call_all` writes every shard's request before reading any
-    reply, so the shards genuinely run their windows in parallel.
-
-    Lifecycle mirrors :class:`ProcessPoolBackend`: workers spawn lazily
-    on the first call, are reused across calls, and :meth:`close` (or
-    the context manager) shuts them down.
-
-    Args:
-        specs: One ShardEngine constructor kwargs dict per shard; each
-            must be picklable (they cross the process boundary).
-        owner: Optional node→shard-index map. When given, the pool
-            wires a full mesh of inter-worker queues and wraps each
-            engine in a :class:`~repro.sim.sharded.ShardHost`, so the
-            ``window`` barrier exchanges cross-shard messages directly
-            between workers (one pickle per crossing, off the
-            coordinator's critical path) instead of relaying them
-            through the coordinator pipe (two).
-    """
-
-    def __init__(
-        self,
-        specs: Sequence[Dict[str, object]],
-        owner: Optional[Dict[int, int]] = None,
-    ):
-        if not specs:
-            raise ExperimentError("ShardHostPool needs at least one shard spec")
-        self._specs = list(specs)
-        self._owner = dict(owner) if owner is not None else None
-        self._procs: Optional[list] = None
-        self._conns: Optional[list] = None
-        self._queues: Optional[list] = None
-
-    @property
-    def name(self) -> str:
-        return f"shard-hosts[{len(self._specs)}]"
-
-    def __len__(self) -> int:
-        return len(self._specs)
-
-    # -- lifecycle --------------------------------------------------------
-
-    def _ensure(self) -> None:
-        if self._procs is not None:
-            return
-        context = multiprocessing.get_context()
-        queues = None
-        if self._owner is not None:
-            # multiprocessing.Queue puts go through a feeder thread, so
-            # mesh sends never block on a full pipe (no exchange
-            # deadlock) and sender-side pickling overlaps peer compute.
-            queues = [context.Queue() for _ in self._specs]
-        procs, conns = [], []
-        for index, spec in enumerate(self._specs):
-            parent, child = context.Pipe()
-            mesh = None
-            if queues is not None:
-                peers = {
-                    peer: queues[peer]
-                    for peer in range(len(self._specs))
-                    if peer != index
-                }
-                mesh = (self._owner, queues[index], peers)
-            proc = context.Process(
-                target=_shard_host_main, args=(child, spec, mesh), daemon=True
-            )
-            proc.start()
-            child.close()
-            procs.append(proc)
-            conns.append(parent)
-        self._procs, self._conns, self._queues = procs, conns, queues
-        for conn in conns:
-            self._check(conn.recv())  # build handshake
-
-    def close(self) -> None:
-        """Stop every worker and release the pipes (idempotent)."""
-        if self._procs is None:
-            return
-        for conn in self._conns:
-            try:
-                conn.send(("__stop__", (), {}))
-            except (BrokenPipeError, OSError):
-                pass
-        for proc in self._procs:
-            proc.join(timeout=5)
-            if proc.is_alive():
-                proc.terminate()
-        for conn in self._conns:
-            conn.close()
-        if self._queues is not None:
-            for queue in self._queues:
-                queue.close()
-        self._procs = None
-        self._conns = None
-        self._queues = None
-
-    def __enter__(self) -> "ShardHostPool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # -- calls ------------------------------------------------------------
-
-    @staticmethod
-    def _check(reply: Tuple[str, object]) -> object:
-        status, payload = reply
-        if status != "ok":
-            raise ExperimentError(f"shard worker failed:\n{payload}")
-        return payload
-
-    def call_all(
-        self, method: str, args_per_shard: Optional[Sequence[tuple]] = None, **kwargs
-    ) -> List[object]:
-        """Invoke ``method`` on every shard concurrently, in shard order."""
-        self._ensure()
-        for index, conn in enumerate(self._conns):
-            args = args_per_shard[index] if args_per_shard is not None else ()
-            conn.send((method, tuple(args), kwargs))
-        return [self._check(conn.recv()) for conn in self._conns]
-
-    def call_one(self, index: int, method: str, *args, **kwargs) -> object:
-        """Invoke ``method`` on one shard and wait for its result."""
-        self._ensure()
-        conn = self._conns[index]
-        conn.send((method, args, kwargs))
-        return self._check(conn.recv())
 
 
 def is_backend(obj: object) -> bool:

@@ -1066,7 +1066,7 @@ def partition_experiment(
             system = ReplicationSystem(
                 topology=topo, demand=demand, config=config, seed=sim_seed
             )
-            system.network.partition([side_a, side_b])
+            system.network.links.partition([side_a, side_b])
             _quiet_start(system)
             update = system.inject_write(origin)
             system.run_until(heal_time)
@@ -1074,7 +1074,7 @@ def partition_experiment(
             assert all(node in side_a for node in times_during), (
                 "partition leaked an update to the far side"
             )
-            system.network.heal_partition()
+            system.network.links.heal_partition()
             done = system.run_until_replicated(update.uid, max_time=120.0)
             times = system.apply_times(update.uid)
             t_side_a = reach_time(times, side_a)
@@ -1090,7 +1090,7 @@ def partition_experiment(
             seed=derive_seed(seed, f"part-strong/{rep}"),
             write_timeout=heal_time - 0.5,
         )
-        strong.network.partition([side_a, side_b])
+        strong.network.links.partition([side_a, side_b])
         wid = strong.write(origin=origin)
         strong.sim.run(until=heal_time)
         if strong.committed(wid):

@@ -8,9 +8,10 @@ in-process asyncio cluster, or a multi-process TCP cluster:
 
 * :func:`apply_fault` maps one :class:`FaultEvent` to injector calls
   (the single dispatch every replayer shares);
-* :class:`SystemFaultInjector` adapts a simulated
-  :class:`~repro.core.system.ReplicationSystem` (network + demand) to
-  the port — the pre-port ``FaultProcess`` behaviour, bit-identical;
+* :class:`SystemFaultInjector` adapts a running system — a transport
+  with its link model, a demand model, a clock, the hosted stacks — to
+  the port; the simulator, the in-process cluster and every node
+  process of the TCP cluster use this one class;
 * :class:`FaultProcess` replays in *virtual* time: events are scheduled
   at construction with a priority that beats ordinary protocol events,
   so a fault takes effect at its timestamp — before any message
@@ -98,20 +99,46 @@ def prepare_demand(
 
 
 class SystemFaultInjector(FaultInjector):
-    """Fault-injector adapter over a simulated :class:`ReplicationSystem`.
+    """The fault-injector adapter over a running system, in any world.
 
-    Crash/link/partition actions mutate the system's
-    :class:`~repro.sim.network.Network`; shocks reach the demand model;
-    churn parks and restores delivery handlers so a re-joined node
-    receives messages exactly as before it left.
+    A system is a transport, a demand model, a clock and the protocol
+    stacks it hosts; that is all a fault needs.  Crash/link/partition
+    and packet actions mutate the transport's
+    :class:`~repro.runtime.linkstate.LinkModel`; shocks reach the demand
+    model; churn parks and restores delivery handlers so a re-joined
+    node receives messages exactly as before it left.  The simulator
+    (:class:`FaultProcess`), the in-process cluster and each node
+    process of the TCP cluster build one of these; only the hub of a TCP
+    cluster differs, because it has no transport to mutate and
+    serialises every action to its node processes instead.
+
+    Args:
+        transport: Whose link model and handler table the faults hit.
+        demand: The demand model (shockable only when it has
+            ``apply_shock``, see :func:`prepare_demand`).
+        clock: Anything with ``now`` (stamps shocks and packet windows).
+        stacks: ``node -> stack`` for the nodes hosted *here* (anything
+            with ``on_message``): all of them in the simulator and the
+            in-process cluster, the process's own node over TCP — churn
+            of a node hosted elsewhere only changes the link model.
+        on_heal: Called after every action that may restore
+            reachability (recover, link up, heal).
     """
 
-    def __init__(self, system):
-        self.system = system
+    def __init__(self, transport, demand, clock, stacks, on_heal=None):
+        self.transport = transport
+        self.demand = demand
+        self.clock = clock
+        self.stacks = stacks
+        self.on_heal = on_heal
         self._parked_handlers: Dict[int, object] = {}
 
+    def _healed(self) -> None:
+        if self.on_heal is not None:
+            self.on_heal()
+
     def crash_node(self, node: int) -> None:
-        self.system.network.set_node_down(node)
+        self.transport.links.set_node_down(node)
 
     def recover_node(self, node: int) -> None:
         """Bring a crashed node back, restoring any handler a leave parked.
@@ -122,55 +149,55 @@ class SystemFaultInjector(FaultInjector):
         cannot depend on which up action closed the interval. A node
         that was only ``node_down`` keeps whatever handler is attached.
         """
-        network = self.system.network
         handler = self._parked_handlers.pop(node, None)
         if handler is not None:
-            network.attach(node, handler)
-        network.set_node_up(node)
+            self.transport.attach(node, handler)
+        self.transport.links.set_node_up(node)
+        self._healed()
 
     def set_link(self, a: int, b: int, up: bool) -> None:
         if up:
-            self.system.network.set_link_up(a, b)
+            self.transport.links.set_link_up(a, b)
+            self._healed()
         else:
-            self.system.network.set_link_down(a, b)
+            self.transport.links.set_link_down(a, b)
 
     def partition(self, groups: Sequence[Sequence[int]]) -> None:
-        self.system.network.partition(groups)
+        self.transport.links.partition(groups)
 
     def heal(self) -> None:
-        self.system.network.heal_partition()
+        self.transport.links.heal_partition()
+        self._healed()
 
     def shock_demand(self, nodes: Sequence[int], factor: float) -> bool:
-        demand = self.system.demand
-        apply_shock = getattr(demand, "apply_shock", None)
+        apply_shock = getattr(self.demand, "apply_shock", None)
         if apply_shock is None:
             return False
-        apply_shock(nodes, factor, at=self.system.runtime.now)
+        apply_shock(nodes, factor, at=self.clock.now)
         return True
 
     def packet_fault(
         self, action: str, params: Sequence[float], duration: float
     ) -> bool:
-        self.system.network.apply_packet_fault(action, params, duration)
+        self.transport.links.apply_packet_fault(
+            action, params, duration, self.clock.now
+        )
         return True
 
     def leave_node(self, node: int) -> None:
         """Churn out: crash the node and park its delivery handler."""
-        network = self.system.network
-        handler = network.handler_for(node)
+        handler = self.transport.handler_for(node)
         if handler is not None:
             self._parked_handlers[node] = handler
-        network.detach(node)
-        network.set_node_down(node)
+        self.transport.detach(node)
+        self.transport.links.set_node_down(node)
 
     def join_node(self, node: int) -> None:
         """Churn in: restore the handler (parked or the node's own) and recover."""
         if node not in self._parked_handlers:
-            replication_node = self.system.nodes.get(node)
-            if replication_node is not None and (
-                self.system.network.handler_for(node) is None
-            ):
-                self.system.network.attach(node, replication_node.on_message)
+            stack = self.stacks.get(node)
+            if stack is not None and self.transport.handler_for(node) is None:
+                self.transport.attach(node, stack.on_message)
         self.recover_node(node)
 
 
@@ -212,7 +239,7 @@ class FaultProcess:
 
     Args:
         system: The live simulated system whose network/demand the
-            faults hit (adapted via :class:`SystemFaultInjector`).
+            faults hit (through a :class:`SystemFaultInjector`).
         schedule: The (validated) declarative schedule to replay.
 
     Attributes:
@@ -225,7 +252,9 @@ class FaultProcess:
         schedule.validate()
         self.system = system
         self.schedule = schedule
-        self.injector = SystemFaultInjector(system)
+        self.injector = SystemFaultInjector(
+            system.network, system.demand, system.runtime, system.nodes
+        )
         self.stats: Dict[str, int] = {}
         self.skipped: List[FaultEvent] = []
         runtime = system.runtime

@@ -208,7 +208,7 @@ class PlacementController:
     def _cycle(self) -> None:
         runtime = self.system.runtime
         runtime.schedule_fast(self.setup.cycle_period, self._cycle)
-        if not self.system.network.node_is_up(self.home):
+        if not self.system.network.links.node_is_up(self.home):
             # The controller's host is crashed by a fault: it can run
             # nothing this cycle, and the crash loses every volatile
             # structure — only the checkpoint survives.
@@ -294,7 +294,7 @@ class PlacementController:
     ) -> None:
         if self._outstanding.get(site) != seq:
             return  # acked, superseded, or lost to a controller crash
-        if not self.system.network.node_is_up(self.home):
+        if not self.system.network.links.node_is_up(self.home):
             return  # a crashed controller retries nothing
         if attempt > COMMAND_MAX_RETRIES:
             return  # give up: the next cycle recomputes the target

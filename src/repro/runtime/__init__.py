@@ -1,10 +1,14 @@
-"""Runtime port and adapters: one protocol, two execution worlds.
+"""Runtime port and adapters: one protocol, three execution worlds.
 
-The protocol stack in :mod:`repro.core` depends only on the narrow
-interfaces defined here:
+The worlds are the simulator, one in-process asyncio loop, and one OS
+process per replica over TCP.  The protocol stack in :mod:`repro.core`
+depends only on the narrow interfaces defined here:
 
 * :class:`Clock` / :class:`Transport` / :class:`Runtime` — the port
   (:mod:`repro.runtime.base`);
+* :class:`LinkModel` — the one place that decides whether and how a
+  message is carried, and where faults are injected; every transport
+  owns one (:mod:`repro.runtime.linkstate`);
 * :class:`SimRuntime` — discrete-event adapter over the existing
   :class:`~repro.sim.engine.Simulator` and
   :class:`~repro.sim.network.Network` (bit-identical traces);
@@ -28,7 +32,7 @@ from .base import (
     TopicBus,
     Transport,
 )
-from .linkstate import LinkState
+from .linkstate import LinkModel
 from .simulation import SimRuntime
 
 #: Names resolved lazily from the asyncio-backed modules.
@@ -50,7 +54,7 @@ __all__ = [
     "TopicBus",
     "MessageHandler",
     "FaultInjector",
-    "LinkState",
+    "LinkModel",
     # adapters
     "SimRuntime",
     "AsyncioRuntime",

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -49,8 +50,9 @@ from typing import (
     runtime_checkable,
 )
 
-from ..sim.rng import RngRegistry
-from ..sim.trace import Tracer
+if TYPE_CHECKING:  # annotations only: the port imports no adapter's world
+    from ..sim.rng import RngRegistry
+    from ..sim.trace import Tracer
 
 #: Per-node delivery callback: ``handler(src, message)``.
 MessageHandler = Callable[[int, object], None]
@@ -178,14 +180,15 @@ class FaultInjector(ABC):
     """The fault-action port: what a schedule can do to a deployment.
 
     Each method applies one :class:`~repro.faults.schedule.FaultEvent`
-    action.  Adapters exist for every execution world:
+    action.  Two adapters exist:
 
-    * :class:`repro.faults.process.SystemFaultInjector` — mutates a
-      simulated :class:`~repro.core.system.ReplicationSystem`'s network
-      (the pre-port ``FaultProcess`` behaviour, bit-identical);
-    * the live injectors in :mod:`repro.runtime.cluster` — drive the
-      same actions against an in-process asyncio cluster or broadcast
-      them to the node processes of a TCP cluster.
+    * :class:`repro.faults.process.SystemFaultInjector` — mutates the
+      :class:`~repro.runtime.linkstate.LinkModel` (and handler table)
+      of a transport, whichever world it belongs to: the simulator, the
+      in-process asyncio cluster, one node process of a TCP cluster;
+    * :class:`repro.runtime.cluster.TcpBroadcastInjector` — the hub of a
+      TCP cluster, which has no transport of its own and serialises
+      each action to its node processes.
 
     Replay (deciding *when* each action fires) is separate: see
     :class:`repro.faults.process.FaultProcess` (virtual time) and

@@ -33,10 +33,11 @@ Chaos: the same declarative
 :class:`~repro.faults.schedule.FaultSchedule` the simulator replays
 runs against a live cluster — pass ``faults=schedule`` to arm it at
 boot, or call :meth:`ReplicaCluster.inject_faults` on a running
-cluster.  In queue mode a :class:`ClusterFaultInjector` drives the
-in-process transport's link state; in tcp mode a
+cluster.  In queue mode the same
+:class:`~repro.faults.process.SystemFaultInjector` the simulator uses
+drives the in-process transport's link model; in tcp mode a
 :class:`TcpBroadcastInjector` broadcasts each action to every node
-process.  Packet-level actions (latency shocks, reordering,
+process, each of which applies it through its own such injector.  Packet-level actions (latency shocks, reordering,
 duplication, frame corruption) ride the same port.  With
 ``control_port`` set (any mode), external clients — the ``repro
 chaos`` CLI — can connect and inject schedules over a socket,
@@ -67,7 +68,7 @@ from ..demand.advertisement import bootstrap_tables
 from ..demand.base import DemandModel
 from ..demand.static import UniformRandomDemand
 from ..errors import ConfigurationError, ReplicationError, ReproError
-from ..faults.process import FaultReplayer, prepare_demand
+from ..faults.process import FaultReplayer, SystemFaultInjector, prepare_demand
 from ..faults.schedule import (
     ACTION_DEMAND_SHOCK,
     ACTION_HEAL,
@@ -104,81 +105,10 @@ _BOOT_TIMEOUT = 60.0
 DEFAULT_TRACK_LIMIT = 4096
 
 
-class ClusterFaultInjector(FaultInjector):
-    """Fault-injector over an in-process (queue-mode) cluster.
-
-    Crash/link/partition actions mutate the shared
-    :class:`~repro.runtime.linkstate.LinkState` of the cluster's
-    :class:`~repro.runtime.live.AsyncioTransport`; shocks reach the
-    demand model; churn parks and restores delivery handlers — the
-    same semantics :class:`~repro.faults.process.SystemFaultInjector`
-    gives the simulator.  All methods must run on the loop thread
-    (:class:`~repro.faults.process.FaultReplayer` callbacks do).
-    """
-
-    def __init__(self, cluster: "ReplicaCluster"):
-        self.cluster = cluster
-        self._parked_handlers: Dict[int, object] = {}
-
-    def crash_node(self, node: int) -> None:
-        self.cluster.transport.set_node_down(node)
-
-    def recover_node(self, node: int) -> None:
-        transport = self.cluster.transport
-        handler = self._parked_handlers.pop(node, None)
-        if handler is not None:
-            transport.attach(node, handler)
-        transport.set_node_up(node)
-        self.cluster._note_heal()
-
-    def set_link(self, a: int, b: int, up: bool) -> None:
-        transport = self.cluster.transport
-        if up:
-            transport.set_link_up(a, b)
-            self.cluster._note_heal()
-        else:
-            transport.set_link_down(a, b)
-
-    def partition(self, groups: Sequence[Sequence[int]]) -> None:
-        self.cluster.transport.partition(groups)
-
-    def heal(self) -> None:
-        self.cluster.transport.heal_partition()
-        self.cluster._note_heal()
-
-    def shock_demand(self, nodes: Sequence[int], factor: float) -> bool:
-        apply_shock = getattr(self.cluster.demand, "apply_shock", None)
-        if apply_shock is None:
-            return False
-        apply_shock(nodes, factor, at=self.cluster.runtime.now)
-        return True
-
-    def packet_fault(self, action, params, duration) -> bool:
-        self.cluster.transport.apply_packet_fault(action, params, duration)
-        return True
-
-    def leave_node(self, node: int) -> None:
-        transport = self.cluster.transport
-        handler = transport.handler_for(node)
-        if handler is not None:
-            self._parked_handlers[node] = handler
-        transport.detach(node)
-        transport.set_node_down(node)
-
-    def join_node(self, node: int) -> None:
-        if node not in self._parked_handlers:
-            stack = self.cluster.nodes.get(node)
-            if stack is not None and (
-                self.cluster.transport.handler_for(node) is None
-            ):
-                self.cluster.transport.attach(node, stack.on_message)
-        self.recover_node(node)
-
-
 class TcpBroadcastInjector(FaultInjector):
     """Fault-injector over a tcp-mode cluster: broadcast every action.
 
-    Each node process holds its own copy of the link state; broadcasting
+    Each node process holds its own link model; broadcasting
     the action to all of them keeps sender-side refusals (crashed peer,
     failed link, partition boundary) consistent without shared memory.
     Must run on the hub's loop thread (it writes to the node control
@@ -899,7 +829,13 @@ class ReplicaCluster:
             if self._mode == "tcp":
                 self._injector = TcpBroadcastInjector(self)
             else:
-                self._injector = ClusterFaultInjector(self)
+                self._injector = SystemFaultInjector(
+                    self.transport,
+                    self.demand,
+                    self.runtime,
+                    self.nodes,
+                    on_heal=self._note_heal,
+                )
         return self._injector
 
     def _arm_replayer(self, schedule: FaultSchedule) -> FaultReplayer:
@@ -1186,10 +1122,7 @@ class ReplicaCluster:
         else:
 
             def write() -> Update:
-                transport = self.transport
-                if transport.link_state.active and not transport.node_is_up(
-                    target
-                ):
+                if target in self.transport.links.down_nodes:
                     raise ReplicationError(
                         f"node {target} is down (injected fault)"
                     )
@@ -1224,8 +1157,7 @@ class ReplicaCluster:
             return self._tcp_call(target, "read", (key,))
 
         def reader() -> Optional[StoreEntry]:
-            transport = self.transport
-            if transport.link_state.active and not transport.node_is_up(target):
+            if target in self.transport.links.down_nodes:
                 raise ReplicationError(f"node {target} is down (injected fault)")
             return self.servers[target].read(key)
 

@@ -1,25 +1,30 @@
-"""Shared fault-state filter for live transports.
+"""The link model: the one place that decides whether and how a message
+is carried.
 
-:class:`LinkState` holds the crash / failed-link / partition state a
-fault injector applies to a running transport and answers the one
-question every send and delivery asks: *can this channel carry a
-message right now?*  The semantics mirror the simulator's
-:class:`~repro.sim.network.Network` exactly — a crashed endpoint, a
-failed link or a partition boundary refuses the message — so the same
-:class:`~repro.faults.schedule.FaultSchedule` means the same thing in
-every execution world.
+Every transport — the simulator's :class:`~repro.sim.network.Network`,
+the in-process :class:`~repro.runtime.live.AsyncioTransport` and the
+socket-backed :class:`~repro.runtime.tcp.TcpTransport` — owns one
+:class:`LinkModel` (its ``links`` attribute) and asks it, on every send,
+the single question :meth:`LinkModel.decide` answers: is this message
+refused, lost, corrupted or carried, after what delay, and did the
+channel reorder or duplicate it?  The model holds everything that answer
+depends on — crash / failed-link / partition state, the loss
+probability, the latency model, the windowed packet-level faults and the
+named RNG stream all of them draw from — and it is also the fault
+surface: a fault injector mutates the model, never the transport.  So
+one :class:`~repro.faults.schedule.FaultSchedule` means the same thing
+in every execution world by construction, not by keeping copies in step.
 
-The simulator's ``Network`` keeps its own hand-tuned copy of this logic
-(its send path is hot and golden-trace-pinned); the live transports
-(:class:`~repro.runtime.live.AsyncioTransport`,
-:class:`~repro.runtime.tcp.TcpTransport`) share this one.
+The transports keep what differs between worlds: how a carried message
+waits out its delay (a simulator event, a delivery heap, a socket) and
+how a verdict is metered and traced.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
 
-from ..errors import FaultError
+from ..errors import FaultError, SimulationError
 from ..faults.schedule import (
     ACTION_CORRUPT_FRAME,
     ACTION_LATENCY_SHOCK,
@@ -28,98 +33,81 @@ from ..faults.schedule import (
     PACKET_ACTIONS,
 )
 
+#: Negative verdicts of :meth:`LinkModel.decide` (a carried message's
+#: verdict is its delay, which is never negative).  ``REFUSED``: the
+#: channel does not exist right now (crashed endpoint, failed link,
+#: partition boundary) and the send reports False.  ``LOST``: the message
+#: entered the channel and the channel dropped it.
+REFUSED = -1.0
+LOST = -2.0
 
-class PacketFaultState:
-    """Windowed packet-level disturbances on a channel.
+#: Bits of :attr:`LinkModel.flags`: what an open packet-fault window did
+#: to the message just carried.  ``CORRUPT``: it arrives garbled and the
+#: receiver drops it.  ``REORDERED``: its delay was stretched so later
+#: sends may overtake it.  ``DUPLICATED``: a second copy rides along
+#: with the same delay, for the receiver to suppress.
+CORRUPT, REORDERED, DUPLICATED = 1, 2, 4
 
-    One window per action kind (re-application replaces it), expiring
-    passively by time: every query takes ``now`` and a window whose end
-    has passed evaporates on first sight.  Kept deliberately tiny — an
-    inactive state costs the caller one ``possible`` check and zero RNG
-    draws, which is what lets the simulator's golden-trace-pinned send
-    path host these hooks without perturbing fault-free runs.
+
+class LinkModel:
+    """Fault state, loss, latency and packet faults of one transport.
+
+    Args:
+        latency: The transport's latency model (``delay(src, dst,
+            distance)``, optionally ``delay_with_size(..., size)``);
+            fixed for the model's lifetime, so the size-aware variant
+            is bound once here instead of per send.
+        loss: Probability that a message is dropped in flight.
+        rng: The named RNG stream every draw comes from, in a fixed
+            order per send: loss, (the latency model's own jitter),
+            corrupt, reorder probability, reorder offset, duplicate.
+            A closed window draws nothing.
     """
 
-    __slots__ = ("_windows",)
+    __slots__ = (
+        "loss",
+        "flags",
+        "down_nodes",
+        "_down_links",
+        "_partition",
+        "_windows",
+        "_rng",
+        "_delay_with_size",
+        "_delay_plain",
+    )
 
-    def __init__(self) -> None:
-        #: action -> (params-without-duration, window end time)
-        self._windows: Dict[str, Tuple[Tuple[float, ...], float]] = {}
-
-    def apply(
-        self, action: str, params: Sequence[float], duration: float, now: float
-    ) -> None:
-        """Open (or replace) the ``action`` window for ``duration`` units."""
-        if action not in PACKET_ACTIONS:
-            raise FaultError(
-                f"unknown packet fault {action!r}; known: {sorted(PACKET_ACTIONS)}"
-            )
-        if duration <= 0:
-            raise FaultError(f"packet fault duration must be > 0, got {duration}")
-        self._windows[action] = (
-            tuple(float(p) for p in params),
-            float(now) + float(duration),
-        )
-
-    def clear(self) -> None:
-        self._windows.clear()
-
-    @property
-    def possible(self) -> bool:
-        """True while any window *might* be open (cheap hot-path guard)."""
-        return bool(self._windows)
-
-    def params(self, action: str, now: float) -> Optional[Tuple[float, ...]]:
-        """The open window's params for ``action``, or None (expired/absent)."""
-        entry = self._windows.get(action)
-        if entry is None:
-            return None
-        params, until = entry
-        if now >= until:
-            del self._windows[action]
-            return None
-        return params
-
-    # -- typed queries (what the send paths actually ask) ---------------
-
-    def latency_factor(self, now: float) -> float:
-        params = self.params(ACTION_LATENCY_SHOCK, now)
-        return params[0] if params else 1.0
-
-    def reorder(self, now: float) -> Optional[Tuple[float, ...]]:
-        """``(probability, window)`` while reordering is open, else None."""
-        return self.params(ACTION_PACKET_REORDER, now)
-
-    def duplicate_probability(self, now: float) -> float:
-        params = self.params(ACTION_PACKET_DUPLICATE, now)
-        return params[0] if params else 0.0
-
-    def corrupt_probability(self, now: float) -> float:
-        params = self.params(ACTION_CORRUPT_FRAME, now)
-        return params[0] if params else 0.0
-
-
-class LinkState:
-    """Mutable crash/link/partition state with Network-compatible queries."""
-
-    __slots__ = ("_down_nodes", "_down_links", "_partition", "packet")
-
-    def __init__(self) -> None:
-        self._down_nodes: Set[int] = set()
+    def __init__(self, latency, loss: float, rng) -> None:
+        if not 0.0 <= loss < 1.0:
+            raise SimulationError(f"loss probability {loss} outside [0, 1)")
+        self.loss = loss
+        #: Packet-fault outcome of the last carried message (``CORRUPT``
+        #: / ``REORDERED`` / ``DUPLICATED`` bits).  Written only while a
+        #: window is open, and a send that finds every window expired
+        #: writes 0, so it reads 0 whenever no window is open.
+        self.flags = 0
+        #: The currently crashed nodes (read-only for callers; delivery
+        #: paths test it for emptiness before asking :meth:`endpoints_up`).
+        self.down_nodes: Set[int] = set()
         self._down_links: Set[Tuple[int, int]] = set()
         self._partition: Optional[Dict[int, int]] = None
-        #: Windowed packet-level faults (shared by the live transports).
-        self.packet = PacketFaultState()
+        #: action -> (params-without-duration, window end time).  One
+        #: window per packet action (re-application replaces it),
+        #: expiring passively: a window whose end has passed evaporates
+        #: the first time a send looks at it.
+        self._windows: Dict[str, Tuple[Tuple[float, ...], float]] = {}
+        self._rng = rng
+        self._delay_with_size = getattr(latency, "delay_with_size", None)
+        self._delay_plain = latency.delay
 
-    # -- mutation (the fault-injection surface) -------------------------
+    # -- the fault surface ------------------------------------------------
 
     def set_node_down(self, node: int) -> None:
         """Crash a node: it neither sends nor receives until restored."""
-        self._down_nodes.add(int(node))
+        self.down_nodes.add(int(node))
 
     def set_node_up(self, node: int) -> None:
         """Restore a crashed node."""
-        self._down_nodes.discard(int(node))
+        self.down_nodes.discard(int(node))
 
     @staticmethod
     def _link_key(a: int, b: int) -> Tuple[int, int]:
@@ -145,42 +133,119 @@ class LinkState:
         """Remove any active partition."""
         self._partition = None
 
-    # -- queries ---------------------------------------------------------
+    def apply_packet_fault(
+        self, action: str, params: Sequence[float], duration: float, now: float
+    ) -> None:
+        """Open (or replace) the ``action`` window on every channel for
+        ``duration`` time units from ``now``."""
+        if action not in PACKET_ACTIONS:
+            raise FaultError(
+                f"unknown packet fault {action!r}; known: {sorted(PACKET_ACTIONS)}"
+            )
+        if duration <= 0:
+            raise FaultError(f"packet fault duration must be > 0, got {duration}")
+        self._windows[action] = (
+            tuple(float(p) for p in params),
+            float(now) + float(duration),
+        )
+
+    # -- queries ----------------------------------------------------------
 
     def node_is_up(self, node: int) -> bool:
-        return node not in self._down_nodes
+        return node not in self.down_nodes
 
     def link_is_up(self, a: int, b: int) -> bool:
         return self._link_key(a, b) not in self._down_links
 
-    @property
-    def active(self) -> bool:
-        """True when any fault is currently in effect."""
-        return bool(
-            self._down_nodes or self._down_links or self._partition is not None
-        )
+    def endpoints_up(self, src: int, dst: int) -> bool:
+        """The delivery-time check: a crash while the message was in
+        flight still prevents delivery (the channel is not clairvoyant)."""
+        down = self.down_nodes
+        return src not in down and dst not in down
 
-    def down_nodes(self) -> Set[int]:
-        """Snapshot of the currently crashed nodes."""
-        return set(self._down_nodes)
+    def can_carry(self, src: int, dst: int, overlay: bool = False) -> bool:
+        """Whether the ``src``->``dst`` channel exists right now.
 
-    def can_carry(self, src: int, dst: int) -> bool:
-        """Whether the ``src``->``dst`` channel carries a message now.
+        Both endpoints up, the link not failed, and no partition
+        boundary between them.  An ``overlay`` hop (a virtual tunnel,
+        not a topology edge) is unaffected by physical-link failures but
+        respects crashes and partitions.
+        """
+        down = self.down_nodes
+        if src in down or dst in down:
+            return False
+        if not overlay and self._link_key(src, dst) in self._down_links:
+            return False
+        partition = self._partition
+        if partition is not None and partition.get(src) != partition.get(dst):
+            return False
+        return True
 
-        Same rules as the simulator's network: both endpoints up, the
-        link not failed, and no partition boundary between them.
+    def _window(self, action: str, now: float) -> Optional[Tuple[float, ...]]:
+        """The open window's params for ``action``, or None (expired/absent)."""
+        entry = self._windows.get(action)
+        if entry is None:
+            return None
+        if now >= entry[1]:
+            del self._windows[action]
+            return None
+        return entry[0]
+
+    # -- the decision -----------------------------------------------------
+
+    def decide(
+        self,
+        src: int,
+        dst: int,
+        size: int,
+        distance: float,
+        now: float,
+        overlay_delay: Optional[float] = None,
+    ) -> float:
+        """Whether and how one message travels ``src``->``dst`` at ``now``.
+
+        ``distance`` is the topology's edge weight; ``overlay_delay`` is
+        the fixed one-way delay when the hop is an overlay link (then
+        ``distance`` is ignored).
+
+        Returns:
+            ``REFUSED`` or ``LOST``, or the non-negative delay after
+            which the message arrives — with :attr:`flags` saying
+            whether it arrives ``CORRUPT``, was ``REORDERED`` or is
+            ``DUPLICATED``.  The fault-free, loss-free path allocates
+            nothing and writes nothing.
         """
         if (
-            not self._down_nodes
-            and not self._down_links
-            and self._partition is None
-        ):
-            return True
-        if src in self._down_nodes or dst in self._down_nodes:
-            return False
-        if self._link_key(src, dst) in self._down_links:
-            return False
-        if self._partition is not None:
-            if self._partition.get(src) != self._partition.get(dst):
-                return False
-        return True
+            self.down_nodes or self._down_links or self._partition is not None
+        ) and not self.can_carry(src, dst, overlay_delay is not None):
+            return REFUSED
+        if self.loss and self._rng.random() < self.loss:
+            return LOST
+        if overlay_delay is not None:
+            delay = overlay_delay
+        elif self._delay_with_size is not None:
+            delay = self._delay_with_size(src, dst, distance, size)
+        else:
+            delay = self._delay_plain(src, dst, distance)
+        if self._windows:
+            rng = self._rng
+            window = self._window
+            params = window(ACTION_CORRUPT_FRAME, now)
+            corrupt_probability = params[0] if params else 0.0
+            if corrupt_probability and rng.random() < corrupt_probability:
+                self.flags = CORRUPT
+                return delay
+            flags = 0
+            params = window(ACTION_LATENCY_SHOCK, now)
+            if params:
+                delay *= params[0]
+            params = window(ACTION_PACKET_REORDER, now)
+            if params is not None and rng.random() < params[0]:
+                delay += rng.uniform(0.0, params[1])
+                flags = REORDERED
+            params = window(ACTION_PACKET_DUPLICATE, now)
+            duplicate_probability = params[0] if params else 0.0
+            if duplicate_probability and rng.random() < duplicate_probability:
+                flags |= DUPLICATED
+            self.flags = flags
+        return delay

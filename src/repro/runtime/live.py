@@ -30,12 +30,11 @@ from ..sim.network import (
     TrafficCounters,
     message_kind,
     message_size,
-    resolve_delay,
 )
 from ..sim.rng import RngRegistry
 from ..sim.trace import Tracer
 from .base import MessageHandler, Runtime, TopicBus
-from .linkstate import LinkState
+from .linkstate import CORRUPT, DUPLICATED, REFUSED, REORDERED, LinkModel
 
 
 class _LiveHandle:
@@ -257,10 +256,12 @@ class AsyncioTransport:
     node's handler directly.  Handlers are synchronous on the one loop
     thread and a send never delivers inline, so per-replica delivery is
     serialized exactly like a one-thread server with no mailbox or task
-    in between.  Link latency (in protocol units, scaled by the
-    runtime's ``time_scale``) and probabilistic loss mirror the
-    simulator's :class:`~repro.sim.network.Network` semantics; all
-    traffic is metered via :class:`~repro.sim.network.TrafficCounters`.
+    in between.  Whether and how a message is carried (faults, loss,
+    latency in protocol units, packet-level faults) is decided by the
+    transport's :class:`~repro.runtime.linkstate.LinkModel` — the model
+    the simulator's :class:`~repro.sim.network.Network` asks too — and
+    all traffic is metered via
+    :class:`~repro.sim.network.TrafficCounters`.
 
     Args:
         runtime: Owning :class:`AsyncioRuntime` (clock + RNG).
@@ -279,19 +280,18 @@ class AsyncioTransport:
         loss: float = 0.0,
         seed_stream: str = "network",
     ):
-        if not 0.0 <= loss < 1.0:
-            raise SimulationError(f"loss probability {loss} outside [0, 1)")
         self.runtime = runtime
         self.topology = topology
         self.latency = latency if latency is not None else FixedLatency()
-        self.loss = loss
         self.counters = TrafficCounters()
-        self._rng = runtime.rng.stream(seed_stream)
-        #: Crash/link/partition state a live fault injector mutates;
-        #: same carry semantics as the simulator's Network.
-        self.link_state = LinkState()
+        #: The link model: fault state and fault-injection surface, and
+        #: the one routine :meth:`send` asks for its verdict.
+        self.links = LinkModel(self.latency, loss, runtime.rng.stream(seed_stream))
         self._handlers: Dict[int, MessageHandler] = {}
-        #: ``(src, dst, message, duplicate)`` items awaiting their latency.
+        #: ``(src, dst, message, flag)`` items awaiting their latency;
+        #: ``flag`` is 0, or the link model's ``DUPLICATED`` for the
+        #: channel's second copy (``CORRUPT`` for a frame the TCP
+        #: transport garbles on the wire).
         self._in_flight = DeliveryQueue(runtime, self._deliver_due)
         self._pumping = False
         #: (node, exception) pairs from handlers that raised; a bad
@@ -315,39 +315,6 @@ class AsyncioTransport:
         """The currently attached handler of ``node`` (None if detached)."""
         return self._handlers.get(node)
 
-    # -- fault injection (delegates to the shared LinkState) -------------
-
-    def set_node_down(self, node: int) -> None:
-        """Crash a node: it neither sends nor receives until restored."""
-        self.link_state.set_node_down(node)
-
-    def set_node_up(self, node: int) -> None:
-        """Restore a crashed node."""
-        self.link_state.set_node_up(node)
-
-    def node_is_up(self, node: int) -> bool:
-        return self.link_state.node_is_up(node)
-
-    def set_link_down(self, a: int, b: int) -> None:
-        """Fail the link between ``a`` and ``b`` (both directions)."""
-        self.link_state.set_link_down(a, b)
-
-    def set_link_up(self, a: int, b: int) -> None:
-        """Restore a failed link."""
-        self.link_state.set_link_up(a, b)
-
-    def partition(self, groups) -> None:
-        """Split the network: messages may only cross within a group."""
-        self.link_state.partition(groups)
-
-    def heal_partition(self) -> None:
-        """Remove any active partition."""
-        self.link_state.heal_partition()
-
-    def apply_packet_fault(self, action: str, params, duration: float) -> None:
-        """Open a windowed packet-level fault on every channel."""
-        self.link_state.packet.apply(action, params, duration, self.runtime.now)
-
     # -- delivery lifecycle ----------------------------------------------
 
     def start_pumps(self) -> None:
@@ -357,8 +324,8 @@ class AsyncioTransport:
     async def stop_pumps(self) -> None:
         """Stop delivering for good; what is in flight is metered as dropped."""
         self._pumping = False
-        for src, dst, message, duplicate in self._in_flight.close():
-            if not duplicate:
+        for src, dst, message, flag in self._in_flight.close():
+            if flag != DUPLICATED:
                 self._drop(src, dst, message_kind(message), "shutdown")
 
     def delivery_stats(self) -> Dict[str, int]:
@@ -397,37 +364,34 @@ class AsyncioTransport:
         if not self.topology.has_edge(src, dst):
             raise SimulationError(f"no link {src}->{dst}")
         self.counters.note_send(kind, size)
-        if self.link_state.active and not self.link_state.can_carry(src, dst):
-            self._drop(src, dst, kind, "link-down")
-            return False
-        if self.loss and self._rng.random() < self.loss:
-            self._drop(src, dst, kind, "loss")
-            return True
-        distance = self.topology.edge_weight(src, dst)
-        delay = resolve_delay(self.latency, src, dst, distance, size)
-        packet = self.link_state.packet
-        if packet.possible:
-            # Same draw order as the simulator's Network (corrupt,
-            # latency, reorder, duplicate) — the schedule means the same
-            # thing in both worlds.
-            now = self.runtime.now
-            corrupt_p = packet.corrupt_probability(now)
-            if corrupt_p and self._rng.random() < corrupt_p:
-                self.counters.corrupt_frames_dropped += 1
-                self._drop(src, dst, kind, "corrupt-frame")
-                return True
-            factor = packet.latency_factor(now)
-            if factor != 1.0:
-                delay *= factor
-            reorder = packet.reorder(now)
-            if reorder is not None and self._rng.random() < reorder[0]:
-                delay += self._rng.uniform(0.0, reorder[1])
+        links = self.links
+        delay = links.decide(
+            src, dst, size, self.topology.edge_weight(src, dst), self.runtime.now
+        )
+        if delay < 0.0:
+            refused = delay == REFUSED
+            self._drop(src, dst, kind, "link-down" if refused else "loss")
+            return not refused
+        flag = 0
+        flags = links.flags
+        if flags:
+            if flags & CORRUPT:
+                if self._drops_corrupt_at_send(dst):
+                    self.counters.corrupt_frames_dropped += 1
+                    self._drop(src, dst, kind, "corrupt-frame")
+                    return True
+                flag = CORRUPT
+            if flags & REORDERED:
                 self.counters.reorders_applied += 1
-            dup_p = packet.duplicate_probability(now)
-            if dup_p and self._rng.random() < dup_p:
-                self._in_flight.push(delay, (src, dst, message, True))
-        if not self._in_flight.push(delay, (src, dst, message, False)):
+            if flags & DUPLICATED:
+                self._in_flight.push(delay, (src, dst, message, DUPLICATED))
+        if not self._in_flight.push(delay, (src, dst, message, flag)):
             self._drop(src, dst, kind, "shutdown")
+        return True
+
+    def _drops_corrupt_at_send(self, dst: int) -> bool:
+        """No wire to garble between in-process nodes: the receive side
+        drops a corrupted message the moment it is sent."""
         return True
 
     def broadcast(self, src: int, message: object) -> int:
@@ -453,20 +417,20 @@ class AsyncioTransport:
                 reason="duplicate-suppressed",
             )
 
-    def _deliver_due(self, items: List[Tuple[int, int, object, bool]]) -> None:
-        for src, dst, message, duplicate in items:
-            if duplicate:
-                self._suppress_duplicate(src, dst, message)
-            else:
-                self._deliver(src, dst, message)
+    def _deliver_due(self, items: List[Tuple[int, int, object, int]]) -> None:
+        for src, dst, message, flag in items:
+            self._arrive(src, dst, message, flag)
+
+    def _arrive(self, src: int, dst: int, message: object, flag: int) -> None:
+        """One due item reaches its (in-process) destination."""
+        if flag == DUPLICATED:
+            self._suppress_duplicate(src, dst, message)
+        else:
+            self._deliver(src, dst, message)
 
     def _deliver(self, src: int, dst: int, message: object) -> None:
-        # Failures that occurred while the message was in flight still
-        # prevent delivery (the channel is not clairvoyant).
-        link_state = self.link_state
-        if link_state.active and not (
-            link_state.node_is_up(src) and link_state.node_is_up(dst)
-        ):
+        links = self.links
+        if links.down_nodes and not links.endpoints_up(src, dst):
             self._drop(src, dst, message_kind(message), "crashed-in-flight")
             return
         handler = self._handlers.get(dst) if self._pumping else None

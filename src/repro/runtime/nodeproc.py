@@ -21,8 +21,10 @@ with a picklable :class:`NodeSpec`.  The child:
    function of topology + demand, both carried in the spec;
 3. serves hub control frames until told to stop: client ``call``\\ s
    (put / read / stats), broadcast ``fault`` actions applied to the
-   local transport's :class:`~repro.runtime.linkstate.LinkState`
-   through the :class:`~repro.runtime.base.FaultInjector` port, and
+   local transport's :class:`~repro.runtime.linkstate.LinkModel`
+   through a :class:`~repro.faults.process.SystemFaultInjector` (every
+   process receives every action, so sender-side refusals agree without
+   shared memory; handler parking only ever touches the own node), and
    streams ``applied`` reports (update uid + ``time.monotonic()``)
    back so the hub can track cluster-wide replication.
 
@@ -44,11 +46,10 @@ from ..core.system import build_node_stack
 from ..demand.advertisement import bootstrap_tables
 from ..demand.base import DemandModel
 from ..errors import ReplicationError
-from ..faults.process import ShockableDemand, apply_fault
+from ..faults.process import ShockableDemand, SystemFaultInjector, apply_fault
 from ..faults.schedule import FaultEvent
 from ..sim.network import LatencyModel
 from ..topology.graph import Topology
-from .base import FaultInjector
 from .live import AsyncioRuntime
 from .tcp import (
     DEFAULT_MAX_FRAME_BYTES,
@@ -97,74 +98,6 @@ class NodeSpec:
     token: Optional[str] = None
 
 
-class NodeProcInjector(FaultInjector):
-    """Fault-injector over one node process's local state.
-
-    Every process receives every broadcast fault action and applies it
-    to its *local* link state, so sender-side refusals (crashed peer,
-    failed link, partition boundary) work without any shared memory.
-    Churn handler parking only applies to the process's own node — no
-    other process holds that handler.
-    """
-
-    def __init__(self, runtime, transport, demand, own_node: int, stack):
-        self.runtime = runtime
-        self.transport = transport
-        self.demand = demand
-        self.own_node = own_node
-        self.stack = stack
-        self._parked = None
-
-    def crash_node(self, node: int) -> None:
-        self.transport.set_node_down(node)
-
-    def recover_node(self, node: int) -> None:
-        if node == self.own_node and self._parked is not None:
-            self.transport.attach(node, self._parked)
-            self._parked = None
-        self.transport.set_node_up(node)
-
-    def set_link(self, a: int, b: int, up: bool) -> None:
-        if up:
-            self.transport.set_link_up(a, b)
-        else:
-            self.transport.set_link_down(a, b)
-
-    def partition(self, groups) -> None:
-        self.transport.partition(groups)
-
-    def heal(self) -> None:
-        self.transport.heal_partition()
-
-    def shock_demand(self, nodes, factor: float) -> bool:
-        apply_shock = getattr(self.demand, "apply_shock", None)
-        if apply_shock is None:
-            return False
-        apply_shock(nodes, factor, at=self.runtime.now)
-        return True
-
-    def packet_fault(self, action, params, duration) -> bool:
-        self.transport.apply_packet_fault(action, params, duration)
-        return True
-
-    def leave_node(self, node: int) -> None:
-        if node == self.own_node:
-            handler = self.transport.handler_for(node)
-            if handler is not None:
-                self._parked = handler
-            self.transport.detach(node)
-        self.transport.set_node_down(node)
-
-    def join_node(self, node: int) -> None:
-        if (
-            node == self.own_node
-            and self._parked is None
-            and self.transport.handler_for(node) is None
-        ):
-            self.transport.attach(node, self.stack.on_message)
-        self.recover_node(node)
-
-
 async def _node_main(spec: NodeSpec) -> None:
     if not spec.hub_addresses:
         raise ValueError("NodeSpec.hub_addresses must list at least one hub")
@@ -183,7 +116,7 @@ async def _node_main(spec: NodeSpec) -> None:
     address = await transport.serve(spec.host)
 
     stack = None
-    injector: Optional[NodeProcInjector] = None
+    injector: Optional[SystemFaultInjector] = None
     push_task: Optional[asyncio.Task] = None
     # Mutable box so the update callback always writes to the *current*
     # hub connection, across failovers.
@@ -291,8 +224,8 @@ async def _node_main(spec: NodeSpec) -> None:
                             )
                             transport.start_pumps()
                             stack.start()
-                            injector = NodeProcInjector(
-                                runtime, transport, demand, spec.node, stack
+                            injector = SystemFaultInjector(
+                                transport, demand, runtime, {spec.node: stack}
                             )
                             push_task = asyncio.ensure_future(
                                 push_packet_counters()
@@ -339,7 +272,7 @@ def _handle_call(spec, runtime, transport, stack, method, args):
         if stack is None:
             raise ReplicationError(f"node {spec.node} not started yet")
         if method == "put":
-            if not transport.node_is_up(spec.node):
+            if not transport.links.node_is_up(spec.node):
                 raise ReplicationError(
                     f"node {spec.node} is down (injected fault)"
                 )
@@ -347,7 +280,7 @@ def _handle_call(spec, runtime, transport, stack, method, args):
             update = stack.server.local_write(key, value)
             return True, (update, time.monotonic())
         if method == "read":
-            if not transport.node_is_up(spec.node):
+            if not transport.links.node_is_up(spec.node):
                 raise ReplicationError(
                     f"node {spec.node} is down (injected fault)"
                 )

@@ -15,14 +15,16 @@ the simulation-only drive controls (:meth:`run`, :meth:`stop`,
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..errors import SimulationError
 from ..sim.engine import Simulator
-from ..sim.network import Network
 from ..sim.rng import RngRegistry
 from ..sim.trace import Tracer
 from .base import Runtime, Transport
+
+if TYPE_CHECKING:  # sim.network imports this package for its link model
+    from ..sim.network import Network
 
 
 class SimRuntime(Runtime):

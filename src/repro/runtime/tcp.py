@@ -34,11 +34,12 @@ cluster can span OS processes (or machines):
   not crashes.  Once the peer is back, the next send past the backoff
   window reconnects and delivery resumes.
 
-Fault injection shares the live transports'
-:class:`~repro.runtime.linkstate.LinkState`: a chaos controller
-broadcasts each fault action to every node process, whose transport
-then refuses to carry messages across crashed nodes, failed links or
-partition boundaries — exactly the simulator Network's semantics.
+Everything that is not a socket — handler attachment, the send path
+and its :class:`~repro.runtime.linkstate.LinkModel` verdict, local
+delivery, metering — is :class:`~repro.runtime.live.AsyncioTransport`'s
+code, inherited.  A chaos controller broadcasts each fault action to
+every node process, which applies it to its own transport's link model,
+so sender-side refusals agree across processes without shared memory.
 
 This module is imported lazily by :mod:`repro.runtime` so simulation
 workflows never pay for asyncio or sockets.
@@ -54,17 +55,10 @@ import zlib
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import SimulationError, TransportError
-from ..sim.network import (
-    FixedLatency,
-    LatencyModel,
-    TrafficCounters,
-    message_kind,
-    message_size,
-    resolve_delay,
-)
+from ..sim.network import LatencyModel, message_kind
 from .base import MessageHandler
-from .linkstate import LinkState
-from .live import AsyncioRuntime, DeliveryQueue
+from .linkstate import CORRUPT, DUPLICATED
+from .live import AsyncioRuntime, AsyncioTransport
 
 #: Header size: 4-byte unsigned big-endian frame length followed by the
 #: 4-byte CRC-32 of the payload.
@@ -252,10 +246,6 @@ class SyncFrameChannel:
 # ---------------------------------------------------------------------------
 
 
-#: In-flight item tags: how the drain ships ``(src, dst, message, tag)``.
-_PLAIN, _CORRUPT, _DUPLICATE = range(3)
-
-
 class _PeerLink(asyncio.Protocol):
     """Outbound connection to one remote node, with lazy reconnect.
 
@@ -373,16 +363,17 @@ class _InboundLink(asyncio.Protocol):
         self.owner._inbound.discard(self)
 
 
-class TcpTransport:
+class TcpTransport(AsyncioTransport):
     """Socket-backed transport hosting a subset of the topology's nodes.
 
     Each process owns one ``TcpTransport`` serving its *local* nodes
-    (one, in the cluster's spawn-per-node mode); sends to non-local
-    nodes travel as frames to the peer process listed in the
-    :attr:`directory`.  Local handlers are called directly from the
-    delivery drain and from the inbound protocol's ``data_received``,
-    exactly like :class:`AsyncioTransport`: synchronous handlers on one
-    loop thread make a replica a one-thread server in every world.
+    (one, in the cluster's spawn-per-node mode).  It is the queue
+    transport plus a wire: sends, the link model's verdict, the
+    delivery heap and local handler calls are inherited from
+    :class:`AsyncioTransport`; a due item whose destination is not local
+    leaves as a frame to the peer process listed in the
+    :attr:`directory`, and frames arriving from peers are delivered in
+    place by the inbound protocol's ``data_received``.
 
     Link latency (protocol units, scaled by the runtime's
     ``time_scale``) and probabilistic loss are applied at the *sender*,
@@ -417,28 +408,16 @@ class TcpTransport:
         reconnect_cap: float = 2.0,
         connect_timeout: float = 5.0,
     ):
-        if not 0.0 <= loss < 1.0:
-            raise SimulationError(f"loss probability {loss} outside [0, 1)")
-        self.runtime = runtime
-        self.topology = topology
+        super().__init__(runtime, topology, latency, loss, seed_stream)
         self.local_nodes: Set[int] = {int(n) for n in local_nodes}
         for node in self.local_nodes:
             if node not in topology:
                 raise SimulationError(f"node {node} not in topology")
         self.directory: Dict[int, Tuple[str, int]] = dict(directory or {})
-        self.latency = latency if latency is not None else FixedLatency()
-        self.loss = float(loss)
         self.max_frame_bytes = int(max_frame_bytes)
         self.reconnect_base = float(reconnect_base)
         self.reconnect_cap = float(reconnect_cap)
         self.connect_timeout = float(connect_timeout)
-        self.counters = TrafficCounters()
-        self.link_state = LinkState()
-        self._rng = runtime.rng.stream(seed_stream)
-        self._handlers: Dict[int, MessageHandler] = {}
-        #: ``(src, dst, message, tag)`` items awaiting their latency.
-        self._in_flight = DeliveryQueue(runtime, self._dispatch_due)
-        self._pumping = False
         self._peers: Dict[int, _PeerLink] = {}
         #: Peers the current drain queued frames for, flushed at its end.
         self._unflushed: List[_PeerLink] = []
@@ -449,8 +428,6 @@ class TcpTransport:
         #: another frame's write instead of costing their own.
         self.socket_writes = 0
         self.frames_coalesced = 0
-        #: (node, exception) pairs from handlers that raised.
-        self.handler_errors: List[Tuple[int, BaseException]] = []
         #: One-line records of refused inbound frames (oversized etc.).
         self.frame_errors: List[str] = []
 
@@ -474,10 +451,7 @@ class TcpTransport:
     async def close(self) -> None:
         """Stop serving and sending for good; every message still in
         flight or pending a connect is metered as dropped."""
-        self._pumping = False
-        for src, dst, message, tag in self._in_flight.close():
-            if tag != _DUPLICATE:
-                self._drop(src, dst, message_kind(message), "shutdown")
+        await self.stop_pumps()
         for link in list(self._inbound):
             link.sock.close()
         if self._server is not None:
@@ -497,8 +471,6 @@ class TcpTransport:
         for node, address in directory.items():
             self.directory[int(node)] = (str(address[0]), int(address[1]))
 
-    # -- attachment (local nodes only) -----------------------------------
-
     def attach(self, node: int, handler: MessageHandler) -> None:
         """Register the delivery callback for a *local* node."""
         if node not in self.local_nodes:
@@ -506,172 +478,57 @@ class TcpTransport:
                 f"node {node} is not hosted by this process "
                 f"(local: {sorted(self.local_nodes)})"
             )
-        self._handlers[node] = handler
-
-    def detach(self, node: int) -> None:
-        """Remove a node's handler; in-flight messages to it are dropped."""
-        self._handlers.pop(node, None)
-
-    def handler_for(self, node: int) -> Optional[MessageHandler]:
-        return self._handlers.get(node)
-
-    # -- fault injection -------------------------------------------------
-
-    def set_node_down(self, node: int) -> None:
-        self.link_state.set_node_down(node)
-
-    def set_node_up(self, node: int) -> None:
-        self.link_state.set_node_up(node)
-
-    def node_is_up(self, node: int) -> bool:
-        return self.link_state.node_is_up(node)
-
-    def set_link_down(self, a: int, b: int) -> None:
-        self.link_state.set_link_down(a, b)
-
-    def set_link_up(self, a: int, b: int) -> None:
-        self.link_state.set_link_up(a, b)
-
-    def partition(self, groups) -> None:
-        self.link_state.partition(groups)
-
-    def heal_partition(self) -> None:
-        self.link_state.heal_partition()
-
-    def apply_packet_fault(self, action: str, params, duration: float) -> None:
-        """Open a windowed packet-level fault on every channel."""
-        self.link_state.packet.apply(action, params, duration, self.runtime.now)
-
-    # -- delivery lifecycle -----------------------------------------------
-
-    def start_pumps(self) -> None:
-        """Start delivering: until now every due message is dropped."""
-        self._pumping = True
+        super().attach(node, handler)
 
     def delivery_stats(self) -> Dict[str, int]:
         """In-flight depth now and at peak, and how many socket writes
         carried how many extra frames."""
-        return {
-            "in_flight": len(self._in_flight),
-            "in_flight_peak": self._in_flight.peak,
-            "socket_writes": self.socket_writes,
-            "frames_coalesced": self.frames_coalesced,
-        }
+        stats = super().delivery_stats()
+        stats["socket_writes"] = self.socket_writes
+        stats["frames_coalesced"] = self.frames_coalesced
+        return stats
 
-    # -- neighbours -------------------------------------------------------
+    # -- the remote hop ----------------------------------------------------
 
-    def neighbors(self, node: int) -> List[int]:
-        return list(self.topology.neighbors(node))
+    def _drops_corrupt_at_send(self, dst: int) -> bool:
+        """A corrupted send to a remote node still rides the wire as a
+        garbled frame: the *receiver's* decoder meters and skips it,
+        exercising the real error path."""
+        return dst in self.local_nodes
 
-    def physical_neighbors(self, node: int) -> Sequence[int]:
-        return self.topology.neighbors(node)
-
-    # -- sending ----------------------------------------------------------
-
-    def send(self, src: int, dst: int, message: object) -> bool:
-        """One-hop send; True if the message entered the channel."""
-        if src == dst:
-            raise SimulationError(f"node {src} sending to itself")
-        kind = message_kind(message)
-        size = message_size(message)
-        if not self.topology.has_edge(src, dst):
-            raise SimulationError(f"no link {src}->{dst}")
-        self.counters.note_send(kind, size)
-        if self.link_state.active and not self.link_state.can_carry(src, dst):
-            self._drop(src, dst, kind, "link-down")
-            return False
-        if self.loss and self._rng.random() < self.loss:
-            self._drop(src, dst, kind, "loss")
-            return True
-        distance = self.topology.edge_weight(src, dst)
-        delay = resolve_delay(self.latency, src, dst, distance, size)
-        tag = _PLAIN
-        packet = self.link_state.packet
-        if packet.possible:
-            # Same draw order as the other worlds (corrupt, latency,
-            # reorder, duplicate).  A corrupted remote send still rides
-            # the wire as a garbled frame — the *receiver's* decoder
-            # meters and skips it, exercising the real error path.
-            now = self.runtime.now
-            corrupt_p = packet.corrupt_probability(now)
-            if corrupt_p and self._rng.random() < corrupt_p:
-                if dst in self.local_nodes:
-                    # No wire to garble on a process-local hop; the
-                    # receive side drops it immediately.
-                    self.counters.corrupt_frames_dropped += 1
-                    self._drop(src, dst, kind, "corrupt-frame")
-                    return True
-                tag = _CORRUPT
-            factor = packet.latency_factor(now)
-            if factor != 1.0:
-                delay *= factor
-            reorder = packet.reorder(now)
-            if reorder is not None and self._rng.random() < reorder[0]:
-                delay += self._rng.uniform(0.0, reorder[1])
-                self.counters.reorders_applied += 1
-            dup_p = packet.duplicate_probability(now)
-            if dup_p and self._rng.random() < dup_p:
-                self._in_flight.push(delay, (src, dst, message, _DUPLICATE))
-        if not self._in_flight.push(delay, (src, dst, message, tag)):
-            self._drop(src, dst, kind, "shutdown")
-        return True
-
-    def broadcast(self, src: int, message: object) -> int:
-        sent = 0
-        for neighbor in self.physical_neighbors(src):
-            if self.send(src, neighbor, message):
-                sent += 1
-        return sent
-
-    def _dispatch_due(self, items: List[Tuple[int, int, object, int]]) -> None:
-        for src, dst, message, tag in items:
-            if tag == _DUPLICATE:
-                self._dispatch_duplicate(src, dst, message)
+    def _deliver_due(self, items: List[Tuple[int, int, object, int]]) -> None:
+        local = self.local_nodes
+        for src, dst, message, flag in items:
+            if dst in local:
+                self._arrive(src, dst, message, flag)
             else:
-                self._dispatch(src, dst, message, tag == _CORRUPT)
+                self._ship(src, dst, message, flag)
         # Every frame this drain queued for one peer leaves in one write.
         for peer in self._unflushed:
             peer.flush()
         self._unflushed.clear()
 
-    def _dispatch(
-        self, src: int, dst: int, message: object, corrupt: bool = False
-    ) -> None:
-        """After the link latency: deliver locally or frame to the peer."""
-        link_state = self.link_state
-        if link_state.active and not (
-            link_state.node_is_up(src) and link_state.node_is_up(dst)
-        ):
+    def _ship(self, src: int, dst: int, message: object, flag: int) -> None:
+        """After the link latency: frame a due item for ``dst``'s process.
+
+        The channel's duplicate copy travels tagged ``"dup"`` for the
+        receiver to suppress; a ``CORRUPT`` item travels garbled.
+        """
+        duplicate = flag == DUPLICATED
+        links = self.links
+        if not duplicate and links.down_nodes and not links.endpoints_up(src, dst):
             self._drop(src, dst, message_kind(message), "crashed-in-flight")
             return
-        if dst in self.local_nodes:
-            self._deliver(src, dst, message)
-            return
+        tag = "dup" if duplicate else "msg"
         try:
-            frame = encode_frame(("msg", src, dst, message), self.max_frame_bytes)
+            frame = encode_frame((tag, src, dst, message), self.max_frame_bytes)
         except TransportError as exc:
-            self.frame_errors.append(str(exc))
-            self._drop(src, dst, message_kind(message), "oversized-frame")
+            if not duplicate:
+                self.frame_errors.append(str(exc))
+                self._drop(src, dst, message_kind(message), "oversized-frame")
             return
-        if corrupt:
+        if flag == CORRUPT:
             frame = corrupt_frame_bytes(frame)
-        self._enqueue_frame(dst, frame)
-
-    def _deliver(self, src: int, dst: int, message: object) -> None:
-        """Hand a message to its local node's handler, in place."""
-        handler = self._handlers.get(dst) if self._pumping else None
-        if handler is None:
-            self._drop(src, dst, message_kind(message), "no-handler")
-            return
-        self.counters.messages_delivered += 1
-        try:
-            handler(src, message)
-        except Exception as exc:  # noqa: BLE001 - replica must survive
-            self.handler_errors.append((dst, exc))
-
-    def _enqueue_frame(self, dst: int, frame: bytes) -> None:
-        """Queue ``frame`` for the drain's flush, opening the link to
-        ``dst`` on first use."""
         peer = self._peers.get(dst)
         if peer is None:
             peer = self._peers[dst] = _PeerLink(self, dst)
@@ -679,54 +536,35 @@ class TcpTransport:
             self._unflushed.append(peer)
         peer.pending.append(frame)
 
-    def _dispatch_duplicate(self, src: int, dst: int, message: object) -> None:
-        """Ship the channel's duplicate copy; the receiver suppresses it."""
-        if dst in self.local_nodes:
-            self.counters.duplicates_suppressed += 1
-            return
-        try:
-            frame = encode_frame(("dup", src, dst, message), self.max_frame_bytes)
-        except TransportError:
-            return
-        self._enqueue_frame(dst, frame)
-
     # -- receiving ---------------------------------------------------------
 
     def _on_corrupt(self, reason: str) -> None:
         """A garbled inbound frame was skipped: meter, never raise."""
         self.counters.corrupt_frames_dropped += 1
-        self.counters.messages_dropped += 1
-        trace = self.runtime.trace
-        if trace.wants("net.drop"):
-            trace.record(
-                self.runtime.now, "net.drop", src=-1, dst=-1, kind="frame",
-                reason="corrupt-frame",
-            )
+        self._drop(-1, -1, "frame", "corrupt-frame")
 
     def _on_frame(self, frame: object) -> None:
-        if isinstance(frame, tuple) and frame and frame[0] == "dup":
-            # The channel duplicated a frame in flight; suppress the copy.
-            self.counters.duplicates_suppressed += 1
-            return
-        if not (isinstance(frame, tuple) and frame and frame[0] == "msg"):
+        """One decoded frame from a peer socket: ``(tag, src, dst,
+        message)`` with tag ``"msg"`` or ``"dup"`` and integer node ids.
+        Anything else is one ``frame_errors`` line and one metered drop,
+        never an exception out of ``data_received``."""
+        if not (
+            isinstance(frame, tuple)
+            and len(frame) == 4
+            and frame[0] in ("msg", "dup")
+            and type(frame[1]) is int
+            and type(frame[2]) is int
+        ):
             self.frame_errors.append(f"unrecognised frame: {frame!r:.120}")
+            self._drop(-1, -1, "frame", "malformed-frame")
             return
-        _, src, dst, message = frame
-        if dst not in self.local_nodes:
+        tag, src, dst, message = frame
+        if tag == "dup":
+            # The channel duplicated a frame in flight; suppress the copy.
+            self._suppress_duplicate(src, dst, message)
+        elif dst not in self.local_nodes:
             self._drop(src, dst, message_kind(message), "not-local")
-            return
-        if self.link_state.active and not self.link_state.can_carry(src, dst):
+        elif not self.links.can_carry(src, dst):
             self._drop(src, dst, message_kind(message), "link-down")
-            return
-        self._deliver(src, dst, message)
-
-    # -- metering ----------------------------------------------------------
-
-    def _drop(self, src: int, dst: int, kind: str, reason: str) -> None:
-        self.counters.messages_dropped += 1
-        trace = self.runtime.trace
-        if trace.wants("net.drop"):
-            trace.record(
-                self.runtime.now, "net.drop", src=src, dst=dst, kind=kind,
-                reason=reason,
-            )
+        else:
+            self._deliver(src, dst, message)

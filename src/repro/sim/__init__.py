@@ -2,8 +2,8 @@
 
 The :mod:`repro.sim` package is the NS-2 replacement described in
 DESIGN.md: a deterministic event-heap engine (:class:`Simulator`),
-generator-based processes, named RNG streams, structured tracing and a
-topology-aware lossy message network.
+named RNG streams, structured tracing and a topology-aware lossy
+message network.
 """
 
 from .engine import (
@@ -23,14 +23,7 @@ from .network import (
     Network,
     TrafficCounters,
 )
-from .process import Interrupted, Process, Signal
 from .rng import RngRegistry, derive_seed
-from .sharded import (
-    ShardedSimulator,
-    ShardEngine,
-    compute_lookahead,
-    partition_topology,
-)
 from .trace import TraceRecord, Tracer
 
 __all__ = [
@@ -48,15 +41,8 @@ __all__ = [
     "BandwidthLatency",
     "JitteredLatency",
     "TrafficCounters",
-    "Process",
-    "Signal",
-    "Interrupted",
     "RngRegistry",
     "derive_seed",
-    "ShardedSimulator",
-    "ShardEngine",
-    "partition_topology",
-    "compute_lookahead",
     "Tracer",
     "TraceRecord",
 ]

@@ -29,9 +29,8 @@ one loop, :meth:`Simulator._drain`, merges by that key:
 
 Because keys are unique, taking the smaller of the two heads yields the
 same total order a single heap would.  :meth:`Simulator.run`,
-:meth:`Simulator.step`, :meth:`Simulator._peek_live` and a shard's
-window (:meth:`repro.sim.sharded.ShardEngine.step_window`, through
-``run``) all go through ``_drain``; nothing else pops.
+:meth:`Simulator.step` and :meth:`Simulator._peek_live` all go through
+``_drain``; nothing else pops.
 
 The engine replaces the NS-2 kernel the paper's authors built on; the
 paper measures everything in "average session times", so no packet-level
@@ -301,8 +300,8 @@ class Simulator:
         """The kernel's one pop loop: run live events with ``time <= until``.
 
         Every way of consuming events (:meth:`run`, :meth:`step`,
-        :meth:`_peek_live`, a shard's window) goes through here, so the
-        lane and the heap are merged in exactly one place.  Each turn
+        :meth:`_peek_live`) goes through here, so the lane and the
+        heap are merged in exactly one place.  Each turn
         takes the smaller of the two heads by ``(time, priority, seq)``;
         the lane head is live by invariant, dead heap heads are
         discarded on the way.

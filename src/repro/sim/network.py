@@ -8,17 +8,22 @@ delays and lossy channels, not TCP dynamics (see DESIGN.md §2).
 
 Nodes are integers. Each node attaches a ``handler(src, message)``
 callback; :meth:`Network.send` schedules the delivery event after the
-link's latency. All traffic is metered (messages and bytes, per message
-kind) via :class:`TrafficCounters` so protocol-overhead experiments read
-measured values.
+link's latency. Whether and how a message is carried — crashes, failed
+links, partitions, loss, latency, packet-level faults — is decided by
+the network's :class:`~repro.runtime.linkstate.LinkModel`
+(:attr:`Network.links`), the same model the live transports ask; it is
+also where faults are injected. All traffic is metered (messages and
+bytes, per message kind) via :class:`TrafficCounters` so
+protocol-overhead experiments read measured values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
+from ..runtime.linkstate import CORRUPT, DUPLICATED, REFUSED, REORDERED, LinkModel
 from .engine import Simulator
 
 Handler = Callable[[int, object], None]
@@ -150,21 +155,6 @@ class TrafficCounters:
         }
 
 
-def resolve_delay(
-    latency: LatencyModel, src: int, dst: int, distance: float, size: int
-) -> float:
-    """One-way delay of a message, honouring size-aware models.
-
-    Shared by every transport (simulated and live) so the
-    ``delay_with_size`` fallback semantics cannot silently diverge
-    between execution worlds.
-    """
-    delay_with_size = getattr(latency, "delay_with_size", None)
-    if delay_with_size is not None:
-        return delay_with_size(src, dst, distance, size)
-    return latency.delay(src, dst, distance)
-
-
 def message_kind(message: object) -> str:
     """Best-effort short name describing a message's type."""
     kind = getattr(message, "kind", None)
@@ -208,21 +198,14 @@ class Network:
         loss: float = 0.0,
         seed_stream: str = "network",
     ):
-        if not 0.0 <= loss < 1.0:
-            raise SimulationError(f"loss probability {loss} outside [0, 1)")
         self.sim = sim
         self.topology = topology
         self.latency = latency if latency is not None else FixedLatency()
-        self.loss = loss
-        self._rng = sim.rng.stream(seed_stream)
+        #: The link model: fault state and fault-injection surface, and
+        #: the one routine :meth:`send` asks for its verdict.
+        self.links = LinkModel(self.latency, loss, sim.rng.stream(seed_stream))
         self._handlers: Dict[int, Handler] = {}
-        self._down_nodes: Set[int] = set()
-        self._down_links: Set[Tuple[int, int]] = set()
         self._overlay: Dict[int, Dict[int, float]] = {}
-        self._partition: Optional[Dict[int, int]] = None
-        # Windowed packet-level faults; None until one is first applied,
-        # so fault-free runs pay a single attribute check per send.
-        self._packet_faults = None
         self.counters = TrafficCounters()
         #: message type -> (kind, has_size) — caches the per-message
         #: kind string and size resolution of the send hot path (message
@@ -230,11 +213,6 @@ class Network:
         #: the instance still runs for sizes, so instance-level
         #: overrides keep their normal precedence.
         self._type_info: Dict[type, Tuple[str, bool]] = {}
-        # The latency model is fixed for the network's lifetime, so the
-        # delay_with_size/delay resolution of resolve_delay() is bound
-        # once here instead of via getattr per send.
-        self._delay_with_size = getattr(self.latency, "delay_with_size", None)
-        self._delay_plain = self.latency.delay
 
     # -- attachment -----------------------------------------------------
 
@@ -255,60 +233,6 @@ class Network:
         a later re-join can restore delivery exactly as it was.
         """
         return self._handlers.get(node)
-
-    # -- fault injection --------------------------------------------------
-
-    def set_node_down(self, node: int) -> None:
-        """Crash a node: it neither sends nor receives until restored."""
-        self._down_nodes.add(node)
-
-    def set_node_up(self, node: int) -> None:
-        """Restore a crashed node."""
-        self._down_nodes.discard(node)
-
-    def node_is_up(self, node: int) -> bool:
-        return node not in self._down_nodes
-
-    @staticmethod
-    def _link_key(a: int, b: int) -> Tuple[int, int]:
-        return (a, b) if a <= b else (b, a)
-
-    def set_link_down(self, a: int, b: int) -> None:
-        """Fail the link between ``a`` and ``b`` (both directions)."""
-        self._down_links.add(self._link_key(a, b))
-
-    def set_link_up(self, a: int, b: int) -> None:
-        """Restore a failed link."""
-        self._down_links.discard(self._link_key(a, b))
-
-    def link_is_up(self, a: int, b: int) -> bool:
-        return self._link_key(a, b) not in self._down_links
-
-    def partition(self, groups: Iterable[Iterable[int]]) -> None:
-        """Split the network: messages may only cross within a group."""
-        assignment: Dict[int, int] = {}
-        for index, group in enumerate(groups):
-            for node in group:
-                assignment[int(node)] = index
-        self._partition = assignment
-
-    def heal_partition(self) -> None:
-        """Remove any active partition."""
-        self._partition = None
-
-    def apply_packet_fault(self, action: str, params, duration: float) -> None:
-        """Open a windowed packet-level fault on every channel.
-
-        The :class:`~repro.runtime.linkstate.PacketFaultState` is
-        created lazily (and imported lazily, keeping this module free of
-        runtime-package imports) so fault-free simulations never touch
-        it — the send fast path stays golden-trace-identical.
-        """
-        if self._packet_faults is None:
-            from ..runtime.linkstate import PacketFaultState
-
-            self._packet_faults = PacketFaultState()
-        self._packet_faults.apply(action, params, duration, self.sim.now)
 
     # -- overlay links (island bridges, §6) -------------------------------
 
@@ -374,51 +298,33 @@ class Network:
                 raise SimulationError(
                     f"no link {src}->{dst} (and no overlay)"
                 ) from None
-        self.counters.note_send(kind, size)
-        trace = self.sim.trace
-        if trace.wants("net.send"):
-            trace.record(
-                self.sim.now, "net.send", src=src, dst=dst, kind=kind, size=size
-            )
-        if not self._can_carry(src, dst):
-            self._drop(src, dst, kind, "link-down")
-            return False
-        if self.loss and self._rng.random() < self.loss:
-            self._drop(src, dst, kind, "loss")
-            return True
-        if overlay_delay is not None:
-            delay = overlay_delay
-        elif self._delay_with_size is not None:
-            delay = self._delay_with_size(src, dst, distance, size)
         else:
-            delay = self._delay_plain(src, dst, distance)
-        packet = self._packet_faults
-        if packet is not None and packet.possible:
-            # Fixed draw order (corrupt, latency, reorder, duplicate) so
-            # replaying the same schedule stays deterministic; a closed
-            # window draws nothing.
-            now = self.sim.now
-            corrupt_p = packet.corrupt_probability(now)
-            if corrupt_p and self._rng.random() < corrupt_p:
+            distance = 0.0
+        self.counters.note_send(kind, size)
+        sim = self.sim
+        trace = sim.trace
+        if trace.wants("net.send"):
+            trace.record(sim.now, "net.send", src=src, dst=dst, kind=kind, size=size)
+        links = self.links
+        delay = links.decide(src, dst, size, distance, sim.now, overlay_delay)
+        if delay < 0.0:
+            refused = delay == REFUSED
+            self._drop(src, dst, kind, "link-down" if refused else "loss")
+            return not refused
+        flags = links.flags
+        if flags:
+            if flags & CORRUPT:
                 self.counters.corrupt_frames_dropped += 1
                 self._drop(src, dst, kind, "corrupt-frame")
                 return True
-            factor = packet.latency_factor(now)
-            if factor != 1.0:
-                delay *= factor
-            reorder = packet.reorder(now)
-            if reorder is not None and self._rng.random() < reorder[0]:
-                delay += self._rng.uniform(0.0, reorder[1])
+            if flags & REORDERED:
                 self.counters.reorders_applied += 1
-            dup_p = packet.duplicate_probability(now)
-            if dup_p and self._rng.random() < dup_p:
-                self.sim.schedule_fast(
-                    delay, self._suppress_duplicate, src, dst, message
-                )
+            if flags & DUPLICATED:
+                sim.schedule_fast(delay, self._suppress_duplicate, src, dst, message)
         # Trusted fast path: delivery events are kernel-originated,
         # never cancelled, and their delay is non-negative by
         # construction (latency models validate their parameters).
-        self.sim.schedule_fast(delay, self._deliver, src, dst, message)
+        sim.schedule_fast(delay, self._deliver, src, dst, message)
         return True
 
     def broadcast(self, src: int, message: object) -> int:
@@ -428,22 +334,6 @@ class Network:
             if self.send(src, neighbor, message):
                 sent += 1
         return sent
-
-    def _can_carry(self, src: int, dst: int) -> bool:
-        # Fault-free fast path: nothing is down and nothing is split,
-        # so the channel always carries (the overwhelmingly common case).
-        if not self._down_nodes and not self._down_links and self._partition is None:
-            return True
-        if src in self._down_nodes or dst in self._down_nodes:
-            return False
-        overlay = self._overlay.get(src)
-        if overlay is None or overlay.get(dst) is None:
-            if not self.link_is_up(src, dst):
-                return False
-        if self._partition is not None:
-            if self._partition.get(src) != self._partition.get(dst):
-                return False
-        return True
 
     def _drop(self, src: int, dst: int, kind: str, reason: str) -> None:
         self.counters.messages_dropped += 1
@@ -470,9 +360,8 @@ class Network:
             )
 
     def _deliver(self, src: int, dst: int, message: object) -> None:
-        # Failures that occurred while the message was in flight still
-        # prevent delivery (the channel is not clairvoyant).
-        if dst in self._down_nodes or src in self._down_nodes:
+        links = self.links
+        if links.down_nodes and not links.endpoints_up(src, dst):
             self._drop(src, dst, message_kind(message), "crashed-in-flight")
             return
         handler = self._handlers.get(dst)

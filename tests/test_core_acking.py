@@ -112,7 +112,7 @@ class TestAckedTruncationInProtocol:
             weak_consistency(log_truncation="acked"),
             seed=7,
         )
-        system.network.set_node_down(3)
+        system.network.links.set_node_down(3)
         system.start()
         system.inject_write(0)
         system.run_until(40.0)
@@ -176,12 +176,12 @@ class TestMaxEntriesInProtocol:
             weak_consistency(log_truncation="max-entries", max_log_entries=2),
             seed=11,
         )
-        system.network.set_node_down(2)
+        system.network.links.set_node_down(2)
         system.start()
         for i in range(8):
             system.inject_write(0, key=f"k{i}")
         system.run_until(30.0)
-        system.network.set_node_up(2)
+        system.network.links.set_node_up(2)
         system.run_until(80.0)
         aborts = [
             r

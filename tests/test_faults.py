@@ -294,10 +294,10 @@ class TestFaultProcess:
         system.start()
         system.sim.run(until=5.0)
         assert system.network.handler_for(2) is None
-        assert not system.network.node_is_up(2)
+        assert not system.network.links.node_is_up(2)
         system.sim.run(until=12.0)
         assert system.network.handler_for(2) is original
-        assert system.network.node_is_up(2)
+        assert system.network.links.node_is_up(2)
         assert process.stats == {"leave": 1, "join": 1}
 
     def test_node_up_after_leave_restores_parked_handler(self):

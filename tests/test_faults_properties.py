@@ -109,7 +109,7 @@ class TestDeliveryInvariant:
 
         def wrap(node, inner):
             def handler(src, message):
-                assert system.network.node_is_up(node), (
+                assert system.network.links.node_is_up(node), (
                     f"delivery to down node {node} at t={system.sim.now}"
                 )
                 deliveries.append((system.sim.now, node))

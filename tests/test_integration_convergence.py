@@ -62,11 +62,11 @@ class TestConvergenceAcrossPartitions:
         system.start()
         update = system.inject_write(0)
         # Partition nodes 0-3 from 4-7 immediately.
-        system.network.partition([[0, 1, 2, 3], [4, 5, 6, 7]])
+        system.network.links.partition([[0, 1, 2, 3], [4, 5, 6, 7]])
         system.run_until(20.0)
         reached = system.nodes_with(update.uid)
         assert reached <= {0, 1, 2, 3}
-        system.network.heal_partition()
+        system.network.links.heal_partition()
         done = system.run_until_replicated(update.uid, max_time=100.0)
         assert done is not None
 
@@ -75,11 +75,11 @@ class TestConvergenceAcrossPartitions:
             ring(6), UniformRandomDemand(seed=4), weak_consistency(), seed=4
         )
         system.start()
-        system.network.set_node_down(3)
+        system.network.links.set_node_down(3)
         update = system.inject_write(0)
         system.run_until(20.0)
         assert 3 not in system.nodes_with(update.uid)
-        system.network.set_node_up(3)
+        system.network.links.set_node_up(3)
         done = system.run_until_replicated(update.uid, max_time=120.0)
         assert done is not None
 

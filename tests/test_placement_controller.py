@@ -299,7 +299,7 @@ class TestControlPlaneHardening:
         system, controller = self.steady_controlled()
         site = 4
         period = controller.setup.cycle_period
-        system.network.set_node_down(site)
+        system.network.links.set_node_down(site)
         controller._send_command(site, 1)
         assert controller._outstanding[site] == 1
         assert controller.commands_sent == 1
@@ -309,7 +309,7 @@ class TestControlPlaneHardening:
         assert controller.commands_retried >= 1
         # Once the site recovers, a pending retry lands, the site
         # spawns, and the ack clears the outstanding slot.
-        system.network.set_node_up(site)
+        system.network.links.set_node_up(site)
         system.run_until(system.sim.now + period * 16)
         # The retried command landed and was acked; the next organic
         # cycle then retires the now-unneeded copy with a fresh seq.
@@ -323,7 +323,7 @@ class TestControlPlaneHardening:
 
         system, controller = self.steady_controlled()
         site = 4
-        system.network.set_node_down(site)
+        system.network.links.set_node_down(site)
         controller._send_command(site, 1)
         system.run_until(system.sim.now + controller.setup.cycle_period * 64)
         assert controller.commands_retried == COMMAND_MAX_RETRIES
@@ -338,7 +338,7 @@ class TestControlPlaneHardening:
         assert checkpointed
         # Crash the home: the next cycle notices, loses the volatile
         # state, and runs nothing until recovery.
-        system.network.set_node_down(controller.home)
+        system.network.links.set_node_down(controller.home)
         cycles_before = controller.cycles_run
         system.run_until(system.sim.now + period * 3)
         assert controller.crashes == 1
@@ -346,7 +346,7 @@ class TestControlPlaneHardening:
         assert controller.cycles_run == cycles_before
         # Recovery: the first healthy cycle restores the checkpoint
         # instead of relearning from scratch.
-        system.network.set_node_up(controller.home)
+        system.network.links.set_node_up(controller.home)
         system.run_until(system.sim.now + period * 2)
         assert controller.restores == 1
         assert controller.cycles_run > cycles_before
@@ -376,9 +376,9 @@ class TestControlPlaneHardening:
         system.start()
         controller.start()
         system.run_until(15.0)
-        system.network.set_node_down(0)
+        system.network.links.set_node_down(0)
         system.run_until(22.0)
-        system.network.set_node_up(0)
+        system.network.links.set_node_up(0)
         system.run_until(80.0)
         assert controller.crashes == 1
         assert controller.restores == 1

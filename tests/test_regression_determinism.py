@@ -55,7 +55,7 @@ class TestNetworkEdgeCases:
     def test_drop_reasons_traced(self, triangle):
         sim = Simulator(seed=1)
         net = Network(sim, triangle, latency=FixedLatency(0.1))
-        net.set_link_down(0, 1)
+        net.links.set_link_down(0, 1)
 
         class Msg:
             kind = "m"

@@ -25,9 +25,11 @@ from repro.runtime.tcp import (
     FrameDecoder,
     SyncFrameChannel,
     TcpTransport,
+    _InboundLink,
     corrupt_frame_bytes,
     encode_frame,
 )
+from repro.sim.trace import Tracer
 from repro.topology.simple import line
 
 
@@ -547,10 +549,10 @@ class TestTcpTransport:
                 b.attach(1, lambda src, msg: None)
                 a.start_pumps()
                 b.start_pumps()
-                a.set_node_down(1)
+                a.links.set_node_down(1)
                 assert a.send(0, 1, "m") is False
                 assert a.counters.messages_dropped == 1
-                a.set_node_up(1)
+                a.links.set_node_up(1)
                 assert a.send(0, 1, "m") is True
             finally:
                 await a.close()
@@ -601,6 +603,99 @@ class TestTcpTransport:
             assert not a._peers
             assert a.counters.messages_dropped == 1
             assert asyncio.all_tasks() == {asyncio.current_task()}
+
+        asyncio.run(main())
+
+
+class TestInboundFrameValidation:
+    """Bytes from a peer socket never raise out of ``data_received``."""
+
+    MALFORMED = [
+        ("msg", 1),  # too short
+        ("msg", 1, 0, "x", "extra"),  # too long
+        ("msg", 1, [0], "x"),  # unhashable dst
+        ("msg", "1", 0, "x"),  # src not an int
+        ("dup", 1),
+        ("dup", 1, {0: 0}, "x"),
+        ("nope", 1, 0, "x"),  # unknown tag
+        "not a tuple",
+    ]
+
+    @pytest.mark.parametrize("shape", MALFORMED, ids=repr)
+    def test_malformed_frame_is_one_error_line_and_one_metered_drop(self, shape):
+        runtime = AsyncioRuntime(seed=1, time_scale=0.001)
+        transport = TcpTransport(runtime, line(2), local_nodes=[0])
+        received = []
+        transport.attach(0, lambda src, msg: received.append((src, msg)))
+        transport.start_pumps()
+        link = _InboundLink(transport)
+        # One chunk: the bad frame, then a good one on the same connection.
+        link.data_received(encode_frame(shape) + encode_frame(("msg", 1, 0, "ok")))
+        assert received == [(1, "ok")]
+        assert len(transport.frame_errors) == 1
+        assert "\n" not in transport.frame_errors[0]
+        assert transport.counters.messages_dropped == 1
+        assert transport.counters.messages_delivered == 1
+
+
+class TestTcpPacketFaults:
+    def _local_pair(self, trace):
+        """One process hosting both ends of a link: no wire involved."""
+        runtime = AsyncioRuntime(seed=1, time_scale=0.001, trace=trace)
+        runtime.start()
+        transport = TcpTransport(runtime, line(2), local_nodes=[0, 1])
+        return runtime, transport
+
+    def test_process_local_duplicate_is_suppressed_on_the_record(self):
+        async def main():
+            trace = Tracer()
+            runtime, transport = self._local_pair(trace)
+            received = []
+            transport.attach(1, lambda src, msg: received.append(msg))
+            transport.start_pumps()
+            transport.links.apply_packet_fault(
+                "packet_duplicate", (1.0,), 1000.0, runtime.now
+            )
+            try:
+                assert transport.send(0, 1, "once") is True
+                await _wait_for(lambda: transport.counters.duplicates_suppressed == 1)
+                assert received == ["once"]
+                drops = [r for r in trace.records if r.category == "net.drop"]
+                assert [(r.fields["src"], r.fields["dst"], r.fields["reason"]) for r in drops] == [
+                    (0, 1, "duplicate-suppressed")
+                ]
+            finally:
+                await transport.close()
+
+        asyncio.run(main())
+
+    def test_remote_duplicate_and_corrupt_frames_are_metered_at_the_receiver(self):
+        async def main():
+            received = []
+            a, b = await _started_pair(received)
+            b.runtime.trace = trace = Tracer()
+            try:
+                a.links.apply_packet_fault(
+                    "packet_duplicate", (1.0,), 1000.0, a.runtime.now
+                )
+                assert a.send(0, 1, "twice on the wire") is True
+                await _wait_for(lambda: b.counters.duplicates_suppressed == 1)
+                assert received == ["twice on the wire"]
+                reasons = [
+                    r.fields["reason"] for r in trace.records if r.category == "net.drop"
+                ]
+                assert reasons == ["duplicate-suppressed"]
+                a.links.apply_packet_fault(
+                    "corrupt_frame", (1.0,), 1000.0, a.runtime.now
+                )
+                assert a.send(0, 1, "garbled") is True
+                await _wait_for(lambda: b.counters.corrupt_frames_dropped == 1)
+                # The sender metered nothing: the wire carried the frame.
+                assert a.counters.corrupt_frames_dropped == 0
+                assert received == ["twice on the wire"]
+            finally:
+                await a.close()
+                await b.close()
 
         asyncio.run(main())
 

@@ -131,9 +131,9 @@ class TestFailures:
         net = make_net(sim, triangle)
         got = []
         net.attach(1, lambda s, m: got.append(m))
-        net.set_node_down(1)
+        net.links.set_node_down(1)
         assert net.send(0, 1, Ping()) is False
-        net.set_node_up(1)
+        net.links.set_node_up(1)
         assert net.send(0, 1, Ping()) is True
         sim.run()
         assert len(got) == 1
@@ -143,7 +143,7 @@ class TestFailures:
         got = []
         net.attach(1, lambda s, m: got.append(m))
         net.send(0, 1, Ping())
-        net.set_node_down(1)  # crashes before delivery event fires
+        net.links.set_node_down(1)  # crashes before delivery event fires
         sim.run()
         assert got == []
         assert net.counters.messages_dropped == 1
@@ -152,21 +152,21 @@ class TestFailures:
         net = make_net(sim, triangle)
         net.attach(0, lambda s, m: None)
         net.attach(1, lambda s, m: None)
-        net.set_link_down(0, 1)
+        net.links.set_link_down(0, 1)
         assert net.send(0, 1, Ping()) is False
         assert net.send(1, 0, Ping()) is False
-        assert net.link_is_up(0, 1) is False
-        net.set_link_up(1, 0)  # order-insensitive key
+        assert net.links.link_is_up(0, 1) is False
+        net.links.set_link_up(1, 0)  # order-insensitive key
         assert net.send(0, 1, Ping()) is True
 
     def test_partition_blocks_cross_group_traffic(self, sim, line5):
         net = make_net(sim, line5)
         for n in line5.nodes:
             net.attach(n, lambda s, m: None)
-        net.partition([[0, 1], [2, 3, 4]])
+        net.links.partition([[0, 1], [2, 3, 4]])
         assert net.send(1, 2, Ping()) is False
         assert net.send(0, 1, Ping()) is True
-        net.heal_partition()
+        net.links.heal_partition()
         assert net.send(1, 2, Ping()) is True
 
 
@@ -192,7 +192,7 @@ class TestOverlay:
         net = make_net(sim, line5)
         net.attach(4, lambda s, m: None)
         net.add_overlay_link(0, 4, 0.1)
-        net.set_node_down(4)
+        net.links.set_node_down(4)
         assert net.send(0, 4, Ping()) is False
 
     def test_overlay_survives_physical_link_failure(self, sim, line5):
@@ -200,7 +200,7 @@ class TestOverlay:
         got = []
         net.attach(1, lambda s, m: got.append(m))
         net.add_overlay_link(0, 1, 0.2)
-        net.set_link_down(0, 1)  # physical link down, tunnel is routed around
+        net.links.set_link_down(0, 1)  # physical link down, tunnel is routed around
         assert net.send(0, 1, Ping()) is True
         sim.run()
         assert len(got) == 1
@@ -257,23 +257,23 @@ class TestPartitionEdgeCases:
         net = make_net(sim, line5)
         for n in line5.nodes:
             net.attach(n, lambda s, m: None)
-        net.set_link_down(1, 2)
-        net.partition([[0, 1], [2, 3, 4]])
+        net.links.set_link_down(1, 2)
+        net.links.partition([[0, 1], [2, 3, 4]])
         assert net.send(1, 2, Ping()) is False  # both filters block
-        net.partition([[0, 1, 2], [3, 4]])  # re-partition while split
+        net.links.partition([[0, 1, 2], [3, 4]])  # re-partition while split
         assert net.send(1, 2, Ping()) is False  # link still down
         assert net.send(2, 3, Ping()) is False  # new boundary blocks
-        net.heal_partition()
+        net.links.heal_partition()
         assert net.send(1, 2, Ping()) is False  # heal does not fix links
-        net.set_link_up(1, 2)
+        net.links.set_link_up(1, 2)
         assert net.send(1, 2, Ping()) is True
 
     def test_repartition_replaces_previous_assignment(self, sim, line5):
         net = make_net(sim, line5)
         for n in line5.nodes:
             net.attach(n, lambda s, m: None)
-        net.partition([[0, 1], [2, 3, 4]])
-        net.partition([[0, 1, 2], [3, 4]])  # only the latest split holds
+        net.links.partition([[0, 1], [2, 3, 4]])
+        net.links.partition([[0, 1, 2], [3, 4]])  # only the latest split holds
         assert net.send(1, 2, Ping()) is True
         assert net.send(3, 4, Ping()) is True
 
@@ -284,12 +284,12 @@ class TestPartitionEdgeCases:
         got = []
         handler = lambda s, m: got.append(m)
         net.attach(1, handler)
-        net.set_node_down(1)
+        net.links.set_node_down(1)
         net.detach(1)
         assert net.handler_for(1) is None
         assert net.send(0, 1, Ping()) is False
         assert net.counters.messages_dropped == 1
-        net.set_node_up(1)
+        net.links.set_node_up(1)
         net.attach(1, handler)
         assert net.handler_for(1) is handler
         assert net.send(0, 1, Ping()) is True
@@ -314,12 +314,12 @@ class TestPartitionEdgeCases:
         net = make_net(sim, line5)
         for n in line5.nodes:
             net.attach(n, lambda s, m: None)
-        net.partition([[0, 1], [2, 3, 4]])
-        net.set_link_down(1, 2)
-        net.set_link_up(1, 2)
-        assert net.link_is_up(1, 2) is True
+        net.links.partition([[0, 1], [2, 3, 4]])
+        net.links.set_link_down(1, 2)
+        net.links.set_link_up(1, 2)
+        assert net.links.link_is_up(1, 2) is True
         assert net.send(1, 2, Ping()) is False
-        net.heal_partition()
+        net.links.heal_partition()
         assert net.send(1, 2, Ping()) is True
 
     def test_partition_ignores_unlisted_nodes(self, sim, line5):
@@ -328,7 +328,7 @@ class TestPartitionEdgeCases:
         net = make_net(sim, line5)
         for n in line5.nodes:
             net.attach(n, lambda s, m: None)
-        net.partition([[0, 1]])
+        net.links.partition([[0, 1]])
         assert net.send(0, 1, Ping()) is True
         assert net.send(1, 2, Ping()) is False  # listed <-> unlisted
         assert net.send(2, 3, Ping()) is True  # unlisted <-> unlisted
@@ -361,7 +361,7 @@ class TestZeroCostTracing:
         sim.trace = self.BombTracer()
         sim.trace.enable_only(["something-else"])
         net = make_net(sim, triangle)
-        net.set_node_down(1)
+        net.links.set_node_down(1)
         net.attach(0, lambda src, msg: None)
         assert net.send(0, 1, Ping()) is False
         assert net.counters.messages_dropped == 1
