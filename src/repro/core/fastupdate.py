@@ -25,7 +25,7 @@ Island bridging (§6) plugs in through ``extra_targets``: overlay peers
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 from ..demand.views import DemandView
 from ..errors import ReplicationError
@@ -48,6 +48,18 @@ class FastUpdateStats:
     def __init__(self) -> None:
         for name in self.__slots__:
             setattr(self, name, 0)
+
+
+class _OriginDepths(bytearray):
+    """Push hops of one origin's cascade arrivals at one node.
+
+    An origin numbers its writes densely, so this is one byte per write
+    from sequence number ``first`` on: 0 for a write that came from a
+    client or by session, else its hops, which saturate at 255 (a deeper
+    cascade still spreads; only the depth it reports stops growing).
+    """
+
+    __slots__ = ("first",)
 
 
 class FastUpdateAgent:
@@ -90,15 +102,16 @@ class FastUpdateAgent:
             frozenset(int(t) for t in extra_targets) or _NO_TARGETS
         )
         self.stats = FastUpdateStats()
-        #: push hops each update had taken when it reached this node
-        #: (0 for client writes and session arrivals).
-        self._push_depth: Dict[UpdateId, int] = {}
+        #: push hops each update had taken when it reached this node,
+        #: per origin and only for origins a cascade delivered from
+        #: (client writes and session arrivals are depth 0 by absence).
+        self._push_depth: Dict[int, _OriginDepths] = {}
         server.on_new_updates(self.on_new_updates)
         # Evict push bookkeeping in lock-step with log truncation: a
         # purged uid can never be offered again (WriteLog.has() keeps
-        # answering True below the purged floor, so integrate() never
-        # reports it as new), so dropping its state is trace-identical
-        # and bounds _push_depth by live log size.
+        # answering True for it, so integrate() never reports it as
+        # new), so dropping its state is trace-identical and bounds
+        # _push_depth by live log size.
         server.log.on_purge(self._on_log_purge)
 
     # -- push side ---------------------------------------------------------
@@ -109,14 +122,12 @@ class FastUpdateAgent:
         """Step 13: immediately offer fresh updates to chosen targets."""
         if not new_updates:
             return
-        if source != "fast":
-            # A fresh cascade starts here; fast arrivals already had
-            # their depth recorded by _handle_payload.
-            push_depth = self._push_depth
-            for update in new_updates:
-                push_depth.setdefault(update.uid, 0)
+        # A fresh cascade (depth 0) starts here unless the batch is one
+        # fast payload, whose new updates _handle_payload recorded, all
+        # at that payload's depth.
+        depth = self._depth_of(new_updates[0].uid) if source == "fast" else 0
         for target in self._choose_targets(sender):
-            self._offer(target, new_updates)
+            self._offer(target, new_updates, depth)
 
     def _choose_targets(self, sender: Optional[int]) -> List[int]:
         neighbors = [
@@ -134,18 +145,10 @@ class FastUpdateAgent:
                 targets.append(extra)
         return targets
 
-    def _offer(self, target: int, updates: Sequence[Update]) -> None:
+    def _offer(self, target: int, updates: Sequence[Update], depth: int) -> None:
         # Each update goes to each target once: the log reports an
         # update as new once per replica, and the targets are distinct.
-        depth_of = self._push_depth.get
-        entries: List[Tuple[UpdateId, object]] = []
-        depth = 0
-        for update in updates:
-            uid = update.uid
-            entries.append((uid, update.timestamp))
-            hops = depth_of(uid, 0)
-            if hops > depth:
-                depth = hops
+        entries = [(update.uid, update.timestamp) for update in updates]
         self.stats.offers_sent += 1
         trace = self.runtime.trace
         if trace.wants("fast.offer"):
@@ -156,11 +159,27 @@ class FastUpdateAgent:
             self.node, target, FastUpdateOffer(self.node, tuple(entries), depth=depth)
         )
 
+    def _depth_of(self, uid: UpdateId) -> int:
+        """Push hops ``uid`` had taken when it reached this node."""
+        origin, seq = uid
+        depths = self._push_depth.get(origin)
+        if depths is None:
+            return 0
+        at = seq - depths.first
+        return depths[at] if 0 <= at < len(depths) else 0
+
     def _on_log_purge(self, purged_uids: List[UpdateId]) -> None:
-        """Drop per-uid push state for writes truncated from the log."""
-        push_depth = self._push_depth
-        for uid in purged_uids:
-            push_depth.pop(uid, None)
+        """Drop push state for writes truncated from the log.
+
+        The uids come sorted and a purge takes an origin's oldest writes
+        (every configurable policy does: timestamps grow with ``seq``),
+        so nothing at or below an origin's last uid is live.
+        """
+        for origin, floor in dict(purged_uids).items():
+            depths = self._push_depth.get(origin)
+            if depths is not None and floor >= depths.first:
+                del depths[: floor + 1 - depths.first]
+                depths.first = floor + 1
 
     # -- receive side ---------------------------------------------------------
     # ReplicationNode's route table calls these leaf handlers directly.
@@ -179,7 +198,7 @@ class FastUpdateAgent:
             return
         self.stats.replies_yes += 1
         get = self.server.log.get
-        depth_of = self._push_depth.get
+        depth_of = self._depth_of
         bodies = []
         depth = 0
         for uid in message.needed:
@@ -189,7 +208,7 @@ class FastUpdateAgent:
                 # Purged meanwhile; skip silently — anti-entropy will
                 # repair.
                 continue
-            hops = depth_of(uid, 0)
+            hops = depth_of(uid)
             if hops > depth:
                 depth = hops
         if not bodies:
@@ -203,10 +222,23 @@ class FastUpdateAgent:
     def _handle_payload(self, src: int, message: FastUpdatePayload) -> None:
         hops = message.depth + 1
         # Record cascade depth before integrating so the re-push
-        # triggered inside integrate() sees the right value.
-        push_depth = self._push_depth
+        # triggered inside integrate() sees the right value — and only
+        # for updates the log does not know: a known one keeps the depth
+        # it first arrived with, and one already purged has no state
+        # left for a purge to evict.
+        log = self.server.log
         for update in message.updates:
-            push_depth.setdefault(update.uid, hops)
+            if log.has(update.uid):
+                continue
+            depths = self._push_depth.get(update.origin)
+            if depths is None:
+                depths = self._push_depth[update.origin] = _OriginDepths()
+                # Up to the summary tip everything is known already.
+                depths.first = log.summary.get(update.origin) + 1
+            at = update.seq - depths.first
+            if at >= len(depths):
+                depths.extend(bytes(at + 1 - len(depths)))
+            depths[at] = min(hops, 255)
         new_updates = self.server.integrate(message.updates, "fast", sender=src)
         self.stats.updates_received += len(new_updates)
         if new_updates:

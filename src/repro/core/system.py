@@ -37,6 +37,7 @@ For serving live traffic on the same protocol code, see
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..demand.advertisement import DemandAdvertiser, bootstrap_tables
@@ -68,6 +69,9 @@ from .protocol import ReplicationNode
 
 #: Topic published whenever any replica first absorbs updates.
 TOPIC_UPDATE_APPLIED = "update.applied"
+
+#: One apply-time cell of a node that has not applied the write.
+_NOT_YET = array("d", [float("nan")])
 
 
 def build_node_stack(
@@ -272,7 +276,13 @@ class ReplicationSystem:
         #: the topology (ids are never reused) but no longer count
         #: toward convergence and generate no traffic.
         self.retired: Set[int] = set()
-        self._apply_times: Dict[UpdateId, Dict[int, float]] = {}
+        #: Per write, when each node first applied it: cell
+        #: ``_columns[node]`` of the row, NaN until then. Columns count
+        #: from 1 in the order nodes were built; cell 0 counts the rest.
+        self._apply_times: Dict[UpdateId, array] = {}
+        self._columns: Dict[int, int] = {}
+        #: When each node last applied anything, by column (cell 0 unused).
+        self._last_applied = array("d", [0.0])
         self._watch: Dict[UpdateId, Tuple[Set[int], float]] = {}
         #: Set by fault-aware assemblers (build_system, run_trial) to the
         #: installed :class:`~repro.faults.process.FaultProcess`.
@@ -306,6 +316,10 @@ class ReplicationSystem:
         )
         self.servers[node] = replication_node.server
         self.nodes[node] = replication_node
+        self._columns[node] = len(self._last_applied)
+        self._last_applied.append(0.0)
+        for row in self._apply_times.values():  # a late joiner's column
+            row.extend(_NOT_YET)
         return replication_node
 
     def start(self) -> None:
@@ -369,11 +383,7 @@ class ReplicationSystem:
         distances = bfs_distances(self.topology, new_node)
         for peer in attach:
             server = self.servers[peer]
-            last_applied = max(
-                (t for times in self._apply_times.values()
-                 for n, t in times.items() if n == peer),
-                default=0.0,
-            )
+            last_applied = self._last_applied[self._columns[peer]]
             candidates[peer] = DonorInfo(
                 node=peer,
                 total_writes=server.summary().total_writes(),
@@ -463,14 +473,18 @@ class ReplicationSystem:
     def _record_applied(self, node: int, updates: List[Update], source: str) -> None:
         now = self.runtime.now
         apply_times = self._apply_times
+        column = self._columns[node]
+        self._last_applied[column] = now
         watching = self._watch  # empty unless run_until_replicated is waiting
         for update in updates:
             uid = update.uid
             times = apply_times.get(uid)
             if times is None:
-                times = apply_times[uid] = {}
-            if node not in times:
-                times[node] = now
+                times = apply_times[uid] = _NOT_YET * len(self._last_applied)
+                times[0] = 0.0
+            if times[column] != times[column]:  # NaN: first application here
+                times[column] = now
+                times[0] += 1.0
             if watching and uid in watching:
                 remaining, _ = watching[uid]
                 remaining.discard(node)
@@ -495,16 +509,18 @@ class ReplicationSystem:
 
     def apply_times(self, uid: UpdateId) -> Dict[int, float]:
         """First-application time per node for a tracked update."""
-        return dict(self._apply_times.get(uid, {}))
+        row = self._apply_times.get(uid, _NOT_YET)
+        return {node: at for node, at in zip(self._columns, row[1:]) if at == at}
 
     def nodes_with(self, uid: UpdateId) -> Set[int]:
         """Nodes that have absorbed ``uid`` so far."""
-        return set(self._apply_times.get(uid, {}))
+        return set(self.apply_times(uid))
 
     def all_have(self, uid: UpdateId) -> bool:
-        times = self._apply_times.get(uid, {})
         if not self.retired:
-            return len(times) == self.topology.num_nodes
+            row = self._apply_times.get(uid)
+            return row is not None and row[0] == self.topology.num_nodes
+        times = self.apply_times(uid)
         return all(n in times for n in self.active_nodes)
 
     # -- running ----------------------------------------------------------------
@@ -523,13 +539,13 @@ class ReplicationSystem:
         """
         missing = set(self.active_nodes) - self.nodes_with(uid)
         if not missing:
-            times = self._apply_times.get(uid, {})
+            times = self.apply_times(uid)
             return max(times.values()) if times else None
         self._watch[uid] = (missing, max_time)
         self.runtime.run(until=max_time)
         self._watch.pop(uid, None)
         if self.all_have(uid):
-            return max(self._apply_times[uid].values())
+            return max(self.apply_times(uid).values())
         return None
 
     # -- reporting helpers ----------------------------------------------------------

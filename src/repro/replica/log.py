@@ -7,10 +7,11 @@ update path, holding them *ahead* of the summary prefix until the gap
 fills.
 
 The store is indexed the way Bayou-family systems keep their logs:
-per-origin contiguous arrays alongside the uid map. ``updates_since``
-— the inner loop of every anti-entropy session (paper §2.1 steps 7/10)
-— therefore slices per-origin suffixes in O(missing + origins) instead
-of scanning and re-sorting the whole log, which is what lets
+per-origin contiguous arrays and no map from id to entry — an origin
+numbers its writes densely, so ``(origin, seq)`` is already an address.
+``updates_since`` — the inner loop of every anti-entropy session (paper
+§2.1 steps 7/10) — slices per-origin suffixes in O(missing + origins)
+instead of scanning and re-sorting the whole log, which is what lets
 long-horizon runs keep a constant per-session cost as logs grow.
 
 Truncation policies implement the Bayou-inspired policy family the
@@ -69,8 +70,9 @@ class Update:
     def uid(self) -> UpdateId:
         """``(origin, seq)``, built once per write.
 
-        Every log, push table and apply-time map keyed by it then holds
-        a reference to this one tuple instead of a copy of its own.
+        Every offer naming the write, and the system's apply-time table,
+        then hold a reference to this one tuple, not a copy of their own
+        (logs and push-depth tables go by ``origin`` and ``seq``).
         """
         return (self.origin, self.seq)
 
@@ -175,14 +177,13 @@ class WriteLog:
     origin (see :func:`_prefix_cut` for where the slice starts).
     """
 
-    __slots__ = ("policy", "summary", "_entries", "_ahead", "_prefix",
+    __slots__ = ("policy", "summary", "_ahead", "_prefix",
                  "_purged_floor", "_origins_cache", "_purge_listeners",
                  "total_added", "total_purged")
 
     def __init__(self, policy: Optional[TruncationPolicy] = None):
         self.policy = policy if policy is not None else KeepAll()
         self.summary = SummaryVector()
-        self._entries: Dict[UpdateId, Update] = {}
         #: ids present but beyond the contiguous prefix, per origin
         self._ahead: Dict[int, Dict[int, Update]] = {}
         #: per-origin prefix entries in sequence order (holes only from
@@ -195,7 +196,7 @@ class WriteLog:
         #: hot path the index exists for)
         self._origins_cache: Optional[List[int]] = None
         #: callbacks invoked with the list of purged uids after each
-        #: non-empty purge; agents keying side tables by uid (the
+        #: non-empty purge; agents keeping per-write side tables (the
         #: fast-update push state) hook this to evict in lock-step.
         self._purge_listeners: List[Callable[[List[UpdateId]], None]] = []
         self.total_added = 0
@@ -208,18 +209,33 @@ class WriteLog:
     # -- membership -----------------------------------------------------------
 
     def has(self, uid: UpdateId) -> bool:
-        """Whether the write is known (in the prefix, ahead, or purged)."""
-        return uid in self._entries or uid[1] <= self._purged_floor.get(uid[0], 0)
+        """Whether the write is known (in the prefix, ahead, or purged).
+
+        Everything up to an origin's summary tip was added once, and
+        only such entries are ever purged, so the tip answers for both.
+        """
+        origin, seq = uid
+        if seq <= self.summary.get(origin):
+            return True
+        ahead = self._ahead.get(origin)
+        return ahead is not None and seq in ahead
 
     def get(self, uid: UpdateId) -> Update:
         """Return a stored update (raises for unknown or purged ids)."""
-        try:
-            return self._entries[uid]
-        except KeyError:
-            raise ReplicationError(f"update {uid} not in log") from None
+        origin, seq = uid
+        prefix = self._prefix.get(origin)
+        if prefix and seq <= prefix[-1].seq:
+            found = prefix[_prefix_cut(prefix, seq - 1)]
+            if found.seq == seq:
+                return found
+        else:
+            ahead = self._ahead.get(origin)
+            if ahead and seq in ahead:
+                return ahead[seq]
+        raise ReplicationError(f"update {uid} not in log")
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self.total_added - self.total_purged
 
     def origins(self) -> List[int]:
         """Origins with stored entries (prefix or ahead), ascending."""
@@ -250,22 +266,16 @@ class WriteLog:
         straight onto that origin's prefix; anything else is parked
         ahead, and whatever run it completes is folded in.
         """
-        entries = self._entries
-        floors = self._purged_floor
         parked = self._ahead
         prefixes = self._prefix
-        tips = self.summary.own_entries()
+        tips = self.summary.own_tips()
         new: List[Update] = []
         for update in updates:
-            uid = update.uid
-            if uid in entries:
-                continue
-            origin, seq = uid
-            if seq <= floors.get(origin, 0):
-                continue
-            entries[uid] = update
-            new.append(update)
+            origin = update.origin
+            seq = update.seq
             next_seq = tips.get(origin, 0) + 1
+            if seq < next_seq:
+                continue  # in the prefix, or purged from it
             ahead = parked.get(origin)
             if ahead is None:
                 prefix = prefixes.get(origin)
@@ -276,9 +286,13 @@ class WriteLog:
                         prefix = prefixes[origin] = []
                     prefix.append(update)
                     tips[origin] = seq
+                    new.append(update)
                     continue
                 ahead = parked[origin] = {}
+            elif seq in ahead:
+                continue
             ahead[seq] = update
+            new.append(update)
             if next_seq in ahead:
                 prefix = prefixes.setdefault(origin, [])
                 while next_seq in ahead:
@@ -379,36 +393,29 @@ class WriteLog:
         would corrupt gap bookkeeping); the policy's suggestions are
         filtered accordingly.
         """
-        removed = 0
-        dropped: Dict[int, Set[int]] = {}
-        for uid in self.policy.purgeable(self):
-            origin, seq = uid
-            if uid not in self._entries:
-                continue
-            if seq > self.summary.get(origin):
-                continue  # never purge ahead-of-prefix entries
-            del self._entries[uid]
-            dropped.setdefault(origin, set()).add(seq)
-            floor = self._purged_floor.get(origin, 0)
-            if seq > floor:
-                self._purged_floor[origin] = seq
-            removed += 1
+        doomed: Dict[int, Set[int]] = {}
+        for origin, seq in self.policy.purgeable(self):
+            if seq <= self.summary.get(origin):  # never an ahead-of-prefix entry
+                doomed.setdefault(origin, set()).add(seq)
+        purged_uids: List[UpdateId] = []
         # Rebuild each affected origin's prefix array once.
-        for origin, seqs_gone in dropped.items():
-            kept = [u for u in self._prefix[origin] if u.seq not in seqs_gone]
-            if kept:
-                self._prefix[origin] = kept
+        for origin in sorted(doomed):
+            prefix = self._prefix.get(origin, ())
+            seqs_gone = doomed[origin]
+            gone = [u.uid for u in prefix if u.seq in seqs_gone]
+            if not gone:
+                continue  # all purged before
+            purged_uids.extend(gone)
+            if gone[-1][1] > self._purged_floor.get(origin, 0):
+                self._purged_floor[origin] = gone[-1][1]
+            if len(gone) < len(prefix):
+                self._prefix[origin] = [u for u in prefix if u.seq not in seqs_gone]
             else:
                 del self._prefix[origin]
                 if origin not in self._ahead:
                     self._origins_cache = None  # origin fully vanished
-        self.total_purged += removed
-        if removed and self._purge_listeners:
-            purged_uids = [
-                (origin, seq)
-                for origin in sorted(dropped)
-                for seq in sorted(dropped[origin])
-            ]
+        self.total_purged += len(purged_uids)
+        if purged_uids:
             for callback in self._purge_listeners:
                 callback(purged_uids)
-        return removed
+        return len(purged_uids)

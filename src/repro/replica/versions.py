@@ -94,7 +94,7 @@ class SummaryVector:
             self._detach()
         self._entries[origin] = seq
 
-    def own_entries(self) -> Dict[int, int]:
+    def own_tips(self) -> Dict[int, int]:
         """The entry dict itself, detached from any copies.
 
         For the write log that owns this vector: folding a batch, it

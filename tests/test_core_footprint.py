@@ -6,6 +6,9 @@ idle replica occupies is gated here the way a speed would be:
 * bytes per replica of a freshly built system stay under a stated bound
   and do not grow with the system (nothing per-system is copied into
   each node);
+* bytes per (replica, write) of a converged keep-all run — what history
+  costs beside the ``Update`` objects themselves — stay under a stated
+  bound and do not grow with the history;
 * the objects instantiated per replica or per session carry no
   ``__dict__``, and what every node believes alike (oracle or snapshot
   demand, an empty bridge set) is one object per system;
@@ -87,6 +90,72 @@ def test_idle_replica_is_small_and_the_system_is_linear_in_replicas(config):
     # copied into every node (the snapshot view once was) would show as
     # growth here.
     assert abs(large - small) <= 0.10 * small
+
+
+#: Bytes one write may cost at each replica that holds it, beside the
+#: ``Update`` itself (one per write in a simulation, shared by every
+#: log): a slot of the origin's prefix list, a cell of the system's
+#: apply-time row and, where a cascade delivered it, a byte of push
+#: depth. Measured 26; 110 to 165 (a dict steps up when it resizes)
+#: while the log, the push table and the apply-time map each hashed
+#: the write's id.
+HISTORY_BYTES_PER_REPLICA_WRITE = 40
+
+#: Where an ``Update`` and what hangs off it are allocated: the server's
+#: ``local_write``, the dataclass ``__init__`` and ``cached_property``.
+UPDATE_OBJECTS = (
+    tracemalloc.Filter(False, "*/repro/replica/server.py"),
+    tracemalloc.Filter(False, "*/repro/replica/timestamps.py"),
+    tracemalloc.Filter(False, "<string>"),
+    tracemalloc.Filter(False, "*/functools.py"),
+)
+
+
+def history_bytes_per_replica_write(writes: int, nodes: int = 30) -> float:
+    keys = [f"key-{index:02d}" for index in range(64)]
+    gc.collect()
+    tracemalloc.start()  # before the build, so that a list grown later is a diff
+    try:
+        system = ReplicationSystem(
+            topology=internet_like(nodes, seed=3),
+            demand=UniformRandomDemand(seed=3),
+            config=fast_consistency(),
+            seed=1,
+        )
+        system.sim.trace.disable()
+        system.start()
+
+        def write_and_settle(count: int) -> None:
+            start = system.sim.now
+            for index in range(count):
+                system.run_until(start + index * 0.05)
+                system.inject_write(index % nodes, key=keys[index % 64])
+            system.run_until(start + count * 0.05 + 30.0)
+
+        # Every origin has written and every key is stored before the
+        # count starts: what is measured is what one more write costs.
+        write_and_settle(4 * nodes)
+        gc.collect()
+        before = tracemalloc.take_snapshot().filter_traces(UPDATE_OBJECTS)
+        write_and_settle(writes)
+        gc.collect()
+        after = tracemalloc.take_snapshot().filter_traces(UPDATE_OBJECTS)
+    finally:
+        tracemalloc.stop()
+    for server in system.servers.values():
+        assert len(server.log) == 4 * nodes + writes  # every pair is held
+    grown = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+    return grown / (nodes * writes)
+
+
+def test_history_costs_a_slot_per_replica_and_write():
+    short = history_bytes_per_replica_write(600)
+    long = history_bytes_per_replica_write(1200)
+    assert short <= HISTORY_BYTES_PER_REPLICA_WRITE
+    assert long <= HISTORY_BYTES_PER_REPLICA_WRITE
+    # Twice the history, the same bytes a write: a table that hashed ids
+    # would step up each time it resized; these do not.
+    assert long <= 1.05 * short
 
 
 def small_system(config=None, n: int = 5) -> ReplicationSystem:

@@ -7,7 +7,8 @@ Four fences around the rewrite of ``WriteLog.add_all`` and the cached
   below as the oracle) over duplicates, gaps, out-of-order arrivals and
   a purge in the middle;
 * an ``Update`` survives the wire unchanged and no bigger;
-* every table keyed by a write's id holds the *same* tuple object;
+* what is still keyed by a write's id holds the *same* tuple object, and
+  the logs and push tables hold none;
 * the equal-summaries shortcut of ``updates_since`` answers exactly what
   the per-origin walk answers;
 * ``updates_since`` and ``covered_ids`` index a prefix by arithmetic and
@@ -27,6 +28,7 @@ from hypothesis import strategies as st
 from repro.core.system import ReplicationSystem
 from repro.core.variants import fast_consistency
 from repro.demand.static import ExplicitDemand
+from repro.errors import ReplicationError
 from repro.replica.log import MaxEntries, TruncationPolicy, Update, WriteLog
 from repro.replica.messages import FastUpdatePayload
 from repro.replica.timestamps import Timestamp
@@ -50,17 +52,61 @@ def make_update(origin: int, seq: int) -> Update:
 
 class OneAtATimeLog(WriteLog):
     """The oracle: ``add`` / ``add_all`` exactly as they were before the
-    batch path (every write parked in ``_ahead`` first, then folded), and
+    batch path (every write parked in ``_ahead`` first, then folded),
     ``updates_since`` / ``covered_ids`` exactly as they were while the
     log kept ``_prefix_seqs``, a sorted array of sequence numbers beside
-    each prefix, and bisected it. The array is this class's own now."""
+    each prefix, and bisected it, and ``has`` / ``get`` / ``len`` /
+    ``purge`` exactly as they were while it kept ``_entries``, a dict
+    from uid to update. The array and the dict are this class's own now."""
 
     def __init__(self, policy=None):
         super().__init__(policy)
         self._prefix_seqs = {}
+        self._entries = {}
+
+    def has(self, uid) -> bool:
+        return uid in self._entries or uid[1] <= self._purged_floor.get(uid[0], 0)
+
+    def get(self, uid) -> Update:
+        try:
+            return self._entries[uid]
+        except KeyError:
+            raise ReplicationError(f"update {uid} not in log") from None
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
     def purge(self) -> int:
-        removed = super().purge()
+        removed = 0
+        dropped = {}
+        for uid in self.policy.purgeable(self):
+            origin, seq = uid
+            if uid not in self._entries:
+                continue
+            if seq > self.summary.get(origin):
+                continue  # never purge ahead-of-prefix entries
+            del self._entries[uid]
+            dropped.setdefault(origin, set()).add(seq)
+            if seq > self._purged_floor.get(origin, 0):
+                self._purged_floor[origin] = seq
+            removed += 1
+        for origin, seqs_gone in dropped.items():
+            kept = [u for u in self._prefix[origin] if u.seq not in seqs_gone]
+            if kept:
+                self._prefix[origin] = kept
+            else:
+                del self._prefix[origin]
+                if origin not in self._ahead:
+                    self._origins_cache = None
+        self.total_purged += removed
+        if removed:
+            purged_uids = [
+                (origin, seq)
+                for origin in sorted(dropped)
+                for seq in sorted(dropped[origin])
+            ]
+            for callback in self._purge_listeners:
+                callback(purged_uids)
         self._prefix_seqs = {
             origin: [u.seq for u in prefix] for origin, prefix in self._prefix.items()
         }
@@ -235,12 +281,12 @@ class TestOneSharedUidPerWrite:
         assert tracked is uid
         pushed = 0
         for node in system.nodes.values():
-            (stored,) = [key for key in node.server.log._entries if key == uid]
-            assert stored is uid
-            for key in node.fast._push_depth:
-                if key == uid:
-                    assert key is uid
-                    pushed += 1
+            assert node.server.log.get((0, 1)).uid is uid
+            # The log and the push table are addressed by origin and
+            # seq: neither keeps a tuple of its own for the write.
+            assert not hasattr(node.server.log, "_entries")
+            assert set(node.fast._push_depth) <= {0}
+            pushed += node.fast._depth_of((0, 1)) > 0
         assert pushed >= 2  # the cascade really went through the push path
 
 

@@ -7,15 +7,24 @@ adds and purges against both the real :class:`WriteLog` and a
 deliberately naive model with the pre-index semantics, and asserts that
 every observable (``has`` / ``updates_since`` / ``ahead_ids`` /
 ``all_updates`` / ``summary`` / purge results) stays identical.
+
+The log then dropped its map from uid to entry: ``has``, ``get`` and
+``len`` are answered from the summary tip, the per-origin arrays and two
+counters. The second half replays ``add_all`` / ``purge`` histories —
+with purges that punch holes mid-prefix and arrivals parked ahead —
+against the dict-backed oracle of ``test_replica_batch_path.py``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_replica_batch_path import OneAtATimeLog
 
+from repro.errors import ReplicationError
 from repro.replica.log import (
     AckedTruncation,
     MaxEntries,
@@ -183,3 +192,102 @@ class TestIndexedLogAgreesWithNaiveModel:
         for floor in (0, 1, 5, 12):
             vector = SummaryVector({o: floor for o in range(4)})
             assert log.covered_ids(vector) == model.acked_purgeable(vector)
+
+
+# -- the log without a uid map == the log with one ------------------------------
+
+
+def scrambled_update(origin: int, seq: int) -> Update:
+    """An update whose timestamp does not grow with its ``seq``, so that
+    ``MaxEntries`` (oldest timestamps first) purges from the middle of a
+    prefix, which a real origin's Lamport clock never lets it do."""
+    return Update(
+        origin=origin,
+        seq=seq,
+        timestamp=Timestamp((seq * 5) % 7 * 4 + origin, origin),
+        key=f"k{origin}",
+        value=(origin, seq),
+    )
+
+
+history = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("add"),
+            st.lists(
+                st.tuples(st.integers(0, 3), st.integers(1, 12)), max_size=8
+            ),
+        ),
+        st.tuples(st.just("purge"), st.integers(min_value=0, max_value=10)),
+    ),
+    max_size=30,
+)
+
+
+def lookup(log: WriteLog, uid: UpdateId) -> Optional[Update]:
+    try:
+        return log.get(uid)
+    except ReplicationError:
+        return None
+
+
+def assert_same_store(log: WriteLog, oracle: OneAtATimeLog, peers) -> None:
+    assert len(log) == len(oracle)
+    assert log.all_updates() == oracle.all_updates()
+    assert log.ahead_ids() == oracle.ahead_ids()
+    assert log.summary == oracle.summary
+    for origin in range(5):
+        for seq in range(0, 14):
+            uid = (origin, seq)
+            assert log.has(uid) == oracle.has(uid), uid
+            assert lookup(log, uid) is lookup(oracle, uid), uid
+    for peer in [*peers, log.summary.copy(), SummaryVector()]:
+        assert log.updates_since(peer) == oracle.updates_since(peer)
+        assert log.covered_ids(peer) == oracle.covered_ids(peer)
+        assert log.can_serve(peer) == oracle.can_serve(peer)
+
+
+class TestLogWithoutUidMapAgreesWithDictBackedOracle:
+    @given(history, st.lists(summary_entries.map(SummaryVector), max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_add_all_and_purge_histories(self, steps, peers):
+        log, oracle = WriteLog(), OneAtATimeLog()
+        heard, oracle_heard = [], []
+        log.on_purge(heard.append)
+        oracle.on_purge(oracle_heard.append)
+        for step in steps:
+            if step[0] == "add":
+                batch = [scrambled_update(origin, seq) for origin, seq in step[1]]
+                assert log.add_all(batch) == oracle.add_all(batch)
+            else:
+                log.policy = oracle.policy = MaxEntries(limit=step[1])
+                assert log.policy.purgeable(log) == oracle.policy.purgeable(oracle)
+                assert log.purge() == oracle.purge()
+                assert heard == oracle_heard  # same uids, same order
+            assert_same_store(log, oracle, peers)
+
+    def test_a_hole_a_purged_tail_and_a_parked_arrival(self):
+        # What the generated histories are there to reach, spelled out.
+        log = WriteLog(policy=MaxEntries(limit=5))
+        log.add_all([scrambled_update(0, seq) for seq in (1, 2, 3, 4, 5, 6, 9)])
+        assert log.ahead_ids() == [(0, 9)]
+        assert len(log) == 7
+        assert log.purge() == 2  # the two oldest timestamps: seq 3, seq 6
+        assert [u.seq for u in log.all_updates()] == [1, 2, 4, 5, 9]
+        assert len(log) == 5
+        for seq in (1, 2, 4, 5, 9):
+            assert log.get((0, seq)).seq == seq
+        for seq in (0, 3, 6, 7, 8, 10):  # purged, never seen, out of range
+            with pytest.raises(ReplicationError):
+                log.get((0, seq))
+        with pytest.raises(ReplicationError):
+            log.get((1, 1))  # unknown origin
+        assert [log.has((0, seq)) for seq in range(1, 11)] == [
+            True, True, True, True, True, True, False, False, True, False
+        ]
+        # A purged write is known, so it is not taken back.
+        assert log.add_all([scrambled_update(0, 3), scrambled_update(0, 7)]) == [
+            scrambled_update(0, 7)
+        ]
+        assert log.summary.get(0) == 7
+        assert len(log) == 6
