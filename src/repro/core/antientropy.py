@@ -106,7 +106,7 @@ class AntiEntropyAgent:
         self._sessions: Dict[int, SessionState] = {}
         self._initiating_sid: Optional[int] = None
         self._session_counter = 0
-        self._interval_rng = runtime.rng.stream("session-interval", self.node)
+        self._interval_rng = runtime.rng.draws("session-interval", self.node)
         self._started = False
         self._stopped = False
 

@@ -25,7 +25,7 @@ Island bridging (§6) plugs in through ``extra_targets``: overlay peers
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional
 
 from ..demand.views import DemandView
 from ..errors import ReplicationError
@@ -122,12 +122,19 @@ class FastUpdateAgent:
         """Step 13: immediately offer fresh updates to chosen targets."""
         if not new_updates:
             return
+        targets = self._choose_targets(sender)
+        if not targets:
+            return
         # A fresh cascade (depth 0) starts here unless the batch is one
         # fast payload, whose new updates _handle_payload recorded, all
         # at that payload's depth.
         depth = self._depth_of(new_updates[0].uid) if source == "fast" else 0
-        for target in self._choose_targets(sender):
-            self._offer(target, new_updates, depth)
+        # Each update goes to each target once: the log reports an
+        # update as new once per replica, and the targets are distinct.
+        # Offers are immutable, so they all carry one entries tuple.
+        entries = tuple([(update.uid, update.timestamp) for update in new_updates])
+        for target in targets:
+            self._offer(target, entries, depth)
 
     def _choose_targets(self, sender: Optional[int]) -> List[int]:
         neighbors = [
@@ -145,10 +152,7 @@ class FastUpdateAgent:
                 targets.append(extra)
         return targets
 
-    def _offer(self, target: int, updates: Sequence[Update], depth: int) -> None:
-        # Each update goes to each target once: the log reports an
-        # update as new once per replica, and the targets are distinct.
-        entries = [(update.uid, update.timestamp) for update in updates]
+    def _offer(self, target: int, entries: tuple, depth: int) -> None:
         self.stats.offers_sent += 1
         trace = self.runtime.trace
         if trace.wants("fast.offer"):
@@ -156,7 +160,7 @@ class FastUpdateAgent:
                 self.runtime.now, "fast.offer", node=self.node, target=target, count=len(entries)
             )
         self.transport.send(
-            self.node, target, FastUpdateOffer(self.node, tuple(entries), depth=depth)
+            self.node, target, FastUpdateOffer(self.node, entries, depth=depth)
         )
 
     def _depth_of(self, uid: UpdateId) -> int:

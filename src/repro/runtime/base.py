@@ -71,7 +71,7 @@ class Clock(Protocol):
     """
 
     #: Named deterministic RNG streams (protocol components draw
-    #: intervals and choices via ``rng.stream(name, *key)``).
+    #: choices via ``rng.stream(name, *key)``, intervals via ``rng.draws``).
     rng: RngRegistry
 
     @property

@@ -28,9 +28,8 @@ one loop, :meth:`Simulator._drain`, merges by that key:
   waits there until the head fires or is cancelled.
 
 Because keys are unique, taking the smaller of the two heads yields the
-same total order a single heap would.  :meth:`Simulator.run`,
-:meth:`Simulator.step` and :meth:`Simulator._peek_live` all go through
-``_drain``; nothing else pops.
+same total order a single heap would.  :meth:`Simulator.run` and
+:meth:`Simulator.step` both go through ``_drain``; nothing else pops.
 
 The engine replaces the NS-2 kernel the paper's authors built on; the
 paper measures everything in "average session times", so no packet-level
@@ -290,18 +289,14 @@ class Simulator:
         """Request that :meth:`run` return after the current event."""
         self._stopping = True
 
-    def _peek_live(self) -> Optional[HeapEntry]:
-        """Return the next non-cancelled entry without executing it."""
-        return self._drain(-math.inf, None)[1]
-
     def _drain(
         self, until: float, max_events: Optional[int]
     ) -> Tuple[str, Optional[HeapEntry]]:
         """The kernel's one pop loop: run live events with ``time <= until``.
 
-        Every way of consuming events (:meth:`run`, :meth:`step`,
-        :meth:`_peek_live`) goes through here, so the lane and the
-        heap are merged in exactly one place.  Each turn
+        Every way of consuming events (:meth:`run`, :meth:`step`) goes
+        through here, so the lane and the heap are merged in exactly
+        one place.  Each turn
         takes the smaller of the two heads by ``(time, priority, seq)``;
         the lane head is live by invariant, dead heap heads are
         discarded on the way.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.fastupdate import FastUpdateAgent
 from repro.core.system import ReplicationSystem
 from repro.core.variants import fast_consistency, weak_consistency
 from repro.demand.static import ConstantDemand, ExplicitDemand
@@ -153,6 +154,29 @@ class TestOfferProtocol:
         times = system.apply_times(update.uid)
         assert 4 in times and 3 in times  # two hottest leaves
         assert 1 not in times  # fanout capped at 2
+
+    def test_offers_of_one_batch_share_their_entries(self, monkeypatch):
+        received = []
+        handle_offer = FastUpdateAgent._handle_offer
+
+        def recording(agent, src, message):
+            received.append((agent.node, message))
+            return handle_offer(agent, src, message)
+
+        monkeypatch.setattr(FastUpdateAgent, "_handle_offer", recording)
+        demand = ExplicitDemand({0: 1.0, 1: 5.0, 2: 6.0, 3: 7.0, 4: 8.0})
+        system = ReplicationSystem(
+            topology=star(5), demand=demand, config=fast_consistency(fast_fanout=2), seed=9
+        )
+        system.start()
+        update = system.inject_write(0)
+        system.run_until(0.2)
+        (to_3,), (to_4,) = (
+            [m for node, m in received if node == leaf] for leaf in (3, 4)
+        )
+        assert to_3.entries == ((update.uid, update.timestamp),)
+        # Offers are immutable: one tuple per batch, not one per target.
+        assert to_3.entries is to_4.entries
 
     def test_stats_track_pushes(self):
         system = slope_line_system()

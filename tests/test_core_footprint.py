@@ -45,17 +45,11 @@ from repro.replica.timestamps import Timestamp
 from repro.topology.brite import internet_like
 from repro.topology.simple import line
 
-#: Bytes an idle replica may occupy, beside its ``session-interval``
-#: random stream (2.5 KB of Mersenne Twister state whose draws the
-#: golden traces pin). Measured 2.4 KB; the commit before the node stack
-#: was slotted and its per-system state shared measured 4.9 KB.
+#: Bytes an idle replica may occupy, its ``session-interval`` draws
+#: included. Measured 2.8 to 2.9 KB; 5.4 KB while that stream was a
+#: 2.5 KB ``random.Random`` per replica (and 4.9 KB beside it before the
+#: node stack was slotted and its per-system state shared).
 IDLE_REPLICA_BYTES = 3200
-
-#: Allocations made here are the RNG streams: left out of the count.
-NOT_COUNTED = (
-    tracemalloc.Filter(False, "*/repro/sim/rng.py"),
-    tracemalloc.Filter(False, "*/random.py"),
-)
 
 
 def idle_bytes_per_replica(n: int, config) -> float:
@@ -64,11 +58,11 @@ def idle_bytes_per_replica(n: int, config) -> float:
     gc.collect()
     tracemalloc.start()
     try:
-        before = tracemalloc.take_snapshot().filter_traces(NOT_COUNTED)
+        before = tracemalloc.take_snapshot()
         system = ReplicationSystem(
             topology=topology, demand=demand, config=config, seed=1
         )
-        after = tracemalloc.take_snapshot().filter_traces(NOT_COUNTED)
+        after = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
     assert len(system.nodes) == n
@@ -176,6 +170,7 @@ def test_nothing_instantiated_per_replica_or_session_has_a_dict():
         node.anti_entropy,
         node.anti_entropy.stats,
         node.anti_entropy.policy,
+        node.anti_entropy._interval_rng,
         session,
         node.fast,
         node.fast.stats,
@@ -190,6 +185,7 @@ def test_nothing_instantiated_per_replica_or_session_has_a_dict():
         "AntiEntropyAgent",
         "SessionStats",
         "DemandOrderedPolicy",
+        "DrawStream",
         "SessionState",
         "FastUpdateAgent",
         "FastUpdateStats",

@@ -11,6 +11,8 @@ whichever structure an entry landed in.
 
 from __future__ import annotations
 
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -233,7 +235,7 @@ class KernelModel:
     def check(self):
         sim = self.sim
         assert sim.pending_count() == len(self.live())
-        head, peek = self.head(), sim._peek_live()
+        head, peek = self.head(), sim._drain(-math.inf, None)[1]
         if head is None:
             assert peek is None
         else:

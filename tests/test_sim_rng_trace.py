@@ -5,10 +5,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim.rng import RngRegistry, derive_seed
+from repro.sim.rng import CHUNK, RngRegistry, derive_seed
 from repro.sim.trace import Tracer
 
 
@@ -65,6 +68,66 @@ class TestRngRegistry:
         rngs.stream("x")
         rngs.stream("y", 2)
         assert set(rngs.stream_names()) == {"x", "y/2"}
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+nonzero_rate = finite.filter(lambda lambd: lambd != 0.0)
+draw_call = st.one_of(
+    st.tuples(st.just("uniform"), st.tuples(finite, finite)),
+    st.tuples(st.just("expovariate"), st.tuples(nonzero_rate)),
+)
+
+
+def drawn(stream, calls):
+    # repr: equal bits, and a nan (inf * 0.0 where b - a overflows)
+    # compares equal to itself.
+    return [repr(getattr(stream, method)(*args)) for method, args in calls]
+
+
+class TestDrawStream:
+    """``draws(name)`` returns what ``stream(name)`` returns, value for value."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        master=st.integers(min_value=-(2**70), max_value=2**70),
+        name=st.text(min_size=1, max_size=12),
+        # A length drawn first, so most cases cross the chunk boundary.
+        calls=st.integers(0, 200).flatmap(
+            lambda n: st.lists(draw_call, min_size=n, max_size=n)
+        ),
+    )
+    def test_every_value_equals_the_generators(self, master, name, calls):
+        replay = RngRegistry(master).draws(name)
+        reference = RngRegistry(master).stream(name)
+        assert drawn(replay, calls) == drawn(reference, calls)
+
+    @pytest.mark.parametrize("count", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    def test_the_chunk_boundary_and_the_kept_generator(self, count):
+        replay = RngRegistry(7).draws("session-interval", 3)
+        reference = random.Random(derive_seed(7, "session-interval/3"))
+        for index in range(count):
+            if index % 2:
+                assert replay.expovariate(1.5) == reference.expovariate(1.5)
+            else:
+                assert replay.uniform(0.5, 1.5) == reference.uniform(0.5, 1.5)
+        if count > CHUNK:
+            assert replay._rng.getstate() == reference.getstate()
+
+    def test_a_long_stream_holds_a_generator_and_no_chunk(self):
+        replay = RngRegistry(1).draws("s")
+        assert replay._rng is None and len(replay._chunk) == CHUNK
+        for _ in range(10 * CHUNK):
+            replay.random()
+        assert replay._chunk is None
+        assert isinstance(replay._rng, random.Random)
+
+    def test_draws_are_a_fresh_replay_and_not_registered(self):
+        rngs = RngRegistry(3)
+        value = rngs.draws("a", 1).random()
+        assert rngs.draws("a", 1).random() == value == rngs.stream("a/1").random()
+        assert rngs.stream_names() == ("a/1",)
+        with pytest.raises(ValueError):
+            rngs.draws()
 
 
 class TestTracer:
