@@ -109,10 +109,13 @@ def build_node_stack(
     truncation = None
     if config.log_truncation == "max-entries":
         truncation = MaxEntries(limit=config.max_log_entries)
+    if runtime.histories is None:
+        runtime.histories = {}
     server = ReplicaServer(
         node,
         truncation=truncation,
         default_payload_bytes=config.update_payload_bytes,
+        history=runtime.histories,
     )
     if on_new_updates is not None:
         server.on_new_updates(on_new_updates)
@@ -276,10 +279,11 @@ class ReplicationSystem:
         #: the topology (ids are never reused) but no longer count
         #: toward convergence and generate no traffic.
         self.retired: Set[int] = set()
-        #: Per write, when each node first applied it: cell
-        #: ``_columns[node]`` of the row, NaN until then. Columns count
-        #: from 1 in the order nodes were built; cell 0 counts the rest.
-        self._apply_times: Dict[UpdateId, array] = {}
+        #: First application of each write per node: row ``_apply_rows[uid]``
+        #: (``len(_last_applied)`` cells), cell ``_columns[node]`` (from 1 in
+        #: build order), NaN until then; cell 0 counts the filled cells.
+        self._apply_times = array("d")
+        self._apply_rows: Dict[UpdateId, int] = {}
         self._columns: Dict[int, int] = {}
         #: When each node last applied anything, by column (cell 0 unused).
         self._last_applied = array("d", [0.0])
@@ -316,10 +320,12 @@ class ReplicationSystem:
         )
         self.servers[node] = replication_node.server
         self.nodes[node] = replication_node
-        self._columns[node] = len(self._last_applied)
+        self._columns[node] = width = len(self._last_applied)
         self._last_applied.append(0.0)
-        for row in self._apply_times.values():  # a late joiner's column
-            row.extend(_NOT_YET)
+        if self._apply_rows:  # a late joiner's column: re-stride once
+            old, self._apply_times = self._apply_times, array("d")
+            for start in range(0, len(old), width):
+                self._apply_times += old[start:start + width] + _NOT_YET
         return replication_node
 
     def start(self) -> None:
@@ -472,19 +478,22 @@ class ReplicationSystem:
 
     def _record_applied(self, node: int, updates: List[Update], source: str) -> None:
         now = self.runtime.now
-        apply_times = self._apply_times
+        times, rows = self._apply_times, self._apply_rows
+        width = len(self._last_applied)
         column = self._columns[node]
         self._last_applied[column] = now
         watching = self._watch  # empty unless run_until_replicated is waiting
         for update in updates:
             uid = update.uid
-            times = apply_times.get(uid)
-            if times is None:
-                times = apply_times[uid] = _NOT_YET * len(self._last_applied)
-                times[0] = 0.0
-            if times[column] != times[column]:  # NaN: first application here
-                times[column] = now
-                times[0] += 1.0
+            row = rows.get(uid)
+            if row is None:
+                row = rows[uid] = len(rows)
+                times.extend(_NOT_YET * width)
+                times[row * width] = 0.0
+            cell = row * width + column
+            if times[cell] != times[cell]:  # NaN: first application here
+                times[cell] = now
+                times[row * width] += 1.0
             if watching and uid in watching:
                 remaining, _ = watching[uid]
                 remaining.discard(node)
@@ -507,9 +516,16 @@ class ReplicationSystem:
             raise SimulationError(f"unknown node {node}")
         return self.servers[node].local_write(key, value)
 
+    def _row(self, uid: UpdateId) -> array:
+        """A copy of the write's apply-time row (``_NOT_YET`` if untracked)."""
+        row, width = self._apply_rows.get(uid), len(self._last_applied)
+        if row is None:
+            return _NOT_YET
+        return self._apply_times[row * width:(row + 1) * width]
+
     def apply_times(self, uid: UpdateId) -> Dict[int, float]:
         """First-application time per node for a tracked update."""
-        row = self._apply_times.get(uid, _NOT_YET)
+        row = self._row(uid)
         return {node: at for node, at in zip(self._columns, row[1:]) if at == at}
 
     def nodes_with(self, uid: UpdateId) -> Set[int]:
@@ -518,8 +534,7 @@ class ReplicationSystem:
 
     def all_have(self, uid: UpdateId) -> bool:
         if not self.retired:
-            row = self._apply_times.get(uid)
-            return row is not None and row[0] == self.topology.num_nodes
+            return self._row(uid)[0] == self.topology.num_nodes
         times = self.apply_times(uid)
         return all(n in times for n in self.active_nodes)
 

@@ -12,7 +12,10 @@ numbers its writes densely, so ``(origin, seq)`` is already an address.
 ``updates_since`` — the inner loop of every anti-entropy session (paper
 §2.1 steps 7/10) — slices per-origin suffixes in O(missing + origins)
 instead of scanning and re-sorting the whole log, which is what lets
-long-horizon runs keep a constant per-session cost as logs grow.
+long-horizon runs keep a constant per-session cost as logs grow. The
+logs of one address space share one history per origin
+(:attr:`repro.runtime.base.Runtime.histories`); each reads it cut at its
+own summary tip and copies its live slices out when it first purges.
 
 Truncation policies implement the Bayou-inspired policy family the
 paper's related-work section discusses ("how aggressively to truncate
@@ -150,19 +153,21 @@ class AckedTruncation(TruncationPolicy):
 # ---------------------------------------------------------------------------
 
 
-def _prefix_cut(prefix: List[Update], floor: int) -> int:
-    """Index of the first entry of a non-empty ``prefix`` with ``seq > floor``.
+def _prefix_slice(prefix: List[Update], floor: int, tip: int) -> List[Update]:
+    """The entries of a non-empty ``prefix`` with ``floor < seq <= tip``.
 
     A prefix is dense (entry ``i`` holds sequence ``prefix[0].seq + i``)
     unless a truncation policy purged from its middle, and the stock
-    policies only ever remove a leading run: the index is then plain
+    policies only ever remove a leading run: the cuts are then plain
     arithmetic. A holed prefix is bisected on its sequence numbers,
     listed for the occasion (``bisect``'s ``key=`` needs Python 3.10).
     """
     first = prefix[0].seq
     if prefix[-1].seq - first + 1 == len(prefix):
-        return max(0, floor - first + 1)
-    return bisect_right([update.seq for update in prefix], floor)
+        lo, hi = floor - first + 1, tip - first + 1  # clamped, not max(): hot
+        return prefix[lo if lo > 0 else 0:hi if hi > 0 else 0]
+    seqs = [update.seq for update in prefix]
+    return prefix[bisect_right(seqs, floor):bisect_right(seqs, tip)]
 
 
 class WriteLog:
@@ -172,28 +177,30 @@ class WriteLog:
     Writes beyond the prefix (delivered early by fast updates) are held
     and automatically folded into the prefix when the gap closes.
 
-    Internally each origin's prefix entries are kept as one array in
-    sequence order, so "everything the peer lacks" is a slice per
-    origin (see :func:`_prefix_cut` for where the slice starts).
+    Each origin's prefix is a list in ``seq`` order cut at the summary
+    tip (:func:`_prefix_slice`), so "everything the peer lacks" is a
+    slice per origin. Logs given one ``history`` share its lists, which
+    grow only by the next ``seq``; a first purge copies its slices out.
     """
 
-    __slots__ = ("policy", "summary", "_ahead", "_prefix",
+    __slots__ = ("policy", "summary", "_ahead", "_history",
                  "_purged_floor", "_origins_cache", "_purge_listeners",
                  "total_added", "total_purged")
 
-    def __init__(self, policy: Optional[TruncationPolicy] = None):
+    def __init__(self, policy: Optional[TruncationPolicy] = None,
+                 history: Optional[Dict[int, List[Update]]] = None):
         self.policy = policy if policy is not None else KeepAll()
         self.summary = SummaryVector()
         #: ids present but beyond the contiguous prefix, per origin
         self._ahead: Dict[int, Dict[int, Update]] = {}
-        #: per-origin prefix entries in sequence order (holes only from
-        #: mid-prefix purges)
-        self._prefix: Dict[int, List[Update]] = {}
-        self._purged_floor: Dict[int, int] = {}
-        #: memoised sorted origin list; None when an origin appeared or
-        #: vanished since the last query (per-session queries iterate
-        #: origins, so rebuilding the sort per call would tax the very
-        #: hot path the index exists for)
+        #: per-origin lists read up to the summary tip: shared until the
+        #: first purge, the log's own (holed only by purges) after it
+        self._history: Dict[int, List[Update]] = {} if history is None else history
+        self._purged_floor: Optional[Dict[int, int]] = None  # None: never purged
+        #: memoised sorted origin list; None when an origin appeared
+        #: since the last query (per-session queries iterate origins, so
+        #: rebuilding the sort per call would tax the very hot path the
+        #: index exists for)
         self._origins_cache: Optional[List[int]] = None
         #: callbacks invoked with the list of purged uids after each
         #: non-empty purge; agents keeping per-write side tables (the
@@ -223,11 +230,11 @@ class WriteLog:
     def get(self, uid: UpdateId) -> Update:
         """Return a stored update (raises for unknown or purged ids)."""
         origin, seq = uid
-        prefix = self._prefix.get(origin)
-        if prefix and seq <= prefix[-1].seq:
-            found = prefix[_prefix_cut(prefix, seq - 1)]
-            if found.seq == seq:
-                return found
+        if seq <= self.summary.get(origin):
+            line = self._history.get(origin)
+            found = _prefix_slice(line, seq - 1, seq) if line else ()
+            if found:
+                return found[0]
         else:
             ahead = self._ahead.get(origin)
             if ahead and seq in ahead:
@@ -238,14 +245,14 @@ class WriteLog:
         return self.total_added - self.total_purged
 
     def origins(self) -> List[int]:
-        """Origins with stored entries (prefix or ahead), ascending."""
+        """Origins the log has heard from (summary or ahead), ascending."""
         return list(self._sorted_origins())
 
     def _sorted_origins(self) -> List[int]:
-        """Memoised ascending origin list (callers must not mutate)."""
+        """Memoised ascending origins of summary and parked set; do not mutate."""
         cache = self._origins_cache
         if cache is None:
-            keys: Set[int] = set(self._prefix)
+            keys: Set[int] = set(self.summary.origins())
             keys.update(self._ahead)
             cache = sorted(keys)
             self._origins_cache = cache
@@ -264,10 +271,11 @@ class WriteLog:
         advances across gap-free runs. The common arrival — the next
         sequence number of an origin with nothing parked ahead — goes
         straight onto that origin's prefix; anything else is parked
-        ahead, and whatever run it completes is folded in.
+        ahead, and whatever run it completes is folded in. A shared list
+        that already reaches ``seq`` only has the tip advanced past it.
         """
         parked = self._ahead
-        prefixes = self._prefix
+        history = self._history
         tips = self.summary.own_tips()
         new: List[Update] = []
         for update in updates:
@@ -278,13 +286,14 @@ class WriteLog:
                 continue  # in the prefix, or purged from it
             ahead = parked.get(origin)
             if ahead is None:
-                prefix = prefixes.get(origin)
-                if prefix is None:
+                if next_seq == 1:
                     self._origins_cache = None  # first entry from this origin
                 if seq == next_seq:
-                    if prefix is None:
-                        prefix = prefixes[origin] = []
-                    prefix.append(update)
+                    line = history.get(origin)
+                    if line is None:
+                        history[origin] = [update]
+                    elif line[-1].seq < seq:
+                        line.append(update)
                     tips[origin] = seq
                     new.append(update)
                     continue
@@ -294,9 +303,11 @@ class WriteLog:
             ahead[seq] = update
             new.append(update)
             if next_seq in ahead:
-                prefix = prefixes.setdefault(origin, [])
+                line = history.setdefault(origin, [])
                 while next_seq in ahead:
-                    prefix.append(ahead.pop(next_seq))
+                    folded = ahead.pop(next_seq)
+                    if not line or line[-1].seq < next_seq:
+                        line.append(folded)
                     next_seq += 1
                 tips[origin] = next_seq - 1
                 if not ahead:
@@ -314,20 +325,22 @@ class WriteLog:
         seeing if some of its summary timestamps are greater than the
         corresponding ones its partner['s]".
 
-        Cost is O(missing + origins): per origin :func:`_prefix_cut`
-        locates the suffix the peer lacks, and ahead-of-prefix entries
-        (always newer than the whole prefix) are appended after it. A
-        peer whose vector equals ours — most sessions of a quiet system
-        — lacks nothing, which one dict comparison settles.
+        Cost is O(missing + origins): :func:`_prefix_slice` cuts the run
+        between the peer's tip and ours per origin, ahead-of-prefix
+        entries (always newer) follow it. An equal peer vector — most
+        sessions of a quiet system — lacks nothing: one dict comparison.
         """
         if not self._ahead and peer_summary == self.summary:
             return []
+        tips = self.summary._entries  # read only; own_tips() would detach
         missing: List[Update] = []
         for origin in self._sorted_origins():
             floor = peer_summary.get(origin)
-            prefix = self._prefix.get(origin)
-            if prefix and prefix[-1].seq > floor:
-                missing.extend(prefix[_prefix_cut(prefix, floor):])
+            tip = tips.get(origin, 0)
+            if tip > floor:
+                line = self._history.get(origin)
+                if line:
+                    missing.extend(_prefix_slice(line, floor, tip))
             ahead = self._ahead.get(origin)
             if ahead:
                 missing.extend(
@@ -337,7 +350,7 @@ class WriteLog:
 
     def can_serve(self, peer_summary: SummaryVector) -> bool:
         """False when purging removed writes the peer would need."""
-        for origin, floor in self._purged_floor.items():
+        for origin, floor in (self._purged_floor or {}).items():
             if peer_summary.get(origin) < floor:
                 return False
         return True
@@ -353,9 +366,9 @@ class WriteLog:
         """Every stored write, per-origin ordered."""
         out: List[Update] = []
         for origin in self._sorted_origins():
-            prefix = self._prefix.get(origin)
-            if prefix:
-                out.extend(prefix)
+            line = self._history.get(origin)
+            if line:
+                out.extend(_prefix_slice(line, 0, self.summary.get(origin)))
             ahead = self._ahead.get(origin)
             if ahead:
                 out.extend(ahead[seq] for seq in sorted(ahead))
@@ -374,9 +387,10 @@ class WriteLog:
             floor = vector.get(origin)
             if floor <= 0:
                 continue
-            prefix = self._prefix.get(origin)
-            if prefix:
-                out.extend([u.uid for u in prefix[: _prefix_cut(prefix, floor)]])
+            line = self._history.get(origin)
+            if line:
+                tip = min(floor, self.summary.get(origin))
+                out.extend([u.uid for u in _prefix_slice(line, 0, tip)])
             ahead = self._ahead.get(origin)
             if ahead:
                 out.extend(
@@ -391,29 +405,32 @@ class WriteLog:
 
         Only prefix entries may be purged (purging an "ahead" entry
         would corrupt gap bookkeeping); the policy's suggestions are
-        filtered accordingly.
+        filtered accordingly. The first purge to remove anything copies
+        the live slices out first: a shared list is never touched.
         """
         doomed: Dict[int, Set[int]] = {}
         for origin, seq in self.policy.purgeable(self):
             if seq <= self.summary.get(origin):  # never an ahead-of-prefix entry
                 doomed.setdefault(origin, set()).add(seq)
+        if doomed and self._purged_floor is None:
+            self._purged_floor = {}
+            self._history = {o: self._history[o][:t] for o, t in self.summary.items()}
+        history, floors = self._history, self._purged_floor
         purged_uids: List[UpdateId] = []
         # Rebuild each affected origin's prefix array once.
         for origin in sorted(doomed):
-            prefix = self._prefix.get(origin, ())
+            prefix = history.get(origin, ())
             seqs_gone = doomed[origin]
             gone = [u.uid for u in prefix if u.seq in seqs_gone]
             if not gone:
                 continue  # all purged before
             purged_uids.extend(gone)
-            if gone[-1][1] > self._purged_floor.get(origin, 0):
-                self._purged_floor[origin] = gone[-1][1]
+            if gone[-1][1] > floors.get(origin, 0):
+                floors[origin] = gone[-1][1]
             if len(gone) < len(prefix):
-                self._prefix[origin] = [u for u in prefix if u.seq not in seqs_gone]
+                history[origin] = [u for u in prefix if u.seq not in seqs_gone]
             else:
-                del self._prefix[origin]
-                if origin not in self._ahead:
-                    self._origins_cache = None  # origin fully vanished
+                del history[origin]
         self.total_purged += len(purged_uids)
         if purged_uids:
             for callback in self._purge_listeners:

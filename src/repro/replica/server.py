@@ -10,7 +10,7 @@ server. The replication agents (anti-entropy, fast update) call
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from ..errors import ReplicationError
 from .log import TruncationPolicy, Update, UpdateId, WriteLog
@@ -33,6 +33,8 @@ class ReplicaServer:
         truncation: Optional write-log truncation policy.
         default_payload_bytes: Payload size stamped on local writes
             (traffic accounting).
+        history: The per-origin history the log shares with the other
+            logs of its address space (None: a private one).
     """
 
     __slots__ = ("node", "clock", "log", "store", "default_payload_bytes",
@@ -43,12 +45,13 @@ class ReplicaServer:
         node: int,
         truncation: Optional[TruncationPolicy] = None,
         default_payload_bytes: int = 256,
+        history: Optional[Dict[int, List[Update]]] = None,
     ):
         if node < 0:
             raise ReplicationError(f"negative node id {node}")
         self.node = int(node)
         self.clock = LamportClock(self.node)
-        self.log = WriteLog(policy=truncation)
+        self.log = WriteLog(policy=truncation, history=history)
         self.store = ContentStore()
         self.default_payload_bytes = int(default_payload_bytes)
         self._next_seq = 1

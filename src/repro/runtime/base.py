@@ -269,12 +269,17 @@ class Runtime(ABC):
             :class:`~repro.demand.views.DemandView` under oracle or
             snapshot knowledge, where every node believes the same; None
             until :func:`~repro.core.system.build_node_stack` sets it.
+        histories: The deployment's one history per origin (a node id
+            is built once, so ``(origin, seq)`` names one write), which
+            every :class:`~repro.replica.log.WriteLog` reads up to its
+            own tip; None until ``build_node_stack`` creates it.
     """
 
     transport: Transport
     rng: RngRegistry
     trace: Tracer
     demand_view: Any = None
+    histories: Optional[Dict[int, List[Any]]] = None
 
     # -- clock ----------------------------------------------------------
 

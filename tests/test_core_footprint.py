@@ -11,7 +11,8 @@ idle replica occupies is gated here the way a speed would be:
   bound and do not grow with the history;
 * the objects instantiated per replica or per session carry no
   ``__dict__``, and what every node believes alike (oracle or snapshot
-  demand, an empty bridge set) is one object per system;
+  demand, an empty bridge set) or holds alike (each origin's write
+  history) is one object per system;
 * an empty closing batch, which is most of them, is not integrated;
 * a handler patched on an agent *class* before a system is built is the
   handler that system runs — what ``benchmarks/e2e/spans.py`` relies on
@@ -88,12 +89,13 @@ def test_idle_replica_is_small_and_the_system_is_linear_in_replicas(config):
 
 #: Bytes one write may cost at each replica that holds it, beside the
 #: ``Update`` itself (one per write in a simulation, shared by every
-#: log): a slot of the origin's prefix list, a cell of the system's
-#: apply-time row and, where a cascade delivered it, a byte of push
-#: depth. Measured 26; 110 to 165 (a dict steps up when it resizes)
-#: while the log, the push table and the apply-time map each hashed
-#: the write's id.
-HISTORY_BYTES_PER_REPLICA_WRITE = 40
+#: log, as is the one slot it takes in its origin's history): an 8 B
+#: cell of the system's apply-time matrix and, where a cascade delivered
+#: it, a byte of push depth. Measured 14 to 17; 26 while each log kept a prefix
+#: list of its own and each write an apply-time row with its own
+#: ``array`` header; 110 to 165 (a dict steps up when it resizes) while
+#: the log, the push table and the apply-time map each hashed the id.
+HISTORY_BYTES_PER_REPLICA_WRITE = 20
 
 #: Where an ``Update`` and what hangs off it are allocated: the server's
 #: ``local_write``, the dataclass ``__init__`` and ``cached_property``.
@@ -157,6 +159,28 @@ def small_system(config=None, n: int = 5) -> ReplicationSystem:
     return ReplicationSystem(
         topology=line(n), demand=demand, config=config or fast_consistency(), seed=4
     )
+
+
+def test_every_log_of_a_system_reads_one_history_per_origin():
+    system = small_system()
+    system.start()
+    for node in (0, 2, 2, 4):
+        system.inject_write(node)
+    system.run_until(20.0)
+    histories = system.runtime.histories
+    # One list per origin that wrote, dense from seq 1.
+    assert {origin: [u.seq for u in line] for origin, line in histories.items()} == {
+        0: [1], 2: [1, 2], 4: [1]
+    }
+    for server in system.servers.values():
+        log = server.log
+        assert log._history is histories  # a keep-all log holds no list of its own
+        assert len(log) == 4
+        for line in histories.values():
+            for update in line:
+                assert system.all_have(update.uid)
+                assert log.get(update.uid) is update
+    assert small_system().runtime.histories is not histories  # per system
 
 
 def test_nothing_instantiated_per_replica_or_session_has_a_dict():

@@ -55,14 +55,18 @@ class OneAtATimeLog(WriteLog):
     batch path (every write parked in ``_ahead`` first, then folded),
     ``updates_since`` / ``covered_ids`` exactly as they were while the
     log kept ``_prefix_seqs``, a sorted array of sequence numbers beside
-    each prefix, and bisected it, and ``has`` / ``get`` / ``len`` /
-    ``purge`` exactly as they were while it kept ``_entries``, a dict
-    from uid to update. The array and the dict are this class's own now."""
+    each prefix, and bisected it, ``has`` / ``get`` / ``len`` / ``purge``
+    exactly as they were while it kept ``_entries``, a dict from uid to
+    update, and ``all_updates`` as it was while each log kept ``_prefix``,
+    lists of its own holding exactly its prefix. The array and the three
+    dicts are this class's own now."""
 
     def __init__(self, policy=None):
         super().__init__(policy)
+        self._prefix = {}
         self._prefix_seqs = {}
         self._entries = {}
+        self._purged_floor = {}
 
     def has(self, uid) -> bool:
         return uid in self._entries or uid[1] <= self._purged_floor.get(uid[0], 0)
@@ -123,6 +127,15 @@ class OneAtATimeLog(WriteLog):
             if ahead:
                 missing.extend(ahead[seq] for seq in sorted(ahead) if seq > floor)
         return missing
+
+    def all_updates(self) -> List[Update]:
+        out: List[Update] = []
+        for origin in self.origins():
+            out.extend(self._prefix.get(origin, ()))
+            ahead = self._ahead.get(origin)
+            if ahead:
+                out.extend(ahead[seq] for seq in sorted(ahead))
+        return out
 
     def covered_ids(self, vector: SummaryVector):
         out = []
@@ -277,7 +290,7 @@ class TestOneSharedUidPerWrite:
         update = system.inject_write(node=0, key="k", value="v")
         assert system.run_until_replicated(update.uid, max_time=50.0) is not None
         uid = update.uid
-        (tracked,) = [key for key in system._apply_times if key == uid]
+        (tracked,) = [key for key in system._apply_rows if key == uid]
         assert tracked is uid
         pushed = 0
         for node in system.nodes.values():
@@ -295,16 +308,7 @@ class TestOneSharedUidPerWrite:
 
 def walk(log: WriteLog, peer: SummaryVector) -> List[Update]:
     """``updates_since`` without the equal-summaries shortcut."""
-    missing: List[Update] = []
-    for origin in log.origins():
-        floor = peer.get(origin)
-        seqs = [u.seq for u in log._prefix.get(origin, ())]
-        if seqs and seqs[-1] > floor:
-            missing.extend(log._prefix[origin][bisect_right(seqs, floor):])
-        ahead = log._ahead.get(origin)
-        if ahead:
-            missing.extend(ahead[seq] for seq in sorted(ahead) if seq > floor)
-    return missing
+    return [u for u in log.all_updates() if u.seq > peer.get(u.origin)]
 
 
 def filled_log(with_ahead: bool) -> WriteLog:
@@ -406,7 +410,7 @@ class TestPrefixIndexIsTheBisect:
             log.add_all(batch)
             oracle.add_all(batch)
             assert log.purge() == oracle.purge()
-            for prefix in log._prefix.values():
+            for prefix in log._history.values():
                 assert [u.seq for u in prefix] == list(
                     range(prefix[0].seq, prefix[0].seq + len(prefix))
                 )
@@ -416,7 +420,7 @@ class TestPrefixIndexIsTheBisect:
         log = WriteLog(policy=PurgeThese([(0, 3)]))
         log.add_all([make_update(0, seq) for seq in range(1, 7)])
         assert log.purge() == 1
-        assert [u.seq for u in log._prefix[0]] == [1, 2, 4, 5, 6]  # not dense
+        assert [u.seq for u in log._history[0]] == [1, 2, 4, 5, 6]  # not dense
         since = {
             floor: [u.seq for u in log.updates_since(SummaryVector({0: floor}))]
             for floor in range(7)

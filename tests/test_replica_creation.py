@@ -155,6 +155,23 @@ class TestAddReplica:
         assert system.servers[100].has_update(update.uid)
         assert system.servers[100].store.value("old") == "v1"
 
+    def test_a_late_joiner_gets_a_column_in_every_apply_time_row(self):
+        system = self.make_system()
+        system.start()
+        old = [system.inject_write(node, key=f"k{node}") for node in (0, 3)]
+        for update in old:
+            system.run_until_replicated(update.uid, max_time=60.0)
+        before = [system.apply_times(update.uid) for update in old]
+        system.add_replica(100, attach_to=[0, 2])
+        new = system.inject_write(100, key="new")
+        assert system.run_until_replicated(new.uid, max_time=80.0) is not None
+        for update, times in zip(old, before):
+            after = system.apply_times(update.uid)
+            assert after.pop(100) >= max(times.values())
+            assert after == times  # the re-stride moved no earlier cell
+            assert system.all_have(update.uid)
+        assert set(system.apply_times(new.uid)) == set(system.servers)
+
     def test_new_replica_participates_afterwards(self):
         system = self.make_system()
         system.start()

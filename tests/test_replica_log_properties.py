@@ -13,6 +13,13 @@ The log then dropped its map from uid to entry: ``has``, ``get`` and
 counters. The second half replays ``add_all`` / ``purge`` histories —
 with purges that punch holes mid-prefix and arrivals parked ahead —
 against the dict-backed oracle of ``test_replica_batch_path.py``.
+
+Then the logs of one address space began to share one history per
+origin, each reading it up to its own summary tip. The last part drives
+two or three logs over one history dict, tips leading and trailing each
+other, one of them purging (and so copying out), and checks each against
+an oracle with lists of its own, and the shared lists for density and
+for never having been shortened.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_replica_batch_path import OneAtATimeLog
+from test_replica_batch_path import OneAtATimeLog, PurgeThese
 
 from repro.errors import ReplicationError
 from repro.replica.log import (
@@ -291,3 +298,89 @@ class TestLogWithoutUidMapAgreesWithDictBackedOracle:
         ]
         assert log.summary.get(0) == 7
         assert len(log) == 6
+
+
+# -- logs sharing one history == logs with lists of their own -------------------
+
+
+uids = st.tuples(st.integers(0, 3), st.integers(1, 12))
+
+#: Steps against two or three logs over one history dict: any batch to any
+#: log; a run bringing one log's tip for an origin up to a given seq, so
+#: that the logs' tips lead and trail each other; and a purge of the last
+#: log, by the oldest timestamps (holes, tails, leading runs) or by id.
+shared_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(0, 2), st.lists(uids, max_size=8)),
+        st.tuples(
+            st.just("run"), st.integers(0, 2), st.integers(0, 3), st.integers(1, 12)
+        ),
+        st.tuples(
+            st.just("purge"),
+            st.one_of(
+                st.integers(0, 10).map(lambda limit: MaxEntries(limit=limit)),
+                st.lists(uids, max_size=6).map(PurgeThese),
+            ),
+        ),
+    ),
+    max_size=40,
+)
+
+
+class TestLogsSharingOneHistoryAgreeWithPrivateOracles:
+    @given(
+        st.integers(2, 3),
+        shared_steps,
+        st.lists(summary_entries.map(SummaryVector), max_size=3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_staggered_tips_and_a_log_that_copies_out(self, count, steps, peers):
+        shared: Dict[int, List[Update]] = {}
+        writes: Dict[UpdateId, Update] = {}  # one object per write, as in one runtime
+        logs = [WriteLog(history=shared) for _ in range(count)]
+        oracles = [OneAtATimeLog() for _ in range(count)]
+        heard: List[list] = [[] for _ in range(count)]
+        oracle_heard: List[list] = [[] for _ in range(count)]
+        for index in range(count):
+            logs[index].on_purge(heard[index].append)
+            oracles[index].on_purge(oracle_heard[index].append)
+        seen: Dict[int, List[Update]] = {}
+        for step in steps:
+            if step[0] == "purge":
+                log, oracle = logs[-1], oracles[-1]
+                log.policy = oracle.policy = step[1]
+                assert log.policy.purgeable(log) == oracle.policy.purgeable(oracle)
+                assert log.purge() == oracle.purge()
+            else:
+                if step[0] == "add":
+                    index, pairs = step[1] % count, step[2]
+                else:
+                    index, origin, upto = step[1] % count, step[2], step[3]
+                    pairs = [(origin, seq) for seq in range(1, upto + 1)]
+                batch = [
+                    writes.setdefault(uid, scrambled_update(*uid)) for uid in pairs
+                ]
+                assert logs[index].add_all(batch) == oracles[index].add_all(batch)
+            vectors = [*peers, *(log.summary.copy() for log in logs)]
+            for index in range(count):
+                assert_same_store(logs[index], oracles[index], vectors)
+                assert heard[index] == oracle_heard[index]
+            # A shared list is only ever appended to, with the next seq.
+            for origin, line in shared.items():
+                assert [u.seq for u in line] == list(range(1, len(line) + 1))
+                before = seen.get(origin, [])
+                assert len(line) >= len(before)
+                assert all(now is then for now, then in zip(line, before))
+                seen[origin] = list(line)
+            # A log that never purged holds no list of its own; one that
+            # purged holds none of the shared ones.
+            for log in logs:
+                if log._purged_floor is None:
+                    assert log._history is shared
+                else:
+                    assert log._history is not shared
+                    assert all(
+                        line is not shared.get(origin)
+                        for origin, line in log._history.items()
+                    )
+        assert all(log._history is shared for log in logs[:-1])
