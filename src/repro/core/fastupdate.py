@@ -19,15 +19,22 @@ offer is ever made and the system degrades to plain weak consistency,
 exactly the worst case §8 describes. The ``always`` rule (ablation)
 offers to the top-``fanout`` neighbours unconditionally.
 
+Targets come from the node's :class:`~repro.demand.views.NeighborRanking`
+— the one its demand-ordered partner selection keeps — which is rebuilt
+only when beliefs or neighbours move, so choosing them is a walk down a
+ready order: skip the sender, stop at the first neighbour no higher than
+this node (``downhill``), take ``fanout``.
+
 Island bridging (§6) plugs in through ``extra_targets``: overlay peers
 (other island leaders) always receive offers regardless of demand.
 """
 
 from __future__ import annotations
 
+from math import inf
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional
 
-from ..demand.views import DemandView
+from ..demand.views import NeighborRanking
 from ..errors import ReplicationError
 from ..replica.log import Update, UpdateId
 from ..replica.messages import FastUpdateOffer, FastUpdatePayload, FastUpdateReply
@@ -70,14 +77,14 @@ class FastUpdateAgent:
         server: The local replica (the agent registers itself as a
             new-updates listener).
         config: Protocol switches (rule, fanout).
-        view: Believed demand of other nodes.
+        ranking: This node's neighbours ordered by believed demand.
         own_demand: Zero-arg callable returning this node's current true
             demand (a server always knows its own request rate).
         extra_targets: Overlay peers that always receive offers
             (island-leader bridges).
     """
 
-    __slots__ = ("runtime", "transport", "server", "config", "view",
+    __slots__ = ("runtime", "transport", "server", "config", "ranking",
                  "own_demand", "node", "extra_targets", "stats", "_push_depth")
 
     def __init__(
@@ -85,7 +92,7 @@ class FastUpdateAgent:
         runtime: Runtime,
         server: ReplicaServer,
         config: ProtocolConfig,
-        view: DemandView,
+        ranking: NeighborRanking,
         own_demand: Callable[[], float],
         extra_targets: Iterable[int] = (),
     ):
@@ -93,7 +100,7 @@ class FastUpdateAgent:
         self.transport = runtime.transport
         self.server = server
         self.config = config
-        self.view = view
+        self.ranking = ranking
         self.own_demand = own_demand
         self.node = server.node
         #: Immutable, so every node without bridges shares one empty set;
@@ -137,16 +144,24 @@ class FastUpdateAgent:
             self._offer(target, entries, depth)
 
     def _choose_targets(self, sender: Optional[int]) -> List[int]:
-        neighbors = [
-            n for n in self.transport.physical_neighbors(self.node) if n != sender
-        ]
-        ranked = self.view.rank(neighbors)
-        if self.config.push_rule == PUSH_DOWNHILL:
-            mine = self.own_demand()
-            ranked = [n for n in ranked if self.view.demand_of(n) > mine]
-        elif self.config.push_rule != PUSH_ALWAYS:
-            raise ReplicationError(f"unknown push rule {self.config.push_rule!r}")
-        targets = ranked[: self.config.fast_fanout]
+        ranking = self.ranking
+        order = ranking.rank(self.transport.physical_neighbors(self.node))
+        config = self.config
+        if config.push_rule == PUSH_DOWNHILL:
+            floor = self.own_demand()
+        elif config.push_rule == PUSH_ALWAYS:
+            floor = -inf
+        else:
+            raise ReplicationError(f"unknown push rule {config.push_rule!r}")
+        fanout = config.fast_fanout
+        targets = []
+        for neighbor, demand in zip(order, ranking.demands):
+            if demand <= floor:
+                break  # the rest are lower still
+            if neighbor != sender:
+                targets.append(neighbor)
+                if len(targets) == fanout:
+                    break
         for extra in sorted(self.extra_targets):
             if extra != sender and extra not in targets:
                 targets.append(extra)

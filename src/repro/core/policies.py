@@ -10,15 +10,17 @@ current beliefs at every step (the B-D, B-C', B-A' sequence of Fig. 4).
 A policy instance belongs to one node and may keep state (the position
 in the current cycle). Policies read believed demand through a
 :class:`repro.demand.views.DemandView`, so the same policy code serves
-the oracle, snapshot and advertised knowledge models.
+the oracle, snapshot and advertised knowledge models. The ordered policy
+re-ranks only when beliefs or neighbours have moved (the view's epoch,
+the neighbour tuple), which is when a re-rank can change the answer.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Set
+from typing import Optional, Sequence, Set, Tuple
 
-from ..demand.views import DemandView
+from ..demand.views import DemandView, NeighborRanking
 from ..errors import ConfigurationError
 from .config import (
     POLICY_DEMAND,
@@ -60,37 +62,62 @@ class RandomPolicy(PartnerSelectionPolicy):
         return self._rng.choice(list(neighbors))
 
 
-class DemandOrderedPolicy(PartnerSelectionPolicy):
+class DemandOrderedPolicy(NeighborRanking, PartnerSelectionPolicy):
     """The paper's ordered selection (optimisations in §2 and §4).
 
-    Keeps the set of neighbours already visited in the current cycle;
-    each call picks the highest-believed-demand neighbour *not yet
-    visited*, re-ranking against the view's current beliefs. When every
-    neighbour has been visited the cycle restarts. Because ranking
-    happens at selection time, the same policy implements both the
-    static §2 behaviour (beliefs never change) and the dynamic §4
+    Each call picks the highest-believed-demand neighbour *not yet
+    visited* in the current cycle, against the view's current beliefs.
+    When every neighbour has been visited the cycle restarts. Because the
+    choice is made at selection time, the same policy implements both
+    the static §2 behaviour (beliefs never change) and the dynamic §4
     behaviour (beliefs shift between selections).
+
+    The policy is its node's :class:`NeighborRanking`, which the
+    fast-update push reads too. While that order holds, the neighbours
+    visited this cycle are a prefix of it, so a cursor is the whole cycle
+    state. Only when the order moves mid-cycle does the visited prefix
+    become a set, kept until the visited neighbours are again a prefix of
+    the order.
     """
 
-    __slots__ = ("_view", "_visited")
+    __slots__ = ("_walked", "_cursor", "_visited")
 
     def __init__(self, view: DemandView):
-        self._view = view
-        self._visited: Set[int] = set()
+        super().__init__(view)
+        self.reset()
 
     def select(self, neighbors: Sequence[int]) -> Optional[int]:
         if not neighbors:
             return None
-        remaining = [n for n in neighbors if n not in self._visited]
-        if not remaining:
-            self._visited.clear()
-            remaining = list(neighbors)
-        choice = self._view.rank(remaining)[0]
-        self._visited.add(choice)
+        order = self.rank(neighbors)
+        cursor = self._cursor
+        if self._visited is None:
+            walked = self._walked
+            if order is walked or order[:cursor] == walked[:cursor]:
+                if cursor == len(order):
+                    cursor = 0
+                self._walked = order
+                self._cursor = cursor + 1
+                return order[cursor]
+            self._visited = set(walked[:cursor])
+        visited = self._visited
+        for index, choice in enumerate(order):
+            if choice not in visited:
+                break
+        else:  # every neighbour visited: a new cycle
+            visited.clear()
+            index, choice = 0, order[0]
+        visited.add(choice)
+        if len(visited) == index + 1:  # exactly order[:index + 1] again
+            self._walked, self._cursor, self._visited = order, index + 1, None
         return choice
 
     def reset(self) -> None:
-        self._visited.clear()
+        #: The order whose first ``_cursor`` entries are this cycle's
+        #: visits, unless ``_visited`` holds them.
+        self._walked: Tuple[int, ...] = ()
+        self._cursor = 0
+        self._visited: Optional[Set[int]] = None
 
 
 class RoundRobinPolicy(PartnerSelectionPolicy):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from ..demand.advertisement import DemandAdvert, DemandAdvertiser
-from ..demand.views import DemandView
+from ..demand.views import DemandView, NeighborRanking
 from ..errors import ReplicationError
 from ..replica.messages import (
     FastUpdateOffer,
@@ -91,7 +91,8 @@ class ReplicationNode:
             ``runtime.transport``.
         server: The replica state machine.
         config: Protocol variant switches.
-        policy: Partner-selection policy instance (node-local state).
+        policy: Partner-selection policy instance (node-local state),
+            reading ``view`` where it reads demand.
         view: Believed demand of other nodes.
         own_demand: Callable returning this node's current true demand.
         advertiser: Optional demand advertiser (advertised knowledge).
@@ -124,8 +125,13 @@ class ReplicationNode:
         )
         self.fast: Optional[FastUpdateAgent] = None
         if config.fast_update:
+            # One ranking per node: a demand-ordered policy is one, so the
+            # push reads the order partner selection keeps.
+            ranking = (
+                policy if isinstance(policy, NeighborRanking) else NeighborRanking(view)
+            )
             self.fast = FastUpdateAgent(
-                runtime, server, config, view, own_demand
+                runtime, server, config, ranking, own_demand
             )
         self.advertiser = advertiser
         #: A shared table until something adds a route at this node,

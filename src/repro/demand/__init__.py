@@ -45,6 +45,7 @@ from .static import (
 from .views import (
     DemandTable,
     DemandView,
+    NeighborRanking,
     OracleDemandView,
     SnapshotDemandView,
     TableDemandView,
@@ -77,6 +78,7 @@ __all__ = [
     "FIG4_REPLICAS",
     # views
     "DemandView",
+    "NeighborRanking",
     "OracleDemandView",
     "SnapshotDemandView",
     "TableDemandView",

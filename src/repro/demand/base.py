@@ -4,6 +4,13 @@
 receives per unit of time (§2). Everything the algorithms see of demand
 goes through :class:`DemandModel.demand(node, time)`, so static and
 time-varying models are interchangeable.
+
+A model that sets ``time_invariant`` promises that ``demand(node, t)``
+never depends on ``t`` and never changes after construction. Views then
+give its beliefs one epoch for ever (:mod:`repro.demand.views`), and
+nodes rank their neighbours once, so mutating such a model mid-run (say,
+``ExplicitDemand.table``) is unsupported: wrap it in a time-varying
+model instead. Every model defaults to ``False``, which is always safe.
 """
 
 from __future__ import annotations
@@ -15,6 +22,9 @@ from ..errors import DemandError
 
 class DemandModel:
     """Base class: a (node, time) -> requests-per-time-unit function."""
+
+    #: True: values fixed at construction (see the module docstring).
+    time_invariant = False
 
     def demand(self, node: int, time: float) -> float:
         """Demand of ``node`` at simulated ``time`` (requests per unit)."""

@@ -3,7 +3,8 @@
 The paper's §5 simulations assign each replica a random demand; these
 models cover that (uniform random), the heavy-tailed reality it stands
 in for (Zipf), and the explicit per-node tables used by the worked
-examples in §2-§4.
+examples in §2-§4. Each declares ``time_invariant``: its values are
+fixed at construction, so a table is not to be edited mid-run.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ class ExplicitDemand(DemandModel):
     Used by the paper's worked examples (e.g. §2: A=4, B=6, C=3, D=8,
     E=7). Unknown nodes default to ``default`` (0 unless overridden).
     """
+
+    time_invariant = True
 
     def __init__(self, table: Mapping[int, float], default: float = 0.0):
         self.table = {
@@ -41,6 +44,8 @@ class ConstantDemand(DemandModel):
     consistency algorithm."
     """
 
+    time_invariant = True
+
     def __init__(self, value: float = 1.0):
         self.value = validate_demand_value(value, -1)
 
@@ -54,6 +59,8 @@ class UniformRandomDemand(DemandModel):
     Per-node values are derived deterministically from the seed, so the
     same node always sees the same demand regardless of query order.
     """
+
+    time_invariant = True
 
     def __init__(self, low: float = 0.0, high: float = 100.0, seed: int = 0):
         if low < 0 or high < low:
@@ -81,6 +88,8 @@ class ZipfDemand(DemandModel):
     hot-spots land at random topology positions (like the paper's random
     assignment) while the value distribution is heavy-tailed.
     """
+
+    time_invariant = True
 
     def __init__(
         self,

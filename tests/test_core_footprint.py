@@ -230,8 +230,9 @@ def test_one_demand_view_per_system_where_every_node_believes_the_same(config):
     system = small_system(config)
     (view,) = {id(node.view) for node in system.nodes.values()}
     for node in system.nodes.values():
-        assert id(node.anti_entropy.policy._view) == view
-        assert id(node.fast.view) == view
+        assert id(node.anti_entropy.policy.view) == view
+        # The push reads the ranking partner selection keeps.
+        assert node.fast.ranking is node.anti_entropy.policy
     other = small_system(config)
     assert id(other.nodes[0].view) != view  # per system, not per process
 

@@ -13,6 +13,7 @@ from repro.demand.dynamic import ScheduledDemand
 from repro.demand.static import ConstantDemand, ExplicitDemand
 from repro.demand.views import (
     DemandTable,
+    NeighborRanking,
     OracleDemandView,
     SnapshotDemandView,
     TableDemandView,
@@ -44,7 +45,9 @@ class TestViews:
         view = SnapshotDemandView(
             ExplicitDemand({0: 4.0, 1: 6.0, 2: 3.0, 3: 8.0, 4: 7.0}), nodes=range(5)
         )
-        assert view.rank([0, 1, 2, 3, 4]) == [3, 4, 1, 0, 2]
+        ranking = NeighborRanking(view)
+        assert ranking.rank([0, 1, 2, 3, 4]) == (3, 4, 1, 0, 2)
+        assert ranking.demands == (8.0, 7.0, 6.0, 4.0, 3.0)
 
     def test_table_view_reads_table(self):
         table = DemandTable(default=0.0)

@@ -9,17 +9,17 @@ trusting a single wall-clock race.
 from __future__ import annotations
 
 import asyncio
-import statistics
 
 import pytest
 
 from repro.errors import ConfigurationError, ReplicationError, SimulationError
+from repro.core.system import build_node_stack
 from repro.demand.static import ExplicitDemand
 from repro.runtime import Runtime
 from repro.runtime.cluster import ReplicaCluster
 from repro.runtime.live import AsyncioRuntime, AsyncioTransport
 from repro.core.variants import fast_consistency, weak_consistency
-from repro.sim.network import DistanceLatency
+from repro.sim.network import DistanceLatency, FixedLatency
 from repro.sim.trace import Tracer
 from repro.topology.graph import Topology
 from repro.topology.simple import ring, star
@@ -192,6 +192,9 @@ class _ManualLoop:
         self.timers.append(self._Handle(when, callback))
         return self.timers[-1]
 
+    def call_later(self, delay, callback):
+        return self.call_at(self.now + delay, callback)
+
     def live_timers(self):
         return [h.when for h in self.timers if not h.cancelled]
 
@@ -207,11 +210,11 @@ class _ManualLoop:
         self.now = to
 
 
-def _manual_runtime(monkeypatch, **kwargs):
+def _manual_runtime(monkeypatch, seed=1, **kwargs):
     """An AsyncioRuntime bound to a :class:`_ManualLoop` (1 unit = 1 ms)."""
     loop = _ManualLoop()
     monkeypatch.setattr(asyncio, "get_running_loop", lambda: loop)
-    runtime = AsyncioRuntime(seed=1, time_scale=0.001, **kwargs)
+    runtime = AsyncioRuntime(seed=seed, time_scale=0.001, **kwargs)
     runtime.start()
     return runtime, loop
 
@@ -404,6 +407,67 @@ class TestDeliveryHeap:
 _STAR_DEMAND = {0: 1.0, 1: 10.0, 2: 0.1, 3: 0.1, 4: 0.1}
 
 
+class TestHotFirst:
+    @pytest.mark.parametrize("seed", [1, 2, 3, 10])
+    def test_fast_ordering_high_demand_first(self, monkeypatch, seed):
+        """Acceptance: a write cascades with fast-consistency ordering —
+        the high-demand replica applies it ahead of every cold one, in
+        every round, on any session schedule.
+
+        The stacks are the live cluster's (``build_node_stack`` over an
+        ``AsyncioTransport``) on a hand-cranked loop, so every instant is
+        exact. Each write lands while the writer has no session open: a
+        cold leaf mid-session with it would pull the write in that
+        session's batch, a hop ahead of the three-hop push. A session
+        opened later is at least as many hops behind the push."""
+        runtime, loop = _manual_runtime(monkeypatch, seed=seed)
+        topology = star(5)
+        config = fast_consistency(link_delay=0.005)
+        transport = AsyncioTransport(
+            runtime, topology, latency=FixedLatency(config.link_delay)
+        )
+        runtime.transport = transport
+        applied = {}
+
+        def recorder(node):
+            def record(updates, source, sender):
+                for update in updates:
+                    applied.setdefault(update.uid, {}).setdefault(node, runtime.now)
+
+            return record
+
+        stacks = {
+            node: build_node_stack(
+                runtime, topology, ExplicitDemand(_STAR_DEMAND), config, node,
+                on_new_updates=recorder(node),
+            )
+            for node in topology.nodes
+        }
+        transport.start_pumps()
+        for stack in stacks.values():
+            stack.start()
+
+        def crank(units):
+            loop.advance(loop.now + units * runtime.time_scale)
+
+        writer = stacks[0]
+        for sequence in range(6):
+            crank(1.0)
+            while writer.anti_entropy._sessions:
+                crank(0.01)
+            update = writer.server.local_write("k", f"v{sequence}")
+            for _ in range(300):
+                if len(applied.get(update.uid, ())) == len(stacks):
+                    break
+                crank(0.1)
+            times = applied[update.uid]
+            assert len(times) == len(stacks)
+            hot = times[1] - times[0]
+            cold = [times[n] - times[0] for n in (2, 3, 4)]
+            assert hot < min(cold), (sequence, hot, cold)
+            assert hot == pytest.approx(3 * config.link_delay)  # offer, reply, payload
+
+
 class TestReplicaCluster:
     def test_put_reaches_every_replica(self):
         with ReplicaCluster(nodes=8, seed=5, time_scale=0.01) as cluster:
@@ -415,42 +479,6 @@ class TestReplicaCluster:
                 assert cluster.get("k", node=node) == "v"
             latency = cluster.replication_latency(update.uid)
             assert latency is not None and latency > 0.0
-
-    def test_fast_ordering_high_demand_first(self):
-        """Acceptance: a put() cascades with fast-consistency ordering —
-        the high-demand replica applies it ahead of the cold ones."""
-        topo = star(5)
-        demand = ExplicitDemand(_STAR_DEMAND)
-        config = fast_consistency(link_delay=0.005)
-        hot_leads = 0
-        rounds = 6
-        # A cold leaf that is mid-session with the writer when a put
-        # lands pulls the write in that session's batch, a hop ahead of
-        # the push: the per-round ordering holds on a session schedule
-        # where that does not happen, and the seed picks the schedule.
-        # One link hop is 1 ms here, the loop's timer granularity, so the
-        # three-hop push is not stretched to a third of a session wait.
-        with ReplicaCluster(
-            topo, config=config, demand=demand, seed=10, time_scale=0.05
-        ) as cluster:
-            hot_gaps = []
-            cold_gaps = []
-            for sequence in range(rounds):
-                update = cluster.put("k", f"v{sequence}", node=0)
-                assert cluster.wait_replicated(update.uid, timeout=30.0)
-                times = cluster.apply_times(update.uid)
-                t0 = times[0]
-                hot = times[1] - t0
-                cold = [times[n] - t0 for n in (2, 3, 4)]
-                hot_gaps.append(hot)
-                cold_gaps.extend(cold)
-                if hot < min(cold):
-                    hot_leads += 1
-        # The push beats session-paced anti-entropy essentially always;
-        # allow one wall-clock fluke in the per-round ordering but
-        # require an unambiguous aggregate gap.
-        assert hot_leads >= rounds - 1, (hot_gaps, cold_gaps)
-        assert statistics.mean(hot_gaps) < statistics.mean(cold_gaps) / 3
 
     def test_weak_variant_also_converges(self):
         with ReplicaCluster(
