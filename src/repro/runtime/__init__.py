@@ -7,13 +7,18 @@ depends only on the narrow interfaces defined here:
 * :class:`Clock` / :class:`Transport` / :class:`Runtime` — the port
   (:mod:`repro.runtime.base`);
 * :class:`LinkModel` — the one place that decides whether and how a
-  message is carried, and where faults are injected; every transport
-  owns one (:mod:`repro.runtime.linkstate`);
+  message is carried, and where faults are injected — and
+  :class:`Channel`, the one send path that owns a model and acts on its
+  verdict (:mod:`repro.runtime.linkstate`).  Every transport is a
+  channel; the worlds differ only in the scheduling port each binds
+  once, i.e. in how a carried message waits out its delay;
 * :class:`SimRuntime` — discrete-event adapter over the existing
   :class:`~repro.sim.engine.Simulator` and
-  :class:`~repro.sim.network.Network` (bit-identical traces);
+  :class:`~repro.sim.network.Network`, the channel on simulator events
+  (bit-identical traces);
 * :class:`AsyncioRuntime` / :class:`AsyncioTransport` — wall-clock
-  adapter, in process: one delivery heap, direct handler calls;
+  adapter, in process: the channel on one delivery heap, direct
+  handler calls;
 * :class:`ReplicaCluster` — the live client-facing API
   (``put`` / ``get`` / ``stats``) on top of ``AsyncioRuntime``.
 
@@ -32,7 +37,7 @@ from .base import (
     TopicBus,
     Transport,
 )
-from .linkstate import LinkModel
+from .linkstate import Channel, LinkModel
 from .simulation import SimRuntime
 
 #: Names resolved lazily from the asyncio-backed modules.
@@ -55,6 +60,7 @@ __all__ = [
     "MessageHandler",
     "FaultInjector",
     "LinkModel",
+    "Channel",
     # adapters
     "SimRuntime",
     "AsyncioRuntime",

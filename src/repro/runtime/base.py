@@ -5,9 +5,9 @@ demand advertisements) is pure message-driven logic.  Everything it
 needs from the outside world fits three small contracts:
 
 * :class:`Clock` — read the current time, schedule/cancel callbacks;
-* :class:`Transport` — send messages between nodes, register per-node
-  delivery handlers, enumerate neighbours (links carry latency and may
-  lose messages);
+* :class:`Transport` — send one-hop messages between nodes, register
+  per-node delivery handlers, enumerate neighbours (links carry latency
+  and may lose messages);
 * :class:`Runtime` — the facade the protocol stack is actually handed:
   it *is* a clock, owns a transport, and hosts the cross-cutting
   services every deployment needs (named RNG streams, structured
@@ -112,21 +112,20 @@ class Transport(Protocol):
 
     Links have per-hop latency (a :class:`~repro.sim.network.LatencyModel`)
     and may drop messages; every send is metered through ``counters``.
+    Every transport in the tree is a
+    :class:`~repro.runtime.linkstate.Channel`: one send path, whatever
+    the world.
     """
 
     #: The link graph (``nodes`` / ``neighbors`` / ``has_edge`` /
     #: ``edge_weight``) the transport routes over.
     topology: Any
 
-    #: Traffic meters (a :class:`~repro.sim.network.TrafficCounters`).
+    #: Traffic meters (a :class:`~repro.runtime.linkstate.TrafficCounters`).
     counters: Any
 
     def send(self, src: int, dst: int, message: object) -> bool:
         """One-hop send; True if the message entered the channel."""
-        ...
-
-    def broadcast(self, src: int, message: object) -> int:
-        """Send to every physical neighbour; returns sends accepted."""
         ...
 
     def attach(self, node: int, handler: MessageHandler) -> None:

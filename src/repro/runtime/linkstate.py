@@ -1,30 +1,33 @@
-"""The link model: the one place that decides whether and how a message
-is carried.
+"""The channel: the one place that decides whether and how a message is
+carried, and the one send path that acts on the answer.
 
 Every transport — the simulator's :class:`~repro.sim.network.Network`,
 the in-process :class:`~repro.runtime.live.AsyncioTransport` and the
-socket-backed :class:`~repro.runtime.tcp.TcpTransport` — owns one
-:class:`LinkModel` (its ``links`` attribute) and asks it, on every send,
-the single question :meth:`LinkModel.decide` answers: is this message
-refused, lost, corrupted or carried, after what delay, and did the
-channel reorder or duplicate it?  The model holds everything that answer
-depends on — crash / failed-link / partition state, the loss
-probability, the latency model, the windowed packet-level faults and the
-named RNG stream all of them draw from — and it is also the fault
-surface: a fault injector mutates the model, never the transport.  So
-one :class:`~repro.faults.schedule.FaultSchedule` means the same thing
-in every execution world by construction, not by keeping copies in step.
+socket-backed :class:`~repro.runtime.tcp.TcpTransport` — is a
+:class:`Channel`, which owns one :class:`LinkModel` (its ``links``
+attribute) and asks it, on every send, the single question
+:meth:`LinkModel.decide` answers: is this message refused, lost,
+corrupted or carried, after what delay, and did the channel reorder or
+duplicate it?  The model holds everything that answer depends on —
+crash / failed-link / partition state, the loss probability, the latency
+model, the windowed packet-level faults and the named RNG stream all of
+them draw from — and it is also the fault surface: a fault injector
+mutates the model, never the transport.  So one
+:class:`~repro.faults.schedule.FaultSchedule` means the same thing in
+every execution world by construction, not by keeping copies in step.
 
-The transports keep what differs between worlds: how a carried message
-waits out its delay (a simulator event, a delivery heap, a socket) and
-how a verdict is metered and traced.
+The worlds now differ only in how a carried message waits out its
+delay: the ``schedule(delay, callback, *args)`` port each binds once —
+a simulator event or the live delivery heap, and on TCP a socket after.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..errors import FaultError, SimulationError
+from .base import MessageHandler
 from ..faults.schedule import (
     ACTION_CORRUPT_FRAME,
     ACTION_LATENCY_SHOCK,
@@ -249,3 +252,247 @@ class LinkModel:
                 flags |= DUPLICATED
             self.flags = flags
         return delay
+
+
+@dataclass
+class TrafficCounters:
+    """Aggregate counters of everything a channel carried."""
+
+    messages_sent: int = 0
+    messages_delivered: int = 0
+    messages_dropped: int = 0
+    bytes_sent: int = 0
+    corrupt_frames_dropped: int = 0
+    duplicates_suppressed: int = 0
+    reorders_applied: int = 0
+    by_kind: Dict[str, int] = field(default_factory=dict)
+    bytes_by_kind: Dict[str, int] = field(default_factory=dict)
+
+    def note_send(self, kind: str, size: int) -> None:
+        self.messages_sent += 1
+        self.bytes_sent += size
+        self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
+        self.bytes_by_kind[kind] = self.bytes_by_kind.get(kind, 0) + size
+
+    def snapshot(self) -> Dict[str, object]:
+        """Plain-dict view (copies) for result persistence."""
+        return asdict(self)
+
+
+def message_kind(message: object) -> str:
+    """Best-effort short name describing a message's type."""
+    kind = getattr(message, "kind", None)
+    if isinstance(kind, str):
+        return kind
+    return type(message).__name__
+
+
+def message_size(message: object) -> int:
+    """Size in bytes, via the message's ``size_bytes()`` if provided."""
+    size_fn = getattr(message, "size_bytes", None)
+    if callable(size_fn):
+        return int(size_fn())
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# The channel
+# ---------------------------------------------------------------------------
+
+
+class Channel:
+    """Topology-constrained, lossy, latency-modelled one-hop messaging.
+
+    Nodes are integers; each attaches a ``handler(src, message)``.  A
+    carried message (and the channel's duplicate copy) waits out its
+    delay in the ``schedule`` port, then reaches :meth:`_deliver` (or
+    :meth:`_suppress_duplicate`).  Subclasses bind the port and
+    override only what their world adds.
+
+    Args:
+        clock: Anything with ``now`` and ``trace``.
+        schedule: ``schedule(delay, callback, *args)``, fire-and-forget.
+        topology: ``neighbors(node)``, ``edge_weight(a, b)`` (raising
+            for a non-edge) and ``in`` — a
+            :class:`repro.topology.graph.Topology`.
+        latency: Latency model for ordinary links.
+        loss: Probability that any message is dropped in flight.
+        rng: The RNG stream the link model draws from.
+    """
+
+    def __init__(self, clock, schedule, topology, latency, loss: float, rng) -> None:
+        self.topology = topology
+        self.latency = latency
+        #: The link model: fault state and fault-injection surface, and
+        #: the one routine :meth:`send` asks for its verdict.
+        self.links = LinkModel(latency, loss, rng)
+        self.counters = TrafficCounters()
+        self._clock = clock
+        self._schedule = schedule
+        self._handlers: Dict[int, MessageHandler] = {}
+        self._overlay: Dict[int, Dict[int, float]] = {}
+        #: message type -> (kind, has_size) — caches the per-message
+        #: kind string and size resolution of the send hot path (message
+        #: classes are few, messages are millions). Attribute lookup on
+        #: the instance still runs for sizes, so instance-level
+        #: overrides keep their normal precedence.
+        self._type_info: Dict[type, Tuple[str, bool]] = {}
+
+    # -- attachment -----------------------------------------------------
+
+    def attach(self, node: int, handler: MessageHandler) -> None:
+        """Register the delivery callback for ``node``."""
+        if node not in self.topology:
+            raise SimulationError(f"node {node} not in topology")
+        self._handlers[node] = handler
+
+    def detach(self, node: int) -> None:
+        """Remove a node's handler; in-flight messages to it are dropped."""
+        self._handlers.pop(node, None)
+
+    def handler_for(self, node: int) -> Optional[MessageHandler]:
+        """The currently attached handler of ``node`` (None if detached).
+
+        Fault injectors use this to park a churned-out node's handler so
+        a later re-join can restore delivery exactly as it was.
+        """
+        return self._handlers.get(node)
+
+    # -- overlay links (island bridges, §6) -------------------------------
+
+    def add_overlay_link(self, a: int, b: int, delay: float) -> None:
+        """Add a virtual bidirectional link with a fixed one-way delay.
+
+        Overlay links model multi-hop tunnels (e.g. between island
+        leaders); they are not part of the topology and are unaffected
+        by physical-link failures, but do respect node crashes and
+        partitions.
+        """
+        self._overlay.setdefault(a, {})[b] = delay
+        self._overlay.setdefault(b, {})[a] = delay
+
+    def remove_overlay_link(self, a: int, b: int) -> None:
+        self._overlay.get(a, {}).pop(b, None)
+        self._overlay.get(b, {}).pop(a, None)
+
+    def overlay_neighbors(self, node: int) -> Tuple[int, ...]:
+        """Virtual neighbours of ``node`` (overlay links only)."""
+        return tuple(self._overlay.get(node, {}))
+
+    # -- topology passthrough ---------------------------------------------
+
+    def neighbors(self, node: int) -> List[int]:
+        """Physical plus overlay neighbours of ``node``."""
+        physical = list(self.topology.neighbors(node))
+        extra = [n for n in self._overlay.get(node, {}) if n not in physical]
+        return physical + extra
+
+    def physical_neighbors(self, node: int) -> Sequence[int]:
+        """Topology neighbours only (the partner-selection candidate set)."""
+        return self.topology.neighbors(node)
+
+    # -- sending ----------------------------------------------------------
+
+    def send(self, src: int, dst: int, message: object) -> bool:
+        """Send ``message`` from ``src`` to ``dst`` over one hop.
+
+        Returns:
+            True if the message entered the channel (it may still be
+            lost); False if it was refused outright (a crashed endpoint,
+            a failed link, or a partition boundary).
+        """
+        if src == dst:
+            raise SimulationError(f"node {src} sending to itself")
+        message_type = message.__class__
+        info = self._type_info.get(message_type)
+        if info is None:
+            info = (
+                message_kind(message),
+                callable(getattr(message_type, "size_bytes", None)),
+            )
+            self._type_info[message_type] = info
+        kind, has_size = info
+        size = int(message.size_bytes()) if has_size else message_size(message)
+        overlay = self._overlay.get(src)
+        overlay_delay = overlay.get(dst) if overlay else None
+        if overlay_delay is None:
+            try:
+                distance = self.topology.edge_weight(src, dst)
+            except Exception:
+                raise SimulationError(
+                    f"no link {src}->{dst} (and no overlay)"
+                ) from None
+        else:
+            distance = 0.0
+        self.counters.note_send(kind, size)
+        clock = self._clock
+        now = clock.now
+        trace = clock.trace
+        if trace.wants("net.send"):
+            trace.record(now, "net.send", src=src, dst=dst, kind=kind, size=size)
+        links = self.links
+        delay = links.decide(src, dst, size, distance, now, overlay_delay)
+        if delay < 0.0:
+            refused = delay == REFUSED
+            self._drop(src, dst, kind, "link-down" if refused else "loss")
+            return not refused
+        flags = links.flags
+        if flags:
+            if flags & CORRUPT:
+                self._corrupt(src, dst, message, delay)
+                return True
+            if flags & REORDERED:
+                self.counters.reorders_applied += 1
+            if flags & DUPLICATED:
+                self._schedule(delay, self._suppress_duplicate, src, dst, message)
+        # Delivery callbacks are never cancelled and ``delay`` is
+        # non-negative by construction (latency models validate their
+        # parameters), which is what a fire-and-forget port requires.
+        self._schedule(delay, self._deliver, src, dst, message)
+        return True
+
+    def _drop(self, src: int, dst: int, kind: str, reason: str) -> None:
+        self.counters.messages_dropped += 1
+        clock = self._clock
+        trace = clock.trace
+        if trace.wants("net.drop"):
+            trace.record(
+                clock.now, "net.drop", src=src, dst=dst, kind=kind, reason=reason
+            )
+
+    def _corrupt(self, src: int, dst: int, message: object, delay: float) -> None:
+        """A frame the link garbled: with no wire in between, the
+        receiving side drops it the moment it is sent."""
+        self.counters.corrupt_frames_dropped += 1
+        self._drop(src, dst, message_kind(message), "corrupt-frame")
+
+    def _suppress_duplicate(self, src: int, dst: int, message: object) -> None:
+        # The channel duplicated the frame in flight; the receiving
+        # transport's dedup layer drops the copy, so the protocol never
+        # sees it — only the meter moves.
+        self.counters.duplicates_suppressed += 1
+        clock = self._clock
+        trace = clock.trace
+        if trace.wants("net.drop"):
+            trace.record(
+                clock.now,
+                "net.drop",
+                src=src,
+                dst=dst,
+                kind=message_kind(message),
+                reason="duplicate-suppressed",
+            )
+
+    def _deliver(self, src: int, dst: int, message: object) -> None:
+        links = self.links
+        if links.down_nodes and not links.endpoints_up(src, dst):
+            self._drop(src, dst, message_kind(message), "crashed-in-flight")
+            return
+        handler = self._handlers.get(dst)
+        if handler is None:
+            self._drop(src, dst, message_kind(message), "no-handler")
+            return
+        self.counters.messages_delivered += 1
+        # No ``try``: in the simulator a raising handler is a protocol
+        # bug and stops the run; the live transports catch it themselves.
+        handler(src, message)

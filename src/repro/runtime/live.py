@@ -5,7 +5,10 @@ runs here against real time.  Cancellable callbacks (session timers,
 fault replays) are scheduled with ``loop.call_later``; messages in
 flight are fire-and-forget, so they wait in one :class:`DeliveryQueue`
 per transport — a heap behind a single loop timer — whose drain calls
-the destination node's handler directly: one hop per message.
+the destination node's handler directly: one hop per message.  The
+queue's ``push`` is the one port :class:`AsyncioTransport` binds into
+the :class:`~repro.runtime.linkstate.Channel` it is; the send path
+itself is the simulator's.
 
 Time is still measured in protocol units (the paper's session times);
 ``time_scale`` maps one unit to wall-clock seconds, so a cluster can be
@@ -21,20 +24,14 @@ from __future__ import annotations
 import asyncio
 from heapq import heappop, heappush
 from math import inf
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
-from ..sim.network import (
-    FixedLatency,
-    LatencyModel,
-    TrafficCounters,
-    message_kind,
-    message_size,
-)
+from ..sim.network import FixedLatency, LatencyModel
 from ..sim.rng import RngRegistry
 from ..sim.trace import Tracer
-from .base import MessageHandler, Runtime, TopicBus
-from .linkstate import CORRUPT, DUPLICATED, REFUSED, REORDERED, LinkModel
+from .base import Runtime, TopicBus
+from .linkstate import Channel, message_kind
 
 
 class _LiveHandle:
@@ -162,52 +159,48 @@ class AsyncioRuntime(Runtime):
 
 
 class DeliveryQueue:
-    """Messages in flight: ``(due, seq, item)`` in one heap, one loop timer.
+    """Messages in flight: ``(due, seq, callback, args)`` in one heap,
+    one loop timer.
 
-    The live transports never cancel a delivery, so a message needs no
-    timer handle of its own.  :meth:`push` files it under its wall-clock
-    due time; one ``loop.call_at`` timer stays armed for the head of the
-    heap, and when it fires every due entry is handed to ``sink`` as one
-    list in ``(due, seq)`` order: equal due times keep send order, a
-    smaller one overtakes (distance/jitter latency, packet reorder).
-    ``sink(items)`` runs on the loop and must not raise.
+    :meth:`push` is a live transport's scheduling port, shaped like the
+    simulator's ``schedule_fast``: nothing is ever cancelled, so a
+    message needs no timer handle of its own.  One ``loop.call_at``
+    timer stays armed for the head of the heap; when it fires, every
+    due entry runs in ``(due, seq)`` order — equal due times keep send
+    order, a smaller one overtakes (distance/jitter latency, packet
+    reorder) — and then ``drained()`` once.  Neither may raise.
     """
 
-    __slots__ = ("_runtime", "_sink", "_heap", "_seq", "_timer", "_armed",
-                 "_closed", "peak")
+    __slots__ = ("_runtime", "_drained", "_heap", "_seq", "_timer", "_armed",
+                 "peak")
 
-    def __init__(self, runtime: "AsyncioRuntime", sink: Callable[[List[Any]], None]):
+    def __init__(self, runtime: "AsyncioRuntime", drained: Callable[[], None]):
         self._runtime = runtime
-        self._sink = sink
-        self._heap: List[Tuple[float, int, Any]] = []
+        self._drained = drained
+        self._heap: List[Tuple[float, int, Callable[..., None], Tuple]] = []
         self._seq = 0
         self._timer: Optional[asyncio.TimerHandle] = None
         #: Due time the timer is armed for: inf while disarmed, -inf
         #: while a drain runs (no push can undercut that).
         self._armed = inf
-        self._closed = False
         #: Most entries ever in flight at once.
         self.peak = 0
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def push(self, delay: float, item: Any) -> bool:
-        """File ``item`` for delivery ``delay`` protocol units from now;
-        False, filing nothing, once the queue is closed."""
-        if self._closed:
-            return False
+    def push(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
+        """Run ``callback(*args)`` ``delay`` protocol units from now."""
         runtime = self._runtime
         loop = runtime.loop
         due = loop.time() + (delay * runtime.time_scale if delay > 0.0 else 0.0)
         self._seq += 1
         heap = self._heap
-        heappush(heap, (due, self._seq, item))
+        heappush(heap, (due, self._seq, callback, args))
         if len(heap) > self.peak:
             self.peak = len(heap)
         if due < self._armed:
             self._arm(loop, due)
-        return True
 
     def _arm(self, loop: asyncio.AbstractEventLoop, due: float) -> None:
         if self._timer is not None:
@@ -222,46 +215,43 @@ class DeliveryQueue:
         # entry it was armed for is due by definition.
         horizon = max(loop.time(), self._armed)
         self._timer = None
-        # A push made by a handler inside the drain must not arm the
+        # A push made by a callback inside the drain must not arm the
         # timer for its own due time ahead of an earlier entry still in
         # the heap: re-arm once, for the head, when the drain is done.
         self._armed = -inf
         due = []
         while heap and heap[0][0] <= horizon:
-            due.append(heappop(heap)[2])
+            due.append(heappop(heap))
         try:
-            self._sink(due)
+            for entry in due:
+                entry[2](*entry[3])
+            self._drained()
         finally:
             self._armed = inf
             if heap:
                 self._arm(loop, heap[0][0])
 
-    def close(self) -> List[Any]:
-        """Disarm for good; returns what was still in flight, in order,
-        for the owner to meter as dropped."""
-        self._closed = True
+    def close(self) -> List[Tuple[Callable[..., None], Tuple]]:
+        """Disarm for good; returns the ``(callback, args)`` still in
+        flight, in order, for the owner to meter as dropped."""
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        left = [entry[2] for entry in sorted(self._heap)]
+        left = [(entry[2], entry[3]) for entry in sorted(self._heap)]
         self._heap.clear()
         return left
 
 
-class AsyncioTransport:
+class AsyncioTransport(Channel):
     """Transport between in-process replicas on one event loop.
 
-    A send files the message in the transport's :class:`DeliveryQueue`
-    under its link latency; the queue's drain calls the destination
-    node's handler directly.  Handlers are synchronous on the one loop
-    thread and a send never delivers inline, so per-replica delivery is
-    serialized exactly like a one-thread server with no mailbox or task
-    in between.  Whether and how a message is carried (faults, loss,
-    latency in protocol units, packet-level faults) is decided by the
-    transport's :class:`~repro.runtime.linkstate.LinkModel` — the model
-    the simulator's :class:`~repro.sim.network.Network` asks too — and
-    all traffic is metered via
-    :class:`~repro.sim.network.TrafficCounters`.
+    The :class:`~repro.runtime.linkstate.Channel` on wall-clock time: a
+    carried message waits in a :class:`DeliveryQueue` whose drain calls
+    the destination's handler directly.  Handlers are synchronous on the
+    one loop thread and a send never delivers inline, so per-replica
+    delivery is serialized like a one-thread server.  This class adds
+    only the live concerns: delivery starts and stops, and a raising
+    handler is recorded instead of killing the drain.
 
     Args:
         runtime: Owning :class:`AsyncioRuntime` (clock + RNG).
@@ -281,39 +271,14 @@ class AsyncioTransport:
         seed_stream: str = "network",
     ):
         self.runtime = runtime
-        self.topology = topology
-        self.latency = latency if latency is not None else FixedLatency()
-        self.counters = TrafficCounters()
-        #: The link model: fault state and fault-injection surface, and
-        #: the one routine :meth:`send` asks for its verdict.
-        self.links = LinkModel(self.latency, loss, runtime.rng.stream(seed_stream))
-        self._handlers: Dict[int, MessageHandler] = {}
-        #: ``(src, dst, message, flag)`` items awaiting their latency;
-        #: ``flag`` is 0, or the link model's ``DUPLICATED`` for the
-        #: channel's second copy (``CORRUPT`` for a frame the TCP
-        #: transport garbles on the wire).
-        self._in_flight = DeliveryQueue(runtime, self._deliver_due)
+        self._in_flight = queue = DeliveryQueue(runtime, self._drained)
+        latency = latency if latency is not None else FixedLatency()
+        rng = runtime.rng.stream(seed_stream)
+        super().__init__(runtime, queue.push, topology, latency, loss, rng)
         self._pumping = False
         #: (node, exception) pairs from handlers that raised; a bad
         #: message must not kill the replica's delivery loop.
         self.handler_errors: List[Tuple[int, BaseException]] = []
-
-    # -- attachment -----------------------------------------------------
-
-    def attach(self, node: int, handler: MessageHandler) -> None:
-        """Register the delivery callback for ``node`` (a node joining a
-        running cluster receives from its next due message on)."""
-        if node not in self.topology:
-            raise SimulationError(f"node {node} not in topology")
-        self._handlers[node] = handler
-
-    def detach(self, node: int) -> None:
-        """Remove a node's handler; in-flight messages to it are dropped."""
-        self._handlers.pop(node, None)
-
-    def handler_for(self, node: int) -> Optional[MessageHandler]:
-        """The currently attached handler of ``node`` (None if detached)."""
-        return self._handlers.get(node)
 
     # -- delivery lifecycle ----------------------------------------------
 
@@ -322,11 +287,21 @@ class AsyncioTransport:
         self._pumping = True
 
     async def stop_pumps(self) -> None:
-        """Stop delivering for good; what is in flight is metered as dropped."""
+        """Stop delivering for good; what is in flight, or sent from now
+        on, is metered as dropped."""
         self._pumping = False
-        for src, dst, message, flag in self._in_flight.close():
-            if flag != DUPLICATED:
-                self._drop(src, dst, message_kind(message), "shutdown")
+        self._schedule = self._refuse
+        for callback, args in self._in_flight.close():
+            self._refuse(0.0, callback, *args)
+
+    def _refuse(self, delay, callback, src, dst, message, *flag) -> None:
+        """The scheduling port once stopped: nothing is carried any more,
+        and a message (not the channel's duplicate copy) is a drop."""
+        if callback != self._suppress_duplicate:
+            self._drop(src, dst, message_kind(message), "shutdown")
+
+    def _drained(self) -> None:
+        """End of one drain: in-process nodes have nothing to flush."""
 
     def delivery_stats(self) -> Dict[str, int]:
         """What replaced the mailboxes: in-flight depth now and at peak
@@ -338,115 +313,13 @@ class AsyncioTransport:
             "frames_coalesced": 0,
         }
 
-    # -- neighbours ------------------------------------------------------
-
-    def neighbors(self, node: int) -> List[int]:
-        """One-hop peers (no overlay links in the live transport)."""
-        return list(self.topology.neighbors(node))
-
-    def physical_neighbors(self, node: int) -> Sequence[int]:
-        """Topology neighbours (partner-selection candidate set)."""
-        return self.topology.neighbors(node)
-
-    # -- sending ---------------------------------------------------------
-
-    def send(self, src: int, dst: int, message: object) -> bool:
-        """One-hop send; True if the message entered the channel.
-
-        Returns False when an injected fault (crashed endpoint, failed
-        link, partition boundary) refuses the message — the same
-        refusal contract as the simulator's Network.
-        """
-        if src == dst:
-            raise SimulationError(f"node {src} sending to itself")
-        kind = message_kind(message)
-        size = message_size(message)
-        if not self.topology.has_edge(src, dst):
-            raise SimulationError(f"no link {src}->{dst}")
-        self.counters.note_send(kind, size)
-        links = self.links
-        delay = links.decide(
-            src, dst, size, self.topology.edge_weight(src, dst), self.runtime.now
-        )
-        if delay < 0.0:
-            refused = delay == REFUSED
-            self._drop(src, dst, kind, "link-down" if refused else "loss")
-            return not refused
-        flag = 0
-        flags = links.flags
-        if flags:
-            if flags & CORRUPT:
-                if self._drops_corrupt_at_send(dst):
-                    self.counters.corrupt_frames_dropped += 1
-                    self._drop(src, dst, kind, "corrupt-frame")
-                    return True
-                flag = CORRUPT
-            if flags & REORDERED:
-                self.counters.reorders_applied += 1
-            if flags & DUPLICATED:
-                self._in_flight.push(delay, (src, dst, message, DUPLICATED))
-        if not self._in_flight.push(delay, (src, dst, message, flag)):
-            self._drop(src, dst, kind, "shutdown")
-        return True
-
-    def _drops_corrupt_at_send(self, dst: int) -> bool:
-        """No wire to garble between in-process nodes: the receive side
-        drops a corrupted message the moment it is sent."""
-        return True
-
-    def broadcast(self, src: int, message: object) -> int:
-        """Send to every physical neighbour; returns sends accepted."""
-        sent = 0
-        for neighbor in self.physical_neighbors(src):
-            if self.send(src, neighbor, message):
-                sent += 1
-        return sent
-
-    def _suppress_duplicate(self, src: int, dst: int, message: object) -> None:
-        # The channel duplicated the frame; the dedup layer drops the
-        # copy at arrival time — metered, never delivered twice.
-        self.counters.duplicates_suppressed += 1
-        trace = self.runtime.trace
-        if trace.wants("net.drop"):
-            trace.record(
-                self.runtime.now,
-                "net.drop",
-                src=src,
-                dst=dst,
-                kind=message_kind(message),
-                reason="duplicate-suppressed",
-            )
-
-    def _deliver_due(self, items: List[Tuple[int, int, object, int]]) -> None:
-        for src, dst, message, flag in items:
-            self._arrive(src, dst, message, flag)
-
-    def _arrive(self, src: int, dst: int, message: object, flag: int) -> None:
-        """One due item reaches its (in-process) destination."""
-        if flag == DUPLICATED:
-            self._suppress_duplicate(src, dst, message)
-        else:
-            self._deliver(src, dst, message)
-
     def _deliver(self, src: int, dst: int, message: object) -> None:
-        links = self.links
-        if links.down_nodes and not links.endpoints_up(src, dst):
-            self._drop(src, dst, message_kind(message), "crashed-in-flight")
-            return
-        handler = self._handlers.get(dst) if self._pumping else None
-        if handler is None:
+        # Not started (or stopped) reads as no handler; a crash in flight
+        # is still reported as one first, as in the simulator.
+        if not self._pumping and self.links.endpoints_up(src, dst):
             self._drop(src, dst, message_kind(message), "no-handler")
             return
-        self.counters.messages_delivered += 1
         try:
-            handler(src, message)
+            super()._deliver(src, dst, message)
         except Exception as exc:  # noqa: BLE001 - replica must survive
             self.handler_errors.append((dst, exc))
-
-    def _drop(self, src: int, dst: int, kind: str, reason: str) -> None:
-        self.counters.messages_dropped += 1
-        trace = self.runtime.trace
-        if trace.wants("net.drop"):
-            trace.record(
-                self.runtime.now, "net.drop", src=src, dst=dst, kind=kind, reason=reason
-            )

@@ -34,12 +34,14 @@ cluster can span OS processes (or machines):
   not crashes.  Once the peer is back, the next send past the backoff
   window reconnects and delivery resumes.
 
-Everything that is not a socket — handler attachment, the send path
-and its :class:`~repro.runtime.linkstate.LinkModel` verdict, local
-delivery, metering — is :class:`~repro.runtime.live.AsyncioTransport`'s
-code, inherited.  A chaos controller broadcasts each fault action to
-every node process, which applies it to its own transport's link model,
-so sender-side refusals agree across processes without shared memory.
+The send path, its :class:`~repro.runtime.linkstate.LinkModel` verdict
+and local delivery are the simulator's code (the
+:class:`~repro.runtime.linkstate.Channel`), the delivery heap is
+:class:`~repro.runtime.live.AsyncioTransport`'s; this transport only
+sends a remote destination to the wire, and flushes its peers once a
+drain ends.  A chaos controller broadcasts each fault action to every
+node process, which applies it to its own transport's link model, so
+sender-side refusals agree across processes without shared memory.
 
 This module is imported lazily by :mod:`repro.runtime` so simulation
 workflows never pay for asyncio or sockets.
@@ -55,9 +57,9 @@ import zlib
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import SimulationError, TransportError
-from ..sim.network import LatencyModel, message_kind
+from ..sim.network import LatencyModel
 from .base import MessageHandler
-from .linkstate import CORRUPT, DUPLICATED
+from .linkstate import CORRUPT, DUPLICATED, message_kind
 from .live import AsyncioRuntime, AsyncioTransport
 
 #: Header size: 4-byte unsigned big-endian frame length followed by the
@@ -370,7 +372,8 @@ class TcpTransport(AsyncioTransport):
     (one, in the cluster's spawn-per-node mode).  It is the queue
     transport plus a wire: sends, the link model's verdict, the
     delivery heap and local handler calls are inherited from
-    :class:`AsyncioTransport`; a due item whose destination is not local
+    :class:`AsyncioTransport` and its channel; a due message (or
+    duplicate copy, or garbled frame) whose destination is not local
     leaves as a frame to the peer process listed in the
     :attr:`directory`, and frames arriving from peers are delivered in
     place by the inbound protocol's ``data_received``.
@@ -490,19 +493,28 @@ class TcpTransport(AsyncioTransport):
 
     # -- the remote hop ----------------------------------------------------
 
-    def _drops_corrupt_at_send(self, dst: int) -> bool:
+    def _deliver(self, src: int, dst: int, message: object) -> None:
+        if dst in self.local_nodes:
+            super()._deliver(src, dst, message)
+        else:
+            self._ship(src, dst, message, 0)
+
+    def _suppress_duplicate(self, src: int, dst: int, message: object) -> None:
+        if dst in self.local_nodes:
+            super()._suppress_duplicate(src, dst, message)
+        else:
+            self._ship(src, dst, message, DUPLICATED)
+
+    def _corrupt(self, src: int, dst: int, message: object, delay: float) -> None:
         """A corrupted send to a remote node still rides the wire as a
         garbled frame: the *receiver's* decoder meters and skips it,
         exercising the real error path."""
-        return dst in self.local_nodes
+        if dst in self.local_nodes:
+            super()._corrupt(src, dst, message, delay)
+        else:
+            self._schedule(delay, self._ship, src, dst, message, CORRUPT)
 
-    def _deliver_due(self, items: List[Tuple[int, int, object, int]]) -> None:
-        local = self.local_nodes
-        for src, dst, message, flag in items:
-            if dst in local:
-                self._arrive(src, dst, message, flag)
-            else:
-                self._ship(src, dst, message, flag)
+    def _drained(self) -> None:
         # Every frame this drain queued for one peer leaves in one write.
         for peer in self._unflushed:
             peer.flush()
@@ -561,10 +573,10 @@ class TcpTransport(AsyncioTransport):
         tag, src, dst, message = frame
         if tag == "dup":
             # The channel duplicated a frame in flight; suppress the copy.
-            self._suppress_duplicate(src, dst, message)
+            super()._suppress_duplicate(src, dst, message)
         elif dst not in self.local_nodes:
             self._drop(src, dst, message_kind(message), "not-local")
         elif not self.links.can_carry(src, dst):
             self._drop(src, dst, message_kind(message), "link-down")
         else:
-            self._deliver(src, dst, message)
+            super()._deliver(src, dst, message)

@@ -6,16 +6,19 @@
     the oracle, like the old ``barabasi_albert`` loop): verdict, delay
     and the RNG state agree after every send of a random history.
 (b) The same generated schedule through the simulator's ``Network`` and
-    through ``AsyncioTransport`` on a hand-cranked loop meters
-    identically.
+    through ``AsyncioTransport`` on a hand-cranked loop meters and
+    traces identically, overlay link included; both are one
+    :class:`Channel`, and structurally so.
 (c) The single fault injector parks and restores delivery handlers the
     same way over all three transports.
+(d) A raising handler stops a simulation but not a live drain.
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -36,6 +39,7 @@ from repro.runtime.linkstate import (
     LOST,
     REFUSED,
     REORDERED,
+    Channel,
     LinkModel,
 )
 from repro.runtime.live import AsyncioRuntime, AsyncioTransport
@@ -48,8 +52,9 @@ from repro.sim.network import (
     JitteredLatency,
     Network,
 )
+from repro.sim.trace import Tracer
 from repro.topology.graph import Topology
-from test_runtime_live import _ManualLoop
+from test_runtime_live import _ManualLoop, _manual_runtime
 
 NODES = 5
 OVERLAY = (0, 4)
@@ -341,6 +346,22 @@ def _message(size: int) -> _Sized:
     return (_SizedToo if size % 2 else _Sized)(size)
 
 
+#: The overlay tunnel's delay in the two-world schedule: times any shock
+#: factor it lands on no op's instant (the decide test's 0.4 times 2.5
+#: would tie with the next op).
+METER_OVERLAY_DELAY = 0.35
+
+
+def _net_rows(trace):
+    """The ``net.send`` / ``net.drop`` rows as a multiset, every field
+    but the time."""
+    return Counter(
+        (record.category, tuple(sorted(record.fields.items())))
+        for category in ("net.send", "net.drop")
+        for record in trace.select(category)
+    )
+
+
 class TestSimAndQueueWorldsMeterAlike:
     @given(
         ops=st.lists(
@@ -361,14 +382,15 @@ class TestSimAndQueueWorldsMeterAlike:
         self, ops, loss, latency_kind, seed
     ):
         # One op per protocol time unit: link delays (0.3, or 0.25–0.55
-        # plus size/997, times a shock factor) and window ends (k + 0.75,
-        # k + 0.25) never fall on an op's instant, so neither world has
-        # a tie to break.
+        # plus size/997, or the overlay's 0.35, times a shock factor) and
+        # window ends (k + 0.75, k + 0.25) never fall on an op's
+        # instant, so neither world has a tie to break.
         horizon = len(ops) + 20.0
         topology = _complete_topology()
 
         sim = Simulator(seed=seed)
         network = Network(sim, topology, make_latency(latency_kind), loss)
+        network.add_overlay_link(*OVERLAY, METER_OVERLAY_DELAY)
         sim_got = []
         for n in range(NODES):
             network.attach(n, lambda src, msg, _n=n: sim_got.append((_n, src, msg.kind)))
@@ -385,9 +407,12 @@ class TestSimAndQueueWorldsMeterAlike:
 
         loop = _ManualLoop()
         with mock.patch.object(asyncio, "get_running_loop", lambda: loop):
-            runtime = AsyncioRuntime(seed=seed, time_scale=0.001)
+            runtime = AsyncioRuntime(
+                seed=seed, time_scale=0.001, trace=Tracer(enabled=True)
+            )
             runtime.start()
         transport = AsyncioTransport(runtime, topology, make_latency(latency_kind), loss)
+        transport.add_overlay_link(*OVERLAY, METER_OVERLAY_DELAY)
         live_got = []
         for n in range(NODES):
             transport.attach(
@@ -405,6 +430,84 @@ class TestSimAndQueueWorldsMeterAlike:
         assert transport.counters.snapshot() == network.counters.snapshot()
         assert sorted(live_got) == sorted(sim_got)
         assert not transport.handler_errors
+        assert _net_rows(runtime.trace) == _net_rows(sim.trace)
+        assert len(runtime.trace.select("net.send")) == sum(
+            op[0] == "send" for op in ops
+        )
+
+
+class TestOneSendPath:
+    def test_send_and_drop_have_one_body(self):
+        for name in ("send", "_drop"):
+            assert name in vars(Channel)
+            for world in (Network, AsyncioTransport, TcpTransport):
+                assert name not in vars(world), (world.__name__, name)
+
+    def test_the_sim_and_queue_worlds_are_siblings(self):
+        # Span tracing patches ``send`` per class: a parent/child pair
+        # would nest one world's span inside the other's.
+        assert Network.__bases__ == (Channel,)
+        assert AsyncioTransport.__bases__ == (Channel,)
+
+
+# ---------------------------------------------------------------------------
+# Where a raising handler's error goes: each world's own boundary
+# ---------------------------------------------------------------------------
+
+
+class _Boom(Exception):
+    pass
+
+
+def _raising_handler(got):
+    def handler(src, message):
+        if message == "bad":
+            raise _Boom("boom")
+        got.append(message)
+
+    return handler
+
+
+class TestHandlerErrorBoundary:
+    def test_the_simulator_lets_it_stop_the_run(self):
+        # A simulation must not hide a protocol bug.
+        sim = Simulator(seed=1)
+        network = Network(sim, _complete_topology())
+        got = []
+        network.attach(1, _raising_handler(got))
+        network.send(0, 1, "bad")
+        network.send(0, 1, "good")
+        with pytest.raises(_Boom):
+            sim.run()
+        assert got == []
+        sim.run()
+        assert got == ["good"]
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda runtime: AsyncioTransport(runtime, _complete_topology()),
+            lambda runtime: TcpTransport(
+                runtime, _complete_topology(), local_nodes=[0, 1, 2]
+            ),
+        ],
+        ids=["queue", "tcp-local-hop"],
+    )
+    def test_a_live_world_records_it_and_the_drain_goes_on(self, monkeypatch, make):
+        runtime, loop = _manual_runtime(monkeypatch)
+        transport = make(runtime)
+        got = []
+        transport.attach(1, _raising_handler(got))
+        transport.attach(2, _raising_handler(got))
+        transport.start_pumps()
+        for dst, message in ((1, "a"), (1, "bad"), (2, "b"), (1, "c")):
+            transport.send(0, dst, message)  # one tick, one drain
+        loop.advance(loop.now + 1.0)
+        assert got == ["a", "b", "c"]
+        assert [(node, str(exc)) for node, exc in transport.handler_errors] == [
+            (1, "boom")
+        ]
+        assert transport.counters.messages_delivered == 4
 
 
 # ---------------------------------------------------------------------------

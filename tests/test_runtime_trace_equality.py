@@ -88,20 +88,9 @@ class TestPortConformance:
         runtime.unsubscribe("topic", None)  # unknown handler: no-op
         assert got == [{"x": 1}, {"x": 2}]
 
-    def test_transport_broadcast_and_physical_neighbors(self):
+    def test_transport_physical_neighbors(self):
         sim = Simulator(seed=4)
         net = Network(sim, ring(5))
-        got = []
-        for node in range(5):
-            net.attach(node, lambda src, msg, _n=node: got.append((_n, src)))
-
-        class Msg:
-            kind = "m"
-
-            def size_bytes(self):
-                return 1
-
-        assert net.broadcast(0, Msg()) == 2
-        sim.run()
-        assert sorted(got) == [(1, 0), (4, 0)]
+        net.add_overlay_link(0, 2, 0.5)
         assert set(net.physical_neighbors(0)) == {1, 4}
+        assert set(net.neighbors(0)) == {1, 2, 4}
