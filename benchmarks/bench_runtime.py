@@ -1,21 +1,15 @@
-"""Live-runtime latency benches: serving (fast vs weak) and chaos SLOs.
+"""Live-runtime chaos benches: SLOs under faults, parity, hub failover.
 
 Every other benchmark measures the protocol in virtual time.  This one
 exercises the *wall-clock* execution world: a :class:`ReplicaCluster`
-on the asyncio runtime serves a stream of client ``put``\\ s and we
-measure sustained ops/s plus the p50/p99 wall-clock latency from the
-``put`` call until (a) the top-10%-demand replicas and (b) every
-replica absorbed the write.  Results go to ``BENCH_runtime.json`` at
-the repo root so the live-serving trajectory is tracked across PRs
-alongside ``BENCH_faults.json``.
+on the asyncio runtime serves a stream of client ``put``\\ s while
+faults replay against it.  Results go to ``BENCH_runtime.json`` at the
+repo root so the live trajectory is tracked across PRs alongside
+``BENCH_faults.json``.  (The fast-vs-weak serving gate is a test:
+``tests/test_runtime_live.py``.)
 
-Four experiments share that file:
+Three experiments share that file:
 
-* ``serving`` — the paper's headline transplanted to real time:
-  demand-ordered fast update reaches the high-demand subset far sooner
-  than plain anti-entropy.  Wall timings vary with machine load, so
-  the gate is deliberately loose (fast p50-to-hot-set must beat weak
-  by at least 2x; the paper-scale gap is an order of magnitude).
 * ``chaos`` — the same cluster serving *through* an injected fault
   schedule (``rolling_restart``, ``flapping_links``,
   ``corrupt_storm``).  Gates: every accepted put converges after the
@@ -36,20 +30,16 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict
 
 from repro.errors import ReplicationError
-from repro.experiments.cdf import EmpiricalCdf
 from repro.experiments.scenarios import VARIANTS, build_faults
 from repro.experiments.tables import format_table
 from repro.runtime.cluster import ReplicaCluster
 from repro.topology.brite import internet_like
 
-NODES = 12
-PUTS = 40
 SEED = 7
 TIME_SCALE = 0.02  # 50 protocol units per wall second
-VARIANT_NAMES = ("fast", "weak")
 
 CHAOS_NODES = 8
 CHAOS_SCHEDULES = ("rolling_restart", "flapping_links", "corrupt_storm")
@@ -66,9 +56,9 @@ RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_runtime.json"
 def _write_section(section: str, payload: Dict[str, object]) -> None:
     """Merge one experiment's payload into BENCH_runtime.json.
 
-    The serving and chaos benches run as separate tests (possibly
-    filtered to one of them), so each merges its own section instead of
-    overwriting the whole file.
+    The experiments run as separate tests (possibly filtered to one of
+    them), so each merges its own section instead of overwriting the
+    whole file.
     """
     data: Dict[str, object] = {}
     if RESULT_PATH.exists():
@@ -81,111 +71,6 @@ def _write_section(section: str, payload: Dict[str, object]) -> None:
             data = existing
     data[section] = payload
     RESULT_PATH.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
-
-
-def _hot_set(cluster: ReplicaCluster) -> List[int]:
-    snapshot = cluster.demand.snapshot(cluster.topology.nodes, 0.0)
-    count = max(1, len(snapshot) // 10)
-    return sorted(snapshot, key=lambda n: -snapshot[n])[:count]
-
-
-def _serve_one(variant: str) -> Dict[str, object]:
-    config = VARIANTS[variant]()
-    with ReplicaCluster(
-        nodes=NODES, config=config, seed=SEED, time_scale=TIME_SCALE
-    ) as cluster:
-        hot = _hot_set(cluster)
-        node_ids = sorted(cluster.servers)
-        uids = []
-        started = time.monotonic()
-        for sequence in range(PUTS):
-            node = node_ids[sequence % len(node_ids)]
-            uids.append(cluster.put("content", f"v{sequence}", node=node).uid)
-            time.sleep(0.01)
-        for uid in uids:
-            cluster.wait_replicated(uid, timeout=30.0)
-        elapsed = time.monotonic() - started
-        all_latencies: List[float] = []
-        hot_latencies: List[float] = []
-        for uid in uids:
-            latency = cluster.replication_latency(uid)
-            if latency is not None:
-                all_latencies.append(latency)
-            times = cluster.apply_times(uid)
-            if all(node in times for node in hot):
-                t0 = min(times.values())  # origin applies at put time
-                hot_latencies.append(
-                    (max(times[node] for node in hot) - t0) * TIME_SCALE
-                )
-        stats = cluster.stats()
-    # Every put must have fully replicated before percentiles mean
-    # anything; assert here so a timeout fails with context, not an
-    # empty-sample error further down.
-    assert len(all_latencies) == PUTS, (variant, len(all_latencies))
-    assert len(hot_latencies) == PUTS, (variant, len(hot_latencies))
-    all_cdf = EmpiricalCdf(all_latencies)
-    hot_cdf = EmpiricalCdf(hot_latencies)
-    return {
-        "variant": variant,
-        "replicated": len(all_latencies),
-        "ops_per_s": PUTS / elapsed,
-        "p50_all_ms": 1000 * all_cdf.quantile(0.5),
-        "p99_all_ms": 1000 * all_cdf.quantile(0.99),
-        "p50_hot_ms": 1000 * hot_cdf.quantile(0.5),
-        "p99_hot_ms": 1000 * hot_cdf.quantile(0.99),
-        "messages": stats["traffic"]["messages_sent"],
-        "handler_errors": stats["handler_errors"],
-    }
-
-
-def test_runtime_serving(benchmark, report):
-    results: Dict[str, Dict[str, object]] = {}
-
-    def run_all() -> None:
-        for variant in VARIANT_NAMES:
-            results[variant] = _serve_one(variant)
-
-    benchmark.pedantic(run_all, rounds=1, iterations=1)
-
-    fast, weak = results["fast"], results["weak"]
-    # Every put must have fully replicated in both worlds.
-    assert fast["replicated"] == PUTS, fast
-    assert weak["replicated"] == PUTS, weak
-    assert fast["handler_errors"] == 0 and weak["handler_errors"] == 0
-    # The paper's claim on the wall clock: the demand-directed push
-    # reaches the hot subset much sooner than session-paced anti-entropy.
-    assert fast["p50_hot_ms"] * 2 <= weak["p50_hot_ms"], (fast, weak)
-
-    payload = {
-        "experiment": "runtime-serving",
-        "nodes": NODES,
-        "puts": PUTS,
-        "seed": SEED,
-        "time_scale": TIME_SCALE,
-        "results": results,
-    }
-    _write_section("serving", payload)
-
-    rows = [
-        (
-            variant,
-            f"{results[variant]['ops_per_s']:.1f}",
-            f"{results[variant]['p50_hot_ms']:.1f}",
-            f"{results[variant]['p50_all_ms']:.1f}",
-            f"{results[variant]['p99_all_ms']:.1f}",
-            results[variant]["messages"],
-        )
-        for variant in VARIANT_NAMES
-    ]
-    report.add(
-        "live runtime — put-to-replicated latency (wall-clock ms)",
-        format_table(
-            ["variant", "ops/s", "p50 hot", "p50 all", "p99 all", "msgs"],
-            rows,
-            title=f"ReplicaCluster n={NODES}, {PUTS} puts, "
-            f"time_scale={TIME_SCALE}",
-        ),
-    )
 
 
 def _serve_through_chaos(name: str) -> Dict[str, object]:

@@ -5,7 +5,9 @@ A cluster of replicas running the paper's protocol on the wall-clock
 
 * ``transport="queue"`` (default) — every node's protocol stack lives
   on one event loop on a background thread, exchanging messages through
-  the transport's in-process delivery heap;
+  the transport's in-process delivery heap; the loop (the hub's too,
+  in tcp mode) comes from :func:`~repro.runtime.live.new_event_loop`,
+  so a link latency of a fraction of a millisecond is kept;
 * ``transport="tcp"`` — one OS process per node, each hosting its
   replica on a :class:`~repro.runtime.tcp.TcpTransport` over real
   sockets.  The parent runs a nameserver-style *hub*: node processes
@@ -88,7 +90,7 @@ from ..sim.network import LatencyModel
 from ..telemetry.registry import MetricRegistry
 from ..topology.graph import Topology
 from .base import FaultInjector
-from .live import AsyncioRuntime, AsyncioTransport
+from .live import AsyncioRuntime, AsyncioTransport, new_event_loop
 from .nodeproc import NodeSpec, node_process_main
 from .tcp import DEFAULT_MAX_FRAME_BYTES, FrameDecoder, encode_frame, read_frames
 
@@ -435,7 +437,7 @@ class ReplicaCluster:
     def _thread_main(self) -> None:
         import asyncio
 
-        loop = asyncio.new_event_loop()
+        loop = new_event_loop()
         asyncio.set_event_loop(loop)
         self._loop = loop
         try:

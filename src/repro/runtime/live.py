@@ -1,14 +1,19 @@
 """AsyncioRuntime: the wall-clock adapter of the runtime port.
 
 The same protocol code that runs inside the discrete-event simulator
-runs here against real time.  Cancellable callbacks (session timers,
-fault replays) are scheduled with ``loop.call_later``; messages in
-flight are fire-and-forget, so they wait in one :class:`DeliveryQueue`
-per transport — a heap behind a single loop timer — whose drain calls
-the destination node's handler directly: one hop per message.  The
-queue's ``push`` is the one port :class:`AsyncioTransport` binds into
-the :class:`~repro.runtime.linkstate.Channel` it is; the send path
-itself is the simulator's.
+runs here against real time.  Everything timed waits in a
+:class:`DeliveryQueue` — a heap behind a single loop timer — whose drain
+runs each due entry directly: the runtime owns one for its cancellable
+callbacks (session timers, fault replays), each transport one for its
+messages in flight, whose drain calls the destination node's handler:
+one hop per message.  The queue's ``push`` is the one port
+:class:`AsyncioTransport` binds into the
+:class:`~repro.runtime.linkstate.Channel` it is; the send path itself is
+the simulator's.
+
+Loops come from :func:`new_event_loop`, whose ``select(2)`` selector
+wakes a timer when it is due rather than at the next whole millisecond,
+so a message arrives when its link latency has elapsed.
 
 Time is still measured in protocol units (the paper's session times);
 ``time_scale`` maps one unit to wall-clock seconds, so a cluster can be
@@ -22,6 +27,7 @@ This module is imported lazily by :mod:`repro.runtime` so that
 from __future__ import annotations
 
 import asyncio
+import selectors
 from heapq import heappop, heappush
 from math import inf
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -34,20 +40,44 @@ from .base import Runtime, TopicBus
 from .linkstate import Channel, message_kind
 
 
+def new_event_loop() -> asyncio.AbstractEventLoop:
+    """The event loop every live process runs: one on a ``select(2)``
+    selector.
+
+    asyncio's default ``EpollSelector`` rounds each wait up to a whole
+    millisecond (``epoll_wait`` takes its timeout in ms), so a 0.4 ms
+    link delay would cost at least 1 ms.  ``select(2)`` takes a
+    microsecond timeout: a timer wakes when it is due.  ``select``
+    handles only descriptors below ``FD_SETSIZE`` (1024), which covers a
+    node process (a socket per peer) and the cluster hub (a connection
+    per node process and control client) at the sizes this repository
+    runs.
+    """
+    return asyncio.SelectorEventLoop(selectors.SelectSelector())
+
+
 class _LiveHandle:
-    """Cancellation token for a wall-clock scheduled callback."""
+    """Cancellation token for a wall-clock scheduled callback, and its
+    entry in the runtime's timer queue: calling it runs the callback
+    unless it was cancelled first."""
 
-    __slots__ = ("_timer", "fired", "cancelled", "label")
+    __slots__ = ("_callback", "_args", "fired", "cancelled", "label")
 
-    def __init__(self, label: str = ""):
-        self._timer: Optional[asyncio.TimerHandle] = None
+    def __init__(self, callback: Callable[..., Any], args: Tuple, label: str = ""):
+        self._callback = callback
+        self._args = args
         self.fired = False
         self.cancelled = False
         self.label = label
 
+    def __call__(self) -> None:
+        if not self.cancelled:
+            self.fired = True
+            self._callback(*self._args)
+
     def __repr__(self) -> str:
         state = "fired" if self.fired else ("cancelled" if self.cancelled else "pending")
-        return f"_LiveHandle(label={self.label!r}, {state})"
+        return f"_LiveHandle({self._callback!r}, label={self.label!r}, {state})"
 
 
 class AsyncioRuntime(Runtime):
@@ -80,6 +110,7 @@ class AsyncioRuntime(Runtime):
         self._bus = TopicBus()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._t0 = 0.0
+        self._timers = _TimerQueue(self)
 
     # -- lifecycle ------------------------------------------------------
 
@@ -114,15 +145,8 @@ class AsyncioRuntime(Runtime):
         priority: int = 0,
         label: str = "",
     ) -> _LiveHandle:
-        handle = _LiveHandle(label=label)
-
-        def _fire() -> None:
-            handle.fired = True
-            callback(*args)
-
-        handle._timer = self.loop.call_later(
-            max(0.0, delay) * self.time_scale, _fire
-        )
+        handle = _LiveHandle(callback, args, label)
+        self._timers.push(delay, handle)
         return handle
 
     def schedule_at(
@@ -140,10 +164,10 @@ class AsyncioRuntime(Runtime):
     def cancel(self, handle: object) -> bool:
         if not isinstance(handle, _LiveHandle):
             return False
-        if handle.fired or handle.cancelled or handle._timer is None:
+        if handle.fired or handle.cancelled:
             return False
-        handle._timer.cancel()
         handle.cancelled = True
+        self._timers.cancelled(handle)
         return True
 
     # -- pub/sub --------------------------------------------------------
@@ -159,8 +183,8 @@ class AsyncioRuntime(Runtime):
 
 
 class DeliveryQueue:
-    """Messages in flight: ``(due, seq, callback, args)`` in one heap,
-    one loop timer.
+    """Timed callbacks: ``(due, seq, callback, args)`` in one heap, one
+    loop timer.
 
     :meth:`push` is a live transport's scheduling port, shaped like the
     simulator's ``schedule_fast``: nothing is ever cancelled, so a
@@ -168,7 +192,9 @@ class DeliveryQueue:
     timer stays armed for the head of the heap; when it fires, every
     due entry runs in ``(due, seq)`` order — equal due times keep send
     order, a smaller one overtakes (distance/jitter latency, packet
-    reorder) — and then ``drained()`` once.  Neither may raise.
+    reorder) — and then ``drained()`` once.  A callback that raises is
+    reported to the loop's exception handler, as asyncio reports its
+    own callbacks, and the drain goes on.
     """
 
     __slots__ = ("_runtime", "_drained", "_heap", "_seq", "_timer", "_armed",
@@ -224,12 +250,23 @@ class DeliveryQueue:
             due.append(heappop(heap))
         try:
             for entry in due:
-                entry[2](*entry[3])
+                try:
+                    entry[2](*entry[3])
+                except (SystemExit, KeyboardInterrupt):
+                    raise
+                except BaseException as exc:  # noqa: BLE001 - as asyncio.Handle
+                    loop.call_exception_handler({
+                        "message": f"Exception in callback {entry[2]!r}",
+                        "exception": exc,
+                    })
             self._drained()
         finally:
             self._armed = inf
-            if heap:
-                self._arm(loop, heap[0][0])
+            self._rearm(loop)
+
+    def _rearm(self, loop: asyncio.AbstractEventLoop) -> None:
+        if self._heap:
+            self._arm(loop, self._heap[0][0])
 
     def close(self) -> List[Tuple[Callable[..., None], Tuple]]:
         """Disarm for good; returns the ``(callback, args)`` still in
@@ -240,6 +277,39 @@ class DeliveryQueue:
         left = [(entry[2], entry[3]) for entry in sorted(self._heap)]
         self._heap.clear()
         return left
+
+
+class _TimerQueue(DeliveryQueue):
+    """The runtime's timers: a :class:`DeliveryQueue` whose entries are
+    :class:`_LiveHandle`\\ s, each its own callback.
+
+    Cancelling only flags the handle (lazy deletion, like the
+    simulator's lane): the entry leaves the heap when it comes due or
+    reaches the head, whichever is first, so the loop timer is never
+    left armed for a callback that will not run.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, runtime: "AsyncioRuntime"):
+        super().__init__(runtime, lambda: None)
+
+    def cancelled(self, handle: _LiveHandle) -> None:
+        """``handle`` was just cancelled; re-arm if it heads the heap
+        (inside a drain, the drain re-arms when it is done)."""
+        if self._armed != -inf and self._heap[0][2] is handle:
+            self._rearm(self._runtime.loop)
+
+    def _rearm(self, loop: asyncio.AbstractEventLoop) -> None:
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heappop(heap)
+        if heap:
+            self._arm(loop, heap[0][0])
+        elif self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+            self._armed = inf
 
 
 class AsyncioTransport(Channel):

@@ -4,7 +4,8 @@
 mode spawns one process per node; each runs :func:`node_process_main`
 with a picklable :class:`NodeSpec`.  The child:
 
-1. builds an :class:`~repro.runtime.live.AsyncioRuntime` and a
+1. builds an :class:`~repro.runtime.live.AsyncioRuntime` (on a loop
+   from :func:`~repro.runtime.live.new_event_loop`) and a
    :class:`~repro.runtime.tcp.TcpTransport` hosting just its node,
    binds an ephemeral port, and *registers* it with the parent's hub —
    the first reachable entry of an *ordered hub list*.  Losing the hub
@@ -50,7 +51,7 @@ from ..faults.process import ShockableDemand, SystemFaultInjector, apply_fault
 from ..faults.schedule import FaultEvent
 from ..sim.network import LatencyModel
 from ..topology.graph import Topology
-from .live import AsyncioRuntime
+from .live import AsyncioRuntime, new_event_loop
 from .tcp import (
     DEFAULT_MAX_FRAME_BYTES,
     FrameDecoder,
@@ -308,4 +309,8 @@ def _handle_call(spec, runtime, transport, stack, method, args):
 
 def node_process_main(spec: NodeSpec) -> None:
     """Child-process entry point (target of ``multiprocessing.Process``)."""
-    asyncio.run(_node_main(spec))
+    loop = new_event_loop()
+    try:
+        loop.run_until_complete(_node_main(spec))
+    finally:
+        loop.close()
