@@ -1198,23 +1198,28 @@ def _chaos_report(args, schedule, status) -> str:
     return f"convergence report written to {args.report}"
 
 
+#: Commands that are not a paper artefact, so `repro all` skips them.
+_NOT_ARTEFACTS = ("campaign", "sweep", "run", "serve", "chaos", "all")
+
+
 def cmd_all(args) -> str:
-    chunks = [
-        cmd_surface(argparse.Namespace(valleys=2)),
-        cmd_table1(args),
-        cmd_fig3(args),
-        _fig_cdf(argparse.Namespace(reps=args.reps, seed=args.seed, nodes=50, plot=False), 50),
-        _fig_cdf(argparse.Namespace(reps=args.reps, seed=args.seed, nodes=100, plot=False), 100),
-        cmd_table2(args),
-        cmd_scaling(
-            argparse.Namespace(reps=max(10, args.reps // 2), seed=args.seed, sizes=[25, 50, 100])
-        ),
-        cmd_uniform(argparse.Namespace(reps=max(10, args.reps // 2), seed=args.seed)),
-        cmd_islands(argparse.Namespace(reps=max(10, args.reps // 2), seed=args.seed)),
-        cmd_overhead(argparse.Namespace(reps=max(5, args.reps // 3), seed=args.seed)),
-        cmd_ablation(args),
-        cmd_strongcost(argparse.Namespace(reps=max(5, args.reps // 3), seed=args.seed)),
-    ]
+    """Every paper artefact in `_COMMANDS`, each at reduced repetitions."""
+    half, third = max(10, args.reps // 2), max(5, args.reps // 3)
+    reps = {
+        **dict.fromkeys(("scaling", "uniform", "islands", "staleness"), half),
+        **dict.fromkeys(("overhead", "strongcost", "partition", "skew"), third),
+    }
+    parser = build_parser()
+    chunks = []
+    for name, command in _COMMANDS.items():
+        if name in _NOT_ARTEFACTS:
+            continue
+        argv = [name]
+        if name not in ("surface", "table1"):
+            argv += ["--reps", str(reps.get(name, args.reps)), "--seed", str(args.seed)]
+        if name == "scaling":
+            argv += ["--sizes", "25", "50", "100"]
+        chunks.append(command(parser.parse_args(argv)))
     return ("\n\n" + "=" * 72 + "\n\n").join(chunks)
 
 

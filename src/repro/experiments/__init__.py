@@ -48,8 +48,6 @@ from .figures import (
     UniformTopologiesResult,
     ablation_experiment,
     figure3,
-    figure5,
-    figure6,
     figure_cdf,
     islands_experiment,
     overhead_experiment,
@@ -146,8 +144,6 @@ __all__ = [
     # figure drivers
     "PAPER",
     "figure_cdf",
-    "figure5",
-    "figure6",
     "figure3",
     "table1_orderings",
     "table2_dynamic",

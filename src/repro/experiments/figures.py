@@ -212,16 +212,6 @@ def figure_cdf(
     )
 
 
-def figure5(reps: int = 120, seed: int = 1, **kwargs) -> FigureCdfResult:
-    """Fig. 5: CDF of number of sessions, 50 nodes."""
-    return figure_cdf(50, reps=reps, seed=seed, **kwargs)
-
-
-def figure6(reps: int = 120, seed: int = 1, **kwargs) -> FigureCdfResult:
-    """Fig. 6: CDF of number of sessions, 100 nodes."""
-    return figure_cdf(100, reps=reps, seed=seed, **kwargs)
-
-
 # ---------------------------------------------------------------------------
 # §2 worked example: Table 1 orderings and Figure 3
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ class TestCommands:
     def test_surface(self, capsys):
         out = run_cli(capsys, "surface")
         assert "valleys = high demand" in out
+        assert "@" in out  # the densest glyph marks the deepest valley
 
     def test_table1(self, capsys):
         out = run_cli(capsys, "table1")
@@ -96,6 +97,19 @@ class TestCommands:
         assert "flat" in out
         assert "push deliveries" in out
 
+    def test_all_runs_every_paper_artefact(self, capsys, monkeypatch):
+        from repro import cli
+
+        not_artefacts = {"campaign", "sweep", "run", "serve", "chaos", "all"}
+        artefacts = [name for name in cli._COMMANDS if name not in not_artefacts]
+        for name in artefacts:
+            monkeypatch.setitem(
+                cli._COMMANDS, name, lambda args, name=name: f"<{name}>"
+            )
+        out = run_cli(capsys, "all", "--reps", "2")
+        for name in artefacts:
+            assert f"<{name}>" in out, name
+
     def test_run_adhoc(self, capsys):
         out = run_cli(
             capsys, "run", "--topology", "ring", "-n", "8", "--variant", "fast"
@@ -116,7 +130,7 @@ class TestCommands:
         import json
 
         argv = [
-            "sweep", "--topology", "ring", "--variants", "weak",
+            "sweep", "--topology", "ring", "--variants", "weak", "fast",
             "-n", "8", "--reps", "2", "--seed", "3",
         ]
         serial_path = tmp_path / "serial.json"
@@ -189,7 +203,10 @@ class TestCommands:
         checkpoint = tmp_path / "cp.jsonl"
         full = tmp_path / "full.json"
         resumed = tmp_path / "resumed.json"
-        base = ["campaign", "run", "smoke", "--reps", "1", "--seed", "3"]
+        base = [
+            "campaign", "run", "smoke", "--reps", "1", "--seed", "3",
+            "--workers", "2",
+        ]
         run_cli(capsys, *base, "--json", str(full))
         out = run_cli(
             capsys, *base, "--checkpoint", str(checkpoint), "--limit", "3"
@@ -201,7 +218,8 @@ class TestCommands:
         out = run_cli(
             capsys,
             "campaign", "resume", "smoke", "--reps", "1", "--seed", "3",
-            "--checkpoint", str(checkpoint), "--json", str(resumed),
+            "--workers", "2", "--checkpoint", str(checkpoint),
+            "--json", str(resumed),
         )
         assert "3 trials loaded, 3 executed" in out
         assert json.loads(full.read_text()) == json.loads(resumed.read_text())
@@ -222,8 +240,9 @@ class TestCommands:
         import json
 
         argv = [
-            "sweep", "--topology", "line", "--variants", "weak",
-            "--faults", "split_brain", "-n", "8", "--reps", "2", "--seed", "3",
+            "sweep", "--topology", "line", "--variants", "weak", "fast",
+            "--faults", "none", "split_brain", "poisson_churn",
+            "-n", "8", "--reps", "2", "--seed", "3",
         ]
         serial_path = tmp_path / "serial.json"
         parallel_path = tmp_path / "parallel.json"
@@ -232,7 +251,12 @@ class TestCommands:
         serial = json.loads(serial_path.read_text())
         parallel = json.loads(parallel_path.read_text())
         assert serial["series"] == parallel["series"]
-        assert serial["params"]["faults"] == ["split_brain"]
+        assert serial["params"]["faults"] == ["none", "split_brain", "poisson_churn"]
+        assert set(serial["series"]) == {"weak", "fast"} | {
+            f"{variant}@{faults}"
+            for variant in ("weak", "fast")
+            for faults in ("split_brain", "poisson_churn")
+        }
 
 
 def assert_one_line_error(capsys, argv, needle) -> None:

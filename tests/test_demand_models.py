@@ -162,6 +162,21 @@ class TestSurfaceDemand:
         assert any(topo.position(n) == (2.0, 2.0) for n in hot)
         assert any(topo.position(n) == (6.0, 6.0) for n in hot)
 
+    def test_fig1_landscape_valleys_are_deep_and_ridge_low(self):
+        # Fig. 1's two-valley field (the one `repro surface` draws).
+        field = SurfaceDemand(
+            {0: (0.0, 0.0), 1: (100.0, 100.0)},
+            [
+                Valley(center=(25.0, 25.0), peak=100.0, radius=12.0),
+                Valley(center=(75.0, 70.0), peak=80.0, radius=10.0),
+            ],
+            base=1.0,
+        )
+        assert field.demand_at((25.0, 25.0)) > 100.0
+        assert field.demand_at((75.0, 70.0)) > 80.0
+        assert field.demand_at((50.0, 47.5)) < 30.0  # the ridge between
+        assert field.demand_at((0.0, 100.0)) < 3.0  # a corner hill
+
     def test_deepest_valley(self):
         valleys = [
             Valley(center=(0, 0), peak=10.0, radius=1.0),

@@ -106,6 +106,13 @@ class TestPersistentPool:
             outcome = campaign.run(backend)
         assert counting_executor.created == 1
         assert set(outcome.results) == {"a", "b"}
+        # Sharing the pool is not a source of noise: each plan run on
+        # its own gives the same series byte for byte.
+        for key, plan in campaign.plans.items():
+            assert (
+                plan.run().to_dict()["series"]
+                == outcome.results[key].to_dict()["series"]
+            ), key
 
     def test_scaling_experiment_spawns_exactly_one_pool(self, counting_executor):
         with ProcessPoolBackend(max_workers=2) as backend:

@@ -1,8 +1,9 @@
 """Tests for the per-figure experiment drivers (reduced fidelity).
 
 These tests run the real drivers with few repetitions; they assert the
-*shape* of the paper's results (who wins, roughly by how much), not the
-absolute values — see EXPERIMENTS.md for the calibrated runs.
+*shape* of the paper's results (who wins, roughly by how much, and
+generous bands around the paper's figures). Full-fidelity runs are one
+CLI command each (`python -m repro fig5 --reps 10000`, …).
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ class TestTable1:
         assert result.worst == ("C", "A", "E", "D")
         assert result.best == ("D", "E", "A", "C")
         assert len(result.orders) == 24
+        # Every order ends at the total demand of 28 requests/unit.
+        assert all(series[-1] == 28.0 for _, series, _ in result.orders)
 
     def test_paper_series_values(self):
         result = table1_orderings()
@@ -58,9 +61,12 @@ class TestFigure3:
     def test_fast_beats_optimal_early(self, result):
         # §2: "our algorithm works even better than the optimal case."
         assert result.fast_simulated[0] > result.optimal[0]
+        # And it never falls below the analytic optimum at any step.
+        for fast, optimal in zip(result.fast_simulated, result.optimal):
+            assert fast >= optimal - 0.5
 
     def test_fast_reaches_total_demand(self, result):
-        assert result.fast_simulated[-1] == pytest.approx(28.0, abs=1.0)
+        assert 27.0 < result.fast_simulated[-1] <= 28.0
 
     def test_rows_shape(self, result):
         rows = result.rows()
@@ -82,6 +88,24 @@ class TestFigureCdf:
 
     def test_speedup_in_paper_ballpark(self, result):
         assert result.speedup_high_demand > 2.5
+
+    @pytest.mark.parametrize(
+        "n, weak_band, fast_band",
+        [(50, (4.0, 9.0), (2.5, 6.5)), (100, (4.5, 10.0), (3.0, 7.0))],
+    )
+    def test_paper_ballpark(self, n, weak_band, fast_band):
+        # Figs. 5/6: weak 6.15 / 6.98 and fast 3.93 / 4.78 sessions to all
+        # replicas, the most-demanded replica in about one, "up to six
+        # times quicker" — checked as ordering, factors and generous bands.
+        result = figure_cdf(n=n, reps=15, seed=2)
+        means = result.means
+        weak, fast = means["weak (all replicas)"], means["fast (all replicas)"]
+        assert means["ordered-only (all)"] < weak
+        assert means["fast (high demand)"] < 2.0
+        assert 1 - fast / weak > 0.15
+        assert result.speedup_high_demand > 3.0
+        assert weak_band[0] < weak < weak_band[1]
+        assert fast_band[0] < fast < fast_band[1]
 
     def test_curves_are_cdfs(self, result):
         for name, values in result.curves.items():
@@ -130,12 +154,17 @@ class TestTable2Dynamic:
 
 class TestScaling:
     def test_doubling_nodes_grows_sessions_sublinearly(self):
-        result = scaling_experiment(sizes=(25, 50), reps=10, seed=5)
-        s25 = result.rows_by_size[25]
-        s50 = result.rows_by_size[50]
-        # Doubling nodes must NOT double sessions (diameter effect, §5).
-        assert s50["weak_mean"] < 1.6 * s25["weak_mean"]
-        assert s50["fast_mean"] < 1.6 * s25["fast_mean"]
+        result = scaling_experiment(sizes=(25, 50, 100), reps=10, seed=5)
+        rows = result.rows_by_size
+        for small, large in ((25, 50), (50, 100)):
+            # Doubling nodes must NOT double sessions (diameter effect,
+            # §5), and the diameter, the shared cause, grows slowly too.
+            for key in ("weak_mean", "fast_mean", "diameter"):
+                assert rows[large][key] < 1.6 * rows[small][key], (key, large)
+        # §5: 50 -> 100 nodes adds under one session (3.93 -> 4.78 fast,
+        # 6.15 -> 6.98 weak); allow twice that.
+        assert rows[100]["fast_mean"] - rows[50]["fast_mean"] < 2.0
+        assert rows[100]["weak_mean"] - rows[50]["weak_mean"] < 2.0
 
     def test_rows_render(self):
         result = scaling_experiment(sizes=(25,), reps=4, seed=5)
@@ -147,7 +176,10 @@ class TestUniformTopologies:
         result = uniform_topologies(reps=8, seed=6)
         for name, data in result.rows_by_name.items():
             assert data["fast_mean"] <= data["weak_mean"] * 1.05, name
-            assert data["fast_top_mean"] < data["weak_mean"], name
+            assert data["fast_top_mean"] < 0.7 * data["weak_mean"], name
+        # Sessions follow the diameter: the line needs more than the grid.
+        rows = result.rows_by_name
+        assert rows["line-24"]["weak_mean"] > rows["grid-5x5"]["weak_mean"]
 
 
 class TestIslands:
@@ -158,10 +190,13 @@ class TestIslands:
             result.mean_far_leader["fast+bridges"]
             < result.mean_far_leader["fast"]
         )
+        assert result.mean_far_leader["fast+bridges"] < 1.0
         assert (
             result.mean_far_island["fast+bridges"]
             < result.mean_far_island["fast"]
         )
+        # Bridging never hurts global convergence.
+        assert result.mean_all["fast+bridges"] <= result.mean_all["fast"] * 1.1
 
 
 class TestOverhead:
@@ -193,34 +228,49 @@ class TestAblation:
         assert rows["push-only"]["mean_top"] < rows["weak"]["mean_top"]
         # ...and the combination is the best of the paper variants.
         assert rows["fast"]["mean_top"] <= rows["ordered-only"]["mean_top"]
+        assert rows["fast"]["mean_top"] <= rows["push-only"]["mean_top"] * 1.05
         assert rows["fast"]["mean_top"] <= rows["weak"]["mean_top"]
+        # A wider fanout can only help the high-demand subset, and an
+        # unconditional push trades traffic for latency: never slower.
+        assert rows["fast-fanout2"]["mean_top"] <= rows["fast"]["mean_top"] * 1.05
+        assert rows["fast-always"]["mean_all"] <= rows["fast"]["mean_all"] * 1.05
 
 
 class TestStrongCost:
     def test_strong_pays_latency_and_messages(self):
-        result = strong_cost_experiment(sizes=(10, 25), reps=3, seed=10)
-        r10 = result.rows_by_size[10]
-        r25 = result.rows_by_size[25]
+        result = strong_cost_experiment(sizes=(10, 25, 50), reps=3, seed=10)
+        rows = result.rows_by_size
         # Message cost grows linearly with n (3(n-1)).
-        assert r25["strong_messages"] > r10["strong_messages"]
-        assert r10["strong_messages"] == pytest.approx(27.0, abs=1.0)
-        # Strong writes block the client; weak writes return immediately.
-        assert r10["strong_latency"] > 0.0
-        assert r10["weak_latency"] == 0.0
+        assert rows[50]["strong_messages"] > 4 * rows[10]["strong_messages"]
+        assert rows[10]["strong_messages"] == pytest.approx(27.0, abs=1.0)
+        for n, row in rows.items():
+            assert row["strong_messages"] >= 3 * (n - 1), n
+            # Strong writes block the client; weak writes return at once.
+            assert row["strong_latency"] > 0.0, n
+            assert row["weak_latency"] == 0.0, n
+        # Under 5% loss some synchronous writes fail outright.
+        assert any(row["strong_fail_rate"] > 0.0 for row in rows.values())
 
 
 class TestStaleness:
     def test_fresh_knowledge_beats_frozen_snapshot(self):
         result = staleness_experiment(reps=8, seed=3, n=30)
         rows = result.rows_by_variant
-        assert rows["oracle"]["mean_top"] <= rows["snapshot (§3)"]["mean_top"] * 1.1
+        snapshot = rows["snapshot (§3)"]["mean_top"]
+        assert rows["oracle"]["mean_top"] < snapshot
+        assert rows["advertised/0.5"]["mean_top"] < snapshot * 1.05
         # Advert traffic scales inversely with the period.
         assert (
             rows["advertised/0.5"]["advert_bytes"]
+            > rows["advertised/2"]["advert_bytes"]
             > rows["advertised/8"]["advert_bytes"]
             > 0
         )
         assert rows["oracle"]["advert_bytes"] == 0
+        # Even stale knowledge keeps the hottest replica about one to
+        # two sessions away (weak needs five or more).
+        for variant, data in rows.items():
+            assert data["mean_top"] < 3.0, variant
 
 
 class TestPartition:
@@ -229,7 +279,7 @@ class TestPartition:
         rows = result.rows_by_variant
         for variant in ("weak", "fast"):
             assert rows[variant]["time_all"] > 4.0  # far side waited for heal
-            assert rows[variant]["after_heal"] < 10.0
+            assert rows[variant]["after_heal"] < 8.0
         assert result.strong_commit_rate_during_partition == 0.0
 
 
@@ -238,4 +288,14 @@ class TestSkew:
         result = skew_experiment(reps=4, seed=6, n=24)
         rows = result.rows_by_skew
         assert rows["flat"]["push_fraction"] == 0.0
-        assert rows["uniform"]["push_fraction"] > 0.05
+        for skew in ("uniform", "zipf/0.5", "zipf/1.5"):
+            # Any skew turns the push on and serves the hottest replica
+            # sooner than flat demand does.
+            assert rows[skew]["push_fraction"] > 0.10, skew
+            assert rows[skew]["fast_top"] < rows["flat"]["fast_top"], skew
+        # Only the demand ranking enters the protocol: two Zipf fields
+        # with one rank order behave identically.
+        for key in ("fast_all", "fast_top"):
+            assert rows["zipf/0.5"][key] == pytest.approx(
+                rows["zipf/1.5"][key], rel=1e-9
+            )

@@ -242,6 +242,26 @@ class TestPlanAxis:
         static = serial.series["fast+static"].mean_satisfied_area()
         assert auto > static
 
+    @pytest.mark.parametrize("topology, n", [("grid", 16), ("cdn", 24)])
+    def test_every_policy_against_static_on_flash_crowd(self, topology, n):
+        # Paired seeds: the threshold autoscaler serves strictly more
+        # than static placement and spawns copies to do it, and every
+        # policy's control loop stays a small share of the traffic.
+        plan = ExperimentPlan(
+            name="p", topology=topology, demand="flash-crowd",
+            variants=("fast",),
+            placements=("static", "threshold", "top-share", "efficiency"),
+            n=n, reps=2, seed=23, max_time=80.0,
+        )
+        series = plan.run().series
+        threshold = series["fast+threshold"]
+        static = series["fast+static"]
+        assert threshold.mean_satisfied_area() > static.mean_satisfied_area()
+        assert sum(t.replicas_spawned for t in threshold.trials) > 0
+        for label, runs in series.items():
+            control = sum(t.placement_bytes for t in runs.trials) / len(runs.trials)
+            assert control < 0.25 * runs.mean_bytes(), label
+
 
 class TestControlPlaneHardening:
     """Seq numbers, idempotent commands, retries, crash checkpoints."""
@@ -386,3 +406,43 @@ class TestControlPlaneHardening:
         assert {s for _, k, s, _ in controller.events if k == "spawn"} <= set(
             HOT
         )
+
+    def test_controller_crash_keeps_nine_tenths_of_fault_free_area(self):
+        # The home crashes inside the flash-crowd spike ([10, 45)) while
+        # links flap, so commands and acks are lost too; the controller
+        # resumes from its checkpoint and retries.
+        from repro.core.variants import fast_consistency
+        from repro.experiments.scenarios import build_demand, build_topology
+        from repro.faults.generators import flapping_links
+        from repro.faults.schedule import FaultSchedule, node_down, node_up
+
+        def run(chaos):
+            # A fresh topology per run: the controller grows the graph.
+            topology = build_topology("grid", 16, seed=23)
+            origin = sorted(topology.nodes)[0]
+            faults = None
+            if chaos:
+                crash = FaultSchedule(
+                    events=(node_down(15.0, origin), node_up(25.0, origin)),
+                    name="controller-crash",
+                )
+                faults = (crash + flapping_links(topology, seed=23)).validate()
+            return run_trial(
+                TrialSpec(
+                    topology=topology,
+                    demand=build_demand("flash-crowd", topology, seed=23),
+                    config=fast_consistency(),
+                    seed=23,
+                    origin=origin,
+                    max_time=80.0,
+                    faults=faults,
+                    placement=PlacementSetup(policy="threshold"),
+                )
+            )
+
+        fault_free, _ = run(chaos=False)
+        crashed, system = run(chaos=True)
+        applied = system.fault_process.stats
+        assert applied.get("node_down", 0) >= 1
+        assert applied.get("node_up", 0) >= 1
+        assert crashed.satisfied_area >= 0.9 * fault_free.satisfied_area

@@ -16,7 +16,7 @@ import time
 import pytest
 
 from repro.errors import ReplicationError
-from repro.experiments.scenarios import build_system
+from repro.experiments.scenarios import VARIANTS, build_faults, build_system
 from repro.faults import FaultProcess, FaultSchedule
 from repro.faults.generators import rolling_restart
 from repro.faults.schedule import (
@@ -31,6 +31,7 @@ from repro.faults.schedule import (
 from repro.runtime.cluster import ReplicaCluster
 from repro.runtime.tcp import SyncFrameChannel
 from repro.sim.trace import Tracer
+from repro.topology.brite import internet_like
 from repro.topology.simple import line
 
 
@@ -156,6 +157,56 @@ class TestCrashDuringClientCalls:
             cluster.put("k", "v")
         with pytest.raises(ReplicationError):
             cluster.get("k")
+
+
+class TestServingThroughChaos:
+    """A queue cluster serves puts while a fault schedule replays."""
+
+    #: Loose: a healthy run sits well under 200 ms, so this catches
+    #: convergence pathologies, not machine-load jitter.
+    P99_SLO_MS = 1500.0
+
+    @pytest.mark.parametrize(
+        "name", ["rolling_restart", "flapping_links", "corrupt_storm"]
+    )
+    def test_every_put_converges_within_the_p99_slo(self, name):
+        time_scale = 0.02
+        topology = internet_like(8, seed=7)
+        schedule = build_faults(name, topology, seed=7)
+        with ReplicaCluster(
+            topology,
+            config=VARIANTS["fast"](),
+            seed=7,
+            time_scale=time_scale,
+            faults=schedule,
+        ) as cluster:
+            # Serve through the schedule and a post-heal tail; a packet
+            # window outlives its event by its duration.
+            window_end = schedule.last_packet_window_end() or 0.0
+            horizon = (max(schedule.duration, window_end) + 2.0) * time_scale
+            uids = []
+            started = time.monotonic()
+            sequence = 0
+            while time.monotonic() - started < horizon:
+                node = cluster.node_ids[sequence % len(cluster.node_ids)]
+                try:
+                    uids.append(cluster.put("content", f"v{sequence}", node=node).uid)
+                except ReplicationError:
+                    pass  # the target is down: a clean refusal is the contract
+                sequence += 1
+                time.sleep(0.01)
+            chaos = _wait_chaos_done(cluster, timeout=30.0)
+            assert chaos["applied"] == chaos["total"]
+            assert uids
+            for uid in uids:
+                assert cluster.wait_replicated(uid, timeout=30.0), uid
+            p99 = cluster.replication_latency_quantile(0.99)
+            stats = cluster.stats()
+        assert stats["handler_errors"] == 0
+        assert p99 is not None and 1000 * p99 <= self.P99_SLO_MS
+        if name == "corrupt_storm":
+            # The storm bites on the live channel and still converges.
+            assert stats["traffic"].get("corrupt_frames_dropped", 0) > 0
 
 
 class TestTcpCluster:
@@ -348,6 +399,9 @@ class TestHubFailover:
             assert cluster.get("k", node=2) == "v2"
             stats = cluster.stats()
             assert stats["transport"] == "tcp"
+            assert stats["handler_errors"] == 0
+            p99 = cluster.replication_latency_quantile(0.99)
+            assert p99 is not None and p99 <= 1.5  # the chaos p99 SLO
 
     def test_kill_hub_refused_without_standby(self):
         with ReplicaCluster(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.experiments.sink import (
     StreamingSink,
     _scenario_parts,
     default_sidecar,
+    sink_status,
     stream_status,
 )
 from repro.experiments.scenarios import VARIANTS
@@ -68,6 +70,53 @@ def run_cli(capsys, *argv) -> str:
     return capsys.readouterr().out
 
 
+#: The streaming peak may grow by at most this factor from 10^3 to 10^4
+#: trials; below FLAT_FLOOR_KB the ratio measures allocator noise.
+FLAT_FACTOR = 3.0
+FLAT_FLOOR_KB = 256.0
+#: At 10^4 trials the list baseline holds at least this many times the
+#: streaming peak: the O(n) against O(1) separation itself.
+SEPARATION_FACTOR = 5.0
+
+
+def write_synthetic_checkpoint(path, trials) -> None:
+    """A checkpoint shaped like a real campaign's, ``trials`` rows."""
+    state = 0x9E3779B9
+    with path.open("w", encoding="utf-8") as fh:
+        header = {"kind": "header", "campaign": "synthetic", "plans": {"bench": trials}}
+        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        for i in range(trials):
+            state = (state * 6364136223846793005 + 1442695040888963407) % 2**64
+            spread = (state >> 11) % 10_000 / 1_000.0
+            trial = {
+                "rep": i, "origin": i % 97, "time_all": 4.0 + spread,
+                "time_top": 1.0 + spread / 4.0, "time_top1": 0.5 + spread / 8.0,
+                "mean_time": 2.0 + spread / 2.0, "diameter": 11,
+                "messages": 1000 + i % 311, "bytes_sent": 50_000 + i % 7001,
+                "n_nodes": 100, "time_post_heal": None, "time_top_shocked": None,
+                "satisfied_area": None, "replicas_spawned": 0,
+                "replicas_retired": 0, "replicas_peak": 0, "placement_bytes": 0,
+            }
+            variant = ("fast", "weak")[i % 2]
+            record = {
+                "kind": "trial",
+                "key": f"bench::rep={i}/faults=none/variant={variant}",
+                "trial": trial,
+            }
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def traced_peak_kb(call):
+    """``call()``'s result and the peak KiB it allocated meanwhile."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak / 1024.0
+
+
 # ---------------------------------------------------------------------------
 # Streaming aggregates vs exact list-based values
 # ---------------------------------------------------------------------------
@@ -112,6 +161,10 @@ class TestStreamingMatchesExact:
                 at_or_below = sum(1 for v in values if v <= got)
                 err = sketch.rank_error
                 assert below - err <= target <= at_or_below + err
+        # `campaign status` reads the same registry back from the sidecar.
+        status = stream_status(path)
+        assert not status.partial
+        assert status.telemetry.to_json() == registry.to_json()
 
     def test_sidecar_written_and_restores_identical(self, tmp_path):
         path = tmp_path / "cp.jsonl"
@@ -255,6 +308,24 @@ class TestStreamStatus:
             with pytest.raises(ExperimentError):
                 sink.get(key)
             assert sink.get("not::recorded") is None
+
+
+    def test_status_memory_flat_in_trial_count(self, tmp_path):
+        # 10x more trials: the streaming pass's traced peak stays flat,
+        # while the list baseline, which loads every trial, grows.
+        peaks = {}
+        for trials in (1_000, 10_000):
+            path = tmp_path / f"cp_{trials}.jsonl"
+            write_synthetic_checkpoint(path, trials)
+            status, stream_kb = traced_peak_kb(lambda: stream_status(path))
+            (_, counts), list_kb = traced_peak_kb(lambda: sink_status(path))
+            assert status.trials == counts["bench"] == trials
+            assert status.torn_lines == 0
+            peaks[trials] = stream_kb, list_kb
+        small_stream, _ = peaks[1_000]
+        large_stream, large_list = peaks[10_000]
+        assert large_stream <= FLAT_FACTOR * max(small_stream, FLAT_FLOOR_KB), peaks
+        assert large_list >= SEPARATION_FACTOR * large_stream, peaks
 
 
 # ---------------------------------------------------------------------------
