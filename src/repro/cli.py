@@ -22,10 +22,13 @@ Examples::
     repro chaos --connect 127.0.0.1:7700 --faults flapping_links --wait
     repro all --reps 30              # everything, reduced fidelity
 
-Commands that run through the declarative experiment pipeline (fig5,
-fig6, scaling, sweep) accept ``--workers N`` to execute repetitions on
-a process pool — results are bit-identical to serial — and ``--json
-PATH`` to export the full :class:`ExperimentResult` for archiving.
+Every command that repeats trials (fig3, fig5, fig6, table2, scaling,
+uniform, islands, overhead, ablation, staleness, strongcost, partition,
+skew, sweep, campaign, and ``all``, which hands it on) accepts
+``--workers N`` to execute repetitions on a process pool; results are
+bit-identical to serial. fig5, fig6, scaling, sweep and campaign also
+take ``--json PATH`` to export the full :class:`ExperimentResult` for
+archiving.
 
 Also available as ``python -m repro``.
 """
@@ -60,19 +63,19 @@ from .viz.ascii import bar_chart, cdf_plot
 from .viz.surface import render_surface
 
 
-def _add_common(parser: argparse.ArgumentParser, reps: int) -> None:
+def _add_common(parser: argparse.ArgumentParser, reps: Optional[int]) -> None:
+    """Options of every command that repeats trials."""
     parser.add_argument("--reps", type=int, default=reps, help="repetitions")
     parser.add_argument("--seed", type=int, default=1, help="master seed")
-
-
-def _add_pipeline(parser: argparse.ArgumentParser) -> None:
-    """Options shared by commands backed by the declarative pipeline."""
     parser.add_argument(
         "--workers",
         type=int,
         default=1,
         help="process-pool size; 1 = serial (results are identical)",
     )
+
+
+def _add_json(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--json",
         metavar="PATH",
@@ -88,6 +91,13 @@ def _backend(args) -> object:
         # command line a zero-or-negative pool is always a typo.
         raise ExperimentError(f"--workers must be >= 1, got {workers}")
     return resolve_backend(workers)
+
+
+def _artefact(args, driver, **kwargs):
+    """Run a paper-artefact driver at ``--reps``/``--seed`` on the
+    ``--workers`` backend, shutting any pool down afterwards."""
+    with _backend(args) as backend:
+        return driver(reps=args.reps, seed=args.seed, backend=backend, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, n in (("fig5", 50), ("fig6", 100)):
         p = sub.add_parser(name, help=f"Fig. {name[-1]}: CDF of sessions, {n} nodes")
         _add_common(p, reps=120)
-        _add_pipeline(p)
+        _add_json(p)
         p.add_argument("--nodes", type=int, default=n)
         p.add_argument("--plot", action="store_true", help="render the ASCII CDF plot")
 
@@ -120,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scaling", help="§5: sessions vs diameter across sizes")
     _add_common(p, reps=40)
-    _add_pipeline(p)
+    _add_json(p)
     p.add_argument(
         "--sizes", type=int, nargs="+", default=[25, 50, 100, 200], help="node counts"
     )
@@ -140,14 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="NAME",
             help=f"campaign name ({', '.join(sorted(CAMPAIGNS))})",
         )
-        cp.add_argument(
-            "--reps",
-            type=int,
-            default=None,
-            help="repetitions per plan (default: the campaign's own fidelity)",
-        )
-        cp.add_argument("--seed", type=int, default=1, help="master seed")
-        _add_pipeline(cp)
+        # --reps defaults to each campaign's own fidelity.
+        _add_common(cp, reps=None)
+        _add_json(cp)
         cp.add_argument(
             "--checkpoint",
             metavar="PATH",
@@ -187,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="run any registry-named experiment grid (plan + backend)"
     )
     _add_common(p, reps=50)
-    _add_pipeline(p)
+    _add_json(p)
     # Registry keys are validated by the plan itself, so an unknown name
     # exits with a one-line ReproError naming the known keys instead of
     # an argparse usage dump.
@@ -415,15 +420,6 @@ def cmd_table1(args) -> str:
     return table + "\n\n" + notes
 
 
-def cmd_fig3(args) -> str:
-    result = figures.figure3(reps=args.reps, seed=args.seed)
-    return format_table(
-        ["session", "worst case", "optimal case", "fast consistency (sim)"],
-        result.rows(),
-        title="Fig. 3 — requests satisfied with consistent content",
-    )
-
-
 def _export_json(args, experiment) -> List[str]:
     """Save ``experiment`` when ``--json`` was given; returns report lines."""
     path = getattr(args, "json", None)
@@ -436,14 +432,9 @@ def _export_json(args, experiment) -> List[str]:
     return [f"raw results written to {path}"]
 
 
-def _fig_cdf(args, default_n: int) -> str:
-    with _backend(args) as backend:
-        result = figures.figure_cdf(
-            n=getattr(args, "nodes", default_n),
-            reps=args.reps,
-            seed=args.seed,
-            backend=backend,
-        )
+def cmd_fig_cdf(args) -> str:
+    """Figs. 5 and 6: one command, told apart by ``--nodes``'s default."""
+    result = _artefact(args, figures.figure_cdf, n=args.nodes)
     out = [
         format_table(
             ["curve (mean sessions)", "paper", "measured"],
@@ -459,16 +450,8 @@ def _fig_cdf(args, default_n: int) -> str:
     return "\n".join(out)
 
 
-def cmd_fig5(args) -> str:
-    return _fig_cdf(args, 50)
-
-
-def cmd_fig6(args) -> str:
-    return _fig_cdf(args, 100)
-
-
 def cmd_table2(args) -> str:
-    result = figures.table2_dynamic(reps=args.reps, seed=args.seed)
+    result = _artefact(args, figures.table2_dynamic)
     sequence_table = format_table(
         ["beliefs", "t=1", "t=2", "t=3"],
         result.sequence_rows(),
@@ -484,11 +467,8 @@ def cmd_table2(args) -> str:
 
 def cmd_scaling(args) -> str:
     # One backend for the whole sweep: the campaign underneath reuses
-    # its process pool across every size, and `with` shuts it down.
-    with _backend(args) as backend:
-        result = figures.scaling_experiment(
-            sizes=tuple(args.sizes), reps=args.reps, seed=args.seed, backend=backend
-        )
+    # its process pool across every size.
+    result = _artefact(args, figures.scaling_experiment, sizes=tuple(args.sizes))
     return format_table(
         ["nodes", "diameter", "weak mean", "fast mean", "fast top-10% mean"],
         result.rows(),
@@ -741,37 +721,8 @@ def cmd_campaign(args) -> str:
     return "\n".join(out)
 
 
-def cmd_uniform(args) -> str:
-    result = figures.uniform_topologies(reps=args.reps, seed=args.seed)
-    return format_table(
-        ["topology", "n", "diameter", "weak mean", "fast mean", "fast top mean"],
-        result.rows(),
-        title="§5 — simple uniform topologies",
-    )
-
-
-def cmd_islands(args) -> str:
-    result = figures.islands_experiment(reps=args.reps, seed=args.seed)
-    table = format_table(
-        ["variant", "far leader", "far island (mean member)", "all replicas"],
-        result.rows(),
-        title=f"§6 — two-valley grid, {result.islands_detected} islands detected "
-        "(sessions until consistent)",
-    )
-    return table
-
-
-def cmd_overhead(args) -> str:
-    result = figures.overhead_experiment(reps=args.reps, seed=args.seed)
-    return format_table(
-        ["variant", "messages", "bytes", "fast bytes", "fast share", "t(top 10%)"],
-        result.rows(),
-        title=f"§8 — traffic over a fixed {result.horizon:.0f}-session window",
-    )
-
-
 def cmd_ablation(args) -> str:
-    result = figures.ablation_experiment(reps=args.reps, seed=args.seed)
+    result = _artefact(args, figures.ablation_experiment)
     table = format_table(
         ["variant", "mean sessions (all)", "mean sessions (top 10%)"],
         result.rows(),
@@ -784,57 +735,69 @@ def cmd_ablation(args) -> str:
     return table + "\n\n" + chart
 
 
-def cmd_staleness(args) -> str:
-    result = figures.staleness_experiment(reps=args.reps, seed=args.seed)
-    return format_table(
-        ["knowledge", "sessions to hottest", "sessions to all", "advert bytes"],
-        result.rows(),
-        title="§4 — demand-knowledge freshness under drifting demand",
-    )
-
-
-def cmd_strongcost(args) -> str:
-    result = figures.strong_cost_experiment(reps=args.reps, seed=args.seed)
-    return format_table(
-        [
-            "nodes",
-            "strong write latency",
-            "strong msgs/write",
-            "strong fail rate @5% loss",
-            "weak write latency",
-            "weak convergence",
-        ],
-        result.rows(),
-        title="§1 — synchronous replication vs anti-entropy, per write",
-    )
-
-
 def cmd_partition(args) -> str:
-    result = figures.partition_experiment(reps=args.reps, seed=args.seed)
+    result = _artefact(args, figures.partition_experiment)
     table = format_table(
         ["variant", "writer side consistent", "all replicas", "after heal"],
         result.rows(),
         title=f"§1 — partition heals at t={result.heal_time:.0f}",
     )
+    rate = result.strong_commit_rate_during_partition
     notes = format_kv(
         "strong consistency",
-        [
-            (
-                "commit rate for writes during the partition",
-                f"{100 * result.strong_commit_rate_during_partition:.0f}%",
-            )
-        ],
+        [("commit rate for writes during the partition", f"{100 * rate:.0f}%")],
     )
     return table + "\n" + notes
 
 
-def cmd_skew(args) -> str:
-    result = figures.skew_experiment(reps=args.reps, seed=args.seed)
-    return format_table(
-        ["demand", "weak (all)", "fast (all)", "fast (hottest)", "push deliveries"],
-        result.rows(),
-        title="§8 — demand-skew sweep (flat = the paper's worst case)",
-    )
+def _table_command(driver, headers: List[str], title: str):
+    """A command that runs ``driver`` and prints its rows as one table;
+    ``title`` may read the result's fields as ``{r.field}``."""
+
+    def command(args) -> str:
+        result = _artefact(args, driver)
+        return format_table(headers, result.rows(), title=title.format(r=result))
+
+    return command
+
+
+cmd_fig3 = _table_command(
+    figures.figure3,
+    ["session", "worst case", "optimal case", "fast consistency (sim)"],
+    "Fig. 3 — requests satisfied with consistent content",
+)
+cmd_uniform = _table_command(
+    figures.uniform_topologies,
+    ["topology", "n", "diameter", "weak mean", "fast mean", "fast top mean"],
+    "§5 — simple uniform topologies",
+)
+cmd_islands = _table_command(
+    figures.islands_experiment,
+    ["variant", "far leader", "far island (mean member)", "all replicas"],
+    "§6 — two-valley grid, {r.islands_detected} islands detected "
+    "(sessions until consistent)",
+)
+cmd_overhead = _table_command(
+    figures.overhead_experiment,
+    ["variant", "messages", "bytes", "fast bytes", "fast share", "t(top 10%)"],
+    "§8 — traffic over a fixed {r.horizon:.0f}-session window",
+)
+cmd_staleness = _table_command(
+    figures.staleness_experiment,
+    ["knowledge", "sessions to hottest", "sessions to all", "advert bytes"],
+    "§4 — demand-knowledge freshness under drifting demand",
+)
+cmd_strongcost = _table_command(
+    figures.strong_cost_experiment,
+    ["nodes", "strong write latency", "strong msgs/write", "strong fail rate @5% loss",
+     "weak write latency", "weak convergence"],
+    "§1 — synchronous replication vs anti-entropy, per write",
+)
+cmd_skew = _table_command(
+    figures.skew_experiment,
+    ["demand", "weak (all)", "fast (all)", "fast (hottest)", "push deliveries"],
+    "§8 — demand-skew sweep (flat = the paper's worst case)",
+)
 
 
 def cmd_run(args) -> str:
@@ -1216,7 +1179,8 @@ def cmd_all(args) -> str:
             continue
         argv = [name]
         if name not in ("surface", "table1"):
-            argv += ["--reps", str(reps.get(name, args.reps)), "--seed", str(args.seed)]
+            argv += ["--reps", str(reps.get(name, args.reps)), "--seed", str(args.seed),
+                     "--workers", str(args.workers)]
         if name == "scaling":
             argv += ["--sizes", "25", "50", "100"]
         chunks.append(command(parser.parse_args(argv)))
@@ -1227,8 +1191,8 @@ _COMMANDS = {
     "surface": cmd_surface,
     "table1": cmd_table1,
     "fig3": cmd_fig3,
-    "fig5": cmd_fig5,
-    "fig6": cmd_fig6,
+    "fig5": cmd_fig_cdf,
+    "fig6": cmd_fig_cdf,
     "table2": cmd_table2,
     "scaling": cmd_scaling,
     "campaign": cmd_campaign,

@@ -23,7 +23,9 @@ layer is split in four:
   index and EXPERIMENTS.md for recorded paper-vs-measured values.
 
 A scenario the registries cannot express gets a registry entry in
-:mod:`repro.experiments.scenarios`, so it runs as a plan like any other.
+:mod:`repro.experiments.scenarios`, or a plan ``trial`` hook when it
+measures something other than the §5 trial, so it runs as a plan like
+any other.
 """
 
 from .backends import (

@@ -67,6 +67,14 @@ class CampaignPaused(ExperimentError):
         )
 
 
+def _stable(value: object) -> str:
+    """JSON fallback for a checkpoint header: a ``trial`` hook by import
+    path (its ``str`` holds an address a new process would not match)."""
+    if callable(value):
+        return f"{value.__module__}.{value.__qualname__}"
+    return str(value)
+
+
 def scenario_key(plan_key: str, spec) -> str:
     """Checkpoint key of one scenario: ``plan::rep=../faults=../variant=..``.
 
@@ -217,10 +225,6 @@ class Campaign:
     def total_trials(self) -> int:
         return sum(plan.total_trials() for plan in self.plans.values())
 
-    def plan_totals(self) -> Dict[str, int]:
-        """Plan key -> expanded trial count (checkpoint header payload)."""
-        return {key: plan.total_trials() for key, plan in self.plans.items()}
-
     def header(self) -> Dict[str, object]:
         """The identity record stamped into checkpoint files.
 
@@ -239,7 +243,7 @@ class Campaign:
                 for key, plan in self.plans.items()
             },
         }
-        return json.loads(json.dumps(fingerprint, sort_keys=True, default=str))
+        return json.loads(json.dumps(fingerprint, sort_keys=True, default=_stable))
 
     # -- execution --------------------------------------------------------
 

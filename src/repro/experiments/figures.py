@@ -5,15 +5,15 @@ per-experiment index in DESIGN.md) and returns a structured result the
 benchmarks and the CLI render. Paper reference values are collected in
 :data:`PAPER` so reports always print paper-vs-measured side by side.
 
-Every driver that repeats the §5 trial over paired seeds
-(:func:`figure_cdf`, :func:`scaling_experiment`,
-:func:`uniform_topologies`, :func:`ablation_experiment`) builds
-declarative :class:`~repro.experiments.plan.ExperimentPlan` objects, so
-its repetition grid can run on any
-:class:`~repro.experiments.backends.ExecutionBackend` with bit-identical
-results. The bespoke scenarios (fixed chains, scheduled demand shifts,
-partitions) measure something other than that trial and keep their own
-loops over :class:`~repro.core.system.ReplicationSystem`.
+Every driver that repeats a trial runs an
+:class:`~repro.experiments.plan.ExperimentPlan`, so its repetitions run
+on any :class:`~repro.experiments.backends.ExecutionBackend` with
+bit-identical results. The bespoke scenarios (the §2 star, the §4
+chain, islands, partitions...) pass a module-level ``trial`` hook: one
+repetition of one variant, drawing from ``(spec.seed, spec.rep)`` under
+the artefact's own labels (``"fig3/{rep}"``, ...) and returning its
+measures in ``TrialResult.extra``; the driver reduces the series' sums
+or means into its result dataclass.
 """
 
 from __future__ import annotations
@@ -21,10 +21,12 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import ProtocolConfig
 from ..core.islands import bridge_system, detect_islands, elect_leaders
+from ..core.metrics import ConvergenceTracker, TrafficMeter, mean_reach_time
 from ..core.metrics import reach_time, satisfied_requests_series
 from ..core.strong import StrongConsistencySystem
 from ..core.system import ReplicationSystem
@@ -35,23 +37,23 @@ from ..core.variants import (
     weak_consistency,
 )
 from ..demand.base import DemandModel
-from ..demand.dynamic import FIG4_REPLICAS, ScheduledDemand, paper_fig4_demand
+from ..demand.dynamic import FIG4_REPLICAS, RandomWalkDemand, ScheduledDemand
+from ..demand.dynamic import paper_fig4_demand
 from ..demand.field import two_valley_field
-from ..demand.static import (
-    SECTION2_REPLICAS,
-    UniformRandomDemand,
-    paper_section2_demand,
-)
+from ..demand.static import SECTION2_REPLICAS, ConstantDemand, ExplicitDemand
+from ..demand.static import UniformRandomDemand, ZipfDemand, uniform_snapshot_for
 from ..errors import ExperimentError
 from ..sim.rng import derive_seed
+from ..topology.analysis import diameter as topo_diameter
 from ..topology.brite import internet_like
 from ..topology.graph import Topology
 from ..topology.simple import grid as grid_topology
 from ..topology.simple import star as star_topology
 from .campaign import Campaign
 from .cdf import session_grid
-from .plan import ExperimentPlan
-from .results import ExperimentResult
+from .plan import ExperimentPlan, ScenarioSpec
+from .results import ExperimentResult, TrialResult
+from .scenarios import VARIANTS
 
 #: Reference values quoted in the paper (§2, §5).
 PAPER: Dict[str, object] = {
@@ -68,10 +70,41 @@ PAPER: Dict[str, object] = {
 }
 
 
-def _quiet_start(system: ReplicationSystem) -> None:
-    """Start an experiment system with tracing disabled (throughput)."""
+def _started(
+    topology: Topology, demand: DemandModel, config: ProtocolConfig, seed: int
+) -> ReplicationSystem:
+    """Build and start an experiment system with tracing off (throughput)."""
+    system = ReplicationSystem(topology, demand, config, seed)
     system.sim.trace.disable()
     system.start()
+    return system
+
+
+def _measured(system, origin: int, times, t0: float = 0.0, **extra) -> TrialResult:
+    """A trial hook's row: the generic measures of ``system`` (anything
+    with a ``topology`` and a ``network``) plus the artefact's ``extra``."""
+    nodes, counters = system.topology.nodes, system.network.counters
+    return TrialResult(
+        rep=-1, origin=origin, time_all=reach_time(times, nodes, t0),
+        time_top=None, time_top1=None, mean_time=mean_reach_time(times, nodes, t0),
+        diameter=topo_diameter(system.topology), messages=counters.messages_sent,
+        bytes_sent=counters.bytes_sent, n_nodes=len(nodes),
+        extra={name: float(value) for name, value in extra.items()},
+    )
+
+
+def _replicate(system: ReplicationSystem, origin: int, max_time: float):
+    """Write at ``origin`` and run until every replica has it or
+    ``max_time`` passes; returns ``(that time or None, apply times)``."""
+    update = system.inject_write(origin)
+    done = system.run_until_replicated(update.uid, max_time=max_time)
+    return done, system.apply_times(update.uid)
+
+
+def _means(backend, **plan) -> Dict[str, Dict[str, float]]:
+    """Run a trial-hook plan; each variant's ``extra`` means."""
+    series = ExperimentPlan(**plan).run(backend).series
+    return {variant: s.extra_means() for variant, s in series.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -291,75 +324,45 @@ class Figure3Result:
         return rows
 
 
-def figure3(reps: int = 60, seed: int = 1) -> Figure3Result:
+#: The §2 demands on the star Fig. 3 simulates: B is the hub (0), A
+#: takes B's id and everyone else keeps theirs.
+STAR_DEMANDS: Dict[int, float] = {0: 6.0, 1: 4.0, 2: 3.0, 3: 8.0, 4: 7.0}
+
+_FIG3_HORIZON = 4
+
+
+def _fig3_trial(spec: ScenarioSpec) -> TrialResult:
+    """One fast-consistency write from the hub of the §2 star."""
+    seed = derive_seed(spec.seed, f"fig3/{spec.rep}")
+    system = _started(
+        star_topology(5), ExplicitDemand(STAR_DEMANDS), fast_consistency(), seed
+    )
+    _, times = _replicate(system, 0, spec.max_time)
+    sat = satisfied_requests_series(times, STAR_DEMANDS, _FIG3_HORIZON)
+    return _measured(system, 0, times, **{f"sat@{k}": v for k, v in enumerate(sat, 1)})
+
+
+def figure3(reps: int = 60, seed: int = 1, backend=None) -> Figure3Result:
     """Fig. 3: requests satisfied with consistent content over time.
 
     The worst/optimal curves are the paper's analytic example (one
     B-initiated session per time unit). The fast-consistency curve is
-    *simulated* on the same five replicas (star around B, ids from
-    :data:`repro.demand.static.SECTION2_REPLICAS`) and — as §2 claims —
-    beats the optimal case because the push to D happens at link speed
-    instead of waiting for the first session.
+    *simulated* on the same five replicas (a star with B at the hub,
+    :data:`STAR_DEMANDS`) and — as §2 claims — beats the optimal case
+    because the push to D happens at link speed instead of waiting for
+    the first session.
     """
-    worst = _ordering_series(("C", "A", "E", "D"))
-    optimal = _ordering_series(("D", "E", "A", "C"))
-    demand_model = paper_section2_demand()
-    demand = {SECTION2_REPLICAS[k]: v for k, v in SECTION2_DEMANDS.items()}
-    horizon = 4
-    totals = [0.0] * horizon
-    b = SECTION2_REPLICAS["B"]
-    for rep in range(reps):
-        topo = star_topology(5)  # node 0 is the hub
-        # Map the §2 replicas onto the star: B must be the hub, so swap
-        # ids 0 (hub) and B's id in the demand table.
-        mapping = _star_mapping()
-        model = _remap_demand(demand_model, mapping)
-        system = ReplicationSystem(
-            topology=topo,
-            demand=model,
-            config=fast_consistency(),
-            seed=derive_seed(seed, f"fig3/{rep}"),
-        )
-        _quiet_start(system)
-        update = system.inject_write(mapping[b])
-        system.run_until_replicated(update.uid, max_time=40.0)
-        times = system.apply_times(update.uid)
-        remapped_demand = {mapping[n]: v for n, v in demand.items()}
-        series = satisfied_requests_series(times, remapped_demand, horizon)
-        for i, value in enumerate(series):
-            totals[i] += value
-    fast_series = [v / reps for v in totals]
+    means = _means(
+        backend, name="fig3", trial=_fig3_trial, variants=("fast",), n=5,
+        reps=reps, seed=seed, max_time=40.0,
+    )["fast"]
     return Figure3Result(
-        sessions=list(range(1, horizon + 1)),
-        worst=worst,
-        optimal=optimal,
-        fast_simulated=fast_series,
+        sessions=list(range(1, _FIG3_HORIZON + 1)),
+        worst=_ordering_series(("C", "A", "E", "D")),
+        optimal=_ordering_series(("D", "E", "A", "C")),
+        fast_simulated=[means[f"sat@{k}"] for k in range(1, _FIG3_HORIZON + 1)],
         reps=reps,
     )
-
-
-def _star_mapping() -> Dict[int, int]:
-    """Map §2 replica ids (A=0..E=4) onto star node ids (hub=0).
-
-    B (id 1) becomes the hub (0); the hub's old occupant A takes B's
-    id. Everyone else keeps their id.
-    """
-    return {0: 1, 1: 0, 2: 2, 3: 3, 4: 4}
-
-
-class _RemappedDemand(DemandModel):
-    """Demand model composed with a node-id permutation."""
-
-    def __init__(self, inner: DemandModel, mapping: Mapping[int, int]):
-        self._inner = inner
-        self._inverse = {new: old for old, new in mapping.items()}
-
-    def demand(self, node: int, time: float) -> float:
-        return self._inner.demand(self._inverse.get(int(node), int(node)), time)
-
-
-def _remap_demand(inner: DemandModel, mapping: Mapping[int, int]) -> DemandModel:
-    return _RemappedDemand(inner, mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +438,35 @@ def table2_selection_sequence() -> Dict[str, List[str]]:
     return sequences
 
 
-def table2_dynamic(reps: int = 80, seed: int = 1) -> Table2Result:
+#: Protocol configs of the Table 2 chain scenario, by variant name.
+_TABLE2_CONFIGS: Dict[str, Callable[[], ProtocolConfig]] = {
+    "static-table": static_table_consistency,
+    "dynamic-oracle": fast_consistency,
+    "dynamic-advertised": partial(dynamic_fast_consistency, advert_period=0.5),
+}
+
+_TABLE2_HORIZON = 6
+
+
+def _table2_trial(spec: ScenarioSpec) -> TrialResult:
+    """One write from B walking the displaced Fig. 4 chain."""
+    topo, model, node_c = _fig4_chain_scenario()
+    seed = derive_seed(spec.seed, f"table2/{spec.rep}")
+    system = _started(topo, model, _TABLE2_CONFIGS[spec.variant](), seed)
+    _, times = _replicate(system, 0, spec.max_time)  # B writes
+    t_c, t_all = times.get(node_c), reach_time(times, topo.nodes)
+    if t_c is None or t_all is None:
+        raise ExperimentError(f"fig4 chain run did not converge ({spec.variant})")
+    satisfied = satisfied_requests_series(
+        times, model, _TABLE2_HORIZON, nodes=topo.nodes
+    )
+    return _measured(
+        system, 0, times, time_to_c=t_c, time_all=t_all,
+        **{f"sat@{k}": v for k, v in enumerate(satisfied, 1)},
+    )
+
+
+def table2_dynamic(reps: int = 80, seed: int = 1, backend=None) -> Table2Result:
     """§3-4: demand shifts *while* an update propagates.
 
     Topology: B - x1 - x2 - x3 - C chain plus hot decoy D and fading
@@ -450,46 +481,18 @@ def table2_dynamic(reps: int = 80, seed: int = 1) -> Table2Result:
     pull on its own schedule. Measured: sessions until C' is consistent
     and requests satisfied with updated content per step.
     """
-    variants = {
-        "static-table": static_table_consistency(),
-        "dynamic-oracle": fast_consistency(),
-        "dynamic-advertised": dynamic_fast_consistency(advert_period=0.5),
-    }
-    topo, model, node_c = _fig4_chain_scenario()
-    b = 0
-    horizon = 6
-    time_to_c: Dict[str, List[float]] = {v: [] for v in variants}
-    time_all: Dict[str, List[float]] = {v: [] for v in variants}
-    satisfied: Dict[str, List[float]] = {v: [0.0] * horizon for v in variants}
-    for rep in range(reps):
-        sim_seed = derive_seed(seed, f"table2/{rep}")
-        for variant, config in variants.items():
-            system = ReplicationSystem(
-                topology=topo, demand=model, config=config, seed=sim_seed
-            )
-            _quiet_start(system)
-            update = system.inject_write(b)
-            system.run_until_replicated(update.uid, max_time=60.0)
-            times = system.apply_times(update.uid)
-            t_c = times.get(node_c)
-            if t_c is None or reach_time(times, topo.nodes) is None:
-                raise ExperimentError(f"fig4 chain run did not converge ({variant})")
-            time_to_c[variant].append(t_c)
-            time_all[variant].append(reach_time(times, topo.nodes))
-            for step in range(1, horizon + 1):
-                total = sum(
-                    model.demand(node, float(step))
-                    for node in topo.nodes
-                    if times.get(node) is not None and times[node] <= step
-                )
-                satisfied[variant][step - 1] += total
+    means = _means(
+        backend, name="table2", trial=_table2_trial,
+        variants=tuple(_TABLE2_CONFIGS), n=7, reps=reps, seed=seed, max_time=60.0,
+    )
     return Table2Result(
         reps=reps,
         sequences=table2_selection_sequence(),
-        mean_time_to_c={v: sum(ts) / len(ts) for v, ts in time_to_c.items()},
-        mean_time_all={v: sum(ts) / len(ts) for v, ts in time_all.items()},
+        mean_time_to_c={v: m["time_to_c"] for v, m in means.items()},
+        mean_time_all={v: m["time_all"] for v, m in means.items()},
         satisfied_at={
-            v: [total / reps for total in series] for v, series in satisfied.items()
+            v: [m[f"sat@{k}"] for k in range(1, _TABLE2_HORIZON + 1)]
+            for v, m in means.items()
         },
     )
 
@@ -503,12 +506,8 @@ def _fig4_chain_scenario() -> Tuple[Topology, ScheduledDemand, int]:
     # 0=B, 1..3 = chain x1..x3, 4=C, 5=D (hot decoy), 6=A (fading decoy)
     for node in range(7):
         topo.add_node(node, (float(node), 0.0))
-    topo.add_edge(0, 1)
-    topo.add_edge(1, 2)
-    topo.add_edge(2, 3)
-    topo.add_edge(3, 4)
-    topo.add_edge(0, 5)
-    topo.add_edge(0, 6)
+    for a, b in ((0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (0, 6)):
+        topo.add_edge(a, b)
     model = ScheduledDemand(
         initial={0: 6.0, 1: 1.0, 2: 1.0, 3: 1.0, 4: 0.0, 5: 13.0, 6: 2.0},
         changes={4: [(2.0, 9.0)], 6: [(2.0, 0.0)]},
@@ -641,7 +640,9 @@ class UniformTopologiesResult:
         return rows
 
 
-def uniform_topologies(reps: int = 30, seed: int = 1) -> UniformTopologiesResult:
+def uniform_topologies(
+    reps: int = 30, seed: int = 1, backend=None
+) -> UniformTopologiesResult:
     """§5: "similar results ... with simpler uniform topologies"."""
     # Row name -> (TOPOLOGIES registry key, node count).
     cases = {"line-24": ("line", 24), "ring-24": ("ring", 24), "grid-5x5": ("grid", 25)}
@@ -656,7 +657,7 @@ def uniform_topologies(reps: int = 30, seed: int = 1) -> UniformTopologiesResult
             reps=reps,
             seed=derive_seed(seed, f"uniform/{name}"),
             max_time=200.0,
-        ).run()
+        ).run(backend)
         weak_cdf = experiment.series["weak"].cdf_all()
         fast_cdf = experiment.series["fast"].cdf_all()
         fast_top = experiment.series["fast"].cdf_top()
@@ -698,8 +699,45 @@ class IslandsResult:
         ]
 
 
+def _islands_trial(spec: ScenarioSpec) -> TrialResult:
+    """One write from the busier valley's leader, bridged or not."""
+    rows, cols = spec.params["rows"], spec.params["cols"]
+    topo = grid_topology(rows, cols)
+    demand = two_valley_field(
+        topo, plane_size=float(max(rows, cols) - 1), peak=100.0, base=1.0
+    )
+    snapshot = demand.snapshot(topo.nodes, 0.0)
+    raw_islands = detect_islands(topo, snapshot, percentile=80.0, min_size=2)
+    islands = elect_leaders(raw_islands, snapshot)
+    if len(islands) < 2:
+        raise ExperimentError(
+            "two-valley field produced fewer than two islands; "
+            "increase the grid or the peak"
+        )
+    seed = derive_seed(spec.seed, f"islands/{spec.rep}")
+    system = _started(topo, demand, fast_consistency(), seed)
+    if spec.variant == "fast+bridges":
+        bridge_system(system, percentile=80.0, min_size=2)
+    origin_island = max(islands, key=lambda i: i.total_demand)
+    far_island = min(
+        (i for i in islands if i.index != origin_island.index),
+        key=lambda i: -i.total_demand,
+    )
+    _, times = _replicate(system, origin_island.leader, spec.max_time)
+    far_members = sorted(far_island.members)
+    everyone = reach_time(times, topo.nodes)
+    if everyone is None:
+        raise ExperimentError("islands run did not converge")
+    return _measured(
+        system, origin_island.leader, times,
+        far_leader=times[far_island.leader],
+        far_island=sum(times[m] for m in far_members) / len(far_members),
+        all=everyone, islands=len(islands),
+    )
+
+
 def islands_experiment(
-    reps: int = 30, seed: int = 1, rows: int = 10, cols: int = 10
+    reps: int = 30, seed: int = 1, rows: int = 10, cols: int = 10, backend=None
 ) -> IslandsResult:
     """Two demand valleys on a grid; does bridging help across the ridge?
 
@@ -709,58 +747,18 @@ def islands_experiment(
     per island (the max is dominated by each member's own session timer
     and hides the bridging effect).
     """
-    leader_times: Dict[str, List[float]] = {"fast": [], "fast+bridges": []}
-    far_times: Dict[str, List[float]] = {"fast": [], "fast+bridges": []}
-    all_times: Dict[str, List[float]] = {"fast": [], "fast+bridges": []}
-    islands_detected = 0
-    for rep in range(reps):
-        sim_seed = derive_seed(seed, f"islands/{rep}")
-        for variant, bridged in (("fast", False), ("fast+bridges", True)):
-            topo = grid_topology(rows, cols)
-            demand = two_valley_field(
-                topo, plane_size=float(max(rows, cols) - 1), peak=100.0, base=1.0
-            )
-            system = ReplicationSystem(
-                topology=topo,
-                demand=demand,
-                config=fast_consistency(),
-                seed=sim_seed,
-            )
-            snapshot = demand.snapshot(topo.nodes, 0.0)
-            raw_islands = detect_islands(topo, snapshot, percentile=80.0, min_size=2)
-            islands = elect_leaders(raw_islands, snapshot)
-            if len(islands) < 2:
-                raise ExperimentError(
-                    "two-valley field produced fewer than two islands; "
-                    "increase the grid or the peak"
-                )
-            if bridged:
-                bridge_system(system, percentile=80.0, min_size=2)
-            origin_island = max(islands, key=lambda i: i.total_demand)
-            far_island = min(
-                (i for i in islands if i.index != origin_island.index),
-                key=lambda i: -i.total_demand,
-            )
-            _quiet_start(system)
-            update = system.inject_write(origin_island.leader)
-            system.run_until_replicated(update.uid, max_time=120.0)
-            times = system.apply_times(update.uid)
-            far_members = sorted(far_island.members)
-            far_mean = sum(times[m] for m in far_members) / len(far_members)
-            everyone = reach_time(times, topo.nodes)
-            if everyone is None:
-                raise ExperimentError("islands run did not converge")
-            leader_times[variant].append(times[far_island.leader])
-            far_times[variant].append(far_mean)
-            all_times[variant].append(everyone)
-            if not bridged:
-                islands_detected = len(islands)
+    means = _means(
+        backend, name="islands", trial=_islands_trial,
+        variants=("fast", "fast+bridges"), n=rows * cols, reps=reps, seed=seed,
+        max_time=120.0, params={"rows": rows, "cols": cols},
+    )
     return IslandsResult(
         reps=reps,
-        islands_detected=islands_detected,
-        mean_far_leader={v: sum(t) / len(t) for v, t in leader_times.items()},
-        mean_far_island={v: sum(t) / len(t) for v, t in far_times.items()},
-        mean_all={v: sum(t) / len(t) for v, t in all_times.items()},
+        # The same grid every repetition: the count is one exact value.
+        islands_detected=int(means["fast"]["islands"]),
+        mean_far_leader={v: m["far_leader"] for v, m in means.items()},
+        mean_far_island={v: m["far_island"] for v, m in means.items()},
+        mean_all={v: m["all"] for v, m in means.items()},
     )
 
 
@@ -793,8 +791,31 @@ class OverheadResult:
         return rows
 
 
+def _overhead_trial(spec: ScenarioSpec) -> TrialResult:
+    """One write, then traffic counted over the fixed ``max_time`` window."""
+    seed, rep = spec.seed, spec.rep
+    topo = internet_like(spec.n, m=2, seed=derive_seed(seed, f"overhead-topo/{rep}"))
+    demand = UniformRandomDemand(
+        0.0, 100.0, seed=derive_seed(seed, f"overhead-demand/{rep}")
+    )
+    sim_seed = derive_seed(seed, f"overhead-sim/{rep}")
+    system = _started(topo, demand, VARIANTS[spec.variant](), sim_seed)
+    origin = random.Random(sim_seed).choice(list(topo.nodes))
+    update = system.inject_write(origin)
+    system.run_until(spec.max_time)
+    report = TrafficMeter(system.network).report()
+    times = system.apply_times(update.uid)
+    t_top = reach_time(times, demand.top_fraction(topo.nodes, 0.1))
+    return _measured(
+        system, origin, times,
+        messages=report.messages_total, bytes=report.bytes_total,
+        fast_bytes=report.bytes_fast,
+        time_top=t_top if t_top is not None else spec.max_time,
+    )
+
+
 def overhead_experiment(
-    reps: int = 20, seed: int = 1, n: int = 50, horizon: float = 10.0
+    reps: int = 20, seed: int = 1, n: int = 50, horizon: float = 10.0, backend=None
 ) -> OverheadResult:
     """Measure total traffic for weak vs fast over the same fixed window.
 
@@ -803,46 +824,20 @@ def overhead_experiment(
     directly comparable: the fast-update machinery should add only a
     small fraction of bytes while slashing high-demand latency.
     """
-    from ..core.metrics import TrafficMeter
-
-    variants = {"weak": weak_consistency(), "fast": fast_consistency()}
-    acc: Dict[str, Dict[str, float]] = {
-        v: {"messages": 0.0, "bytes": 0.0, "fast_bytes": 0.0, "time_top": 0.0}
-        for v in variants
-    }
-    for rep in range(reps):
-        topo_seed = derive_seed(seed, f"overhead-topo/{rep}")
-        demand_seed = derive_seed(seed, f"overhead-demand/{rep}")
-        sim_seed = derive_seed(seed, f"overhead-sim/{rep}")
-        for variant, config in variants.items():
-            topo = internet_like(n, m=2, seed=topo_seed)
-            demand = UniformRandomDemand(0.0, 100.0, seed=demand_seed)
-            system = ReplicationSystem(
-                topology=topo, demand=demand, config=config, seed=sim_seed
-            )
-            _quiet_start(system)
-            origin = random.Random(sim_seed).choice(list(topo.nodes))
-            update = system.inject_write(origin)
-            system.run_until(horizon)
-            report = TrafficMeter(system.network).report()
-            times = system.apply_times(update.uid)
-            top = demand.top_fraction(topo.nodes, 0.1)
-            t_top = reach_time(times, top)
-            acc[variant]["messages"] += report.messages_total
-            acc[variant]["bytes"] += report.bytes_total
-            acc[variant]["fast_bytes"] += report.bytes_fast
-            acc[variant]["time_top"] += t_top if t_top is not None else horizon
-    rows = {}
-    for variant, sums in acc.items():
-        bytes_total = sums["bytes"] / reps
-        fast_bytes = sums["fast_bytes"] / reps
-        rows[variant] = {
-            "messages": sums["messages"] / reps,
-            "bytes": bytes_total,
-            "fast_bytes": fast_bytes,
-            "fast_share": (fast_bytes / bytes_total) if bytes_total else 0.0,
-            "time_top": sums["time_top"] / reps,
+    means = _means(
+        backend, name="overhead", trial=_overhead_trial, variants=("weak", "fast"),
+        n=n, reps=reps, seed=seed, max_time=horizon,
+    )
+    rows = {
+        variant: {
+            "messages": m["messages"],
+            "bytes": m["bytes"],
+            "fast_bytes": m["fast_bytes"],
+            "fast_share": m["fast_bytes"] / m["bytes"] if m["bytes"] else 0.0,
+            "time_top": m["time_top"],
         }
+        for variant, m in means.items()
+    }
     return OverheadResult(reps=reps, horizon=horizon, rows_by_variant=rows)
 
 
@@ -861,7 +856,7 @@ class AblationResult:
 
 
 def ablation_experiment(
-    reps: int = 40, seed: int = 1, n: int = 50
+    reps: int = 40, seed: int = 1, n: int = 50, backend=None
 ) -> AblationResult:
     """Decompose fast consistency into its two optimisations.
 
@@ -880,7 +875,7 @@ def ablation_experiment(
         n=n,
         reps=reps,
         seed=seed,
-    ).run()
+    ).run(backend)
     rows = {}
     for variant in variants:
         series = experiment.series[variant]
@@ -911,7 +906,41 @@ class SkewResult:
         ]
 
 
-def skew_experiment(reps: int = 25, seed: int = 1, n: int = 40) -> SkewResult:
+def _skew_demand(skew: str, topo: Topology, seed: int) -> DemandModel:
+    if skew == "flat":
+        return ConstantDemand(10.0)
+    if skew == "uniform":
+        return UniformRandomDemand(0.0, 100.0, seed=seed)
+    return ZipfDemand(topo.nodes, exponent=float(skew.split("/")[1]), seed=seed)
+
+
+def _skew_trial(spec: ScenarioSpec) -> TrialResult:
+    """Weak then fast on one skew level; the row measures the fast run."""
+    seed, rep = spec.seed, spec.rep
+    topo = internet_like(spec.n, m=2, seed=derive_seed(seed, f"skew-topo/{rep}"))
+    sim_seed = derive_seed(seed, f"skew-sim/{rep}")
+    origin = random.Random(sim_seed).choice(list(topo.nodes))
+    demand = _skew_demand(spec.variant, topo, derive_seed(seed, f"skew-d/{rep}"))
+    weak = _started(topo, demand, weak_consistency(), sim_seed)
+    weak_all, _ = _replicate(weak, origin, spec.max_time)
+    fast = _started(topo, demand, fast_consistency(), sim_seed)
+    tracker = ConvergenceTracker(fast.sim)
+    update = fast.inject_write(origin)
+    fast_all = fast.run_until_replicated(update.uid, max_time=spec.max_time)
+    if weak_all is None or fast_all is None:
+        raise ExperimentError(f"skew run did not converge ({spec.variant})")
+    times = fast.apply_times(update.uid)
+    return _measured(
+        fast, origin, times, weak_all=weak_all, fast_all=fast_all,
+        fast_top=times[demand.ranked(topo.nodes)[0]],
+        push=tracker.delivery_breakdown(update.uid).get("fast", 0),
+        nodes=topo.num_nodes - 1,
+    )
+
+
+def skew_experiment(
+    reps: int = 25, seed: int = 1, n: int = 40, backend=None
+) -> SkewResult:
     """Sweep demand non-uniformity from flat to heavily skewed.
 
     Demand skew is the paper's enabling assumption: with equal demands
@@ -920,58 +949,18 @@ def skew_experiment(reps: int = 25, seed: int = 1, n: int = 40) -> SkewResult:
     For each skew level we measure weak vs fast convergence and the
     fraction of replicas that received the update via the push path.
     """
-    from ..core.metrics import ConvergenceTracker
-    from ..demand.static import ConstantDemand, UniformRandomDemand, ZipfDemand
-
-    def demand_factory(skew: str, topo, demand_seed: int):
-        if skew == "flat":
-            return ConstantDemand(10.0)
-        if skew == "uniform":
-            return UniformRandomDemand(0.0, 100.0, seed=demand_seed)
-        exponent = float(skew.split("/")[1])
-        return ZipfDemand(topo.nodes, exponent=exponent, seed=demand_seed)
-
-    skews = ("flat", "uniform", "zipf/0.5", "zipf/1.5")
-    acc: Dict[str, Dict[str, float]] = {
-        s: {"weak_all": 0.0, "fast_all": 0.0, "fast_top": 0.0, "push": 0.0, "nodes": 0.0}
-        for s in skews
-    }
-    for rep in range(reps):
-        topo_seed = derive_seed(seed, f"skew-topo/{rep}")
-        sim_seed = derive_seed(seed, f"skew-sim/{rep}")
-        topo = internet_like(n, m=2, seed=topo_seed)
-        origin = random.Random(sim_seed).choice(list(topo.nodes))
-        for skew in skews:
-            demand = demand_factory(skew, topo, derive_seed(seed, f"skew-d/{rep}"))
-            for variant, config in (
-                ("weak", weak_consistency()),
-                ("fast", fast_consistency()),
-            ):
-                system = ReplicationSystem(
-                    topology=topo, demand=demand, config=config, seed=sim_seed
-                )
-                tracker = ConvergenceTracker(system.sim)
-                _quiet_start(system)
-                update = system.inject_write(origin)
-                done = system.run_until_replicated(update.uid, max_time=120.0)
-                if done is None:
-                    raise ExperimentError(f"skew run did not converge ({skew})")
-                if variant == "weak":
-                    acc[skew]["weak_all"] += done
-                    continue
-                acc[skew]["fast_all"] += done
-                top1 = demand.ranked(topo.nodes)[0]
-                times = system.apply_times(update.uid)
-                acc[skew]["fast_top"] += times[top1]
-                breakdown = tracker.delivery_breakdown(update.uid)
-                acc[skew]["push"] += breakdown.get("fast", 0)
-                acc[skew]["nodes"] += topo.num_nodes - 1
+    experiment = ExperimentPlan(
+        name="skew", trial=_skew_trial,
+        variants=("flat", "uniform", "zipf/0.5", "zipf/1.5"),
+        n=n, reps=reps, seed=seed, max_time=120.0,
+    ).run(backend)
     rows = {}
-    for skew, sums in acc.items():
+    for skew, series in experiment.series.items():
+        means, sums = series.extra_means(), series.extra_sums()
         rows[skew] = {
-            "weak_all": sums["weak_all"] / reps,
-            "fast_all": sums["fast_all"] / reps,
-            "fast_top": sums["fast_top"] / reps,
+            "weak_all": means["weak_all"],
+            "fast_all": means["fast_all"],
+            "fast_top": means["fast_top"],
             "push_fraction": sums["push"] / sums["nodes"] if sums["nodes"] else 0.0,
         }
     return SkewResult(reps=reps, rows_by_skew=rows)
@@ -998,8 +987,47 @@ class PartitionResult:
         ]
 
 
+def _partition_trial(spec: ScenarioSpec) -> TrialResult:
+    """One write on side A of a split that heals at ``heal_time``; the
+    ``"strong"`` variant instead records whether a synchronous write
+    attempted during the partition committed."""
+    seed, rep, heal_time = spec.seed, spec.rep, spec.params["heal_time"]
+    topo_seed = derive_seed(seed, f"part-topo/{rep}")
+    topo = internet_like(spec.n, m=2, seed=topo_seed)
+    nodes = sorted(topo.nodes)
+    side_a, side_b = nodes[: spec.n // 2], nodes[spec.n // 2 :]
+    origin = side_a[0]
+    if spec.variant == "strong":
+        strong = StrongConsistencySystem(
+            topo, seed=derive_seed(seed, f"part-strong/{rep}"),
+            write_timeout=heal_time - 0.5,
+        )
+        strong.network.links.partition([side_a, side_b])
+        wid = strong.write(origin=origin)
+        strong.sim.run(until=heal_time)
+        return _measured(strong, origin, {}, committed=strong.committed(wid))
+    demand = UniformRandomDemand(0.0, 100.0, seed=topo_seed)
+    sim_seed = derive_seed(seed, f"part-sim/{rep}")
+    system = _started(topo, demand, VARIANTS[spec.variant](), sim_seed)
+    system.network.links.partition([side_a, side_b])
+    update = system.inject_write(origin)
+    system.run_until(heal_time)
+    if not set(system.apply_times(update.uid)) <= set(side_a):
+        raise ExperimentError("partition leaked an update to the far side")
+    system.network.links.heal_partition()
+    done = system.run_until_replicated(update.uid, max_time=spec.max_time)
+    times = system.apply_times(update.uid)
+    t_side_a = reach_time(times, side_a)
+    if done is None or t_side_a is None:
+        raise ExperimentError(f"partition run did not converge ({spec.variant})")
+    return _measured(
+        system, origin, times,
+        time_side_a=t_side_a, time_all=done, after_heal=done - heal_time,
+    )
+
+
 def partition_experiment(
-    reps: int = 20, seed: int = 1, n: int = 30, heal_time: float = 5.0
+    reps: int = 20, seed: int = 1, n: int = 30, heal_time: float = 5.0, backend=None
 ) -> PartitionResult:
     """§1: weak consistency "withstand[s] segmentation"; strong does not.
 
@@ -1009,62 +1037,16 @@ def partition_experiment(
     shortly after healing; a synchronous write attempted during the
     partition can never commit.
     """
-    variants = {"weak": weak_consistency(), "fast": fast_consistency()}
-    acc: Dict[str, Dict[str, float]] = {
-        v: {"time_side_a": 0.0, "time_all": 0.0, "after_heal": 0.0} for v in variants
-    }
-    strong_commits = 0
-    for rep in range(reps):
-        topo_seed = derive_seed(seed, f"part-topo/{rep}")
-        sim_seed = derive_seed(seed, f"part-sim/{rep}")
-        topo = internet_like(n, m=2, seed=topo_seed)
-        demand = UniformRandomDemand(0.0, 100.0, seed=topo_seed)
-        nodes = sorted(topo.nodes)
-        side_a = nodes[: n // 2]
-        side_b = nodes[n // 2 :]
-        origin = side_a[0]
-        for variant, config in variants.items():
-            system = ReplicationSystem(
-                topology=topo, demand=demand, config=config, seed=sim_seed
-            )
-            system.network.links.partition([side_a, side_b])
-            _quiet_start(system)
-            update = system.inject_write(origin)
-            system.run_until(heal_time)
-            times_during = system.apply_times(update.uid)
-            assert all(node in side_a for node in times_during), (
-                "partition leaked an update to the far side"
-            )
-            system.network.links.heal_partition()
-            done = system.run_until_replicated(update.uid, max_time=120.0)
-            times = system.apply_times(update.uid)
-            t_side_a = reach_time(times, side_a)
-            if done is None or t_side_a is None:
-                raise ExperimentError(f"partition run did not converge ({variant})")
-            acc[variant]["time_side_a"] += t_side_a
-            acc[variant]["time_all"] += done
-            acc[variant]["after_heal"] += done - heal_time
-
-        # A synchronous write attempted mid-partition cannot commit.
-        strong = StrongConsistencySystem(
-            topo,
-            seed=derive_seed(seed, f"part-strong/{rep}"),
-            write_timeout=heal_time - 0.5,
-        )
-        strong.network.links.partition([side_a, side_b])
-        wid = strong.write(origin=origin)
-        strong.sim.run(until=heal_time)
-        if strong.committed(wid):
-            strong_commits += 1
-    rows = {
-        variant: {key: value / reps for key, value in sums.items()}
-        for variant, sums in acc.items()
-    }
+    means = _means(
+        backend, name="partition", trial=_partition_trial,
+        variants=("weak", "fast", "strong"), n=n, reps=reps, seed=seed,
+        max_time=120.0, params={"heal_time": heal_time},
+    )
     return PartitionResult(
         reps=reps,
         heal_time=heal_time,
-        rows_by_variant=rows,
-        strong_commit_rate_during_partition=strong_commits / reps,
+        rows_by_variant={v: means[v] for v in ("weak", "fast")},
+        strong_commit_rate_during_partition=means["strong"]["committed"],
     )
 
 
@@ -1087,8 +1069,51 @@ class StalenessResult:
         ]
 
 
+#: Demand knowledge of the §4 staleness sweep, freshest first.
+_STALENESS_CONFIGS: Dict[str, Callable[[], ProtocolConfig]] = {
+    "oracle": fast_consistency,
+    "advertised/0.5": partial(dynamic_fast_consistency, advert_period=0.5),
+    "advertised/2": partial(dynamic_fast_consistency, advert_period=2.0),
+    "advertised/8": partial(dynamic_fast_consistency, advert_period=8.0),
+    "snapshot (§3)": static_table_consistency,
+}
+
+#: Demand drifts this long before the write, so snapshots are stale.
+_STALE_WRITE_AT = 6.0
+
+
+def _staleness_trial(spec: ScenarioSpec) -> TrialResult:
+    """One write under drifting demand; a trial that never converged
+    records ``completed=0`` and zeros, so it drops out of the means."""
+    seed, rep = spec.seed, spec.rep
+    topo = internet_like(spec.n, m=2, seed=derive_seed(seed, f"stale-topo/{rep}"))
+    initial = uniform_snapshot_for(
+        topo.nodes, 0.0, 100.0, seed=derive_seed(seed, f"stale-dem/{rep}")
+    )
+    demand = RandomWalkDemand(
+        initial, step=25.0, low=0.0, high=100.0,
+        seed=derive_seed(seed, f"stale-walk/{rep}"),
+    )
+    sim_seed = derive_seed(seed, f"stale-sim/{rep}")
+    system = _started(topo, demand, _STALENESS_CONFIGS[spec.variant](), sim_seed)
+    system.run_until(_STALE_WRITE_AT)
+    origin = random.Random(sim_seed).choice(list(topo.nodes))
+    _, times = _replicate(system, origin, spec.max_time)
+    top1 = demand.ranked(topo.nodes, time=_STALE_WRITE_AT)[0]
+    measures = {
+        "mean_top": reach_time(times, [top1], t0=_STALE_WRITE_AT),
+        "mean_all": reach_time(times, topo.nodes, t0=_STALE_WRITE_AT),
+        "advert_bytes": system.network.counters.bytes_by_kind.get("demand-advert", 0),
+    }
+    completed = None not in measures.values()
+    return _measured(
+        system, origin, times, t0=_STALE_WRITE_AT, completed=completed,
+        **{name: value if completed else 0.0 for name, value in measures.items()},
+    )
+
+
 def staleness_experiment(
-    reps: int = 30, seed: int = 1, n: int = 40
+    reps: int = 30, seed: int = 1, n: int = 40, backend=None
 ) -> StalenessResult:
     """Sweep the advertisement period under drifting demand.
 
@@ -1098,57 +1123,16 @@ def staleness_experiment(
     closer to the oracle — and the more advert bytes are spent; the
     frozen snapshot is the §3 straw man the sweep converges away from.
     """
-    from ..demand.dynamic import RandomWalkDemand
-    from ..demand.static import uniform_snapshot_for
-
-    variants: Dict[str, ProtocolConfig] = {
-        "oracle": fast_consistency(),
-        "advertised/0.5": dynamic_fast_consistency(advert_period=0.5),
-        "advertised/2": dynamic_fast_consistency(advert_period=2.0),
-        "advertised/8": dynamic_fast_consistency(advert_period=8.0),
-        "snapshot (§3)": static_table_consistency(),
-    }
-    acc: Dict[str, Dict[str, float]] = {
-        v: {"mean_top": 0.0, "mean_all": 0.0, "advert_bytes": 0.0} for v in variants
-    }
-    completed = {v: 0 for v in variants}
-    for rep in range(reps):
-        topo_seed = derive_seed(seed, f"stale-topo/{rep}")
-        sim_seed = derive_seed(seed, f"stale-sim/{rep}")
-        topo = internet_like(n, m=2, seed=topo_seed)
-        initial = uniform_snapshot_for(
-            topo.nodes, 0.0, 100.0, seed=derive_seed(seed, f"stale-dem/{rep}")
-        )
-        demand = RandomWalkDemand(
-            initial, step=25.0, low=0.0, high=100.0,
-            seed=derive_seed(seed, f"stale-walk/{rep}"),
-        )
-        # Let demand drift before the write so snapshots are stale.
-        for variant, config in variants.items():
-            system = ReplicationSystem(
-                topology=topo, demand=demand, config=config, seed=sim_seed
-            )
-            _quiet_start(system)
-            system.run_until(6.0)
-            origin = random.Random(sim_seed).choice(list(topo.nodes))
-            update = system.inject_write(origin)
-            system.run_until_replicated(update.uid, max_time=80.0)
-            times = system.apply_times(update.uid)
-            top1 = demand.ranked(topo.nodes, time=6.0)[0]
-            t_top = reach_time(times, [top1], t0=6.0)
-            t_all = reach_time(times, topo.nodes, t0=6.0)
-            if t_top is None or t_all is None:
-                continue
-            completed[variant] += 1
-            acc[variant]["mean_top"] += t_top
-            acc[variant]["mean_all"] += t_all
-            acc[variant]["advert_bytes"] += system.network.counters.bytes_by_kind.get(
-                "demand-advert", 0
-            )
+    experiment = ExperimentPlan(
+        name="staleness", trial=_staleness_trial,
+        variants=tuple(_STALENESS_CONFIGS), n=n, reps=reps, seed=seed,
+        max_time=80.0,
+    ).run(backend)
     rows = {}
-    for variant, sums in acc.items():
-        count = max(1, completed[variant])
-        rows[variant] = {key: value / count for key, value in sums.items()}
+    for variant, series in experiment.series.items():
+        sums = series.extra_sums()
+        count = max(1, sums.pop("completed"))
+        rows[variant] = {name: total / count for name, total in sums.items()}
     return StalenessResult(reps=reps, rows_by_variant=rows)
 
 
@@ -1267,11 +1251,43 @@ class StrongCostResult:
         return rows
 
 
+def _strong_cost_trial(spec: ScenarioSpec) -> TrialResult:
+    """One write on a strong, a lossy strong and a weak system of
+    ``int(spec.variant)`` nodes; the row measures the weak run."""
+    n, seed, rep = int(spec.variant), spec.seed, spec.rep
+    topo_seed = derive_seed(seed, f"strong-topo/{n}/{rep}")
+    topo = internet_like(n, m=2, seed=topo_seed)
+    origin = list(topo.nodes)[0]
+    strong = StrongConsistencySystem(
+        topo, seed=derive_seed(seed, f"strong-sim/{n}/{rep}")
+    )
+    wid = strong.write(origin=origin)
+    strong.sim.run(until=50.0)
+    lossy = StrongConsistencySystem(
+        topo, seed=derive_seed(seed, f"strong-lossy/{n}/{rep}"),
+        loss=spec.loss, write_timeout=5.0,
+    )
+    lossy_wid = lossy.write(origin=origin)
+    lossy.sim.run(until=50.0)
+    demand = UniformRandomDemand(seed=topo_seed)
+    weak_seed = derive_seed(seed, f"weak-sim/{n}/{rep}")
+    weak = _started(topo, demand, weak_consistency(), weak_seed)
+    done, times = _replicate(weak, origin, spec.max_time)
+    return _measured(
+        weak, origin, times,
+        strong_latency=strong.latencies[-1] if strong.committed(wid) else 0.0,
+        strong_messages=strong.network.counters.messages_sent,
+        strong_failed=not lossy.committed(lossy_wid),
+        weak_convergence=done if done is not None else spec.max_time,
+    )
+
+
 def strong_cost_experiment(
     sizes: Sequence[int] = (10, 25, 50),
     reps: int = 10,
     seed: int = 1,
     loss: float = 0.05,
+    backend=None,
 ) -> StrongCostResult:
     """Measure §1's claims about synchronous replication.
 
@@ -1280,50 +1296,19 @@ def strong_cost_experiment(
     system's client-visible write latency (zero — the write returns
     immediately) and background convergence time.
     """
-    rows: Dict[int, Dict[str, float]] = {}
-    for n in sizes:
-        strong_latency = 0.0
-        strong_messages = 0.0
-        strong_failures = 0
-        weak_convergence = 0.0
-        for rep in range(reps):
-            topo_seed = derive_seed(seed, f"strong-topo/{n}/{rep}")
-            topo = internet_like(n, m=2, seed=topo_seed)
-            strong = StrongConsistencySystem(
-                topo, seed=derive_seed(seed, f"strong-sim/{n}/{rep}")
-            )
-            wid = strong.write(origin=list(topo.nodes)[0])
-            strong.sim.run(until=50.0)
-            if strong.committed(wid):
-                strong_latency += strong.latencies[-1]
-            strong_messages += strong.network.counters.messages_sent
-
-            lossy = StrongConsistencySystem(
-                topo,
-                seed=derive_seed(seed, f"strong-lossy/{n}/{rep}"),
-                loss=loss,
-                write_timeout=5.0,
-            )
-            wid2 = lossy.write(origin=list(topo.nodes)[0])
-            lossy.sim.run(until=50.0)
-            if not lossy.committed(wid2):
-                strong_failures += 1
-
-            weak = ReplicationSystem(
-                topology=topo,
-                demand=UniformRandomDemand(seed=topo_seed),
-                config=weak_consistency(),
-                seed=derive_seed(seed, f"weak-sim/{n}/{rep}"),
-            )
-            weak.start()
-            update = weak.inject_write(list(topo.nodes)[0])
-            done = weak.run_until_replicated(update.uid, max_time=80.0)
-            weak_convergence += done if done is not None else 80.0
-        rows[n] = {
-            "strong_latency": strong_latency / reps,
-            "strong_messages": strong_messages / reps,
-            "strong_fail_rate": strong_failures / reps,
+    means = _means(
+        backend, name="strongcost", trial=_strong_cost_trial,
+        variants=tuple(str(n) for n in sizes), reps=reps, seed=seed,
+        max_time=80.0, loss=loss,
+    )
+    rows = {
+        int(size): {
+            "strong_latency": m["strong_latency"],
+            "strong_messages": m["strong_messages"],
+            "strong_fail_rate": m["strong_failed"],
             "weak_latency": 0.0,  # weak writes return to the client at once
-            "weak_convergence": weak_convergence / reps,
+            "weak_convergence": m["weak_convergence"],
         }
+        for size, m in means.items()
+    }
     return StrongCostResult(rows_by_size=rows)

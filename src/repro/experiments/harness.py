@@ -74,8 +74,6 @@ class TrialSpec:
     origin: int
     max_time: float = 80.0
     top_fraction: float = DEFAULT_TOP_FRACTION
-    bridge_islands: bool = False
-    island_percentile: float = 75.0
     loss: float = 0.0
     faults: Optional[FaultSchedule] = None
     placement: Optional[PlacementSetup] = None
@@ -107,10 +105,6 @@ def run_trial(spec: TrialSpec) -> Tuple[TrialResult, ReplicationSystem]:
         seed=spec.seed,
         loss=spec.loss,
     )
-    if spec.bridge_islands:
-        from ..core.islands import bridge_system
-
-        bridge_system(system, percentile=spec.island_percentile)
     if spec.faults is not None and spec.faults.events:
         system.fault_process = FaultProcess(system, spec.faults)
     # Trial metrics consume the topic bus and traffic counters only —

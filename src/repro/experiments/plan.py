@@ -14,8 +14,9 @@ expands ``reps x variants`` into scenario specs whose seeds come from
 :func:`~repro.experiments.harness.rep_seeds`, so a plan executed on any
 backend gives the same result bit-for-bit. Every registry builder is a
 pure function of its seeds, which is what makes "rebuild inside the
-worker" equivalent to "share one object across variants". A scenario
-the registries cannot name gets a registry entry, not a second loop.
+worker" equivalent to "share one object across variants". A paper
+artefact that measures something other than the §5 trial passes its
+own ``trial`` hook, not a second loop.
 
 Example::
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ExperimentError
 from ..faults.schedule import FaultSchedule
@@ -57,14 +58,16 @@ class ScenarioSpec:
     """One repetition of one variant, named by registry keys.
 
     Unlike :class:`~repro.experiments.harness.TrialSpec` (which carries
-    live objects), every field here is a plain string or number, so the
-    spec pickles cheaply and the worker process rebuilds the topology,
-    demand model and protocol config from the registries.
+    live objects), every field here is a plain string, number or
+    mapping, or a module-level ``trial`` function that pickles by
+    reference, so the spec pickles cheaply and the worker process
+    rebuilds the topology, demand model and protocol config itself.
 
     Attributes:
         experiment: Name of the owning experiment (for reports).
         rep: Repetition index within the experiment.
-        variant: :data:`~repro.experiments.scenarios.VARIANTS` key.
+        variant: :data:`~repro.experiments.scenarios.VARIANTS` key, or
+            any name the ``trial`` hook understands.
         topology: :data:`~repro.experiments.scenarios.TOPOLOGIES` key.
         demand: :data:`~repro.experiments.scenarios.DEMANDS` key.
         n: Requested node count (generators may round; the effective
@@ -83,6 +86,10 @@ class ScenarioSpec:
             naming the placement regime (``"none"`` = classic harness,
             ``"static"`` = capacity metric without a controller, any
             policy name = run the autoscaler).
+        seed / params: The owning plan's master seed and parameters; a
+            ``trial`` hook derives its draws from ``(seed, rep)``.
+        trial: The plan's trial hook (None = the §5 trial of
+            :func:`~repro.experiments.harness.run_trial`).
     """
 
     experiment: str
@@ -98,17 +105,19 @@ class ScenarioSpec:
     max_time: float = 80.0
     top_fraction: float = DEFAULT_TOP_FRACTION
     loss: float = 0.0
-    bridge_islands: bool = False
-    island_percentile: float = 75.0
     faults: str = "none"
     fault_seed: int = 0
     placement: str = "none"
+    seed: int = 0
+    params: Dict[str, object] = field(default_factory=dict, hash=False)
+    trial: Optional[Callable[["ScenarioSpec"], TrialResult]] = None
 
     def validate(self) -> "ScenarioSpec":
         """Raise :class:`ExperimentError` if any registry key is unknown."""
         lookup("topology", TOPOLOGIES, self.topology)
         lookup("demand", DEMANDS, self.demand)
-        lookup("variant", VARIANTS, self.variant)
+        if self.trial is None:
+            lookup("variant", VARIANTS, self.variant)
         lookup("fault regime", FAULTS, self.faults)
         lookup("placement", PLACEMENTS, self.placement)
         return self
@@ -159,8 +168,6 @@ class ScenarioSpec:
             origin=self.resolve_origin(topology),
             max_time=self.max_time,
             top_fraction=self.top_fraction,
-            bridge_islands=self.bridge_islands,
-            island_percentile=self.island_percentile,
             loss=self.loss,
             faults=self.build_faults(topology),
             placement=PLACEMENTS[self.placement](),
@@ -168,7 +175,7 @@ class ScenarioSpec:
 
     def run(self) -> TrialResult:
         """Execute this scenario and return its measurements."""
-        trial, _system = run_trial(self.to_trial_spec())
+        trial = self.trial(self) if self.trial else run_trial(self.to_trial_spec())[0]
         return replace(trial, rep=self.rep)
 
 
@@ -201,7 +208,13 @@ class ExperimentPlan:
             "threshold")`` yields paired series whose
             ``satisfied_area`` difference is the autoscaler's measured
             benefit on identical seeds.
-        params: Extra parameters recorded verbatim in the result.
+        params: Extra parameters recorded verbatim in the result and
+            handed to every scenario.
+        trial: A module-level function from :class:`ScenarioSpec` to
+            :class:`TrialResult` that replaces the §5 trial (Fig. 3, the
+            §4 chain, partitions...). It pickles by reference, draws
+            from ``(spec.seed, spec.rep)``, and reads ``spec.variant``
+            as any name it knows.
     """
 
     name: str
@@ -217,6 +230,7 @@ class ExperimentPlan:
     faults: Tuple[str, ...] = ("none",)
     placements: Tuple[str, ...] = ("none",)
     params: Dict[str, object] = field(default_factory=dict)
+    trial: Optional[Callable[[ScenarioSpec], TrialResult]] = None
 
     def __post_init__(self) -> None:
         # A bare string is a single key, not an iterable of characters.
@@ -240,10 +254,13 @@ class ExperimentPlan:
             raise ExperimentError("no placements given (use ('none',))")
         if len(set(self.placements)) != len(self.placements):
             raise ExperimentError(f"duplicate placements in {self.placements}")
+        if self.trial is not None and {*self.faults, *self.placements} != {"none"}:
+            raise ExperimentError("a trial hook takes no fault or placement regimes")
         lookup("topology", TOPOLOGIES, self.topology)
         lookup("demand", DEMANDS, self.demand)
-        for variant in self.variants:
-            lookup("variant", VARIANTS, variant)
+        if self.trial is None:
+            for variant in self.variants:
+                lookup("variant", VARIANTS, variant)
         for fault in self.faults:
             lookup("fault regime", FAULTS, fault)
         for placement in self.placements:
@@ -286,6 +303,9 @@ class ExperimentPlan:
                                 faults=fault,
                                 fault_seed=seeds.faults,
                                 placement=placement,
+                                seed=self.seed,
+                                params=self.params,
+                                trial=self.trial,
                             )
                         )
         return specs

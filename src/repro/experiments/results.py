@@ -62,6 +62,8 @@ class TrialResult:
         replicas_peak: Peak simultaneous extra copies.
         placement_bytes: Control-loop bytes (demand reports + placement
             commands) the network carried.
+        extra: Artefact-specific measures by name, written by a plan's
+            ``trial`` hook (the Fig. 3 series, the §8 byte split...).
     """
 
     rep: int
@@ -81,6 +83,7 @@ class TrialResult:
     replicas_retired: Optional[int] = None
     replicas_peak: Optional[int] = None
     placement_bytes: Optional[int] = None
+    extra: Dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -146,6 +149,21 @@ class VariantSeries:
         if not values:
             return None
         return sum(values) / len(values)
+
+    def extra_sums(self) -> Dict[str, float]:
+        """Per-name sums of the trials' ``extra`` measures, in trial order."""
+        sums: Dict[str, float] = {}
+        for trial in self.trials:
+            for name, value in trial.extra.items():
+                sums[name] = sums.get(name, 0.0) + value
+        return sums
+
+    def extra_means(self) -> Dict[str, float]:
+        """Per-name means of the ``extra`` measures over every trial."""
+        if not self.trials:
+            raise ExperimentError(f"variant {self.variant} has no trials")
+        count = len(self.trials)
+        return {name: total / count for name, total in self.extra_sums().items()}
 
     def mean_messages(self) -> float:
         if not self.trials:

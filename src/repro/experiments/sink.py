@@ -210,10 +210,14 @@ def _scenario_parts(key: str) -> Tuple[str, str]:
     if not sep:
         plan, scenario = "?", key
     fields = {"faults": "none", "placement": "none"}
+    name = None
     for segment in scenario.split("/"):
-        name, eq, value = segment.partition("=")
+        head, eq, value = segment.partition("=")
         if eq:
-            fields[name] = value
+            name, fields[head] = head, value
+        elif name is not None:
+            # A trial hook's variant may hold a slash ("advertised/0.5").
+            fields[name] += "/" + segment
     variant = fields.get("variant")
     if variant is None:
         return plan, "?"

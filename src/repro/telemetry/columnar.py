@@ -17,10 +17,14 @@ Layout (schema ``repro-columnar/1``)::
       messages.bin        # little-endian int64
       ...
 
-Columns are derived from the :class:`TrialResult` dataclass: required
-integer fields pack as ``<q`` (int64), optional fields as ``<d``
-(float64) with NaN standing for null — uniform eight bytes per row per
-column either way.  New result fields automatically become new columns.
+Columns are derived from the :class:`TrialResult` dataclass: the five
+integer measures every trial carries (``rep``, ``origin``,
+``diameter``, ``messages``, ``bytes_sent``) pack as ``<q`` (int64),
+every other scalar field as ``<d`` (float64) with NaN standing for
+null — uniform eight bytes per row per column either way.  New
+scalar result fields automatically become new float64 columns.  The
+``extra`` mapping of artefact-specific measures is not a column: its
+names differ per artefact, so it stays in the JSON-lines checkpoint.
 """
 
 from __future__ import annotations
@@ -45,25 +49,21 @@ SCHEMA = "repro-columnar/1"
 _INT = "<q"
 _FLOAT = "<d"
 
+#: The integer measures every trial carries; they pack as int64.
+_INT_COLUMNS = ("rep", "origin", "diameter", "messages", "bytes_sent")
+
 
 def _column_dtypes() -> Dict[str, str]:
-    """Column name -> struct dtype, derived from the dataclass.
+    """Column name -> struct dtype, chosen by field name alone.
 
-    Fields without a default are the original required measurements and
-    pack as int64; every later, optional field packs as float64 with
-    NaN for null.
+    ``_INT_COLUMNS`` pack as int64; every other scalar field packs as
+    float64 with NaN for null, whatever its default.
     """
-    dtypes: Dict[str, str] = {}
-    for field in dataclasses.fields(TrialResult):
-        required = (
-            field.default is dataclasses.MISSING
-            and field.default_factory is dataclasses.MISSING
-        )
-        if required and field.name in ("rep", "origin", "diameter", "messages", "bytes_sent"):
-            dtypes[field.name] = _INT
-        else:
-            dtypes[field.name] = _FLOAT
-    return dtypes
+    return {
+        field.name: _INT if field.name in _INT_COLUMNS else _FLOAT
+        for field in dataclasses.fields(TrialResult)
+        if field.name != "extra"
+    }
 
 
 COLUMN_DTYPES: Dict[str, str] = _column_dtypes()

@@ -110,6 +110,33 @@ class TestCommands:
         for name in artefacts:
             assert f"<{name}>" in out, name
 
+    @pytest.mark.parametrize("command", [
+        "fig3", "table2", "uniform", "islands", "overhead", "ablation",
+        "staleness", "strongcost", "partition", "skew",
+    ])
+    def test_artefact_commands_take_workers(self, command):
+        assert build_parser().parse_args([command, "--workers", "3"]).workers == 3
+
+    def test_all_hands_workers_to_every_artefact(self, capsys, monkeypatch):
+        from repro import cli
+
+        repeated = [
+            name for name in cli._COMMANDS
+            if name not in cli._NOT_ARTEFACTS + ("surface", "table1")
+        ]
+        for name in repeated:
+            monkeypatch.setitem(
+                cli._COMMANDS, name,
+                lambda args, name=name: f"<{name}:{args.workers}>",
+            )
+        out = run_cli(capsys, "all", "--reps", "2", "--workers", "3")
+        for name in repeated:
+            assert f"<{name}:3>" in out, name
+
+    def test_artefact_parallel_output_matches_serial(self, capsys):
+        argv = ["partition", "--reps", "2", "--seed", "4"]
+        assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--workers", "2")
+
     def test_run_adhoc(self, capsys):
         out = run_cli(
             capsys, "run", "--topology", "ring", "-n", "8", "--variant", "fast"

@@ -278,3 +278,96 @@ class TestFigureCdfFrontEnd:
 
         with pytest.raises(ExperimentError):
             figure_cdf_plan(10, m=4)
+
+
+#: The eight trial-hook artefacts at their tier-1 sizes
+#: (tests/test_experiments_figures.py), keyed by CLI command name.
+ARTEFACTS = {
+    "fig3": ("figure3", dict(reps=20, seed=3)),
+    "table2": ("table2_dynamic", dict(reps=30, seed=4)),
+    "islands": ("islands_experiment", dict(reps=4, seed=7)),
+    "overhead": ("overhead_experiment", dict(reps=4, seed=8, n=30, horizon=8.0)),
+    "strongcost": ("strong_cost_experiment", dict(sizes=(10, 25, 50), reps=3, seed=10)),
+    "staleness": ("staleness_experiment", dict(reps=8, seed=3, n=30)),
+    "partition": ("partition_experiment", dict(reps=4, seed=5, n=20, heal_time=4.0)),
+    "skew": ("skew_experiment", dict(reps=4, seed=6, n=24)),
+}
+
+
+@pytest.fixture(scope="module")
+def pool():
+    with ProcessPoolBackend(max_workers=2) as backend:
+        yield backend
+
+
+def partition_plan(**overrides) -> ExperimentPlan:
+    from repro.experiments.figures import _partition_trial
+
+    defaults = dict(
+        name="partition", trial=_partition_trial,
+        variants=("weak", "fast", "strong"), n=20, reps=3, seed=5,
+        max_time=120.0, params={"heal_time": 4.0},
+    )
+    defaults.update(overrides)
+    return ExperimentPlan(**defaults)
+
+
+class TestTrialHookPlans:
+    @pytest.mark.parametrize("artefact", sorted(ARTEFACTS))
+    def test_process_pool_bit_identical_to_serial(self, artefact, pool):
+        from repro.experiments import figures
+
+        driver, kwargs = ARTEFACTS[artefact]
+        run = getattr(figures, driver)
+        assert run(**kwargs, backend=SerialBackend()) == run(**kwargs, backend=pool)
+
+    def test_hook_variants_skip_the_registry(self):
+        specs = partition_plan(reps=1).scenarios()
+        assert [s.variant for s in specs] == ["weak", "fast", "strong"]
+        assert {(s.seed, s.params["heal_time"]) for s in specs} == {(5, 4.0)}
+        with pytest.raises(ExperimentError, match="unknown variant"):
+            partition_plan(trial=None).validate()
+
+    @pytest.mark.parametrize("axis", [
+        {"faults": ("none", "split_brain")}, {"placements": ("static",)},
+    ])
+    def test_hook_takes_no_fault_or_placement_regimes(self, axis):
+        with pytest.raises(ExperimentError, match="trial hook"):
+            partition_plan(**axis).validate()
+
+    def test_spec_with_hook_pickles_by_reference(self):
+        spec = partition_plan(reps=1).scenarios()[2]
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone == spec and hash(clone) == hash(spec)
+        assert run_scenario(clone) == run_scenario(spec)
+        assert run_scenario(spec).extra == {"committed": 0.0}
+
+    def test_checkpoint_header_names_the_hook(self):
+        from repro.experiments.campaign import Campaign
+
+        header = Campaign("c", {"partition": partition_plan()}).header()
+        assert header["plans"]["partition"]["plan"]["trial"] == (
+            "repro.experiments.figures._partition_trial"
+        )
+
+    def test_campaign_resume_assembles_the_uninterrupted_result(self, tmp_path):
+        from repro.experiments.campaign import Campaign, CampaignPaused
+        from repro.experiments.sink import StreamingSink
+
+        campaign = Campaign("artefact", {"partition": partition_plan()})
+        whole = campaign.run().results["partition"]
+        path = tmp_path / "cp.jsonl"
+        with StreamingSink(path) as sink:
+            with pytest.raises(CampaignPaused):
+                campaign.run(sink=sink, limit=4)
+        with StreamingSink(path) as sink:
+            resumed = campaign.run(sink=sink).results["partition"]
+            trials = {
+                series: sink.registry.get(
+                    "campaign.trials", plan="partition", series=series
+                ).value
+                for series in ("weak", "fast", "strong")
+            }
+        assert resumed.to_dict() == whole.to_dict()
+        assert resumed.series["strong"].extra_means() == {"committed": 0.0}
+        assert trials == {"weak": 3, "fast": 3, "strong": 3}

@@ -29,7 +29,12 @@ from repro.experiments.sink import (
 from repro.experiments.scenarios import VARIANTS
 from repro.runtime.cluster import ReplicaCluster
 from repro.telemetry import MetricRegistry, SnapshotEmitter, read_snapshots
-from repro.telemetry.columnar import export_columnar, read_column, read_manifest
+from repro.telemetry.columnar import (
+    COLUMN_DTYPES,
+    export_columnar,
+    read_column,
+    read_manifest,
+)
 
 
 def small_plan(name="t", **overrides) -> ExperimentPlan:
@@ -355,6 +360,44 @@ class TestColumnarExport:
                 assert math.isnan(got)
             else:
                 assert got == pytest.approx(float(trial.time_all))
+
+    def test_column_dtypes_fixed_by_field_name(self):
+        # Every TrialResult field's dtype as first exported; a new
+        # field with a default must not flip any of them.
+        ints = ("rep", "origin", "diameter", "messages", "bytes_sent")
+        floats = (
+            "time_all", "time_top", "time_top1", "mean_time", "n_nodes",
+            "time_post_heal", "time_top_shocked", "satisfied_area",
+            "replicas_spawned", "replicas_retired", "replicas_peak",
+            "placement_bytes",
+        )
+        for name in ints:
+            assert COLUMN_DTYPES[name] == "<q", name
+        for name in floats:
+            assert COLUMN_DTYPES[name] == "<d", name
+        assert "extra" not in COLUMN_DTYPES
+
+    def test_trial_hook_checkpoint_exports(self, tmp_path):
+        from repro.experiments.figures import _staleness_trial
+
+        plan = ExperimentPlan(
+            name="staleness", trial=_staleness_trial,
+            variants=("oracle", "advertised/0.5"), n=12, reps=2, seed=3,
+        )
+        path = tmp_path / "cp.jsonl"
+        with StreamingSink(path) as sink:
+            Campaign("artefact", {"staleness": plan}).run(sink=sink)
+            trials = [sink.get(key) for key in sink.keys()]
+        out = tmp_path / "cols"
+        manifest = export_columnar(path, out)
+        assert manifest["rows"] == 4
+        assert set(manifest["columns"]) == set(COLUMN_DTYPES)
+        assert read_column(out, "messages") == [t.messages for t in trials]
+        assert all(t.extra["advert_bytes"] >= 0 for t in trials)
+
+    def test_slashed_variant_names_keep_their_series(self):
+        key = "staleness::rep=0/faults=none/variant=advertised/0.5"
+        assert _scenario_parts(key) == ("staleness", "advertised/0.5")
 
     def test_unknown_column_raises(self, tmp_path):
         path = tmp_path / "cp.jsonl"
