@@ -13,7 +13,7 @@ Run:  python examples/internet_scale.py
 
 from repro import ReplicationSystem, fast_consistency, weak_consistency
 from repro.demand import UniformRandomDemand
-from repro.sim.rng import derive_seed
+from repro.sim import derive_seed
 from repro.topology import diameter, internet_like, rank_exponent, verify_internet_like
 
 SIZES = (25, 50, 100, 200)

@@ -27,7 +27,7 @@ Run:  python examples/news_flash_crowd.py
 from repro import ReplicationSystem, dynamic_fast_consistency, static_table_consistency
 from repro.core.metrics import reach_time
 from repro.demand import FlashCrowdDemand, UniformRandomDemand
-from repro.sim.rng import derive_seed
+from repro.sim import derive_seed
 from repro.topology import internet_like
 
 SEED = 21

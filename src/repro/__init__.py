@@ -39,8 +39,9 @@ protocol code on wall-clock time, serving client traffic)::
         cluster.wait_replicated(update.uid, timeout=10.0)
         print(cluster.get("content", node=9), cluster.stats()["traffic"])
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for
-paper-vs-measured results.
+The README's "Layout" section lists the packages and their layer
+order; ``python -m repro all`` prints every paper artefact beside the
+paper's own values.
 """
 
 from .core import (

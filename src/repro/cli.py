@@ -634,7 +634,7 @@ def _campaign_status(path: str, telemetry: bool = False) -> str:
 
 
 def _campaign_export(args) -> str:
-    from .telemetry.columnar import export_columnar
+    from .experiments.columnar import export_columnar
 
     manifest = export_columnar(args.checkpoint, args.columnar)
     pairs = [

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
+from ..port.base import Runtime
 from ..replica.acks import AckTable
 from ..replica.log import AckedTruncation
 from ..replica.server import ReplicaServer
 from ..replica.versions import SummaryVector
-from ..runtime.base import Runtime
 
 
 class AckManager:

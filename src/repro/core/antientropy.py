@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..errors import ReplicationError
+from ..port.base import Runtime
 from ..replica.log import KeepAll
 from ..replica.messages import (
     SessionAbort,
@@ -36,7 +37,6 @@ from ..replica.messages import (
     UpdateBatch,
 )
 from ..replica.server import ReplicaServer
-from ..runtime.base import Runtime
 from .config import INTERVAL_EXPONENTIAL, ProtocolConfig
 from .policies import PartnerSelectionPolicy
 

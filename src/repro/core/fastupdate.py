@@ -36,10 +36,10 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional
 
 from ..demand.views import NeighborRanking
 from ..errors import ReplicationError
+from ..port.base import Runtime
 from ..replica.log import Update, UpdateId
 from ..replica.messages import FastUpdateOffer, FastUpdatePayload, FastUpdateReply
 from ..replica.server import ReplicaServer
-from ..runtime.base import Runtime
 from .config import PUSH_ALWAYS, PUSH_DOWNHILL, ProtocolConfig
 
 _NO_TARGETS: FrozenSet[int] = frozenset()

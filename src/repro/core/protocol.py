@@ -22,6 +22,7 @@ from typing import Callable, Dict, Optional
 from ..demand.advertisement import DemandAdvert, DemandAdvertiser
 from ..demand.views import DemandView, NeighborRanking
 from ..errors import ReplicationError
+from ..port.base import MessageHandler, Runtime
 from ..replica.messages import (
     FastUpdateOffer,
     FastUpdatePayload,
@@ -33,7 +34,6 @@ from ..replica.messages import (
     UpdateBatch,
 )
 from ..replica.server import ReplicaServer
-from ..runtime.base import MessageHandler, Runtime
 from .antientropy import AntiEntropyAgent
 from .config import ProtocolConfig
 from .fastupdate import FastUpdateAgent

@@ -31,9 +31,9 @@ from ..errors import ConfigurationError, SimulationError
 from ..replica.log import Update
 from ..replica.server import ReplicaServer
 from ..replica.timestamps import Timestamp
-from ..runtime.simulation import SimRuntime
 from ..sim.engine import Simulator
 from ..sim.network import FixedLatency, LatencyModel, Network
+from ..sim.runtime import SimRuntime
 from ..topology.analysis import bfs_distances
 from ..topology.graph import Topology
 

@@ -7,9 +7,9 @@ operations experiments need: inject a write, run until it is everywhere,
 read convergence times.
 
 The per-node assembly lives in :func:`build_node_stack`, which depends
-only on the :class:`~repro.runtime.base.Runtime` port — the same
+only on the :class:`~repro.port.base.Runtime` port — the same
 function wires nodes inside the discrete-event simulator (this class,
-on :class:`~repro.runtime.simulation.SimRuntime`) and inside a live
+on :class:`~repro.sim.runtime.SimRuntime`) and inside a live
 wall-clock deployment
 (:class:`~repro.runtime.cluster.ReplicaCluster`, on
 :class:`~repro.runtime.live.AsyncioRuntime`).
@@ -50,14 +50,16 @@ from ..demand.views import (
     TableDemandView,
 )
 from ..errors import ConfigurationError, SimulationError
+from ..port.base import Runtime
+from ..replica.creation import DonorInfo, MostCompleteLog
 from ..replica.log import MaxEntries, Update, UpdateId
 from ..replica.server import NewUpdatesListener, ReplicaServer
-from .acking import AckManager
-from ..runtime.base import Runtime
-from ..runtime.simulation import SimRuntime
 from ..sim.engine import Simulator
 from ..sim.network import FixedLatency, LatencyModel, Network
+from ..sim.runtime import SimRuntime
+from ..topology.analysis import bfs_distances
 from ..topology.graph import Topology
+from .acking import AckManager
 from .config import (
     KNOWLEDGE_ADVERTISED,
     KNOWLEDGE_ORACLE,
@@ -89,7 +91,7 @@ def build_node_stack(
     optional advertiser / ack manager, and the
     :class:`~repro.core.protocol.ReplicationNode` that routes messages
     between them.  Everything is wired against the
-    :class:`~repro.runtime.base.Runtime` port, so the identical stack
+    :class:`~repro.port.base.Runtime` port, so the identical stack
     runs inside the simulator and on a live asyncio deployment.
 
     Args:
@@ -358,11 +360,8 @@ class ReplicationSystem:
             ConfigurationError: Under ``"acked"`` log truncation —
                 ack-vector populations are fixed at construction time;
                 changing membership safely needs Golding's group
-                membership protocol, which is out of scope (DESIGN.md).
+                membership protocol, which is out of scope.
         """
-        from ..replica.creation import DonorInfo, MostCompleteLog
-        from ..topology.analysis import bfs_distances
-
         if self.config.log_truncation == "acked":
             raise ConfigurationError(
                 "add_replica is not supported with acked truncation "

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..errors import DemandError
-from ..runtime.base import Clock, Transport
+from ..port.base import Clock, Transport
 from .base import DemandModel
 from .views import DemandTable
 
@@ -43,7 +43,7 @@ class DemandAdvertiser:
     """Per-node periodic advertiser plus receiver.
 
     Args:
-        runtime: Owning clock (a :class:`~repro.runtime.base.Runtime`
+        runtime: Owning clock (a :class:`~repro.port.base.Runtime`
             or a bare :class:`~repro.sim.engine.Simulator`).
         transport: Transport used for adverts.
         node: This node's id.

@@ -1,7 +1,7 @@
 """Evaluation harness: plans, backends, trials, CDFs, figure drivers.
 
 An :class:`ExperimentPlan` is the one way to run repeated trials; the
-layer is split in four:
+layer is split in five:
 
 * **Declarative plans** (:mod:`repro.experiments.plan`) — an
   :class:`ExperimentPlan` names topology/demand/variants by registry
@@ -18,9 +18,12 @@ layer is split in four:
   checkpointing every completed trial to a
   :class:`~repro.experiments.sink.JsonLinesSink` so interrupted runs
   resume bit-identically.
+* **Columnar export** (:mod:`repro.experiments.columnar`) — a
+  checkpoint streamed into packed per-column binaries for offline
+  analysis (``repro campaign export --columnar``).
 * **Figure drivers** (:mod:`repro.experiments.figures`) — every
-  table/figure of the paper maps to one driver; see DESIGN.md for the
-  index and EXPERIMENTS.md for recorded paper-vs-measured values.
+  table/figure of the paper maps to one driver, which reports the
+  paper's value beside the measured one (``python -m repro all``).
 
 A scenario the registries cannot express gets a registry entry in
 :mod:`repro.experiments.scenarios`, or a plan ``trial`` hook when it
@@ -36,6 +39,7 @@ from .backends import (
 )
 from .campaign import Campaign, CampaignPaused, CampaignResult, scenario_key
 from .cdf import EmpiricalCdf, SummaryStats, session_grid
+from .columnar import export_columnar, read_column, read_manifest
 from .figures import (
     PAPER,
     AblationResult,
@@ -135,6 +139,9 @@ __all__ = [
     "stream_status",
     "CheckpointStatus",
     "default_sidecar",
+    "export_columnar",
+    "read_column",
+    "read_manifest",
     "CAMPAIGNS",
     "build_campaign",
     "scaling_campaign",

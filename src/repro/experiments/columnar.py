@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import ExperimentError
-from ..experiments.results import PathLike, TrialResult
+from .results import PathLike, TrialResult
 
 __all__ = ["COLUMN_DTYPES", "export_columnar", "read_column", "read_manifest"]
 

@@ -1,8 +1,7 @@
 """Per-figure and per-table experiment drivers.
 
-Each public function regenerates one artefact of the paper (see the
-per-experiment index in DESIGN.md) and returns a structured result the
-benchmarks and the CLI render. Paper reference values are collected in
+Each public function regenerates one artefact of the paper and returns
+a structured result the CLI renders. Paper reference values are collected in
 :data:`PAPER` so reports always print paper-vs-measured side by side.
 
 Every driver that repeats a trial runs an
@@ -28,6 +27,7 @@ from ..core.config import ProtocolConfig
 from ..core.islands import bridge_system, detect_islands, elect_leaders
 from ..core.metrics import ConvergenceTracker, TrafficMeter, mean_reach_time
 from ..core.metrics import reach_time, satisfied_requests_series
+from ..core.policies import DemandOrderedPolicy
 from ..core.strong import StrongConsistencySystem
 from ..core.system import ReplicationSystem
 from ..core.variants import (
@@ -42,8 +42,9 @@ from ..demand.dynamic import paper_fig4_demand
 from ..demand.field import two_valley_field
 from ..demand.static import SECTION2_REPLICAS, ConstantDemand, ExplicitDemand
 from ..demand.static import UniformRandomDemand, ZipfDemand, uniform_snapshot_for
+from ..demand.views import OracleDemandView, SnapshotDemandView
 from ..errors import ExperimentError
-from ..sim.rng import derive_seed
+from ..port.rng import derive_seed
 from ..topology.analysis import diameter as topo_diameter
 from ..topology.brite import internet_like
 from ..topology.graph import Topology
@@ -413,9 +414,6 @@ def table2_selection_sequence() -> Dict[str, List[str]]:
     per time step. With a frozen table B visits D, A, C; re-reading
     demand before each selection yields the paper's B-D, B-C', B-A'.
     """
-    from ..core.policies import DemandOrderedPolicy
-    from ..demand.views import OracleDemandView, SnapshotDemandView
-
     model = paper_fig4_demand()
     names = {node: name for name, node in FIG4_REPLICAS.items()}
     b = FIG4_REPLICAS["B"]

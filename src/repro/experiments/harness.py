@@ -26,7 +26,7 @@ from ..faults.schedule import FaultSchedule
 from ..placement.controller import PlacementController
 from ..placement.metrics import capacity_satisfied_series, placement_traffic
 from ..placement.policies import PlacementSetup
-from ..sim.rng import derive_seed
+from ..port.rng import derive_seed
 from ..topology.analysis import diameter as topo_diameter
 from ..topology.graph import Topology
 from .results import TrialResult

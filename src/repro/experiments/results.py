@@ -3,7 +3,7 @@
 Experiments produce :class:`TrialResult` rows (one per simulated
 repetition) grouped into :class:`VariantSeries` (one per protocol
 variant) inside an :class:`ExperimentResult`. Everything serialises to
-plain JSON so EXPERIMENTS.md numbers can be regenerated and archived.
+plain JSON so reported numbers can be regenerated and archived.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ sweepable experiment axis:
   packet-level :func:`lossy_wan` / :func:`corrupt_storm`), pure
   functions of ``(topology, seed)`` like the demand registry's builders.
 * :mod:`repro.faults.process` — replay over the
-  :class:`~repro.runtime.base.FaultInjector` port:
+  :class:`~repro.port.base.FaultInjector` port:
   :class:`FaultProcess` (virtual time, deterministic),
   :class:`FaultReplayer` (wall clock, for live clusters),
   :class:`SystemFaultInjector` / :func:`apply_fault`, and

@@ -1,7 +1,7 @@
 """Replaying a fault schedule against any execution world.
 
 The declarative events of a :class:`~repro.faults.schedule.FaultSchedule`
-become calls on the :class:`~repro.runtime.base.FaultInjector` port —
+become calls on the :class:`~repro.port.base.FaultInjector` port —
 crash/recover, link flaps, partitions, demand shocks, churn — so the
 *same* schedule replays against the discrete-event simulator, an
 in-process asyncio cluster, or a multi-process TCP cluster:
@@ -36,7 +36,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..demand.base import DemandModel
 from ..errors import FaultError
-from ..runtime.base import FaultInjector
+from ..port.base import FaultInjector
 from .schedule import (
     ACTION_DEMAND_SHOCK,
     ACTION_HEAL,
@@ -104,7 +104,7 @@ class SystemFaultInjector(FaultInjector):
     A system is a transport, a demand model, a clock and the protocol
     stacks it hosts; that is all a fault needs.  Crash/link/partition
     and packet actions mutate the transport's
-    :class:`~repro.runtime.linkstate.LinkModel`; shocks reach the demand
+    :class:`~repro.port.linkstate.LinkModel`; shocks reach the demand
     model; churn parks and restores delivery handlers so a re-joined
     node receives messages exactly as before it left.  The simulator
     (:class:`FaultProcess`), the in-process cluster and each node

@@ -21,6 +21,13 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import FaultError
+from ..port.linkstate import (
+    ACTION_CORRUPT_FRAME,
+    ACTION_LATENCY_SHOCK,
+    ACTION_PACKET_DUPLICATE,
+    ACTION_PACKET_REORDER,
+    PACKET_ACTIONS,
+)
 
 #: Actions a fault event may carry, with their argument arity contract.
 ACTION_NODE_DOWN = "node_down"  # (node,)
@@ -32,20 +39,8 @@ ACTION_HEAL = "heal"  # ()
 ACTION_DEMAND_SHOCK = "demand_shock"  # (nodes, factor)
 ACTION_LEAVE = "leave"  # (node,) — churn: crash + detach handler
 ACTION_JOIN = "join"  # (node,) — churn: re-attach + recover
-ACTION_LATENCY_SHOCK = "latency_shock"  # (factor, duration)
-ACTION_PACKET_REORDER = "packet_reorder"  # (probability, window, duration)
-ACTION_PACKET_DUPLICATE = "packet_duplicate"  # (probability, duration)
-ACTION_CORRUPT_FRAME = "corrupt_frame"  # (probability, duration)
-
-#: Packet-level disturbances: windowed (self-expiring) channel faults.
-PACKET_ACTIONS = frozenset(
-    {
-        ACTION_LATENCY_SHOCK,
-        ACTION_PACKET_REORDER,
-        ACTION_PACKET_DUPLICATE,
-        ACTION_CORRUPT_FRAME,
-    }
-)
+# The four packet-level actions (PACKET_ACTIONS) are defined by the link
+# model that implements them, in repro.port.linkstate.
 
 #: All known actions, for validation.
 ACTIONS = frozenset(

@@ -21,12 +21,13 @@ needs from the outside world fits three small contracts:
 
 Two adapters implement the port:
 
-* :class:`repro.runtime.simulation.SimRuntime` binds the protocol to
+* :class:`repro.sim.runtime.SimRuntime` binds the protocol to
   the discrete-event simulator — virtual time, bit-reproducible traces;
 * :class:`repro.runtime.live.AsyncioRuntime` binds the same protocol
   code to real wall-clock time on one in-process event loop, which is
   what :class:`repro.runtime.cluster.ReplicaCluster` serves live client
-  traffic on.
+  traffic on; over a :class:`repro.runtime.tcp.TcpTransport` it is one
+  replica process of a TCP cluster.
 
 Both :class:`Clock` and :class:`Transport` are structural
 (:mod:`typing` protocols): the existing
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -50,9 +50,8 @@ from typing import (
     runtime_checkable,
 )
 
-if TYPE_CHECKING:  # annotations only: the port imports no adapter's world
-    from ..sim.rng import RngRegistry
-    from ..sim.trace import Tracer
+from .rng import RngRegistry
+from .trace import Tracer
 
 #: Per-node delivery callback: ``handler(src, message)``.
 MessageHandler = Callable[[int, object], None]
@@ -113,7 +112,7 @@ class Transport(Protocol):
     Links have per-hop latency (a :class:`~repro.sim.network.LatencyModel`)
     and may drop messages; every send is metered through ``counters``.
     Every transport in the tree is a
-    :class:`~repro.runtime.linkstate.Channel`: one send path, whatever
+    :class:`~repro.port.linkstate.Channel`: one send path, whatever
     the world.
     """
 
@@ -121,7 +120,7 @@ class Transport(Protocol):
     #: ``edge_weight``) the transport routes over.
     topology: Any
 
-    #: Traffic meters (a :class:`~repro.runtime.linkstate.TrafficCounters`).
+    #: Traffic meters (a :class:`~repro.port.linkstate.TrafficCounters`).
     counters: Any
 
     def send(self, src: int, dst: int, message: object) -> bool:
@@ -150,7 +149,7 @@ class Transport(Protocol):
 
 
 class TopicBus:
-    """Minimal synchronous pub/sub, shared by non-simulator runtimes."""
+    """Minimal synchronous pub/sub: the simulator's and the live runtime's."""
 
     def __init__(self) -> None:
         self._subscribers: Dict[str, List[Callable[..., None]]] = {}
@@ -166,11 +165,19 @@ class TopicBus:
             handlers.remove(handler)
 
     def publish(self, topic: str, **payload: Any) -> int:
-        """Deliver ``payload`` to every subscriber; returns handler count."""
+        """Synchronously deliver ``payload`` to every subscriber of ``topic``.
+
+        Handlers subscribed when the call starts are the ones invoked,
+        whatever they subscribe or unsubscribe meanwhile.
+
+        Returns:
+            The number of handlers invoked.
+        """
         handlers = self._subscribers.get(topic)
         if not handlers:
             return 0
-        for handler in tuple(handlers):
+        handlers = tuple(handlers)
+        for handler in handlers:
             handler(**payload)
         return len(handlers)
 
@@ -182,7 +189,7 @@ class FaultInjector(ABC):
     action.  Two adapters exist:
 
     * :class:`repro.faults.process.SystemFaultInjector` — mutates the
-      :class:`~repro.runtime.linkstate.LinkModel` (and handler table)
+      :class:`~repro.port.linkstate.LinkModel` (and handler table)
       of a transport, whichever world it belongs to: the simulator, the
       in-process asyncio cluster, one node process of a TCP cluster;
     * :class:`repro.runtime.cluster.TcpBroadcastInjector` — the hub of a
@@ -242,7 +249,7 @@ class FaultInjector(ABC):
         """Open a windowed packet-level disturbance on the channel.
 
         ``action`` is one of the packet actions in
-        :data:`repro.faults.schedule.PACKET_ACTIONS` (latency shock,
+        :data:`repro.port.linkstate.PACKET_ACTIONS` (latency shock,
         reorder, duplicate, corrupt-frame); ``params`` are the event
         args without the trailing duration.  The window expires on its
         own after ``duration`` protocol units — there is no paired
@@ -262,8 +269,8 @@ class Runtime(ABC):
     Attributes:
         transport: The :class:`Transport` messages travel on.
         rng: Named deterministic RNG streams
-            (:class:`~repro.sim.rng.RngRegistry`).
-        trace: Structured tracer (:class:`~repro.sim.trace.Tracer`).
+            (:class:`~repro.port.rng.RngRegistry`).
+        trace: Structured tracer (:class:`~repro.port.trace.Tracer`).
         demand_view: The deployment's one
             :class:`~repro.demand.views.DemandView` under oracle or
             snapshot knowledge, where every node believes the same; None

@@ -28,12 +28,22 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..errors import FaultError, SimulationError
 from .base import MessageHandler
-from ..faults.schedule import (
-    ACTION_CORRUPT_FRAME,
-    ACTION_LATENCY_SHOCK,
-    ACTION_PACKET_DUPLICATE,
-    ACTION_PACKET_REORDER,
-    PACKET_ACTIONS,
+
+#: The packet-level fault actions: windowed (self-expiring) channel
+#: faults, which the link model alone implements.  A
+#: :class:`~repro.faults.schedule.FaultEvent` carries them with their
+#: parameters and the window's duration last.
+ACTION_LATENCY_SHOCK = "latency_shock"  # (factor, duration)
+ACTION_PACKET_REORDER = "packet_reorder"  # (probability, window, duration)
+ACTION_PACKET_DUPLICATE = "packet_duplicate"  # (probability, duration)
+ACTION_CORRUPT_FRAME = "corrupt_frame"  # (probability, duration)
+PACKET_ACTIONS = frozenset(
+    {
+        ACTION_LATENCY_SHOCK,
+        ACTION_PACKET_REORDER,
+        ACTION_PACKET_DUPLICATE,
+        ACTION_CORRUPT_FRAME,
+    }
 )
 
 #: Negative verdicts of :meth:`LinkModel.decide` (a carried message's

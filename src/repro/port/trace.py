@@ -1,4 +1,4 @@
-"""Structured tracing for simulations.
+"""Structured tracing, hosted by every runtime.
 
 A :class:`Tracer` collects :class:`TraceRecord` rows (time, category,
 free-form fields). Tracing is the debugging backbone of the simulator:

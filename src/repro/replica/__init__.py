@@ -1,6 +1,6 @@
 """Replication substrate: timestamps, summaries, logs, stores, servers.
 
-This package is the Golding-TSAE stand-in (DESIGN.md §2): the data
+This package is the Golding-TSAE stand-in: the data
 structures and server machinery that both the weak-consistency baseline
 and the paper's fast-consistency algorithm run on.
 """

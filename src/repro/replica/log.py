@@ -14,7 +14,7 @@ numbers its writes densely, so ``(origin, seq)`` is already an address.
 instead of scanning and re-sorting the whole log, which is what lets
 long-horizon runs keep a constant per-session cost as logs grow. The
 logs of one address space share one history per origin
-(:attr:`repro.runtime.base.Runtime.histories`); each reads it cut at its
+(:attr:`repro.port.base.Runtime.histories`); each reads it cut at its
 own summary tip and copies its live slices out when it first purges.
 
 Truncation policies implement the Bayou-inspired policy family the

@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..demand.base import DemandModel
 from ..errors import ReplicationError
-from ..runtime.base import Clock
+from ..port.base import Clock
 from .log import UpdateId
 from .server import ReplicaServer
 
@@ -41,7 +41,7 @@ class ClientWorkload:
     standard exact method for inhomogeneous Poisson processes.
 
     Args:
-        runtime: Owning clock (a :class:`~repro.runtime.base.Runtime`
+        runtime: Owning clock (a :class:`~repro.port.base.Runtime`
             or a bare :class:`~repro.sim.engine.Simulator`).
         server: The replica receiving the requests.
         model: Demand model (requests per session-time unit).

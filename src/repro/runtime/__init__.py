@@ -2,19 +2,16 @@
 
 The worlds are the simulator, one in-process asyncio loop, and one OS
 process per replica over TCP.  The protocol stack in :mod:`repro.core`
-depends only on the narrow interfaces defined here:
+depends only on the narrow interfaces of :mod:`repro.port`, re-exported
+here beside the adapters:
 
-* :class:`Clock` / :class:`Transport` / :class:`Runtime` — the port
-  (:mod:`repro.runtime.base`);
-* :class:`LinkModel` — the one place that decides whether and how a
-  message is carried, and where faults are injected — and
-  :class:`Channel`, the one send path that owns a model and acts on its
-  verdict (:mod:`repro.runtime.linkstate`).  Every transport is a
-  channel; the worlds differ only in the scheduling port each binds
-  once, i.e. in how a carried message waits out its delay;
-* :class:`SimRuntime` — discrete-event adapter over the existing
-  :class:`~repro.sim.engine.Simulator` and
-  :class:`~repro.sim.network.Network`, the channel on simulator events
+* :class:`Clock` / :class:`Transport` / :class:`Runtime` — the port;
+* :class:`LinkModel` and :class:`Channel` — the one place that decides
+  whether and how a message is carried, and the one send path.  Every
+  transport is a channel; the worlds differ only in the scheduling port
+  each binds once, i.e. in how a carried message waits out its delay;
+* :class:`SimRuntime` — the discrete-event adapter
+  (:mod:`repro.sim.runtime`), the channel on simulator events
   (bit-identical traces);
 * :class:`AsyncioRuntime` / :class:`AsyncioTransport` — wall-clock
   adapter, in process: the channel on one delivery heap, direct
@@ -29,16 +26,17 @@ The asyncio-backed names are imported lazily (PEP 562) so that
 
 from __future__ import annotations
 
-from .base import (
+from ..port import (
+    Channel,
     Clock,
     FaultInjector,
+    LinkModel,
     MessageHandler,
     Runtime,
     TopicBus,
     Transport,
 )
-from .linkstate import Channel, LinkModel
-from .simulation import SimRuntime
+from ..sim.runtime import SimRuntime
 
 #: Names resolved lazily from the asyncio-backed modules.
 _LIVE_EXPORTS = {

@@ -54,6 +54,7 @@ survivable, scheduled-fault-grade event.
 
 from __future__ import annotations
 
+import asyncio
 import collections
 import concurrent.futures
 import functools
@@ -83,13 +84,14 @@ from ..faults.schedule import (
     ACTION_PARTITION,
     FaultSchedule,
 )
+from ..port.base import FaultInjector
 from ..replica.log import Update, UpdateId
 from ..replica.server import ReplicaServer
 from ..replica.store import StoreEntry
 from ..sim.network import LatencyModel
 from ..telemetry.registry import MetricRegistry
+from ..topology.brite import internet_like
 from ..topology.graph import Topology
-from .base import FaultInjector
 from .live import AsyncioRuntime, AsyncioTransport, new_event_loop
 from .nodeproc import NodeSpec, node_process_main
 from .tcp import DEFAULT_MAX_FRAME_BYTES, FrameDecoder, encode_frame, read_frames
@@ -256,8 +258,6 @@ class ReplicaCluster:
                 f"transport must be 'queue' or 'tcp', got {transport!r}"
             )
         if topology is None:
-            from ..topology.brite import internet_like
-
             topology = internet_like(nodes, seed=seed)
         if topology.num_nodes == 0:
             raise ConfigurationError("topology has no nodes")
@@ -435,8 +435,6 @@ class ReplicaCluster:
         self.close()
 
     def _thread_main(self) -> None:
-        import asyncio
-
         loop = new_event_loop()
         asyncio.set_event_loop(loop)
         self._loop = loop
@@ -446,8 +444,6 @@ class ReplicaCluster:
             loop.close()
 
     async def _main(self) -> None:
-        import asyncio
-
         try:
             self.runtime.start()
             if self._mode == "tcp":
@@ -500,7 +496,6 @@ class ReplicaCluster:
             stack.start()
 
     async def _boot_tcp(self) -> None:
-        import asyncio
         import multiprocessing
 
         self._all_registered = asyncio.Event()
@@ -552,8 +547,6 @@ class ReplicaCluster:
         self._mono_anchor = time.monotonic()
 
     async def _open_control_server(self, port: int) -> None:
-        import asyncio
-
         self._control_server = await asyncio.start_server(
             functools.partial(self._on_control_connection, hub_index=0),
             self._host,
@@ -599,8 +592,6 @@ class ReplicaCluster:
         self._hub_servers = []
         self._control_server = None
         if self._control_tasks:
-            import asyncio
-
             for task in list(self._control_tasks):
                 task.cancel()
             await asyncio.gather(*self._control_tasks, return_exceptions=True)
@@ -634,8 +625,6 @@ class ReplicaCluster:
     # -- control-frame hub (tcp node processes + chaos clients) ----------
 
     async def _on_control_connection(self, reader, writer, hub_index: int = 0) -> None:
-        import asyncio
-
         task = asyncio.current_task()
         self._control_tasks.add(task)
         self._hub_conn_writers.setdefault(hub_index, set()).add(writer)

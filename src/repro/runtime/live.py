@@ -8,7 +8,7 @@ callbacks (session timers, fault replays), each transport one for its
 messages in flight, whose drain calls the destination node's handler:
 one hop per message.  The queue's ``push`` is the one port
 :class:`AsyncioTransport` binds into the
-:class:`~repro.runtime.linkstate.Channel` it is; the send path itself is
+:class:`~repro.port.linkstate.Channel` it is; the send path itself is
 the simulator's.
 
 Loops come from :func:`new_event_loop`, whose ``select(2)`` selector
@@ -33,11 +33,11 @@ from math import inf
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
+from ..port.base import Runtime, TopicBus
+from ..port.linkstate import Channel, message_kind
+from ..port.rng import RngRegistry
+from ..port.trace import Tracer
 from ..sim.network import FixedLatency, LatencyModel
-from ..sim.rng import RngRegistry
-from ..sim.trace import Tracer
-from .base import Runtime, TopicBus
-from .linkstate import Channel, message_kind
 
 
 def new_event_loop() -> asyncio.AbstractEventLoop:
@@ -315,7 +315,7 @@ class _TimerQueue(DeliveryQueue):
 class AsyncioTransport(Channel):
     """Transport between in-process replicas on one event loop.
 
-    The :class:`~repro.runtime.linkstate.Channel` on wall-clock time: a
+    The :class:`~repro.port.linkstate.Channel` on wall-clock time: a
     carried message waits in a :class:`DeliveryQueue` whose drain calls
     the destination's handler directly.  Handlers are synchronous on the
     one loop thread and a send never delivers inline, so per-replica

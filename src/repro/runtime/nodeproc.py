@@ -22,7 +22,7 @@ with a picklable :class:`NodeSpec`.  The child:
    function of topology + demand, both carried in the spec;
 3. serves hub control frames until told to stop: client ``call``\\ s
    (put / read / stats), broadcast ``fault`` actions applied to the
-   local transport's :class:`~repro.runtime.linkstate.LinkModel`
+   local transport's :class:`~repro.port.linkstate.LinkModel`
    through a :class:`~repro.faults.process.SystemFaultInjector` (every
    process receives every action, so sender-side refusals agree without
    shared memory; handler parking only ever touches the own node), and

@@ -1,6 +1,6 @@
 """TcpTransport: the protocol over real sockets, across OS processes.
 
-The same :class:`~repro.runtime.base.Transport` contract the in-process
+The same :class:`~repro.port.base.Transport` contract the in-process
 :class:`~repro.runtime.live.AsyncioTransport` satisfies, implemented on
 length-prefixed TCP frames so an :class:`~repro.runtime.live.AsyncioRuntime`
 cluster can span OS processes (or machines):
@@ -34,9 +34,9 @@ cluster can span OS processes (or machines):
   not crashes.  Once the peer is back, the next send past the backoff
   window reconnects and delivery resumes.
 
-The send path, its :class:`~repro.runtime.linkstate.LinkModel` verdict
+The send path, its :class:`~repro.port.linkstate.LinkModel` verdict
 and local delivery are the simulator's code (the
-:class:`~repro.runtime.linkstate.Channel`), the delivery heap is
+:class:`~repro.port.linkstate.Channel`), the delivery heap is
 :class:`~repro.runtime.live.AsyncioTransport`'s; this transport only
 sends a remote destination to the wire, and flushes its peers once a
 drain ends.  A chaos controller broadcasts each fault action to every
@@ -57,9 +57,9 @@ import zlib
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import SimulationError, TransportError
+from ..port.base import MessageHandler
+from ..port.linkstate import CORRUPT, DUPLICATED, message_kind
 from ..sim.network import LatencyModel
-from .base import MessageHandler
-from .linkstate import CORRUPT, DUPLICATED, message_kind
 from .live import AsyncioRuntime, AsyncioTransport
 
 #: Header size: 4-byte unsigned big-endian frame length followed by the

@@ -1,9 +1,10 @@
 """Discrete-event simulation substrate.
 
-The :mod:`repro.sim` package is the NS-2 replacement described in
-DESIGN.md: a deterministic event-heap engine (:class:`Simulator`),
-named RNG streams, structured tracing and a topology-aware lossy
-message network.
+The :mod:`repro.sim` package is the NS-2 replacement: a deterministic
+event-heap engine (:class:`Simulator`), a topology-aware lossy message
+network, and :class:`~repro.sim.runtime.SimRuntime`, which hands both to
+the protocol.  The named RNG streams and the tracer it hosts come from
+:mod:`repro.port` and are re-exported here.
 """
 
 from .engine import (
@@ -14,6 +15,7 @@ from .engine import (
     Simulator,
 )
 from .events import Event, EventHandle
+from ..port import RngRegistry, TraceRecord, Tracer, TrafficCounters, derive_seed
 from .network import (
     BandwidthLatency,
     DistanceLatency,
@@ -21,10 +23,7 @@ from .network import (
     JitteredLatency,
     LatencyModel,
     Network,
-    TrafficCounters,
 )
-from .rng import RngRegistry, derive_seed
-from .trace import TraceRecord, Tracer
 
 __all__ = [
     "Simulator",

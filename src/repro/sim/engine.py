@@ -3,9 +3,10 @@
 :class:`Simulator` is a classic event-queue kernel: callbacks are
 scheduled at future simulated times and executed in (time, priority,
 insertion) order. It also hosts the cross-cutting services every
-simulation needs — deterministic RNG streams (:mod:`repro.sim.rng`),
-structured tracing (:mod:`repro.sim.trace`) and a tiny topic-based
-pub/sub bus that metrics collectors subscribe to.
+simulation needs — deterministic RNG streams (:mod:`repro.port.rng`),
+structured tracing (:mod:`repro.port.trace`) and, being a
+:class:`~repro.port.base.TopicBus`, the topic-based pub/sub bus that
+metrics collectors subscribe to.
 
 Pending events are plain ``(time, priority, seq, handle, callback,
 args)`` tuples: ordering is decided by the first three scalar elements,
@@ -41,12 +42,13 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from ..errors import SimulationError
+from ..port.base import TopicBus
+from ..port.rng import RngRegistry
+from ..port.trace import Tracer
 from .events import DEFAULT_PRIORITY, EventHandle, _sequence
-from .rng import RngRegistry
-from .trace import Tracer
 
 #: Result strings returned by :meth:`Simulator.run`.
 RUN_EXHAUSTED = "exhausted"  # no events left
@@ -65,7 +67,7 @@ _heappush = heapq.heappush
 _heappop = heapq.heappop
 
 
-class Simulator:
+class Simulator(TopicBus):
     """Deterministic discrete-event simulator.
 
     Args:
@@ -86,6 +88,7 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0, trace: Optional[Tracer] = None):
+        super().__init__()
         self.now: float = 0.0
         self.rng = RngRegistry(seed)
         self.trace = trace if trace is not None else Tracer()
@@ -98,7 +101,6 @@ class Simulator:
         self._stopping = False
         self._running = False
         self.events_executed = 0
-        self._subscribers: Dict[str, List[Callable[..., None]]] = {}
 
     # -- scheduling -----------------------------------------------------
 
@@ -221,31 +223,6 @@ class Simulator:
     def pending_count(self) -> int:
         """Number of events scheduled and not yet fired or cancelled."""
         return self._pending
-
-    # -- pub/sub ----------------------------------------------------------
-
-    def subscribe(self, topic: str, handler: Callable[..., None]) -> None:
-        """Register ``handler(**payload)`` for :meth:`publish` on ``topic``."""
-        self._subscribers.setdefault(topic, []).append(handler)
-
-    def unsubscribe(self, topic: str, handler: Callable[..., None]) -> None:
-        """Remove a previously registered handler (no-op if absent)."""
-        handlers = self._subscribers.get(topic, [])
-        if handler in handlers:
-            handlers.remove(handler)
-
-    def publish(self, topic: str, **payload: Any) -> int:
-        """Synchronously deliver ``payload`` to every subscriber of ``topic``.
-
-        Returns:
-            The number of handlers invoked.
-        """
-        handlers = self._subscribers.get(topic)
-        if not handlers:
-            return 0
-        for handler in tuple(handlers):
-            handler(**payload)
-        return len(handlers)
 
     # -- execution --------------------------------------------------------
 

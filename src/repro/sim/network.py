@@ -4,13 +4,13 @@
 :class:`repro.topology.graph.Topology` with configurable latency models,
 optional jitter, probabilistic loss, link/node failures and partitions.
 It is the NS-2 stand-in: the paper only needs per-link propagation
-delays and lossy channels, not TCP dynamics (see DESIGN.md §2).
+delays and lossy channels, not TCP dynamics.
 
 The send path is not here: :class:`Network` is the
-:class:`~repro.runtime.linkstate.Channel` every transport is, with one
+:class:`~repro.port.linkstate.Channel` every transport is, with one
 simulator event as the wait for a carried message.  So the validation,
-the metering (:class:`TrafficCounters`, re-exported here), the
-:class:`~repro.runtime.linkstate.LinkModel` verdict and the delivery
+the metering (:class:`~repro.port.linkstate.TrafficCounters`), the
+:class:`~repro.port.linkstate.LinkModel` verdict and the delivery
 are the same code in the simulator and on the live cluster.  This
 module keeps the latency models.
 """
@@ -21,12 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import SimulationError
-from ..runtime.linkstate import (  # noqa: F401 - the meters are re-exported
-    Channel,
-    TrafficCounters,
-    message_kind,
-    message_size,
-)
+from ..port.linkstate import Channel
 from .engine import Simulator
 
 
@@ -122,7 +117,7 @@ class BandwidthLatency(LatencyModel):
 
 
 class Network(Channel):
-    """The :class:`~repro.runtime.linkstate.Channel` on virtual time: a
+    """The :class:`~repro.port.linkstate.Channel` on virtual time: a
     carried message is one event on the kernel's trusted
     ``schedule_fast`` path (deliveries are never cancelled).
 

@@ -2,7 +2,7 @@
 
 Wraps an existing :class:`~repro.sim.engine.Simulator` (clock, RNG,
 trace, pub/sub) and :class:`~repro.sim.network.Network` (transport)
-behind the :class:`~repro.runtime.base.Runtime` facade.  Every call
+behind the :class:`~repro.port.base.Runtime` facade.  Every call
 delegates one-to-one, so a protocol stack running on ``SimRuntime``
 produces *bit-identical* event traces to the pre-port code — asserted
 by the golden-trace regression test
@@ -15,16 +15,14 @@ the simulation-only drive controls (:meth:`run`, :meth:`stop`,
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import Any, Callable, Optional
 
 from ..errors import SimulationError
-from ..sim.engine import Simulator
-from ..sim.rng import RngRegistry
-from ..sim.trace import Tracer
-from .base import Runtime, Transport
-
-if TYPE_CHECKING:  # sim.network imports this package for its link model
-    from ..sim.network import Network
+from ..port.base import Runtime, Transport
+from ..port.rng import RngRegistry
+from ..port.trace import Tracer
+from .engine import Simulator
+from .network import Network
 
 
 class SimRuntime(Runtime):

@@ -1,6 +1,6 @@
 """Streaming telemetry: O(1)-memory aggregates shared by every world.
 
-The subsystem has four layers, smallest first:
+The subsystem has three layers, smallest first:
 
 * **Primitives** — :class:`Counter` / :class:`Gauge`,
   :class:`RunningMoments` (Welford, exact, mergeable) and
@@ -13,9 +13,9 @@ The subsystem has four layers, smallest first:
   emitter.
 * **Emission** — :class:`SnapshotEmitter` appends newline-JSON snapshot
   records for live tails (``repro serve --metrics-interval``).
-* **Columnar export** — :func:`export_columnar` streams a JSON-lines
-  campaign checkpoint into packed per-column binaries for offline
-  analysis (lazy import: it needs the experiments layer).
+
+Columnar export of campaign checkpoints reads trial results, so it
+lives with them in :mod:`repro.experiments.columnar`.
 
 Everything is pure python and picklable; sketches and moments fold one
 observation at a time, so a 10**6-trial campaign summarises in the
@@ -38,21 +38,4 @@ __all__ = [
     "series_id",
     "SCHEMA",
     "DEFAULT_K",
-    # lazy (see __getattr__): columnar export needs the experiments layer
-    "export_columnar",
-    "read_column",
-    "read_manifest",
 ]
-
-_LAZY_COLUMNAR = ("export_columnar", "read_column", "read_manifest", "COLUMN_DTYPES")
-
-
-def __getattr__(name: str):
-    # PEP 562: the columnar module imports repro.experiments.results, and
-    # repro.experiments imports this package for the streaming sink —
-    # loading it lazily keeps the import graph acyclic.
-    if name in _LAZY_COLUMNAR:
-        from . import columnar
-
-        return getattr(columnar, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

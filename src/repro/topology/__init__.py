@@ -1,6 +1,6 @@
 """Topology substrate: graph type, generators, analysis, power laws.
 
-This package replaces BRITE in the reproduction (see DESIGN.md §2): the
+This package replaces BRITE in the reproduction: the
 paper's evaluation topologies are random graphs satisfying the Internet
 power laws, produced here by :func:`repro.topology.brite.barabasi_albert`
 and verified by :mod:`repro.topology.powerlaws`.

@@ -142,7 +142,7 @@ def verify_internet_like(
 
     Returns the fits keyed by law name. Raises :class:`TopologyError`
     if any fitted |correlation| is below ``min_correlation`` — used by
-    tests to guard the BRITE-replacement claim in DESIGN.md.
+    tests to guard the BRITE-replacement claim of this package.
     """
     fits = {
         "rank": rank_exponent(topo),

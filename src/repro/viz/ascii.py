@@ -1,8 +1,8 @@
 """ASCII plotting (no matplotlib in the offline environment).
 
 Good enough to eyeball the Figs. 5-6 CDF curves and the Fig. 3 series in
-a terminal; the quantitative record lives in the result objects and
-EXPERIMENTS.md, not in these plots.
+a terminal; the quantitative record lives in the result objects, not
+in these plots.
 """
 
 from __future__ import annotations

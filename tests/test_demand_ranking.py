@@ -39,7 +39,7 @@ from repro.demand.views import (
 from repro.faults.process import ShockableDemand
 from repro.replica.server import ReplicaServer
 from repro.replica.workload import start_workloads
-from repro.runtime.simulation import SimRuntime
+from repro.sim.runtime import SimRuntime
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.topology.brite import internet_like

@@ -43,7 +43,7 @@ from repro.faults import (
     rolling_restart,
     split_brain,
 )
-from repro.runtime.base import FaultInjector
+from repro.port.base import FaultInjector
 from repro.topology.simple import line, ring
 
 

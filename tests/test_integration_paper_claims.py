@@ -14,7 +14,7 @@ from repro.core.system import ReplicationSystem
 from repro.core.variants import fast_consistency, weak_consistency
 from repro.demand.static import UniformRandomDemand
 from repro.experiments.harness import TrialSpec, run_trial
-from repro.sim.rng import derive_seed
+from repro.port.rng import derive_seed
 from repro.topology.analysis import diameter
 from repro.topology.brite import internet_like
 

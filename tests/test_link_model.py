@@ -33,7 +33,7 @@ from repro.faults.schedule import (
     ACTION_PACKET_DUPLICATE,
     ACTION_PACKET_REORDER,
 )
-from repro.runtime.linkstate import (
+from repro.port.linkstate import (
     CORRUPT,
     DUPLICATED,
     LOST,
@@ -52,7 +52,7 @@ from repro.sim.network import (
     JitteredLatency,
     Network,
 )
-from repro.sim.trace import Tracer
+from repro.port.trace import Tracer
 from repro.topology.graph import Topology
 from test_runtime_live import _ManualLoop, _manual_runtime
 

@@ -2,19 +2,22 @@
 
 Two properties are enforced:
 
-* every package with a declared ``__all__`` (``repro``,
-  ``repro.runtime``, ``repro.core``, ``repro.replica``) actually
-  resolves each exported name, and nothing obviously public is missing;
+* every package (``repro`` and each subpackage ``pkgutil`` finds)
+  declares an ``__all__`` that resolves each exported name, and nothing
+  obviously public is missing;
 * ``import repro`` exposes the documented surface *without* importing
   :mod:`asyncio` — the live runtime is pay-for-what-you-use.
 """
 
 from __future__ import annotations
 
+import pkgutil
 import subprocess
 import sys
 
 import pytest
+
+import repro
 
 DOCUMENTED_TOP_LEVEL = [
     "ReplicationSystem",
@@ -34,15 +37,17 @@ DOCUMENTED_TOP_LEVEL = [
 ]
 
 
+PACKAGES = ["repro"] + [
+    f"repro.{info.name}" for info in pkgutil.iter_modules(repro.__path__) if info.ispkg
+]
+
+
 def _module(name):
     __import__(name)
     return sys.modules[name]
 
 
-@pytest.mark.parametrize(
-    "module_name",
-    ["repro", "repro.runtime", "repro.core", "repro.replica"],
-)
+@pytest.mark.parametrize("module_name", PACKAGES)
 def test_all_entries_resolve(module_name):
     module = _module(module_name)
     assert module.__all__, f"{module_name} must declare __all__"
@@ -53,10 +58,7 @@ def test_all_entries_resolve(module_name):
         )
 
 
-@pytest.mark.parametrize(
-    "module_name",
-    ["repro", "repro.runtime", "repro.core", "repro.replica"],
-)
+@pytest.mark.parametrize("module_name", PACKAGES)
 def test_public_names_are_exported(module_name):
     """Anything importable without an underscore prefix that is *defined*
     by the package's own __init__ imports should be in __all__."""

@@ -30,7 +30,7 @@ from repro.faults.schedule import (
 )
 from repro.runtime.cluster import ReplicaCluster
 from repro.runtime.tcp import SyncFrameChannel
-from repro.sim.trace import Tracer
+from repro.port.trace import Tracer
 from repro.topology.brite import internet_like
 from repro.topology.simple import line
 

@@ -25,7 +25,7 @@ from repro.runtime.cluster import ReplicaCluster
 from repro.runtime.live import AsyncioRuntime, AsyncioTransport, new_event_loop
 from repro.core.variants import fast_consistency, weak_consistency
 from repro.sim.network import DistanceLatency, FixedLatency
-from repro.sim.trace import Tracer
+from repro.port.trace import Tracer
 from repro.topology.graph import Topology
 from repro.topology.simple import ring, star
 

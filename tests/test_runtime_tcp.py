@@ -29,7 +29,7 @@ from repro.runtime.tcp import (
     corrupt_frame_bytes,
     encode_frame,
 )
-from repro.sim.trace import Tracer
+from repro.port.trace import Tracer
 from repro.topology.simple import line
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
+from repro.port.base import TopicBus
 from repro.sim.engine import (
     RUN_EXHAUSTED,
     RUN_MAX_EVENTS,
@@ -259,6 +260,21 @@ class TestPubSub:
         sim.subscribe("t", lambda **kw: got.append("b"))
         assert sim.publish("t") == 2
         assert got == ["a", "b"]
+
+    @pytest.mark.parametrize("bus", [Simulator, TopicBus], ids=["sim", "live"])
+    def test_publish_counts_handlers_that_unsubscribe_during_delivery(self, bus):
+        """The count is of handlers invoked, even if one leaves mid-delivery."""
+        bus = bus()
+        got = []
+
+        def once(**kw):
+            got.append(kw)
+            bus.unsubscribe("t", once)
+
+        bus.subscribe("t", once)
+        assert bus.publish("t", a=1) == 1
+        assert got == [{"a": 1}]
+        assert bus.publish("t", a=2) == 0
 
 
 class TestDeterminism:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.trace import Tracer
+from repro.port.trace import Tracer
 from repro.sim.network import (
     BandwidthLatency,
     DistanceLatency,

@@ -1,4 +1,4 @@
-"""Tests for RNG streams (repro.sim.rng) and tracing (repro.sim.trace)."""
+"""Tests for RNG streams (repro.port.rng) and tracing (repro.port.trace)."""
 
 from __future__ import annotations
 
@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.rng import CHUNK, RngRegistry, derive_seed
-from repro.sim.trace import Tracer
+from repro.port.rng import CHUNK, RngRegistry, derive_seed
+from repro.port.trace import Tracer
 
 
 class TestDeriveSeed:

@@ -29,7 +29,7 @@ from repro.experiments.sink import (
 from repro.experiments.scenarios import VARIANTS
 from repro.runtime.cluster import ReplicaCluster
 from repro.telemetry import MetricRegistry, SnapshotEmitter, read_snapshots
-from repro.telemetry.columnar import (
+from repro.experiments.columnar import (
     COLUMN_DTYPES,
     export_columnar,
     read_column,
