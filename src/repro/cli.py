@@ -995,6 +995,9 @@ def cmd_chaos(args) -> str:
 
     from .errors import TransportError
 
+    def ask(frame, answer, what, refusals=None):
+        return _chaos_ask(channel, args.timeout, frame, answer, what, refusals)
+
     if args.faults is None and not args.kill_hub:
         raise ExperimentError("nothing to do: give --faults and/or --kill-hub")
 
@@ -1011,51 +1014,32 @@ def cmd_chaos(args) -> str:
         if args.kill_hub:
             # Learn the standby addresses up front: the connection we
             # are on dies with the hub we are about to kill.
-            channel.send(("hubs?",))
-            reply = channel.recv(timeout=args.timeout)
-            if reply[0] == "error":
-                raise TransportError(f"cluster refused: {reply[1]}")
-            if reply[0] != "hubs":
-                raise TransportError(
-                    f"unexpected reply {reply[0]!r} to hub query"
-                )
-            standbys = [tuple(address) for address in reply[1][1:]]
+            hubs = ask(("hubs?",), "hubs", "hub query")
+            standbys = [tuple(address) for address in hubs[1:]]
         if args.faults is not None:
             # The schedule generators are pure functions of
             # (topology, seed), so fetching the cluster's topology lets
             # us build the exact schedule locally and ship it whole.
-            channel.send(("topology?",))
-            reply = channel.recv(timeout=args.timeout)
-            if reply[0] == "error":
-                raise TransportError(f"cluster refused: {reply[1]}")
-            if reply[0] != "topology":
-                raise TransportError(
-                    f"unexpected reply {reply[0]!r} to topology query"
-                )
-            topology = reply[1]
+            topology = ask(("topology?",), "topology", "topology query")
             schedule = build_faults(args.faults, topology, seed=args.seed)
-            channel.send(("chaos", schedule))
-            reply = channel.recv(timeout=args.timeout)
-            if reply[0] == "chaos-error":
-                raise TransportError(f"cluster refused the schedule: {reply[1]}")
-            if reply[0] == "error":
-                raise TransportError(f"cluster refused: {reply[1]}")
-            if reply[0] != "chaos-ack":
-                raise TransportError(f"unexpected reply {reply[0]!r} to injection")
-            info = reply[1]
+            info = ask(
+                ("chaos", schedule),
+                "chaos-ack",
+                "injection",
+                {"chaos-error": "cluster refused the schedule"},
+            )
             lines.append(
                 f"injected {args.faults!r} (seed {args.seed}): "
                 f"{info['events']} events over {schedule.duration:.1f} "
                 "protocol units"
             )
         if args.kill_hub:
-            channel.send(("kill-hub",))
-            reply = channel.recv(timeout=args.timeout)
-            if reply[0] == "kill-hub-error" or reply[0] == "error":
-                raise TransportError(f"cluster refused the hub kill: {reply[1]}")
-            if reply[0] != "kill-hub-ack":
-                raise TransportError(f"unexpected reply {reply[0]!r} to hub kill")
-            killed = reply[1]
+            killed = ask(
+                ("kill-hub",),
+                "kill-hub-ack",
+                "hub kill",
+                dict.fromkeys(("error", "kill-hub-error"), "cluster refused the hub kill"),
+            )
             lines.append(f"killed primary hub {killed[0]}:{killed[1]}")
             if args.wait or args.report:
                 if not standbys:
@@ -1070,8 +1054,7 @@ def cmd_chaos(args) -> str:
         status = None
         if (args.wait or args.report) and schedule is not None:
             while True:
-                channel.send(("status?",))
-                _, status = channel.recv(timeout=args.timeout)
+                status = ask(("status?",), "status", "status query")
                 chaos = status.get("chaos") or {}
                 if chaos.get("done"):
                     lines.append(
@@ -1081,8 +1064,7 @@ def cmd_chaos(args) -> str:
                     break
                 _time.sleep(0.2)
         elif args.wait or args.report:
-            channel.send(("status?",))
-            _, status = channel.recv(timeout=args.timeout)
+            status = ask(("status?",), "status", "status query")
         if args.report:
             # The schedule just finished: give the cluster a moment to
             # fully replicate a post-heal write so the report's
@@ -1093,12 +1075,31 @@ def cmd_chaos(args) -> str:
                 and _time.monotonic() < grace
             ):
                 _time.sleep(0.2)
-                channel.send(("status?",))
-                _, status = channel.recv(timeout=args.timeout)
+                status = ask(("status?",), "status", "status query")
             lines.append(_chaos_report(args, schedule, status))
         return "\n".join(lines)
     finally:
         channel.close()
+
+
+def _chaos_ask(channel, timeout, frame, answer, what, refusals=None):
+    """Send one control ``frame``; return the payload of its ``answer``.
+
+    A reply of a kind ``refusals`` maps to a message prefix (``error``
+    always maps, by default to "cluster refused") raises
+    :class:`TransportError` with that prefix; any other kind but
+    ``answer`` raises naming ``what`` was asked.
+    """
+    from .errors import TransportError
+
+    refusals = {"error": "cluster refused", **(refusals or {})}
+    channel.send(frame)
+    kind, payload = channel.recv(timeout=timeout)
+    if kind in refusals:
+        raise TransportError(f"{refusals[kind]}: {payload}")
+    if kind != answer:
+        raise TransportError(f"unexpected reply {kind!r} to {what}")
+    return payload
 
 
 def _chaos_report(args, schedule, status) -> str:

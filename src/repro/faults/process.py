@@ -10,16 +10,17 @@ in-process asyncio cluster, or a multi-process TCP cluster:
   (the single dispatch every replayer shares);
 * :class:`SystemFaultInjector` adapts a running system — a transport
   with its link model, a demand model, a clock, the hosted stacks — to
-  the port; the simulator, the in-process cluster and every node
-  process of the TCP cluster use this one class;
+  the port; the simulator and every live replica host (the in-process
+  cluster's, each TCP node process's) use this one class;
 * :class:`FaultProcess` replays in *virtual* time: events are scheduled
   at construction with a priority that beats ordinary protocol events,
   so a fault takes effect at its timestamp — before any message
   delivery or session timer due at the same instant — keeping replays
   deterministic across execution backends;
-* :class:`FaultReplayer` replays on *wall-clock* time against a live
-  injector (the runtime's ``time_scale`` maps protocol units to
-  seconds), anchored at the moment the replay is armed.
+* :class:`FaultReplayer` replays on *wall-clock* time through one
+  callable that applies an event to a live cluster (the runtime's
+  ``time_scale`` maps protocol units to seconds), anchored at the
+  moment the replay is armed.
 
 Demand shocks need a mutable hook into the otherwise-static demand
 model: :class:`ShockableDemand` wraps any
@@ -32,7 +33,7 @@ when a schedule carries shocks.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..demand.base import DemandModel
 from ..errors import FaultError
@@ -54,6 +55,10 @@ from .schedule import (
 
 #: Same-time ordering: faults apply before protocol events (lower wins).
 FAULT_PRIORITY = -100
+
+#: Actions that may restore reachability; a live cluster times its
+#: post-heal convergence from the last of them.
+HEAL_ACTIONS = frozenset({ACTION_NODE_UP, ACTION_LINK_UP, ACTION_HEAL, ACTION_JOIN})
 
 
 class ShockableDemand(DemandModel):
@@ -107,10 +112,10 @@ class SystemFaultInjector(FaultInjector):
     :class:`~repro.port.linkstate.LinkModel`; shocks reach the demand
     model; churn parks and restores delivery handlers so a re-joined
     node receives messages exactly as before it left.  The simulator
-    (:class:`FaultProcess`), the in-process cluster and each node
-    process of the TCP cluster build one of these; only the hub of a TCP
-    cluster differs, because it has no transport to mutate and
-    serialises every action to its node processes instead.
+    (:class:`FaultProcess`) and every live
+    :class:`~repro.runtime.nodeproc.NodeHost` build one of these; the
+    hub of a TCP cluster has no transport to mutate and forwards each
+    event to its node processes, whose hosts apply it here.
 
     Args:
         transport: Whose link model and handler table the faults hit.
@@ -121,21 +126,14 @@ class SystemFaultInjector(FaultInjector):
             with ``on_message``): all of them in the simulator and the
             in-process cluster, the process's own node over TCP — churn
             of a node hosted elsewhere only changes the link model.
-        on_heal: Called after every action that may restore
-            reachability (recover, link up, heal).
     """
 
-    def __init__(self, transport, demand, clock, stacks, on_heal=None):
+    def __init__(self, transport, demand, clock, stacks):
         self.transport = transport
         self.demand = demand
         self.clock = clock
         self.stacks = stacks
-        self.on_heal = on_heal
         self._parked_handlers: Dict[int, object] = {}
-
-    def _healed(self) -> None:
-        if self.on_heal is not None:
-            self.on_heal()
 
     def crash_node(self, node: int) -> None:
         self.transport.links.set_node_down(node)
@@ -153,12 +151,10 @@ class SystemFaultInjector(FaultInjector):
         if handler is not None:
             self.transport.attach(node, handler)
         self.transport.links.set_node_up(node)
-        self._healed()
 
     def set_link(self, a: int, b: int, up: bool) -> None:
         if up:
             self.transport.links.set_link_up(a, b)
-            self._healed()
         else:
             self.transport.links.set_link_down(a, b)
 
@@ -167,7 +163,6 @@ class SystemFaultInjector(FaultInjector):
 
     def heal(self) -> None:
         self.transport.links.heal_partition()
-        self._healed()
 
     def shock_demand(self, nodes: Sequence[int], factor: float) -> bool:
         apply_shock = getattr(self.demand, "apply_shock", None)
@@ -291,7 +286,7 @@ class FaultProcess:
 
 
 class FaultReplayer:
-    """Replays a schedule on wall-clock time against a live injector.
+    """Replays a schedule on wall-clock time against a live cluster.
 
     Each event is scheduled on the runtime's clock at ``anchor +
     event.time`` protocol units (the runtime's ``time_scale`` maps
@@ -304,7 +299,8 @@ class FaultReplayer:
 
     Args:
         runtime: Clock (and tracer) the replay is scheduled on.
-        injector: Where the fault actions land.
+        apply: Applies one event where the faults land; returns False
+            when it could not take effect (see :func:`apply_fault`).
         schedule: The (validated) schedule to replay.
         anchor: Protocol time that schedule time 0 maps to; defaults to
             ``runtime.now`` — i.e. the schedule starts *now*.
@@ -318,13 +314,13 @@ class FaultReplayer:
     def __init__(
         self,
         runtime,
-        injector: FaultInjector,
+        apply: Callable[[FaultEvent], bool],
         schedule: FaultSchedule,
         anchor: Optional[float] = None,
     ):
         schedule.validate()
         self.runtime = runtime
-        self.injector = injector
+        self.apply = apply
         self.schedule = schedule
         self.anchor = runtime.now if anchor is None else float(anchor)
         self.stats: Dict[str, int] = {}
@@ -361,7 +357,7 @@ class FaultReplayer:
 
     def _apply(self, event: FaultEvent) -> None:
         trace = self.runtime.trace
-        if not apply_fault(self.injector, event):
+        if not self.apply(event):
             self.skipped.append(event)
             if trace.wants("fault.skipped"):
                 trace.record(

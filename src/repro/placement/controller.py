@@ -352,6 +352,3 @@ class PlacementController:
     def total_copies(self) -> int:
         """Extra copies currently running across all sites."""
         return sum(len(v) for v in self.copies.values())
-
-    def copy_count(self, site: int) -> int:
-        return len(self.copies[site])

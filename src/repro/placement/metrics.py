@@ -206,12 +206,6 @@ class PlacementTraffic:
     def bytes(self) -> int:
         return self.report_bytes + self.command_bytes + self.ack_bytes
 
-    def overhead_fraction(self, total_bytes: int) -> float:
-        """Placement bytes as a fraction of all bytes sent."""
-        if total_bytes <= 0:
-            return 0.0
-        return self.bytes / total_bytes
-
 
 def placement_traffic(network: Network) -> PlacementTraffic:
     """Read the placement kinds out of a network's traffic counters."""

@@ -186,20 +186,19 @@ class FaultInjector(ABC):
     """The fault-action port: what a schedule can do to a deployment.
 
     Each method applies one :class:`~repro.faults.schedule.FaultEvent`
-    action.  Two adapters exist:
-
-    * :class:`repro.faults.process.SystemFaultInjector` — mutates the
-      :class:`~repro.port.linkstate.LinkModel` (and handler table)
-      of a transport, whichever world it belongs to: the simulator, the
-      in-process asyncio cluster, one node process of a TCP cluster;
-    * :class:`repro.runtime.cluster.TcpBroadcastInjector` — the hub of a
-      TCP cluster, which has no transport of its own and serialises
-      each action to its node processes.
+    action.  One adapter exists,
+    :class:`repro.faults.process.SystemFaultInjector`: it mutates the
+    :class:`~repro.port.linkstate.LinkModel` (and handler table) of a
+    transport, whichever world it belongs to — the simulator, the
+    in-process asyncio cluster, one node process of a TCP cluster.  The
+    hub of a TCP cluster has no transport of its own; it forwards each
+    event to its node processes, whose injectors apply it.
 
     Replay (deciding *when* each action fires) is separate: see
     :class:`repro.faults.process.FaultProcess` (virtual time) and
-    :class:`repro.faults.process.FaultReplayer` (wall clock); both
-    dispatch through :func:`repro.faults.process.apply_fault`.
+    :class:`repro.faults.process.FaultReplayer` (wall clock); every
+    event reaches an injector through
+    :func:`repro.faults.process.apply_fault`.
     """
 
     @abstractmethod

@@ -98,9 +98,6 @@ class AckTable:
             return SummaryVector()
         return elementwise_min(e.summary for e in self._entries.values())
 
-    def known_count(self) -> int:
-        return len(self._entries)
-
     def size_bytes(self) -> int:
         """Wire size when piggybacked: node id + time + vector each."""
         return sum(

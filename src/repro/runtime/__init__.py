@@ -17,7 +17,8 @@ here beside the adapters:
   adapter, in process: the channel on one delivery heap, direct
   handler calls;
 * :class:`ReplicaCluster` — the live client-facing API
-  (``put`` / ``get`` / ``stats``) on top of ``AsyncioRuntime``.
+  (``put`` / ``get`` / ``stats``) over replica hosts
+  (:class:`repro.runtime.nodeproc.NodeHost`) on ``AsyncioRuntime``.
 
 The asyncio-backed names are imported lazily (PEP 562) so that
 ``import repro`` — and every simulation-only workflow — never imports

@@ -3,17 +3,20 @@
 A cluster of replicas running the paper's protocol on the wall-clock
 :class:`~repro.runtime.live.AsyncioRuntime`, in one of two transports:
 
-* ``transport="queue"`` (default) — every node's protocol stack lives
-  on one event loop on a background thread, exchanging messages through
-  the transport's in-process delivery heap; the loop (the hub's too,
-  in tcp mode) comes from :func:`~repro.runtime.live.new_event_loop`,
-  so a link latency of a fraction of a millisecond is kept;
-* ``transport="tcp"`` — one OS process per node, each hosting its
-  replica on a :class:`~repro.runtime.tcp.TcpTransport` over real
-  sockets.  The parent runs a nameserver-style *hub*: node processes
-  bind an ephemeral port, register it, receive the full directory, and
-  start.  Client calls, fault actions, and replication reports travel
-  as length-prefixed control frames.
+* ``transport="queue"`` (default) — one
+  :class:`~repro.runtime.nodeproc.NodeHost` hosts every node's protocol
+  stack on one event loop on a background thread, exchanging messages
+  through the transport's in-process delivery heap; the loop (the hub's
+  too, in tcp mode) comes from
+  :func:`~repro.runtime.live.new_event_loop`, so a link latency of a
+  fraction of a millisecond is kept;
+* ``transport="tcp"`` — one OS process per node, each running the same
+  :class:`~repro.runtime.nodeproc.NodeHost` for its own node on a
+  :class:`~repro.runtime.tcp.TcpTransport` over real sockets.  The
+  parent runs a nameserver-style *hub*: node processes bind an
+  ephemeral port, register it, receive the full directory, and start.
+  Client calls, fault events, and replication reports travel as
+  length-prefixed control frames.
 
 Callers on any thread interact through a synchronous client API::
 
@@ -35,12 +38,12 @@ Chaos: the same declarative
 :class:`~repro.faults.schedule.FaultSchedule` the simulator replays
 runs against a live cluster — pass ``faults=schedule`` to arm it at
 boot, or call :meth:`ReplicaCluster.inject_faults` on a running
-cluster.  In queue mode the same
-:class:`~repro.faults.process.SystemFaultInjector` the simulator uses
-drives the in-process transport's link model; in tcp mode a
-:class:`TcpBroadcastInjector` broadcasts each action to every node
-process, each of which applies it through its own such injector.  Packet-level actions (latency shocks, reordering,
-duplication, frame corruption) ride the same port.  With
+cluster.  Every event lands on a host's
+:class:`~repro.faults.process.SystemFaultInjector`, the one the
+simulator uses: in queue mode the cluster's host applies it; in tcp
+mode the hub forwards it as one ``fault`` frame to every node process,
+whose host applies it.  Packet-level actions (latency shocks,
+reordering, duplication, frame corruption) ride the same port.  With
 ``control_port`` set (any mode), external clients — the ``repro
 chaos`` CLI — can connect and inject schedules over a socket,
 authenticated by a shared ``token`` when one is set.
@@ -61,30 +64,16 @@ import functools
 import itertools
 import threading
 import time
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
-from ..core.config import KNOWLEDGE_ADVERTISED, ProtocolConfig
+from ..core.config import ProtocolConfig
 from ..core.protocol import ReplicationNode
-from ..core.system import build_node_stack
 from ..core.variants import fast_consistency
-from ..demand.advertisement import bootstrap_tables
 from ..demand.base import DemandModel
 from ..demand.static import UniformRandomDemand
 from ..errors import ConfigurationError, ReplicationError, ReproError
-from ..faults.process import FaultReplayer, SystemFaultInjector, prepare_demand
-from ..faults.schedule import (
-    ACTION_DEMAND_SHOCK,
-    ACTION_HEAL,
-    ACTION_JOIN,
-    ACTION_LEAVE,
-    ACTION_LINK_DOWN,
-    ACTION_LINK_UP,
-    ACTION_NODE_DOWN,
-    ACTION_NODE_UP,
-    ACTION_PARTITION,
-    FaultSchedule,
-)
-from ..port.base import FaultInjector
+from ..faults.process import HEAL_ACTIONS, FaultReplayer, prepare_demand
+from ..faults.schedule import ACTION_DEMAND_SHOCK, FaultEvent, FaultSchedule
 from ..replica.log import Update, UpdateId
 from ..replica.server import ReplicaServer
 from ..replica.store import StoreEntry
@@ -93,7 +82,7 @@ from ..telemetry.registry import MetricRegistry
 from ..topology.brite import internet_like
 from ..topology.graph import Topology
 from .live import AsyncioRuntime, AsyncioTransport, new_event_loop
-from .nodeproc import NodeSpec, node_process_main
+from .nodeproc import PACKET_COUNTERS, NodeHost, NodeSpec, node_process_main
 from .tcp import DEFAULT_MAX_FRAME_BYTES, FrameDecoder, encode_frame, read_frames
 
 #: Default wall-clock seconds per protocol time unit (20 units/second).
@@ -107,72 +96,6 @@ _BOOT_TIMEOUT = 60.0
 
 #: Default bound on per-update tracking state (see ``track_limit``).
 DEFAULT_TRACK_LIMIT = 4096
-
-
-class TcpBroadcastInjector(FaultInjector):
-    """Fault-injector over a tcp-mode cluster: broadcast every action.
-
-    Each node process holds its own link model; broadcasting
-    the action to all of them keeps sender-side refusals (crashed peer,
-    failed link, partition boundary) consistent without shared memory.
-    Must run on the hub's loop thread (it writes to the node control
-    channels).
-    """
-
-    def __init__(self, cluster: "ReplicaCluster"):
-        self.cluster = cluster
-
-    def _broadcast(self, action: str, args: Tuple) -> None:
-        frame = encode_frame(("fault", action, tuple(args)))
-        for writer in self.cluster._node_writers.values():
-            try:
-                writer.write(frame)
-            except (ConnectionError, OSError):
-                pass  # a dead node process cannot be injured further
-
-    def crash_node(self, node: int) -> None:
-        self._broadcast(ACTION_NODE_DOWN, (int(node),))
-
-    def recover_node(self, node: int) -> None:
-        self._broadcast(ACTION_NODE_UP, (int(node),))
-        self.cluster._note_heal()
-
-    def set_link(self, a: int, b: int, up: bool) -> None:
-        action = ACTION_LINK_UP if up else ACTION_LINK_DOWN
-        self._broadcast(action, (int(a), int(b)))
-        if up:
-            self.cluster._note_heal()
-
-    def partition(self, groups: Sequence[Sequence[int]]) -> None:
-        frozen = tuple(tuple(int(n) for n in group) for group in groups)
-        self._broadcast(ACTION_PARTITION, (frozen,))
-
-    def heal(self) -> None:
-        self._broadcast(ACTION_HEAL, ())
-        self.cluster._note_heal()
-
-    def shock_demand(self, nodes: Sequence[int], factor: float) -> bool:
-        if not self.cluster._has_shocks:
-            # The node processes built their demand unwrapped; the
-            # shock cannot take effect anywhere.
-            return False
-        self._broadcast(
-            ACTION_DEMAND_SHOCK,
-            (tuple(int(n) for n in nodes), float(factor)),
-        )
-        return True
-
-    def packet_fault(self, action, params, duration) -> bool:
-        self._broadcast(
-            action, tuple(float(p) for p in params) + (float(duration),)
-        )
-        return True
-
-    def leave_node(self, node: int) -> None:
-        self._broadcast(ACTION_LEAVE, (int(node),))
-
-    def join_node(self, node: int) -> None:
-        self._broadcast(ACTION_JOIN, (int(node),))
 
 
 class ReplicaCluster:
@@ -273,10 +196,7 @@ class ReplicaCluster:
         base_demand = demand if demand is not None else UniformRandomDemand(seed=seed)
         #: The unwrapped model; tcp node processes wrap their own copy.
         self._base_demand = base_demand
-        if self._mode == "queue":
-            self.demand = prepare_demand(base_demand, self._faults)
-        else:
-            self.demand = base_demand
+        self.demand = prepare_demand(base_demand, self._faults)
         self.seed = int(seed)
         self.loss = float(loss)
         self._latency = latency
@@ -290,6 +210,8 @@ class ReplicaCluster:
         self._node_set = set(self._node_ids)
         self._lock = threading.Lock()
         self._track_limit = int(track_limit)
+        #: Apply and put stamps are ``time.monotonic()`` readings, turned
+        #: into protocol units only when read (see :meth:`apply_times`).
         self._apply_times: Dict[UpdateId, Dict[int, float]] = {}
         self._put_times: Dict[UpdateId, float] = {}
         self._replicated: Dict[UpdateId, threading.Event] = {}
@@ -299,15 +221,13 @@ class ReplicaCluster:
         #: wait_replicated answer True for evicted updates without
         #: keeping per-uid state (bounded by the node count).
         self._evicted_seq: Dict[int, int] = {}
-        self._completed_total = 0
-        self._puts = 0
-        self._gets = 0
         self._client_rng = self.runtime.rng.stream("cluster-client")
 
         # -- telemetry ---------------------------------------------------
         #: Shared-schema metrics (see :mod:`repro.telemetry`): counters
-        #: for ops, moments + sketch for put-to-replicated seconds.
-        #: Guarded by ``self._lock`` like the rest of the tracking state.
+        #: for ops — the only count of puts, gets and completions —
+        #: moments + sketch for put-to-replicated seconds.  Guarded by
+        #: ``self._lock`` like the rest of the tracking state.
         self.telemetry = MetricRegistry()
         self._latency_moments = self.telemetry.moments(
             "cluster.replication_latency", transport=transport
@@ -325,19 +245,14 @@ class ReplicaCluster:
             "cluster.updates_replicated", transport=transport
         )
         #: Packet-fault effect counters, synced into the registry at
-        #: snapshot time: queue mode reads the in-process transport's
-        #: traffic counters, tcp mode folds the per-node counts the
-        #: node processes push as ``packet`` frames.
+        #: snapshot time as the sum of ``_packet_sources()``.
         self._packet_counters = {
             name: self.telemetry.counter(
                 f"cluster.packet.{name}", transport=transport
             )
-            for name in (
-                "corrupt_frames_dropped",
-                "duplicates_suppressed",
-                "reorders_applied",
-            )
+            for name in PACKET_COUNTERS
         }
+        #: Per-node counts the tcp node processes push as ``packet`` frames.
         self._packet_counts: Dict[int, Dict[str, int]] = {}
         #: time.monotonic() of the most recent healing fault action and
         #: of the most recent full replication — their difference is the
@@ -356,8 +271,19 @@ class ReplicaCluster:
         #: callers hang until the call timeout.
         self._pending_calls: Set["concurrent.futures.Future"] = set()
 
+        # -- the hosts, reached the same way whichever the transport -----
+        #: Set at boot.  ``_node_call(node, method, args)`` runs
+        #: :meth:`NodeHost.call` on ``node``'s host from any thread;
+        #: ``_fault(event)`` applies a fault event to every host (loop
+        #: thread); asking the hosts of ``_one_node_per_host`` for
+        #: ``stats`` covers every node; ``_packet_sources()`` yields each
+        #: host's packet-fault counts.
+        self._node_call: Optional[Callable[[int, str, Tuple], object]] = None
+        self._fault: Optional[Callable[[FaultEvent], bool]] = None
+        self._one_node_per_host: List[int] = []
+        self._packet_sources: Callable[[], object] = self._packet_counts.values
+
         # -- chaos state ------------------------------------------------
-        self._injector: Optional[FaultInjector] = None
         self._replayers: List[FaultReplayer] = []
 
         # -- tcp-mode state ---------------------------------------------
@@ -451,7 +377,8 @@ class ReplicaCluster:
             else:
                 self._boot_queue()
                 if self._control_port is not None:
-                    await self._open_control_server(self._control_port)
+                    await self._open_control_server(self._control_port, 0)
+            self._mono_anchor = time.monotonic()
             if self._faults is not None:
                 self._arm_replayer(self._faults)
             self._stop_event = asyncio.Event()
@@ -465,42 +392,40 @@ class ReplicaCluster:
         await self._shutdown_runtime()
 
     def _boot_queue(self) -> None:
+        """One host on this loop, hosting every node."""
         self.transport = AsyncioTransport(
             self.runtime,
             self.topology,
             latency=self._latency,
             loss=self.loss,
         )
-        self.runtime.transport = self.transport
-        tables = None
-        if self.config.demand_knowledge == KNOWLEDGE_ADVERTISED:
-            tables = bootstrap_tables(self.transport, self.demand, at_time=0.0)
-        for node in self.topology.nodes:
-            stack = build_node_stack(
-                self.runtime,
-                self.topology,
-                self.demand,
-                self.config,
-                node,
-                tables=tables,
-                on_new_updates=(
-                    lambda updates, source, sender, _node=node: (
-                        self._record_applied(_node, updates)
-                    )
-                ),
-            )
-            self.nodes[node] = stack
-            self.servers[node] = stack.server
-        self.transport.start_pumps()
-        for stack in self.nodes.values():
-            stack.start()
+        host = NodeHost(
+            self.runtime,
+            self.transport,
+            self.topology,
+            self.demand,
+            self.config,
+            self.topology.nodes,
+            self._record_applied,
+        )
+        host.start()
+        self.nodes = host.stacks
+        self.servers = {node: stack.server for node, stack in host.stacks.items()}
+        self._node_call = functools.partial(self._call, host.call)
+        self._fault = host.fault
+        self._one_node_per_host = self._node_ids[:1]
+        self._packet_sources = lambda: (host.packet_counts(),)
 
     async def _boot_tcp(self) -> None:
+        """One node process per node, each running its own host."""
         import multiprocessing
 
+        self._node_call = self._tcp_call
+        self._fault = self._forward_fault
+        self._one_node_per_host = self._node_ids
         self._all_registered = asyncio.Event()
         self._all_ready = asyncio.Event()
-        await self._open_control_server(self._control_port or 0)
+        await self._open_control_server(self._control_port or 0, self._standby_hubs)
         context = multiprocessing.get_context("spawn")
         for node in self._node_ids:
             spec = NodeSpec(
@@ -544,9 +469,8 @@ class ReplicaCluster:
                 f"tcp cluster boot timed out: "
                 f"{len(self._ready_nodes)}/{self._n} nodes ready"
             ) from None
-        self._mono_anchor = time.monotonic()
 
-    async def _open_control_server(self, port: int) -> None:
+    async def _open_control_server(self, port: int, standbys: int) -> None:
         self._control_server = await asyncio.start_server(
             functools.partial(self._on_control_connection, hub_index=0),
             self._host,
@@ -556,9 +480,7 @@ class ReplicaCluster:
         sock_host, sock_port = self._control_server.sockets[0].getsockname()[:2]
         self.control_address = (sock_host, sock_port)
         self.hub_addresses = [self.control_address]
-        if self._mode != "tcp":
-            return
-        for index in range(1, self._standby_hubs + 1):
+        for index in range(1, standbys + 1):
             standby_port = port + index if port else 0
             server = await asyncio.start_server(
                 functools.partial(self._on_control_connection, hub_index=index),
@@ -575,15 +497,14 @@ class ReplicaCluster:
         # callbacks into a half-torn-down runtime.
         for replayer in self._replayers:
             replayer.cancel()
-        if self._mode == "tcp":
-            for writer in self._node_writers.values():
-                try:
-                    writer.write(encode_frame(("stop",)))
-                    await writer.drain()
-                except (ConnectionError, OSError):
-                    pass
-            for writer in self._node_writers.values():
-                writer.close()
+        for writer in self._node_writers.values():
+            try:
+                writer.write(encode_frame(("stop",)))
+                await writer.drain()
+            except (ConnectionError, OSError):
+                pass
+        for writer in self._node_writers.values():
+            writer.close()
         for server in self._hub_servers:
             if server is None:
                 continue
@@ -699,10 +620,7 @@ class ReplicaCluster:
                 self._all_ready.set()
         elif kind == "applied":
             _, node, pairs = frame
-            node = int(node)
-            with self._lock:
-                for uid, stamp in pairs:
-                    self._note_applied_locked(uid, node, self._units(stamp))
+            self._record_applied(int(node), pairs)
         elif kind == "packet":
             _, node, counts = frame
             with self._lock:
@@ -763,7 +681,8 @@ class ReplicaCluster:
             self._control_errors.append(f"unrecognised frame kind {kind!r}")
 
     def _units(self, stamp: float) -> float:
-        """A cross-process ``time.monotonic()`` stamp in protocol units."""
+        """A ``time.monotonic()`` stamp, from any process, in protocol
+        units since boot."""
         anchor = self._mono_anchor if self._mono_anchor is not None else 0.0
         return (stamp - anchor) / self.runtime.time_scale
 
@@ -781,58 +700,64 @@ class ReplicaCluster:
             self._last_heal_mono = time.monotonic()
 
     def _sync_packet_counters_locked(self) -> None:
-        """Fold packet-fault effects into the registry (lock held).
+        """Fold every host's packet-fault effects into the registry
+        (lock held)."""
+        sources = list(self._packet_sources())
+        for name, counter in self._packet_counters.items():
+            counter.value = sum(counts.get(name, 0) for counts in sources)
 
-        Queue mode reads the shared transport's traffic counters; tcp
-        mode sums the latest per-node counts pushed by the processes.
-        """
-        if self._mode == "tcp":
-            for name, counter in self._packet_counters.items():
-                counter.value = sum(
-                    counts.get(name, 0)
-                    for counts in self._packet_counts.values()
-                )
-        elif self.transport is not None:
-            counters = self.transport.counters
-            for name, counter in self._packet_counters.items():
-                counter.value = getattr(counters, name)
+    def _summary_locked(self) -> Dict[str, object]:
+        """The head that ``stats()`` and the ``status?`` reply share
+        (lock held)."""
+        self._sync_packet_counters_locked()
+        return {
+            "nodes": self._n,
+            "transport": self._mode,
+            "time_scale": self.runtime.time_scale,
+            "puts": self._puts_counter.value,
+            "updates_tracked": len(self._apply_times),
+            "updates_fully_replicated": self._replicated_counter.value,
+            "post_heal_seconds": self._post_heal_seconds_locked(),
+            "telemetry": self.telemetry.snapshot(),
+        }
 
     def _status(self) -> Dict[str, object]:
         with self._lock:
-            self._sync_packet_counters_locked()
-            status: Dict[str, object] = {
-                "nodes": self._n,
-                "transport": self._mode,
-                "time_scale": self.runtime.time_scale,
-                "puts": self._puts,
-                "updates_tracked": len(self._apply_times),
-                "updates_fully_replicated": self._completed_total,
-                "post_heal_seconds": self._post_heal_seconds_locked(),
-                "telemetry": self.telemetry.snapshot(),
-            }
+            status = self._summary_locked()
         status["chaos"] = self.chaos_status()
         return status
 
     # -- chaos ----------------------------------------------------------
 
-    def _make_injector(self) -> FaultInjector:
-        if self._injector is None:
-            if self._mode == "tcp":
-                self._injector = TcpBroadcastInjector(self)
-            else:
-                self._injector = SystemFaultInjector(
-                    self.transport,
-                    self.demand,
-                    self.runtime,
-                    self.nodes,
-                    on_heal=self._note_heal,
-                )
-        return self._injector
+    def _apply_fault(self, event: FaultEvent) -> bool:
+        """Apply one replayed event to every host; the one place a heal
+        is recorded."""
+        if not self._fault(event):
+            return False
+        if event.action in HEAL_ACTIONS:
+            self._note_heal()
+        return True
+
+    def _forward_fault(self, event: FaultEvent) -> bool:
+        """tcp mode: send the event to every node process, whose host
+        applies it — each holds its own link model, so all of them must
+        hear every event for sender-side refusals to agree."""
+        if event.action == ACTION_DEMAND_SHOCK and not self._has_shocks:
+            # The node processes built their demand unwrapped; the
+            # shock cannot take effect anywhere.
+            return False
+        frame = encode_frame(("fault", event.action, tuple(event.args)))
+        for writer in self._node_writers.values():
+            try:
+                writer.write(frame)
+            except (ConnectionError, OSError):
+                pass  # a dead node process cannot be injured further
+        return True
 
     def _arm_replayer(self, schedule: FaultSchedule) -> FaultReplayer:
         """Arm a wall-clock replay *on the loop thread* (schedule t=0 is now)."""
         schedule.validate()
-        replayer = FaultReplayer(self.runtime, self._make_injector(), schedule)
+        replayer = FaultReplayer(self.runtime, self._apply_fault, schedule)
         self._replayers.append(replayer)
         return replayer
 
@@ -911,33 +836,48 @@ class ReplicaCluster:
 
     # -- replication tracking -------------------------------------------
 
-    def _record_applied(self, node: int, updates: List[Update]) -> None:
-        now = self.runtime.now
+    def _record_applied(
+        self, node: int, pairs: List[Tuple[UpdateId, float]]
+    ) -> None:
+        """A host's report: ``node`` applied each ``(uid, stamp)``, the
+        stamp a ``time.monotonic()`` reading."""
         with self._lock:
-            for update in updates:
-                self._note_applied_locked(update.uid, node, now)
+            for uid, stamp in pairs:
+                self._note_applied_locked(uid, node, stamp)
 
-    def _note_applied_locked(self, uid: UpdateId, node: int, t: float) -> None:
+    def _note_applied_locked(self, uid: UpdateId, node: int, stamp: float) -> None:
         times = self._apply_times.setdefault(uid, {})
-        times.setdefault(node, t)
+        times.setdefault(node, stamp)
         if len(times) >= self._n:
             event = self._replicated.setdefault(uid, threading.Event())
             if not event.is_set():
                 event.set()
-                self._completed_total += 1
                 self._completed_order.append(uid)
                 self._last_completion_mono = time.monotonic()
                 self._replicated_counter.inc()
                 t0 = self._put_times.get(uid)
                 if t0 is not None:
-                    # Fold the latency *at completion*, before eviction
-                    # can drop the put stamp: the telemetry keeps the
-                    # full latency distribution even when the per-uid
-                    # records are long gone.
-                    seconds = (max(times.values()) - t0) * self.runtime.time_scale
-                    self._latency_moments.add(seconds)
-                    self._latency_sketch.add(seconds)
+                    self._fold_latency_locked(times, t0)
                 self._evict_locked()
+
+    def _note_put_locked(self, uid: UpdateId, t0: float) -> None:
+        self._puts_counter.inc()
+        times = self._apply_times.get(uid)
+        if times is None:
+            return  # replicated and evicted before its put returned
+        self._put_times[uid] = t0
+        if len(times) >= self._n:
+            # Replicated before its put returned: fold the latency now.
+            self._fold_latency_locked(times, t0)
+
+    def _fold_latency_locked(self, times: Dict[int, float], t0: float) -> None:
+        # Folded once per update, at completion or at its put, whichever
+        # is later — before eviction can drop the put stamp, so the
+        # telemetry keeps the full latency distribution even when the
+        # per-uid records are long gone.
+        seconds = max(times.values()) - t0
+        self._latency_moments.add(seconds)
+        self._latency_sketch.add(seconds)
 
     def _evict_locked(self) -> None:
         """Drop tracking state of the oldest fully replicated updates
@@ -1103,30 +1043,9 @@ class ReplicaCluster:
         fault fails with a clean :class:`ReplicationError`.
         """
         target = self._resolve_node(node)
-
-        if self._mode == "tcp":
-            update, stamp = self._tcp_call(target, "put", (key, value))
-            with self._lock:
-                self._put_times[update.uid] = self._units(stamp)
-                self._puts += 1
-                self._puts_counter.inc()
-        else:
-
-            def write() -> Update:
-                if target in self.transport.links.down_nodes:
-                    raise ReplicationError(
-                        f"node {target} is down (injected fault)"
-                    )
-                t0 = self.runtime.now
-                result = self.servers[target].local_write(key, value)
-                with self._lock:
-                    self._put_times[result.uid] = t0
-                return result
-
-            update = self._call(write)
-            with self._lock:
-                self._puts += 1
-                self._puts_counter.inc()
+        update, stamp = self._node_call(target, "put", (key, value))
+        with self._lock:
+            self._note_put_locked(update.uid, stamp)
         if wait and not self.wait_replicated(update.uid, timeout=timeout):
             raise ReplicationError(
                 f"update {update.uid} not fully replicated within {timeout}s"
@@ -1142,17 +1061,8 @@ class ReplicaCluster:
         """Like :meth:`get` but returns the full store entry."""
         target = self._resolve_node(node)
         with self._lock:
-            self._gets += 1
             self._gets_counter.inc()
-        if self._mode == "tcp":
-            return self._tcp_call(target, "read", (key,))
-
-        def reader() -> Optional[StoreEntry]:
-            if target in self.transport.links.down_nodes:
-                raise ReplicationError(f"node {target} is down (injected fault)")
-            return self.servers[target].read(key)
-
-        return self._call(reader)
+        return self._node_call(target, "read", (key,))
 
     def wait_replicated(
         self, uid: UpdateId, timeout: Optional[float] = None
@@ -1170,7 +1080,8 @@ class ReplicaCluster:
     def apply_times(self, uid: UpdateId) -> Dict[int, float]:
         """First-application time per node, in protocol units."""
         with self._lock:
-            return dict(self._apply_times.get(uid, {}))
+            times = dict(self._apply_times.get(uid, {}))
+        return {node: self._units(stamp) for node, stamp in times.items()}
 
     def replication_latency(self, uid: UpdateId) -> Optional[float]:
         """Wall-clock seconds from ``put`` to the last replica's apply.
@@ -1183,7 +1094,7 @@ class ReplicaCluster:
             t0 = self._put_times.get(uid)
             if t0 is None or len(times) < self._n:
                 return None
-            return (max(times.values()) - t0) * self.runtime.time_scale
+            return max(times.values()) - t0
 
     # -- introspection --------------------------------------------------
 
@@ -1220,70 +1131,23 @@ class ReplicaCluster:
     def stats(self) -> Dict[str, object]:
         """Operational counters: ops, replication coverage, traffic."""
         with self._lock:
-            tracked = len(self._apply_times)
-            replicated = self._completed_total
-            puts, gets = self._puts, self._gets
-            self._sync_packet_counters_locked()
-            telemetry = self.telemetry.snapshot()
-            post_heal = self._post_heal_seconds_locked()
-        out: Dict[str, object] = {
-            "nodes": self._n,
-            "variant": self.config.describe(),
-            "transport": self._mode,
-            "time_scale": self.runtime.time_scale,
-            "puts": puts,
-            "gets": gets,
-            "updates_tracked": tracked,
-            "updates_fully_replicated": replicated,
-            "post_heal_seconds": post_heal,
-            "telemetry": telemetry,
-        }
+            out = self._summary_locked()
+            out["gets"] = self._gets_counter.value
+        out["variant"] = self.config.describe()
         chaos = self.chaos_status()
         if chaos is not None:
             out["chaos"] = chaos
-        if self._mode == "tcp":
-            sessions: Dict[str, int] = {}
-            delivery: Dict[str, int] = {}
-            traffic: Optional[Dict[str, object]] = None
-            handler_errors = 0
-            for node in self._node_ids:
-                payload = self._tcp_call(node, "stats", ())
-                for name, count in payload["sessions"].items():
-                    sessions[name] = sessions.get(name, 0) + count
-                for name, count in payload["delivery"].items():
-                    delivery[name] = delivery.get(name, 0) + count
-                snapshot = payload["traffic"]
-                if traffic is None:
-                    traffic = dict(snapshot)
-                else:
-                    for name, value in snapshot.items():
-                        if isinstance(value, dict):
-                            merged = dict(traffic.get(name, {}))
-                            for k, v in value.items():
-                                merged[k] = merged.get(k, 0) + v
-                            traffic[name] = merged
-                        else:
-                            traffic[name] = traffic.get(name, 0) + value
-                handler_errors += payload["handler_errors"]
-            out["sessions"] = sessions
-            out["traffic"] = traffic
-            out["handler_errors"] = handler_errors
-            out["delivery"] = delivery
-        else:
-            sessions = {}
-            for stack in self.nodes.values():
-                stats = stack.anti_entropy.stats
-                for name in (
-                    "initiated",
-                    "completed_initiator",
-                    "completed_responder",
-                ):
-                    sessions[name] = sessions.get(name, 0) + getattr(stats, name)
-            out["sessions"] = sessions
-            if self.transport is not None:
-                out["traffic"] = self.transport.counters.snapshot()
-                out["handler_errors"] = len(self.transport.handler_errors)
-                out["delivery"] = self.transport.delivery_stats()
+        for node in self._one_node_per_host:
+            _add_into(out, self._node_call(node, "stats", ()))
         if self._loop is not None and self._loop.is_running():
             out["uptime_units"] = self._call(lambda: self.runtime.now)
         return out
+
+
+def _add_into(total: Dict[str, object], part: Dict[str, object]) -> None:
+    """Sum ``part`` into ``total``, key by key, recursing into dicts."""
+    for name, value in part.items():
+        if isinstance(value, dict):
+            _add_into(total.setdefault(name, {}), value)
+        else:
+            total[name] = total.get(name, 0) + value

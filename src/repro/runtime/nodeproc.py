@@ -1,33 +1,36 @@
-"""One replica per OS process: the child side of the TCP cluster.
+"""The replica host, and the child side of the TCP cluster.
 
-:class:`~repro.runtime.cluster.ReplicaCluster` in ``transport="tcp"``
-mode spawns one process per node; each runs :func:`node_process_main`
-with a picklable :class:`NodeSpec`.  The child:
+:class:`NodeHost` is the one replica host every live world runs: a
+runtime, a transport, the protocol stacks of the nodes it hosts and one
+:class:`~repro.faults.process.SystemFaultInjector`.  It boots the stacks
+(:meth:`NodeHost.start`), serves client put / read / stats
+(:meth:`NodeHost.call`) and applies fault events (:meth:`NodeHost.fault`).
+The queue-mode :class:`~repro.runtime.cluster.ReplicaCluster` runs one
+host over its :class:`~repro.runtime.live.AsyncioTransport`, hosting
+every node; in ``transport="tcp"`` mode each node process runs one over
+its :class:`~repro.runtime.tcp.TcpTransport`, hosting its own node.
 
-1. builds an :class:`~repro.runtime.live.AsyncioRuntime` (on a loop
-   from :func:`~repro.runtime.live.new_event_loop`) and a
-   :class:`~repro.runtime.tcp.TcpTransport` hosting just its node,
-   binds an ephemeral port, and *registers* it with the parent's hub —
+A TCP node process runs :func:`node_process_main` with a picklable
+:class:`NodeSpec`.  Around its host it keeps only the hub connection:
+
+1. it binds an ephemeral port and *registers* it with the parent's hub —
    the first reachable entry of an *ordered hub list*.  Losing the hub
    connection mid-run is survivable: the child cycles through the list
    with exponential backoff, re-registers, and replays its recent
    ``applied`` reports (the hub's bookkeeping is idempotent), while
    in-flight replication traffic keeps riding the peer connections
    undisturbed;
-2. waits for the hub's *directory* (every peer's address) and *start*
-   frames, then assembles the very same protocol stack the simulator
-   uses (:func:`~repro.core.system.build_node_stack`) — demand tables
-   are recomputed locally, which is safe because
-   :func:`~repro.demand.advertisement.bootstrap_tables` is a pure
-   function of topology + demand, both carried in the spec;
-3. serves hub control frames until told to stop: client ``call``\\ s
-   (put / read / stats), broadcast ``fault`` actions applied to the
-   local transport's :class:`~repro.port.linkstate.LinkModel`
-   through a :class:`~repro.faults.process.SystemFaultInjector` (every
-   process receives every action, so sender-side refusals agree without
-   shared memory; handler parking only ever touches the own node), and
-   streams ``applied`` reports (update uid + ``time.monotonic()``)
-   back so the hub can track cluster-wide replication.
+2. on the hub's *directory* (every peer's address) and *start* frames it
+   starts its host — demand tables are recomputed locally, which is safe
+   because :func:`~repro.demand.advertisement.bootstrap_tables` is a
+   pure function of topology + demand, both carried in the spec;
+3. it forwards hub control frames to the host until told to stop:
+   client ``call``\\ s, and the ``fault`` events the hub broadcasts to
+   every process (so sender-side refusals agree without shared memory;
+   handler parking only ever touches the own node).  It streams
+   ``applied`` reports (update uid + ``time.monotonic()``) and changed
+   packet-fault counters back so the hub can track cluster-wide
+   replication.
 
 Apply/put times cross process boundaries as raw ``time.monotonic()``
 readings — system-wide comparable on Linux — which the hub converts to
@@ -38,17 +41,20 @@ from __future__ import annotations
 
 import asyncio
 import collections
+import functools
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.config import KNOWLEDGE_ADVERTISED, ProtocolConfig
+from ..core.protocol import ReplicationNode
 from ..core.system import build_node_stack
 from ..demand.advertisement import bootstrap_tables
 from ..demand.base import DemandModel
 from ..errors import ReplicationError
 from ..faults.process import ShockableDemand, SystemFaultInjector, apply_fault
 from ..faults.schedule import FaultEvent
+from ..replica.log import UpdateId
 from ..sim.network import LatencyModel
 from ..topology.graph import Topology
 from .live import AsyncioRuntime, new_event_loop
@@ -72,6 +78,123 @@ HUB_GIVE_UP_SECONDS = 30.0
 APPLIED_REPLAY_LIMIT = 8192
 #: Seconds between packet-counter pushes to the hub (only when changed).
 PACKET_PUSH_INTERVAL = 0.5
+
+#: Anti-entropy session counters a host's ``stats`` sums over its stacks.
+SESSION_COUNTERS = ("initiated", "completed_initiator", "completed_responder")
+#: Packet-fault effect counters a host reports (see :meth:`NodeHost.packet_counts`).
+PACKET_COUNTERS = ("corrupt_frames_dropped", "duplicates_suppressed", "reorders_applied")
+
+
+class NodeHost:
+    """One replica host: a runtime, a transport and the stacks it hosts.
+
+    Every method runs on the runtime's event-loop thread.
+
+    Args:
+        runtime: The started runtime the stacks run on; ``transport``
+            becomes its transport.
+        transport: Carries the hosted nodes' messages; its link model is
+            what faults mutate.
+        topology: The replica interconnection graph.
+        demand: The demand model (already wrapped by
+            :func:`~repro.faults.process.prepare_demand` when shocks
+            must land).
+        config: Protocol variant switches.
+        nodes: The node ids hosted here.
+        on_applied: Called as ``on_applied(node, [(uid, stamp), ...])``
+            for every batch of updates a hosted node applies, ``stamp``
+            a ``time.monotonic()`` reading.
+    """
+
+    def __init__(
+        self,
+        runtime: AsyncioRuntime,
+        transport,
+        topology: Topology,
+        demand: DemandModel,
+        config: ProtocolConfig,
+        nodes: Iterable[int],
+        on_applied: Callable[[int, List[Tuple[UpdateId, float]]], None],
+    ):
+        runtime.transport = transport
+        self.runtime = runtime
+        self.transport = transport
+        self.topology = topology
+        self.demand = demand
+        self.config = config
+        self.hosted = list(nodes)
+        self.on_applied = on_applied
+        self.stacks: Dict[int, ReplicationNode] = {}
+        self.injector = SystemFaultInjector(transport, demand, runtime, self.stacks)
+
+    def start(self) -> None:
+        """Build every hosted stack, start the pumps, start the stacks."""
+        tables = None
+        if self.config.demand_knowledge == KNOWLEDGE_ADVERTISED:
+            tables = bootstrap_tables(self.transport, self.demand, at_time=0.0)
+        for node in self.hosted:
+            self.stacks[node] = build_node_stack(
+                self.runtime,
+                self.topology,
+                self.demand,
+                self.config,
+                node,
+                tables=tables,
+                on_new_updates=functools.partial(self._report_applied, node),
+            )
+        self.transport.start_pumps()
+        for stack in self.stacks.values():
+            stack.start()
+
+    def _report_applied(self, node: int, updates, source, sender) -> None:
+        stamp = time.monotonic()
+        self.on_applied(node, [(update.uid, stamp) for update in updates])
+
+    def call(self, node: int, method: str, args: Sequence) -> object:
+        """Serve one client call at hosted ``node``.
+
+        ``put`` (args ``key, value``) returns ``(update, stamp)``, the
+        stamp a ``time.monotonic()`` reading taken just before the
+        write; ``read`` (args ``key``) returns the store entry;
+        ``stats`` returns this host's counters.  A put or read at a node
+        an injected fault crashed raises :class:`ReplicationError`.
+        """
+        if method == "stats":
+            return self.stats()
+        stack = self.stacks.get(node)
+        if stack is None:
+            raise ReplicationError(f"node {node} not started yet")
+        if not self.transport.links.node_is_up(node):
+            raise ReplicationError(f"node {node} is down (injected fault)")
+        if method == "put":
+            stamp = time.monotonic()
+            return stack.server.local_write(*args), stamp
+        if method == "read":
+            return stack.server.read(*args)
+        raise ReplicationError(f"unknown cluster call {method!r}")
+
+    def stats(self) -> Dict[str, object]:
+        """Sessions summed over the hosted stacks, plus the transport's
+        traffic, handler errors and delivery counters."""
+        sessions = dict.fromkeys(SESSION_COUNTERS, 0)
+        for stack in self.stacks.values():
+            for name in SESSION_COUNTERS:
+                sessions[name] += getattr(stack.anti_entropy.stats, name)
+        return {
+            "sessions": sessions,
+            "traffic": self.transport.counters.snapshot(),
+            "handler_errors": len(self.transport.handler_errors),
+            "delivery": self.transport.delivery_stats(),
+        }
+
+    def fault(self, event: FaultEvent) -> bool:
+        """Apply one fault event here; False when it cannot take effect."""
+        return apply_fault(self.injector, event)
+
+    def packet_counts(self) -> Dict[str, int]:
+        """The transport's packet-fault effect counters, by name."""
+        counters = self.transport.counters
+        return {name: getattr(counters, name) for name in PACKET_COUNTERS}
 
 
 @dataclass
@@ -104,7 +227,6 @@ async def _node_main(spec: NodeSpec) -> None:
         raise ValueError("NodeSpec.hub_addresses must list at least one hub")
     runtime = AsyncioRuntime(seed=spec.seed, time_scale=spec.time_scale)
     runtime.start()
-    demand = ShockableDemand(spec.demand) if spec.has_shocks else spec.demand
     transport = TcpTransport(
         runtime,
         spec.topology,
@@ -113,11 +235,6 @@ async def _node_main(spec: NodeSpec) -> None:
         loss=spec.loss,
         max_frame_bytes=spec.max_frame_bytes,
     )
-    runtime.transport = transport
-    address = await transport.serve(spec.host)
-
-    stack = None
-    injector: Optional[SystemFaultInjector] = None
     push_task: Optional[asyncio.Task] = None
     # Mutable box so the update callback always writes to the *current*
     # hub connection, across failovers.
@@ -128,15 +245,19 @@ async def _node_main(spec: NodeSpec) -> None:
         maxlen=APPLIED_REPLAY_LIMIT
     )
 
-    def on_new_updates(updates, source, sender) -> None:
-        # Report arrivals to the hub with a cross-process-comparable
-        # wall-clock stamp (no drain: frames are tiny, loop flushes).
-        stamp = time.monotonic()
-        pairs = [(u.uid, stamp) for u in updates]
+    def on_applied(node: int, pairs) -> None:
+        # Report arrivals to the hub (no drain: frames are tiny, the
+        # loop flushes them).
         applied_log.extend(pairs)
         writer = writer_box["writer"]
         if writer is not None and not writer.is_closing():
-            writer.write(encode_frame(("applied", spec.node, pairs)))
+            writer.write(encode_frame(("applied", node, pairs)))
+
+    demand = ShockableDemand(spec.demand) if spec.has_shocks else spec.demand
+    host = NodeHost(
+        runtime, transport, spec.topology, demand, spec.config, [spec.node], on_applied
+    )
+    address = await transport.serve(spec.host)
 
     async def push_packet_counters() -> None:
         # Stream packet-fault counters to whichever hub is current, but
@@ -144,31 +265,14 @@ async def _node_main(spec: NodeSpec) -> None:
         last = None
         while True:
             await asyncio.sleep(PACKET_PUSH_INTERVAL)
-            counters = transport.counters
-            counts = (
-                counters.corrupt_frames_dropped,
-                counters.duplicates_suppressed,
-                counters.reorders_applied,
-            )
+            counts = host.packet_counts()
             if counts == last:
                 continue
             writer = writer_box["writer"]
             if writer is None or writer.is_closing():
                 continue
             last = counts
-            writer.write(
-                encode_frame(
-                    (
-                        "packet",
-                        spec.node,
-                        {
-                            "corrupt_frames_dropped": counts[0],
-                            "duplicates_suppressed": counts[1],
-                            "reorders_applied": counts[2],
-                        },
-                    )
-                )
-            )
+            writer.write(encode_frame(("packet", spec.node, counts)))
 
     stop = False
     hub_index = 0
@@ -205,48 +309,24 @@ async def _node_main(spec: NodeSpec) -> None:
                     if kind == "directory":
                         transport.update_directory(frame[1])
                     elif kind == "start":
-                        if stack is None:
-                            tables = None
-                            if (
-                                spec.config.demand_knowledge
-                                == KNOWLEDGE_ADVERTISED
-                            ):
-                                tables = bootstrap_tables(
-                                    transport, demand, at_time=0.0
-                                )
-                            stack = build_node_stack(
-                                runtime,
-                                spec.topology,
-                                demand,
-                                spec.config,
-                                spec.node,
-                                tables=tables,
-                                on_new_updates=on_new_updates,
-                            )
-                            transport.start_pumps()
-                            stack.start()
-                            injector = SystemFaultInjector(
-                                transport, demand, runtime, {spec.node: stack}
-                            )
+                        # After a failover the new hub re-sends start:
+                        # the host is already live, just re-ack.
+                        if push_task is None:
+                            host.start()
                             push_task = asyncio.ensure_future(
                                 push_packet_counters()
                             )
-                        # After a failover the new hub re-sends start:
-                        # the stack is already live, just re-ack.
                         writer.write(encode_frame(("ready", spec.node)))
                         await writer.drain()
                     elif kind == "fault":
                         _, action, action_args = frame
-                        if injector is not None:
-                            apply_fault(
-                                injector,
-                                FaultEvent(0.0, action, tuple(action_args)),
-                            )
+                        host.fault(FaultEvent(0.0, action, tuple(action_args)))
                     elif kind == "call":
                         _, call_id, method, call_args = frame
-                        reply = _handle_call(
-                            spec, runtime, transport, stack, method, call_args
-                        )
+                        try:
+                            reply = (True, host.call(spec.node, method, call_args))
+                        except Exception as exc:  # noqa: BLE001 - serialized to the hub
+                            reply = (False, f"{type(exc).__name__}: {exc}")
                         writer.write(encode_frame(("reply", call_id) + reply))
                         await writer.drain()
                     elif kind == "stop":
@@ -265,46 +345,6 @@ async def _node_main(spec: NodeSpec) -> None:
             push_task.cancel()
             await asyncio.gather(push_task, return_exceptions=True)
         await transport.close()
-
-
-def _handle_call(spec, runtime, transport, stack, method, args):
-    """Dispatch one hub call; returns ``(ok, payload)``."""
-    try:
-        if stack is None:
-            raise ReplicationError(f"node {spec.node} not started yet")
-        if method == "put":
-            if not transport.links.node_is_up(spec.node):
-                raise ReplicationError(
-                    f"node {spec.node} is down (injected fault)"
-                )
-            key, value = args
-            update = stack.server.local_write(key, value)
-            return True, (update, time.monotonic())
-        if method == "read":
-            if not transport.links.node_is_up(spec.node):
-                raise ReplicationError(
-                    f"node {spec.node} is down (injected fault)"
-                )
-            (key,) = args
-            return True, stack.server.read(key)
-        if method == "stats":
-            stats = stack.anti_entropy.stats
-            return True, {
-                "sessions": {
-                    name: getattr(stats, name)
-                    for name in (
-                        "initiated",
-                        "completed_initiator",
-                        "completed_responder",
-                    )
-                },
-                "traffic": transport.counters.snapshot(),
-                "handler_errors": len(transport.handler_errors),
-                "delivery": transport.delivery_stats(),
-            }
-        raise ReplicationError(f"unknown cluster call {method!r}")
-    except Exception as exc:  # noqa: BLE001 - serialized to the hub
-        return False, f"{type(exc).__name__}: {exc}"
 
 
 def node_process_main(spec: NodeSpec) -> None:

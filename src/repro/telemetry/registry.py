@@ -239,11 +239,3 @@ class MetricRegistry:
         except (KeyError, TypeError, ValueError) as exc:
             raise ExperimentError(f"malformed telemetry snapshot: {exc}") from exc
         return registry
-
-    @classmethod
-    def from_json(cls, text: str) -> "MetricRegistry":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ExperimentError(f"unparseable telemetry snapshot: {exc}") from exc
-        return cls.restore(data)

@@ -546,14 +546,11 @@ class TestInjectorHandlerParking:
     def _injector(self, world):
         transport, clock = world()
         stack = _Stack()
-        healed = []
-        injector = SystemFaultInjector(
-            transport, None, clock, {self.NODE: stack}, on_heal=lambda: healed.append(1)
-        )
-        return injector, transport, stack, healed
+        injector = SystemFaultInjector(transport, None, clock, {self.NODE: stack})
+        return injector, transport, stack
 
     def test_leave_then_join_restores_the_parked_handler(self, world):
-        injector, transport, stack, healed = self._injector(world)
+        injector, transport, stack = self._injector(world)
 
         def custom(src, message):
             pass
@@ -565,10 +562,9 @@ class TestInjectorHandlerParking:
         injector.join_node(self.NODE)
         assert transport.handler_for(self.NODE) is custom
         assert transport.links.node_is_up(self.NODE)
-        assert healed == [1]
 
     def test_leave_then_node_up_restores_the_parked_handler(self, world):
-        injector, transport, stack, healed = self._injector(world)
+        injector, transport, stack = self._injector(world)
 
         def custom(src, message):
             pass
@@ -583,7 +579,7 @@ class TestInjectorHandlerParking:
         assert transport.handler_for(self.NODE) is custom
 
     def test_join_without_leave_attaches_the_stack_only_if_detached(self, world):
-        injector, transport, stack, healed = self._injector(world)
+        injector, transport, stack = self._injector(world)
         injector.join_node(self.NODE)
         assert transport.handler_for(self.NODE) == stack.on_message
 
@@ -595,7 +591,7 @@ class TestInjectorHandlerParking:
         assert transport.handler_for(self.NODE) is custom
 
     def test_churn_of_a_node_hosted_elsewhere_only_moves_the_model(self, world):
-        injector, transport, stack, healed = self._injector(world)
+        injector, transport, stack = self._injector(world)
         other = 4
         injector.leave_node(other)
         assert not transport.links.node_is_up(other)
