@@ -22,11 +22,9 @@ from .controller import PlacementController, PlacementEvent
 from .messages import DemandReport, PlacementAck, PlacementCommand
 from .metrics import (
     PlacementTraffic,
-    SeriesSummary,
     capacity_satisfied_series,
     placement_traffic,
     replica_count_series,
-    summarize_series,
 )
 from .policies import (
     DONOR_POLICIES,
@@ -51,8 +49,6 @@ __all__ = [
     "PlacementPolicy",
     "PlacementSetup",
     "PlacementTraffic",
-    "SeriesSummary",
-    "summarize_series",
     "ThresholdPolicy",
     "TopShareDemandPolicy",
     "build_policy",

@@ -18,12 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from ..errors import ExperimentError
 from ..sim.network import Network
-from ..telemetry.moments import RunningMoments
-from ..telemetry.sketch import DEFAULT_K, QuantileSketch
 from .messages import DemandReport, PlacementAck, PlacementCommand
 
 #: Event tuples as recorded by the controller: (time, kind, site, replica).
@@ -127,64 +125,6 @@ def replica_count_series(
         )
         series.append(count)
     return series
-
-
-@dataclass(frozen=True)
-class SeriesSummary:
-    """Streaming summary of one metric series: moments + tail quantiles.
-
-    Built by :func:`summarize_series` from a
-    :class:`~repro.telemetry.sketch.QuantileSketch` and
-    :class:`~repro.telemetry.moments.RunningMoments`, so p95/p99 gates
-    (the chaos bench, placement satisfaction checks) read certified
-    streaming quantiles instead of each call site sorting its own
-    ad-hoc list.  ``error_fraction`` is the sketch's self-certified
-    rank-error bound; with fewer than ``k`` observations the quantiles
-    are exact and it is 0.
-    """
-
-    count: int
-    mean: float
-    minimum: float
-    maximum: float
-    quantiles: Dict[float, float]
-    error_fraction: float
-
-    def quantile(self, p: float) -> float:
-        try:
-            return self.quantiles[p]
-        except KeyError:
-            raise ExperimentError(
-                f"quantile {p} not summarised; have {sorted(self.quantiles)}"
-            ) from None
-
-
-def summarize_series(
-    values: Sequence[float],
-    quantiles: Sequence[float] = (0.5, 0.95, 0.99),
-    k: int = DEFAULT_K,
-) -> SeriesSummary:
-    """Fold ``values`` through the telemetry primitives and summarise.
-
-    One pass, O(k log(n/k)) memory; the returned quantiles carry the
-    sketch's certified rank-error bound (0 below ``k`` values).
-    """
-    if not values:
-        raise ExperimentError("cannot summarise an empty series")
-    moments = RunningMoments()
-    sketch = QuantileSketch(k=k)
-    for value in values:
-        value = float(value)
-        moments.add(value)
-        sketch.add(value)
-    return SeriesSummary(
-        count=moments.count,
-        mean=moments.mean,
-        minimum=moments.minimum,
-        maximum=moments.maximum,
-        quantiles={float(p): sketch.quantile(float(p)) for p in quantiles},
-        error_fraction=sketch.error_fraction(),
-    )
 
 
 @dataclass(frozen=True)

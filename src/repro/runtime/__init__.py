@@ -18,7 +18,9 @@ here beside the adapters:
   handler calls;
 * :class:`ReplicaCluster` — the live client-facing API
   (``put`` / ``get`` / ``stats``) over replica hosts
-  (:class:`repro.runtime.nodeproc.NodeHost`) on ``AsyncioRuntime``.
+  (:class:`repro.runtime.nodeproc.NodeHost`) on ``AsyncioRuntime``;
+  :class:`repro.runtime.tracking.ReplicationTracker` keeps its
+  per-update apply stamps.
 
 The asyncio-backed names are imported lazily (PEP 562) so that
 ``import repro`` — and every simulation-only workflow — never imports

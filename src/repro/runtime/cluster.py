@@ -58,13 +58,12 @@ survivable, scheduled-fault-grade event.
 from __future__ import annotations
 
 import asyncio
-import collections
 import concurrent.futures
 import functools
 import itertools
 import threading
 import time
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.config import ProtocolConfig
 from ..core.protocol import ReplicationNode
@@ -84,6 +83,7 @@ from ..topology.graph import Topology
 from .live import AsyncioRuntime, AsyncioTransport, new_event_loop
 from .nodeproc import PACKET_COUNTERS, NodeHost, NodeSpec, node_process_main
 from .tcp import DEFAULT_MAX_FRAME_BYTES, FrameDecoder, encode_frame, read_frames
+from .tracking import ReplicationTracker
 
 #: Default wall-clock seconds per protocol time unit (20 units/second).
 DEFAULT_TIME_SCALE = 0.05
@@ -114,12 +114,12 @@ class ReplicaCluster:
         latency: Per-link latency model, in protocol units.
         loss: Message loss probability.
         track_limit: At most this many *fully replicated* updates keep
-            their apply-time/latency records; older ones are evicted so
-            a long-lived cluster's tracking state stays bounded
-            (``wait_replicated`` on an evicted update still returns
-            immediately for waiters already holding its event, but
-            :meth:`apply_times` / :meth:`replication_latency` return
-            empty/None for it).
+            their apply-time row (see
+            :class:`~repro.runtime.tracking.ReplicationTracker`); older
+            ones are evicted so a long-lived cluster's tracking state
+            stays bounded.  :meth:`wait_replicated` on an evicted update
+            returns True at once, while :meth:`apply_times` /
+            :meth:`replication_latency` return empty/None for it.
         transport: ``"queue"`` (in-process, default) or ``"tcp"``
             (one OS process per node over real sockets).
         faults: Optional :class:`FaultSchedule` armed at :meth:`start`
@@ -209,40 +209,22 @@ class ReplicaCluster:
         self._node_ids: List[int] = sorted(int(n) for n in topology.nodes)
         self._node_set = set(self._node_ids)
         self._lock = threading.Lock()
-        self._track_limit = int(track_limit)
-        #: Apply and put stamps are ``time.monotonic()`` readings, turned
-        #: into protocol units only when read (see :meth:`apply_times`).
-        self._apply_times: Dict[UpdateId, Dict[int, float]] = {}
-        self._put_times: Dict[UpdateId, float] = {}
-        self._replicated: Dict[UpdateId, threading.Event] = {}
-        #: Fully replicated uids in completion order (eviction queue).
-        self._completed_order: Deque[UpdateId] = collections.deque()
-        #: Per-origin highest sequence number ever evicted; lets
-        #: wait_replicated answer True for evicted updates without
-        #: keeping per-uid state (bounded by the node count).
-        self._evicted_seq: Dict[int, int] = {}
         self._client_rng = self.runtime.rng.stream("cluster-client")
 
         # -- telemetry ---------------------------------------------------
         #: Shared-schema metrics (see :mod:`repro.telemetry`): counters
         #: for ops — the only count of puts, gets and completions —
         #: moments + sketch for put-to-replicated seconds.  Guarded by
-        #: ``self._lock`` like the rest of the tracking state.
+        #: ``self._lock``; the tracker keeps all but the gets.
         self.telemetry = MetricRegistry()
-        self._latency_moments = self.telemetry.moments(
-            "cluster.replication_latency", transport=transport
-        )
-        self._latency_sketch = self.telemetry.sketch(
-            "cluster.replication_latency.sketch", transport=transport
-        )
-        self._puts_counter = self.telemetry.counter(
-            "cluster.puts", transport=transport
-        )
         self._gets_counter = self.telemetry.counter(
             "cluster.gets", transport=transport
         )
-        self._replicated_counter = self.telemetry.counter(
-            "cluster.updates_replicated", transport=transport
+        #: Apply and put stamps per update, as ``time.monotonic()``
+        #: readings turned into protocol units only when read (see
+        #: :meth:`apply_times`).
+        self._tracker = ReplicationTracker(
+            self._node_ids, self._lock, int(track_limit), self.telemetry, transport
         )
         #: Packet-fault effect counters, synced into the registry at
         #: snapshot time as the sum of ``_packet_sources()``.
@@ -254,11 +236,10 @@ class ReplicaCluster:
         }
         #: Per-node counts the tcp node processes push as ``packet`` frames.
         self._packet_counts: Dict[int, Dict[str, int]] = {}
-        #: time.monotonic() of the most recent healing fault action and
-        #: of the most recent full replication — their difference is the
+        #: time.monotonic() of the most recent healing fault action; the
+        #: time from it to the tracker's ``last_completion`` is the
         #: post-heal convergence time a chaos report wants.
         self._last_heal_mono: Optional[float] = None
-        self._last_completion_mono: Optional[float] = None
 
         self._thread: Optional[threading.Thread] = None
         self._loop = None
@@ -406,7 +387,7 @@ class ReplicaCluster:
             self.demand,
             self.config,
             self.topology.nodes,
-            self._record_applied,
+            self._tracker.record,
         )
         host.start()
         self.nodes = host.stacks
@@ -620,7 +601,7 @@ class ReplicaCluster:
                 self._all_ready.set()
         elif kind == "applied":
             _, node, pairs = frame
-            self._record_applied(int(node), pairs)
+            self._tracker.record(int(node), pairs)
         elif kind == "packet":
             _, node, counts = frame
             with self._lock:
@@ -690,9 +671,10 @@ class ReplicaCluster:
         """Wall seconds from the last healing fault action to the last
         full replication — the convergence time a chaos report wants.
         None before any heal, or while nothing converged since it."""
-        if self._last_heal_mono is None or self._last_completion_mono is None:
+        last_completion = self._tracker.last_completion
+        if self._last_heal_mono is None or last_completion is None:
             return None
-        delta = self._last_completion_mono - self._last_heal_mono
+        delta = last_completion - self._last_heal_mono
         return delta if delta >= 0 else None
 
     def _note_heal(self) -> None:
@@ -714,9 +696,9 @@ class ReplicaCluster:
             "nodes": self._n,
             "transport": self._mode,
             "time_scale": self.runtime.time_scale,
-            "puts": self._puts_counter.value,
-            "updates_tracked": len(self._apply_times),
-            "updates_fully_replicated": self._replicated_counter.value,
+            "puts": self._tracker.puts.value,
+            "updates_tracked": len(self._tracker),
+            "updates_fully_replicated": self._tracker.replicated.value,
             "post_heal_seconds": self._post_heal_seconds_locked(),
             "telemetry": self.telemetry.snapshot(),
         }
@@ -833,82 +815,6 @@ class ReplicaCluster:
         the failover.
         """
         self._call(self._kill_hub_on_loop)
-
-    # -- replication tracking -------------------------------------------
-
-    def _record_applied(
-        self, node: int, pairs: List[Tuple[UpdateId, float]]
-    ) -> None:
-        """A host's report: ``node`` applied each ``(uid, stamp)``, the
-        stamp a ``time.monotonic()`` reading."""
-        with self._lock:
-            for uid, stamp in pairs:
-                self._note_applied_locked(uid, node, stamp)
-
-    def _note_applied_locked(self, uid: UpdateId, node: int, stamp: float) -> None:
-        times = self._apply_times.setdefault(uid, {})
-        times.setdefault(node, stamp)
-        if len(times) >= self._n:
-            event = self._replicated.setdefault(uid, threading.Event())
-            if not event.is_set():
-                event.set()
-                self._completed_order.append(uid)
-                self._last_completion_mono = time.monotonic()
-                self._replicated_counter.inc()
-                t0 = self._put_times.get(uid)
-                if t0 is not None:
-                    self._fold_latency_locked(times, t0)
-                self._evict_locked()
-
-    def _note_put_locked(self, uid: UpdateId, t0: float) -> None:
-        self._puts_counter.inc()
-        times = self._apply_times.get(uid)
-        if times is None:
-            return  # replicated and evicted before its put returned
-        self._put_times[uid] = t0
-        if len(times) >= self._n:
-            # Replicated before its put returned: fold the latency now.
-            self._fold_latency_locked(times, t0)
-
-    def _fold_latency_locked(self, times: Dict[int, float], t0: float) -> None:
-        # Folded once per update, at completion or at its put, whichever
-        # is later — before eviction can drop the put stamp, so the
-        # telemetry keeps the full latency distribution even when the
-        # per-uid records are long gone.
-        seconds = max(times.values()) - t0
-        self._latency_moments.add(seconds)
-        self._latency_sketch.add(seconds)
-
-    def _evict_locked(self) -> None:
-        """Drop tracking state of the oldest fully replicated updates
-        beyond ``track_limit`` (caller holds the lock).  Waiters that
-        already hold the threading.Event keep their reference; only the
-        cluster-side records go."""
-        while len(self._completed_order) > self._track_limit:
-            uid = self._completed_order.popleft()
-            origin, seq = uid
-            if seq > self._evicted_seq.get(origin, -1):
-                self._evicted_seq[origin] = seq
-            self._apply_times.pop(uid, None)
-            self._put_times.pop(uid, None)
-            self._replicated.pop(uid, None)
-
-    def _event_for(self, uid: UpdateId) -> Optional[threading.Event]:
-        """The completion event of ``uid``, or None if it was already
-        fully replicated and evicted (no per-uid state remains)."""
-        with self._lock:
-            event = self._replicated.get(uid)
-            if event is not None:
-                return event
-            if uid not in self._apply_times:
-                # Never-tracked uid: either evicted after completing
-                # (origin watermark covers it — every put applies at its
-                # origin instantly, so any live update stays tracked) or
-                # genuinely unknown.
-                origin, seq = uid
-                if seq <= self._evicted_seq.get(origin, -1):
-                    return None
-            return self._replicated.setdefault(uid, threading.Event())
 
     # -- cross-thread plumbing ------------------------------------------
 
@@ -1044,8 +950,7 @@ class ReplicaCluster:
         """
         target = self._resolve_node(node)
         update, stamp = self._node_call(target, "put", (key, value))
-        with self._lock:
-            self._note_put_locked(update.uid, stamp)
+        self._tracker.note_put(update.uid, stamp)
         if wait and not self.wait_replicated(update.uid, timeout=timeout):
             raise ReplicationError(
                 f"update {update.uid} not fully replicated within {timeout}s"
@@ -1072,16 +977,12 @@ class ReplicaCluster:
         An update that completed and was since evicted (see
         ``track_limit``) returns True immediately.
         """
-        event = self._event_for(uid)
-        if event is None:
-            return True  # completed before being evicted
-        return event.wait(timeout)
+        return self._tracker.wait_replicated(uid, timeout)
 
     def apply_times(self, uid: UpdateId) -> Dict[int, float]:
         """First-application time per node, in protocol units."""
-        with self._lock:
-            times = dict(self._apply_times.get(uid, {}))
-        return {node: self._units(stamp) for node, stamp in times.items()}
+        stamps = self._tracker.apply_stamps(uid)
+        return {node: self._units(stamp) for node, stamp in stamps.items()}
 
     def replication_latency(self, uid: UpdateId) -> Optional[float]:
         """Wall-clock seconds from ``put`` to the last replica's apply.
@@ -1089,12 +990,7 @@ class ReplicaCluster:
         None while the update has not reached every replica (or was
         never written through :meth:`put`).
         """
-        with self._lock:
-            times = self._apply_times.get(uid, {})
-            t0 = self._put_times.get(uid)
-            if t0 is None or len(times) < self._n:
-                return None
-            return max(times.values()) - t0
+        return self._tracker.replication_latency(uid)
 
     # -- introspection --------------------------------------------------
 
@@ -1123,10 +1019,7 @@ class ReplicaCluster:
     def replication_latency_quantile(self, p: float) -> Optional[float]:
         """Streaming quantile of put-to-replicated seconds (None while
         no put has fully replicated)."""
-        with self._lock:
-            if not self._latency_sketch.count:
-                return None
-            return self._latency_sketch.quantile(p)
+        return self._tracker.latency_quantile(p)
 
     def stats(self) -> Dict[str, object]:
         """Operational counters: ops, replication coverage, traffic."""

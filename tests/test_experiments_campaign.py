@@ -15,7 +15,7 @@ from repro.experiments.campaign import (
     CampaignResult,
     scenario_key,
 )
-from repro.experiments.figures import scaling_experiment, smoke_campaign
+from repro.experiments.figures import build_campaign, scaling_experiment, smoke_campaign
 from repro.experiments.plan import ExperimentPlan
 from repro.experiments.results import TrialResult, VariantSeries
 from repro.experiments.sink import JsonLinesSink, sink_status
@@ -345,6 +345,32 @@ class TestCampaign:
             Campaign.from_product("prod", base)
         with pytest.raises(ExperimentError):
             Campaign.from_product("prod", base, warp=(1, 2))
+
+    def test_robustness_campaign_runs_at_one_rep(self):
+        campaign = build_campaign("robustness", reps=1)
+        outcome = campaign.run()
+        faults = ("none", "none+split_brain", "none+poisson_churn")
+        assert list(outcome.results) == [
+            f"n={n}/faults={regime}" for n in (16, 32) for regime in faults
+        ]
+        assert outcome.total_trials() == campaign.total_trials() == 20
+        for key, result in outcome.results.items():
+            n = int(key.split("/")[0][2:])
+            for label, series in result.series.items():
+                [trial] = series.trials
+                assert trial.n_nodes == n and trial.time_all is not None, (key, label)
+                # Only a healed partition times a post-heal convergence.
+                assert (trial.time_post_heal is not None) == label.endswith(
+                    "@split_brain"
+                ), (key, label)
+            # Every plan at one size pairs its fault-free trials on the
+            # same seeds.
+            baseline = outcome.results[f"n={n}/faults=none"]
+            for variant in ("weak", "fast"):
+                assert (
+                    result.series[variant].trials[0].time_all
+                    == baseline.series[variant].trials[0].time_all
+                )
 
     def test_campaign_result_save_load_roundtrip(self, tmp_path):
         outcome = two_plan_campaign().run()

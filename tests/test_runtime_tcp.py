@@ -351,7 +351,12 @@ class TestTcpTransport:
                     await _wait_for(lambda: len(a._peers[1].pending) == 3)
                     assert len(attempts) == 1  # one connect, not one per frame
                     assert received == [] and a.socket_writes == 0
+                    connect = a._peers[1].connecting
                     gate.set()
+                    # The frames leave when the connection is made; the
+                    # connect task unwinds after that, so their landing
+                    # says nothing about it: wait for both.
+                    await connect
                     await _wait_for(lambda: len(received) == 3)
                 assert received == ["m0", "m1", "m2"]
                 assert a.socket_writes == 1 and a.frames_coalesced == 2
