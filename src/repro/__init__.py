@@ -69,7 +69,7 @@ from .errors import (
     TopologyError,
     TransportError,
 )
-from .faults import FaultProcess, FaultSchedule
+from .faults import FaultSchedule
 from .runtime import Clock, FaultInjector, Runtime, SimRuntime, Transport
 
 __version__ = "1.1.0"
@@ -101,7 +101,6 @@ __all__ = [
     "ReplicaCluster",
     # faults
     "FaultSchedule",
-    "FaultProcess",
     # errors
     "ReproError",
     "FaultError",

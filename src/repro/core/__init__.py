@@ -3,6 +3,8 @@
 Public surface:
 
 * :class:`ReplicationSystem` — build and run a whole replicated system.
+* :class:`ReplicaHost` — the protocol stacks of some nodes on any
+  runtime; the simulator and every live world run it.
 * :mod:`repro.core.variants` — the named protocol configurations
   (weak / high-demand / fast / dynamic / static-table).
 * :mod:`repro.core.metrics` — convergence, request-satisfaction and
@@ -28,6 +30,7 @@ from .config import (
     ProtocolConfig,
 )
 from .fastupdate import FastUpdateAgent, FastUpdateStats
+from .host import TOPIC_UPDATE_APPLIED, ReplicaHost, build_node_stack
 from .islands import (
     Island,
     bridge_latency,
@@ -57,7 +60,7 @@ from .policies import (
 )
 from .protocol import ReplicationNode
 from .strong import StrongConsistencySystem
-from .system import TOPIC_UPDATE_APPLIED, ReplicationSystem, build_node_stack
+from .system import ReplicationSystem
 from .variants import (
     FIGURE_VARIANTS,
     dynamic_fast_consistency,
@@ -71,6 +74,7 @@ from .variants import (
 __all__ = [
     "ProtocolConfig",
     "ReplicationSystem",
+    "ReplicaHost",
     "ReplicationNode",
     "build_node_stack",
     "TOPIC_UPDATE_APPLIED",

@@ -18,14 +18,13 @@ Three families, matching the paper's measurements:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import ExperimentError
+from ..port.base import Runtime, TopicBus
 from ..replica.log import Update, UpdateId
 from ..replica.messages import traffic_split
-from ..sim.engine import Simulator
-from ..sim.network import Network
-from .system import TOPIC_UPDATE_APPLIED
+from .host import TOPIC_UPDATE_APPLIED
 
 #: The only trace categories any metric helper reads (everything else
 #: the metrics consume arrives via the ``update.applied`` topic bus or
@@ -39,19 +38,18 @@ METRIC_TRACE_CATEGORIES: Tuple[str, ...] = ("fast.deliver",)
 class ConvergenceTracker:
     """Records when each node first absorbs each update.
 
-    Subscribe it to a simulator (it listens on the system's
-    ``update.applied`` topic); afterwards query per-update times. The
+    Subscribe it to the topic bus (or runtime) a host publishes
+    ``update.applied`` on; afterwards query per-update times. The
     :class:`~repro.core.system.ReplicationSystem` also records times
     itself — this tracker exists for co-simulations with several
     systems or custom agents sharing one simulator, and to annotate the
     *source* (session vs fast) that delivered each update first.
     """
 
-    def __init__(self, sim: Simulator):
-        self.sim = sim
+    def __init__(self, bus: Union[TopicBus, Runtime]):
         self._times: Dict[UpdateId, Dict[int, float]] = {}
         self._sources: Dict[UpdateId, Dict[int, str]] = {}
-        sim.subscribe(TOPIC_UPDATE_APPLIED, self._on_applied)
+        bus.subscribe(TOPIC_UPDATE_APPLIED, self._on_applied)
 
     def _on_applied(
         self, node: int, updates: List[Update], source: str, time: float
@@ -271,13 +269,13 @@ class TrafficReport:
 
 
 class TrafficMeter:
-    """Reads a network's counters into a :class:`TrafficReport`."""
+    """Reads any transport's ``counters`` into a :class:`TrafficReport`."""
 
-    def __init__(self, network: Network):
-        self.network = network
+    def __init__(self, transport):
+        self.transport = transport
 
     def report(self) -> TrafficReport:
-        counters = self.network.counters
+        counters = self.transport.counters
         msg_groups = traffic_split(counters.by_kind)
         byte_groups = traffic_split(counters.bytes_by_kind)
         return TrafficReport(

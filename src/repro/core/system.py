@@ -1,18 +1,15 @@
-"""System builder: a whole replicated system in one object.
+"""System builder: a whole simulated replicated system in one object.
 
-:class:`ReplicationSystem` wires the full stack for every node of a
-topology — transport, replica servers, demand views, policies, agents —
-from one :class:`~repro.core.config.ProtocolConfig`, and exposes the
-operations experiments need: inject a write, run until it is everywhere,
-read convergence times.
-
-The per-node assembly lives in :func:`build_node_stack`, which depends
-only on the :class:`~repro.port.base.Runtime` port — the same
-function wires nodes inside the discrete-event simulator (this class,
-on :class:`~repro.sim.runtime.SimRuntime`) and inside a live
-wall-clock deployment
-(:class:`~repro.runtime.cluster.ReplicaCluster`, on
-:class:`~repro.runtime.live.AsyncioRuntime`).
+:class:`ReplicationSystem` is the :class:`~repro.core.host.ReplicaHost`
+of the discrete-event simulator: it builds a
+:class:`~repro.sim.engine.Simulator`, a
+:class:`~repro.sim.network.Network` and their
+:class:`~repro.sim.runtime.SimRuntime`, hosts every node of a topology
+there, and adds what only a simulation needs: the apply-time matrix,
+:meth:`~ReplicationSystem.run_until_replicated`, replica creation and
+retirement, write injection, and fault replay in virtual time
+(:meth:`~ReplicationSystem.inject_faults`).  The live worlds run the
+same host (:class:`repro.runtime.cluster.ReplicaCluster`).
 
 ``ReplicationSystem`` is the simulation entry point of the public API::
 
@@ -40,196 +37,28 @@ from __future__ import annotations
 from array import array
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from ..demand.advertisement import DemandAdvertiser, bootstrap_tables
 from ..demand.base import DemandModel
-from ..demand.views import (
-    DemandTable,
-    DemandView,
-    OracleDemandView,
-    SnapshotDemandView,
-    TableDemandView,
-)
 from ..errors import ConfigurationError, SimulationError
-from ..port.base import Runtime
+from ..faults.process import FaultReplayer
+from ..faults.schedule import FaultSchedule
 from ..replica.creation import DonorInfo, MostCompleteLog
-from ..replica.log import MaxEntries, Update, UpdateId
-from ..replica.server import NewUpdatesListener, ReplicaServer
+from ..replica.log import Update, UpdateId
 from ..sim.engine import Simulator
 from ..sim.network import FixedLatency, LatencyModel, Network
 from ..sim.runtime import SimRuntime
 from ..topology.analysis import bfs_distances
 from ..topology.graph import Topology
-from .acking import AckManager
-from .config import (
-    KNOWLEDGE_ADVERTISED,
-    KNOWLEDGE_ORACLE,
-    KNOWLEDGE_SNAPSHOT,
-    ProtocolConfig,
-)
-from .policies import STOCHASTIC_POLICIES, make_policy
+from .config import ProtocolConfig
+from .host import TOPIC_UPDATE_APPLIED, ReplicaHost
 from .protocol import ReplicationNode
-
-#: Topic published whenever any replica first absorbs updates.
-TOPIC_UPDATE_APPLIED = "update.applied"
 
 #: One apply-time cell of a node that has not applied the write.
 _NOT_YET = array("d", [float("nan")])
 
 
-def build_node_stack(
-    runtime: Runtime,
-    topology: Topology,
-    demand: DemandModel,
-    config: ProtocolConfig,
-    node: int,
-    tables: Optional[Dict[int, DemandTable]] = None,
-    on_new_updates: Optional[NewUpdatesListener] = None,
-) -> ReplicationNode:
-    """Assemble one node's complete protocol stack on any runtime.
-
-    Creates the replica server, demand view, partner-selection policy,
-    optional advertiser / ack manager, and the
-    :class:`~repro.core.protocol.ReplicationNode` that routes messages
-    between them.  Everything is wired against the
-    :class:`~repro.port.base.Runtime` port, so the identical stack
-    runs inside the simulator and on a live asyncio deployment.
-
-    Args:
-        runtime: Execution world (clock, transport, RNG, trace).
-        topology: The replica interconnection graph.
-        demand: Demand model (nodes read their own true demand from it).
-        config: Protocol variant switches.
-        node: The node to build.
-        tables: Shared per-node demand tables; required for
-            ``"advertised"`` knowledge (missing entries are filled from
-            current neighbour demand).
-        on_new_updates: Optional listener registered on the server
-            *before* the agents, so convergence trackers observe
-            arrivals ahead of the fast-update re-push.
-    """
-    advertised = config.demand_knowledge == KNOWLEDGE_ADVERTISED
-    truncation = None
-    if config.log_truncation == "max-entries":
-        truncation = MaxEntries(limit=config.max_log_entries)
-    if runtime.histories is None:
-        runtime.histories = {}
-    server = ReplicaServer(
-        node,
-        truncation=truncation,
-        default_payload_bytes=config.update_payload_bytes,
-        history=runtime.histories,
-    )
-    if on_new_updates is not None:
-        server.on_new_updates(on_new_updates)
-    ack_manager = None
-    if config.log_truncation == "acked":
-        ack_manager = AckManager(runtime, server, topology.nodes)
-    if advertised:
-        if tables is None:
-            raise ConfigurationError(
-                "advertised demand knowledge needs a shared tables dict"
-            )
-        if node not in tables:
-            # Late joiner (replica creation): seed its table from the
-            # neighbours' current demand, as bootstrap_tables does at t=0.
-            table = DemandTable()
-            for neighbor in topology.neighbors(node):
-                table.update(
-                    neighbor,
-                    demand.demand(neighbor, runtime.now),
-                    runtime.now,
-                )
-            tables[node] = table
-    view = _make_view(runtime, topology, demand, config, node, tables)
-    policy_rng = None
-    if config.partner_policy in STOCHASTIC_POLICIES:
-        policy_rng = runtime.rng.stream("policy", node)
-    policy = make_policy(config, view, policy_rng)
-    advertiser = None
-    if advertised:
-        advertiser = DemandAdvertiser(
-            runtime,
-            runtime.transport,
-            node,
-            demand,
-            tables[node],
-            period=config.advert_period,
-        )
-    return ReplicationNode(
-        runtime=runtime,
-        server=server,
-        config=config,
-        policy=policy,
-        view=view,
-        own_demand=_OwnDemand(demand, node, runtime),
-        advertiser=advertiser,
-        ack_manager=ack_manager,
-    )
-
-
-class _OwnDemand:
-    """``own_demand()`` of one node: its true demand right now.
-
-    Two per-node callbacks are slotted objects like this one, not
-    closures: a closure costs each node a function object, its defaults
-    and its cells, which at 10^4 nodes is megabytes.
-    """
-
-    __slots__ = ("demand", "node", "runtime")
-
-    def __init__(self, demand: DemandModel, node: int, runtime: Runtime):
-        self.demand = demand
-        self.node = node
-        self.runtime = runtime
-
-    def __call__(self) -> float:
-        return self.demand.demand(self.node, self.runtime.now)
-
-
-def _make_view(
-    runtime: Runtime,
-    topology: Topology,
-    demand: DemandModel,
-    config: ProtocolConfig,
-    node: int,
-    tables: Optional[Dict[int, DemandTable]],
-) -> DemandView:
-    """The demand view matching ``config.demand_knowledge``.
-
-    Advertised beliefs are each node's own. Oracle and snapshot beliefs
-    are the same at every node, so a deployment has one view of them: the
-    first node builds it and leaves it on the runtime for the others.
-    """
-    knowledge = config.demand_knowledge
-    if knowledge == KNOWLEDGE_ADVERTISED:
-        return TableDemandView(tables[node])
-    if runtime.demand_view is None:
-        if knowledge == KNOWLEDGE_ORACLE:
-            runtime.demand_view = OracleDemandView(demand, lambda: runtime.now)
-        elif knowledge == KNOWLEDGE_SNAPSHOT:
-            runtime.demand_view = SnapshotDemandView(
-                demand, topology.nodes, at_time=0.0
-            )
-        else:
-            raise ConfigurationError(f"unknown demand knowledge {knowledge!r}")
-    return runtime.demand_view
-
-
-class _AppliedAt:
-    """One node's new-updates listener: tells the system who applied."""
-
-    __slots__ = ("system", "node")
-
-    def __init__(self, system: "ReplicationSystem", node: int):
-        self.system = system
-        self.node = node
-
-    def __call__(self, updates: List[Update], source: str, sender) -> None:
-        self.system._record_applied(self.node, updates, source)
-
-
-class ReplicationSystem:
-    """A complete simulated replicated system.
+class ReplicationSystem(ReplicaHost):
+    """A complete simulated replicated system: every node hosted on one
+    simulator.
 
     Args:
         topology: The replica interconnection graph (must be connected).
@@ -262,9 +91,6 @@ class ReplicationSystem:
                 "topology must be connected (weak consistency can only "
                 "converge within a component)"
             )
-        self.topology = topology
-        self.demand = demand
-        self.config = config
         self.sim = sim if sim is not None else Simulator(seed=seed)
         self.network = Network(
             self.sim,
@@ -272,11 +98,15 @@ class ReplicationSystem:
             latency=latency if latency is not None else FixedLatency(config.link_delay),
             loss=loss,
         )
-        #: The runtime port adapter every protocol component talks to.
-        self.runtime = SimRuntime(self.sim, self.network)
-        self.servers: Dict[int, ReplicaServer] = {}
-        self.nodes: Dict[int, ReplicationNode] = {}
-        self.tables: Dict[int, DemandTable] = {}
+        super().__init__(
+            SimRuntime(self.sim, self.network),
+            self.network,
+            topology,
+            demand,
+            config,
+            topology.nodes,
+            self._record_applied,
+        )
         #: Nodes decommissioned by :meth:`retire_replica`. They stay in
         #: the topology (ids are never reused) but no longer count
         #: toward convergence and generate no traffic.
@@ -291,37 +121,16 @@ class ReplicationSystem:
         self._last_applied = array("d", [0.0])
         self._watch: Dict[UpdateId, Tuple[Set[int], float]] = {}
         #: Set by fault-aware assemblers (build_system, run_trial) to the
-        #: installed :class:`~repro.faults.process.FaultProcess`.
+        #: :class:`~repro.faults.process.FaultReplayer` that
+        #: :meth:`inject_faults` armed.
         self.fault_process = None
-        self._build()
+        self.build()
 
     # -- construction ------------------------------------------------------
 
-    def _build(self) -> None:
-        advertised = self.config.demand_knowledge == KNOWLEDGE_ADVERTISED
-        if advertised:
-            # Warm start: §4 assumes nodes already know neighbour demand.
-            self.tables = bootstrap_tables(self.network, self.demand, at_time=0.0)
-        for node in self.topology.nodes:
-            self._build_node(node)
-
-    def _build_node(self, node: int) -> ReplicationNode:
-        """Create the full stack for one node and register it."""
-        replication_node = build_node_stack(
-            self.runtime,
-            self.topology,
-            self.demand,
-            self.config,
-            node,
-            tables=(
-                self.tables
-                if self.config.demand_knowledge == KNOWLEDGE_ADVERTISED
-                else None
-            ),
-            on_new_updates=_AppliedAt(self, node),
-        )
-        self.servers[node] = replication_node.server
-        self.nodes[node] = replication_node
+    def build_stack(self, node: int) -> ReplicationNode:
+        """Build ``node``'s stack and give it an apply-time column."""
+        replication_node = super().build_stack(node)
         self._columns[node] = width = len(self._last_applied)
         self._last_applied.append(0.0)
         if self._apply_rows:  # a late joiner's column: re-stride once
@@ -329,12 +138,6 @@ class ReplicationSystem:
             for start in range(0, len(old), width):
                 self._apply_times += old[start:start + width] + _NOT_YET
         return replication_node
-
-    def start(self) -> None:
-        """Start every node's periodic activity."""
-        self._started = True
-        for node in self.nodes.values():
-            node.start()
 
     # -- membership (replica creation, §7's Bayou policy family) -----------
 
@@ -380,8 +183,8 @@ class ReplicationSystem:
         self.topology.add_node(new_node, position)
         for peer in attach:
             self.topology.add_edge(new_node, peer)
-        replication_node = self._build_node(new_node)
-        if getattr(self, "_started", False):
+        replication_node = self.build_stack(new_node)
+        if self.started:
             replication_node.start()
 
         candidates: Dict[int, DonorInfo] = {}
@@ -537,6 +340,20 @@ class ReplicationSystem:
         times = self.apply_times(uid)
         return all(n in times for n in self.active_nodes)
 
+    def inject_faults(self, schedule: FaultSchedule) -> FaultReplayer:
+        """Replay ``schedule`` against this system in virtual time.
+
+        Schedule times are absolute protocol times (the replay is
+        anchored at time 0), so every event must still lie ahead.  Each
+        fires with a priority that beats ordinary protocol events: a
+        fault takes effect at its timestamp, before any message delivery
+        or session timer due at the same instant.
+
+        Raises:
+            FaultError: If an event's time has already passed.
+        """
+        return FaultReplayer(self.runtime, self.fault, schedule, anchor=0.0)
+
     # -- running ----------------------------------------------------------------
 
     def run_until(self, time: float) -> None:
@@ -572,23 +389,3 @@ class ReplicationSystem:
     def traffic(self) -> Dict[str, object]:
         """Measured traffic counters (messages/bytes, per kind)."""
         return self.network.counters.snapshot()
-
-    def session_stats_total(self) -> Dict[str, int]:
-        """Aggregate anti-entropy counters over all nodes."""
-        total: Dict[str, int] = {}
-        for node in self.nodes.values():
-            stats = node.anti_entropy.stats
-            for field_name in (
-                "initiated",
-                "completed_initiator",
-                "completed_responder",
-                "refused_received",
-                "refused_sent",
-                "timeouts",
-                "updates_sent",
-                "updates_received",
-            ):
-                total[field_name] = total.get(field_name, 0) + getattr(
-                    stats, field_name
-                )
-        return total

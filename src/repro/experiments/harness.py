@@ -21,7 +21,7 @@ from ..core.config import ProtocolConfig
 from ..core.metrics import mean_reach_time, post_heal_convergence_time, reach_time
 from ..core.system import ReplicationSystem
 from ..demand.base import DemandModel
-from ..faults.process import FaultProcess, prepare_demand
+from ..faults.process import prepare_demand
 from ..faults.schedule import FaultSchedule
 from ..placement.controller import PlacementController
 from ..placement.metrics import capacity_satisfied_series, placement_traffic
@@ -106,7 +106,7 @@ def run_trial(spec: TrialSpec) -> Tuple[TrialResult, ReplicationSystem]:
         loss=spec.loss,
     )
     if spec.faults is not None and spec.faults.events:
-        system.fault_process = FaultProcess(system, spec.faults)
+        system.fault_process = system.inject_faults(spec.faults)
     # Trial metrics consume the topic bus and traffic counters only —
     # no trace category at all (METRIC_TRACE_CATEGORIES documents what
     # the optional trace-reading helpers need) — so sweeps turn the

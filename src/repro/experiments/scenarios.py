@@ -44,7 +44,7 @@ from ..faults.generators import (
     rolling_restart,
     split_brain,
 )
-from ..faults.process import FaultProcess, prepare_demand
+from ..faults.process import prepare_demand
 from ..faults.schedule import FaultSchedule
 from ..placement.policies import PlacementSetup
 from ..topology.brite import internet_like, waxman, BriteConfig
@@ -255,8 +255,8 @@ def build_system(
 
     With ``faults`` (a :data:`FAULTS` key), the schedule is generated
     from the topology and seed, its replay is armed on the simulator
-    before the system starts, and the installed
-    :class:`~repro.faults.process.FaultProcess` is exposed as
+    before the system starts, and the armed
+    :class:`~repro.faults.process.FaultReplayer` is exposed as
     ``system.fault_process`` (None otherwise).
 
     ``trace`` controls what the simulator's tracer stores. Experiment
@@ -287,5 +287,5 @@ def build_system(
         system.sim.trace.enable_only(METRIC_TRACE_CATEGORIES)
     elif trace == "off":
         system.sim.trace.disable()
-    system.fault_process = FaultProcess(system, schedule) if schedule else None
+    system.fault_process = system.inject_faults(schedule) if schedule else None
     return system

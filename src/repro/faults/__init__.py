@@ -14,8 +14,9 @@ sweepable experiment axis:
   functions of ``(topology, seed)`` like the demand registry's builders.
 * :mod:`repro.faults.process` — replay over the
   :class:`~repro.port.base.FaultInjector` port:
-  :class:`FaultProcess` (virtual time, deterministic),
-  :class:`FaultReplayer` (wall clock, for live clusters),
+  :class:`FaultReplayer` (one replay for every world: anchored at
+  protocol time 0 in the simulator, deterministic, and at the moment of
+  injection on a live cluster's wall clock),
   :class:`SystemFaultInjector` / :func:`apply_fault`, and
   :class:`ShockableDemand` / :func:`prepare_demand` for demand shocks.
 
@@ -36,7 +37,6 @@ from .generators import (
 )
 from .process import (
     FAULT_PRIORITY,
-    FaultProcess,
     FaultReplayer,
     ShockableDemand,
     SystemFaultInjector,
@@ -68,7 +68,6 @@ __all__ = [
     "FAULT_PRIORITY",
     "PACKET_ACTIONS",
     "FaultEvent",
-    "FaultProcess",
     "FaultReplayer",
     "FaultSchedule",
     "ShockableDemand",

@@ -10,17 +10,18 @@ in-process asyncio cluster, or a multi-process TCP cluster:
   (the single dispatch every replayer shares);
 * :class:`SystemFaultInjector` adapts a running system — a transport
   with its link model, a demand model, a clock, the hosted stacks — to
-  the port; the simulator and every live replica host (the in-process
-  cluster's, each TCP node process's) use this one class;
-* :class:`FaultProcess` replays in *virtual* time: events are scheduled
-  at construction with a priority that beats ordinary protocol events,
-  so a fault takes effect at its timestamp — before any message
-  delivery or session timer due at the same instant — keeping replays
-  deterministic across execution backends;
-* :class:`FaultReplayer` replays on *wall-clock* time through one
-  callable that applies an event to a live cluster (the runtime's
-  ``time_scale`` maps protocol units to seconds), anchored at the
-  moment the replay is armed.
+  the port; every world builds it through its one
+  :class:`~repro.core.host.ReplicaHost` (the simulator, the in-process
+  cluster, each TCP node process);
+* :class:`FaultReplayer` schedules every event on a runtime's clock at
+  ``anchor + event.time``, with a priority that beats ordinary protocol
+  events, so a fault takes effect at its timestamp — before any message
+  delivery or session timer due at the same instant.  The simulator
+  anchors it at protocol time 0
+  (:meth:`~repro.core.system.ReplicationSystem.inject_faults`: schedule
+  times are absolute, replays deterministic); a live cluster anchors it
+  at the moment the replay is armed, its runtime's ``time_scale``
+  mapping protocol units to wall-clock seconds.
 
 Demand shocks need a mutable hook into the otherwise-static demand
 model: :class:`ShockableDemand` wraps any
@@ -111,11 +112,11 @@ class SystemFaultInjector(FaultInjector):
     and packet actions mutate the transport's
     :class:`~repro.port.linkstate.LinkModel`; shocks reach the demand
     model; churn parks and restores delivery handlers so a re-joined
-    node receives messages exactly as before it left.  The simulator
-    (:class:`FaultProcess`) and every live
-    :class:`~repro.runtime.nodeproc.NodeHost` build one of these; the
-    hub of a TCP cluster has no transport to mutate and forwards each
-    event to its node processes, whose hosts apply it here.
+    node receives messages exactly as before it left.  Every
+    :class:`~repro.core.host.ReplicaHost` builds one of these, in the
+    simulator and in every live world; the hub of a TCP cluster has no
+    transport to mutate and forwards each event to its node processes,
+    whose hosts apply it here.
 
     Args:
         transport: Whose link model and handler table the faults hit.
@@ -229,73 +230,18 @@ def apply_fault(injector: FaultInjector, event: FaultEvent) -> bool:
     return True
 
 
-class FaultProcess:
-    """Schedules and applies every event of a schedule in virtual time.
-
-    Args:
-        system: The live simulated system whose network/demand the
-            faults hit (through a :class:`SystemFaultInjector`).
-        schedule: The (validated) declarative schedule to replay.
-
-    Attributes:
-        stats: action name -> how many events of it were applied.
-        skipped: events that could not be applied (e.g. a demand shock
-            against a system built without :func:`prepare_demand`).
-    """
-
-    def __init__(self, system, schedule: FaultSchedule):
-        schedule.validate()
-        self.system = system
-        self.schedule = schedule
-        self.injector = SystemFaultInjector(
-            system.network, system.demand, system.runtime, system.nodes
-        )
-        self.stats: Dict[str, int] = {}
-        self.skipped: List[FaultEvent] = []
-        runtime = system.runtime
-        for event in schedule.events:
-            if event.time < runtime.now:
-                raise FaultError(
-                    f"fault at t={event.time} is in the past (now={runtime.now})"
-                )
-            runtime.schedule_at(
-                event.time,
-                self._apply,
-                event,
-                priority=FAULT_PRIORITY,
-                label=f"fault.{event.action}",
-            )
-
-    def _apply(self, event: FaultEvent) -> None:
-        trace = self.system.runtime.trace
-        if not apply_fault(self.injector, event):
-            self.skipped.append(event)
-            if trace.wants("fault.skipped"):
-                trace.record(
-                    self.system.runtime.now, "fault.skipped", action=event.action
-                )
-            return
-        self.stats[event.action] = self.stats.get(event.action, 0) + 1
-        if trace.wants("fault.apply"):
-            trace.record(
-                self.system.runtime.now,
-                "fault.apply",
-                action=event.action,
-                args=event.args,
-            )
-
-
 class FaultReplayer:
-    """Replays a schedule on wall-clock time against a live cluster.
+    """Replays a schedule on a runtime's clock, in any world.
 
-    Each event is scheduled on the runtime's clock at ``anchor +
-    event.time`` protocol units (the runtime's ``time_scale`` maps
-    units to seconds), so the same :class:`FaultSchedule` that injures
-    a simulation injures a live cluster at the same protocol times.
+    Each event is scheduled at ``anchor + event.time`` protocol units
+    (on a live runtime, its ``time_scale`` maps units to seconds), so
+    the same :class:`FaultSchedule` that injures a simulation injures a
+    live cluster at the same protocol times.
 
     Must be constructed on the runtime's event-loop thread (it calls
     ``runtime.schedule_at``); :meth:`ReplicaCluster.inject_faults`
-    does that plumbing for cluster users.
+    does that plumbing for cluster users, and
+    :meth:`ReplicationSystem.inject_faults` arms one in the simulator.
 
     Args:
         runtime: Clock (and tracer) the replay is scheduled on.
@@ -305,9 +251,13 @@ class FaultReplayer:
         anchor: Protocol time that schedule time 0 maps to; defaults to
             ``runtime.now`` — i.e. the schedule starts *now*.
 
+    Raises:
+        FaultError: If an event would fire before ``runtime.now``.
+
     Attributes:
         stats: action name -> how many events of it were applied.
-        skipped: events that could not be applied.
+        skipped: events that could not be applied (e.g. a demand shock
+            against a system built without :func:`prepare_demand`).
         applied: total events applied so far (skipped ones excluded).
     """
 
@@ -319,10 +269,16 @@ class FaultReplayer:
         anchor: Optional[float] = None,
     ):
         schedule.validate()
+        now = runtime.now
         self.runtime = runtime
         self.apply = apply
         self.schedule = schedule
-        self.anchor = runtime.now if anchor is None else float(anchor)
+        self.anchor = now if anchor is None else float(anchor)
+        for event in schedule.events:
+            if self.anchor + event.time < now:
+                raise FaultError(
+                    f"fault at t={event.time} is in the past (now={now})"
+                )
         self.stats: Dict[str, int] = {}
         self.skipped: List[FaultEvent] = []
         self.applied = 0

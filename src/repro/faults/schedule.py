@@ -11,8 +11,8 @@ by value, and can be rebuilt deterministically from registry names plus
 seeds (see :mod:`repro.faults.generators` and the ``FAULTS`` registry in
 :mod:`repro.experiments.scenarios`).
 
-Replaying a schedule inside a live simulation is the job of
-:class:`repro.faults.process.FaultProcess`.
+Replaying a schedule, in the simulator or on a live cluster, is the job
+of :class:`repro.faults.process.FaultReplayer`.
 """
 
 from __future__ import annotations

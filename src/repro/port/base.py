@@ -187,16 +187,17 @@ class FaultInjector(ABC):
 
     Each method applies one :class:`~repro.faults.schedule.FaultEvent`
     action.  One adapter exists,
-    :class:`repro.faults.process.SystemFaultInjector`: it mutates the
+    :class:`repro.faults.process.SystemFaultInjector`, one per
+    :class:`~repro.core.host.ReplicaHost`: it mutates the
     :class:`~repro.port.linkstate.LinkModel` (and handler table) of a
     transport, whichever world it belongs to — the simulator, the
     in-process asyncio cluster, one node process of a TCP cluster.  The
     hub of a TCP cluster has no transport of its own; it forwards each
     event to its node processes, whose injectors apply it.
 
-    Replay (deciding *when* each action fires) is separate: see
-    :class:`repro.faults.process.FaultProcess` (virtual time) and
-    :class:`repro.faults.process.FaultReplayer` (wall clock); every
+    Replay (deciding *when* each action fires) is separate: one
+    :class:`repro.faults.process.FaultReplayer` serves every world
+    (virtual time in the simulator, wall clock on a live cluster); every
     event reaches an injector through
     :func:`repro.faults.process.apply_fault`.
     """
@@ -273,7 +274,7 @@ class Runtime(ABC):
         demand_view: The deployment's one
             :class:`~repro.demand.views.DemandView` under oracle or
             snapshot knowledge, where every node believes the same; None
-            until :func:`~repro.core.system.build_node_stack` sets it.
+            until :func:`~repro.core.host.build_node_stack` sets it.
         histories: The deployment's one history per origin (a node id
             is built once, so ``(origin, seq)`` names one write), which
             every :class:`~repro.replica.log.WriteLog` reads up to its

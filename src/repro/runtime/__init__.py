@@ -17,8 +17,10 @@ here beside the adapters:
   adapter, in process: the channel on one delivery heap, direct
   handler calls;
 * :class:`ReplicaCluster` — the live client-facing API
-  (``put`` / ``get`` / ``stats``) over replica hosts
-  (:class:`repro.runtime.nodeproc.NodeHost`) on ``AsyncioRuntime``;
+  (``put`` / ``get`` / ``stats``) over replica hosts on
+  ``AsyncioRuntime`` (:class:`repro.core.host.ReplicaHost`, the host the
+  simulator runs too; :mod:`repro.runtime.nodeproc` is a TCP node
+  process around one);
   :class:`repro.runtime.tracking.ReplicationTracker` keeps its
   per-update apply stamps.
 

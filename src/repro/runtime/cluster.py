@@ -4,14 +4,15 @@ A cluster of replicas running the paper's protocol on the wall-clock
 :class:`~repro.runtime.live.AsyncioRuntime`, in one of two transports:
 
 * ``transport="queue"`` (default) — one
-  :class:`~repro.runtime.nodeproc.NodeHost` hosts every node's protocol
+  :class:`~repro.core.host.ReplicaHost` (the host the simulator runs
+  too) hosts every node's protocol
   stack on one event loop on a background thread, exchanging messages
   through the transport's in-process delivery heap; the loop (the hub's
   too, in tcp mode) comes from
   :func:`~repro.runtime.live.new_event_loop`, so a link latency of a
   fraction of a millisecond is kept;
 * ``transport="tcp"`` — one OS process per node, each running the same
-  :class:`~repro.runtime.nodeproc.NodeHost` for its own node on a
+  :class:`~repro.core.host.ReplicaHost` for its own node on a
   :class:`~repro.runtime.tcp.TcpTransport` over real sockets.  The
   parent runs a nameserver-style *hub*: node processes bind an
   ephemeral port, register it, receive the full directory, and start.
@@ -66,6 +67,7 @@ import time
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.config import ProtocolConfig
+from ..core.host import PACKET_COUNTERS, ReplicaHost
 from ..core.protocol import ReplicationNode
 from ..core.variants import fast_consistency
 from ..demand.base import DemandModel
@@ -81,7 +83,7 @@ from ..telemetry.registry import MetricRegistry
 from ..topology.brite import internet_like
 from ..topology.graph import Topology
 from .live import AsyncioRuntime, AsyncioTransport, new_event_loop
-from .nodeproc import PACKET_COUNTERS, NodeHost, NodeSpec, node_process_main
+from .nodeproc import NodeSpec, boot_live, node_process_main, stamp_applies
 from .tcp import DEFAULT_MAX_FRAME_BYTES, FrameDecoder, encode_frame, read_frames
 from .tracking import ReplicationTracker
 
@@ -254,7 +256,7 @@ class ReplicaCluster:
 
         # -- the hosts, reached the same way whichever the transport -----
         #: Set at boot.  ``_node_call(node, method, args)`` runs
-        #: :meth:`NodeHost.call` on ``node``'s host from any thread;
+        #: :meth:`ReplicaHost.call` on ``node``'s host from any thread;
         #: ``_fault(event)`` applies a fault event to every host (loop
         #: thread); asking the hosts of ``_one_node_per_host`` for
         #: ``stats`` covers every node; ``_packet_sources()`` yields each
@@ -380,18 +382,18 @@ class ReplicaCluster:
             latency=self._latency,
             loss=self.loss,
         )
-        host = NodeHost(
+        host = ReplicaHost(
             self.runtime,
             self.transport,
             self.topology,
             self.demand,
             self.config,
             self.topology.nodes,
-            self._tracker.record,
+            stamp_applies(self._tracker.record),
         )
-        host.start()
-        self.nodes = host.stacks
-        self.servers = {node: stack.server for node, stack in host.stacks.items()}
+        boot_live(host)
+        self.nodes = host.nodes
+        self.servers = host.servers
         self._node_call = functools.partial(self._call, host.call)
         self._fault = host.fault
         self._one_node_per_host = self._node_ids[:1]

@@ -1,14 +1,15 @@
-"""The replica host, and the child side of the TCP cluster.
+"""The child side of the TCP cluster.
 
-:class:`NodeHost` is the one replica host every live world runs: a
-runtime, a transport, the protocol stacks of the nodes it hosts and one
-:class:`~repro.faults.process.SystemFaultInjector`.  It boots the stacks
-(:meth:`NodeHost.start`), serves client put / read / stats
-(:meth:`NodeHost.call`) and applies fault events (:meth:`NodeHost.fault`).
-The queue-mode :class:`~repro.runtime.cluster.ReplicaCluster` runs one
-host over its :class:`~repro.runtime.live.AsyncioTransport`, hosting
-every node; in ``transport="tcp"`` mode each node process runs one over
-its :class:`~repro.runtime.tcp.TcpTransport`, hosting its own node.
+Each node process of a ``transport="tcp"``
+:class:`~repro.runtime.cluster.ReplicaCluster` runs one
+:class:`~repro.core.host.ReplicaHost` — the replica host every world
+runs — hosting its own node over a
+:class:`~repro.runtime.tcp.TcpTransport`, and starts that transport's
+pumps itself.  The host boots the stack, serves client put / read /
+stats (:meth:`~repro.core.host.ReplicaHost.call`) and applies fault
+events (:meth:`~repro.core.host.ReplicaHost.fault`).  The two live
+hosts (this one and the queue cluster's) hear of applies through
+:func:`stamp_applies` and boot through :func:`boot_live`.
 
 A TCP node process runs :func:`node_process_main` with a picklable
 :class:`NodeSpec`.  Around its host it keeps only the hub connection:
@@ -41,20 +42,16 @@ from __future__ import annotations
 
 import asyncio
 import collections
-import functools
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core.config import KNOWLEDGE_ADVERTISED, ProtocolConfig
-from ..core.protocol import ReplicationNode
-from ..core.system import build_node_stack
-from ..demand.advertisement import bootstrap_tables
+from ..core.config import ProtocolConfig
+from ..core.host import AppliedListener, ReplicaHost
 from ..demand.base import DemandModel
-from ..errors import ReplicationError
-from ..faults.process import ShockableDemand, SystemFaultInjector, apply_fault
+from ..faults.process import ShockableDemand
 from ..faults.schedule import FaultEvent
-from ..replica.log import UpdateId
+from ..replica.log import Update, UpdateId
 from ..sim.network import LatencyModel
 from ..topology.graph import Topology
 from .live import AsyncioRuntime, new_event_loop
@@ -79,122 +76,27 @@ APPLIED_REPLAY_LIMIT = 8192
 #: Seconds between packet-counter pushes to the hub (only when changed).
 PACKET_PUSH_INTERVAL = 0.5
 
-#: Anti-entropy session counters a host's ``stats`` sums over its stacks.
-SESSION_COUNTERS = ("initiated", "completed_initiator", "completed_responder")
-#: Packet-fault effect counters a host reports (see :meth:`NodeHost.packet_counts`).
-PACKET_COUNTERS = ("corrupt_frames_dropped", "duplicates_suppressed", "reorders_applied")
 
+def stamp_applies(
+    report: Callable[[int, List[Tuple[UpdateId, float]]], None],
+) -> AppliedListener:
+    """A live host's ``on_applied``: stamps each batch with one
+    ``time.monotonic()`` reading and calls ``report(node, [(uid, stamp),
+    ...])``."""
 
-class NodeHost:
-    """One replica host: a runtime, a transport and the stacks it hosts.
-
-    Every method runs on the runtime's event-loop thread.
-
-    Args:
-        runtime: The started runtime the stacks run on; ``transport``
-            becomes its transport.
-        transport: Carries the hosted nodes' messages; its link model is
-            what faults mutate.
-        topology: The replica interconnection graph.
-        demand: The demand model (already wrapped by
-            :func:`~repro.faults.process.prepare_demand` when shocks
-            must land).
-        config: Protocol variant switches.
-        nodes: The node ids hosted here.
-        on_applied: Called as ``on_applied(node, [(uid, stamp), ...])``
-            for every batch of updates a hosted node applies, ``stamp``
-            a ``time.monotonic()`` reading.
-    """
-
-    def __init__(
-        self,
-        runtime: AsyncioRuntime,
-        transport,
-        topology: Topology,
-        demand: DemandModel,
-        config: ProtocolConfig,
-        nodes: Iterable[int],
-        on_applied: Callable[[int, List[Tuple[UpdateId, float]]], None],
-    ):
-        runtime.transport = transport
-        self.runtime = runtime
-        self.transport = transport
-        self.topology = topology
-        self.demand = demand
-        self.config = config
-        self.hosted = list(nodes)
-        self.on_applied = on_applied
-        self.stacks: Dict[int, ReplicationNode] = {}
-        self.injector = SystemFaultInjector(transport, demand, runtime, self.stacks)
-
-    def start(self) -> None:
-        """Build every hosted stack, start the pumps, start the stacks."""
-        tables = None
-        if self.config.demand_knowledge == KNOWLEDGE_ADVERTISED:
-            tables = bootstrap_tables(self.transport, self.demand, at_time=0.0)
-        for node in self.hosted:
-            self.stacks[node] = build_node_stack(
-                self.runtime,
-                self.topology,
-                self.demand,
-                self.config,
-                node,
-                tables=tables,
-                on_new_updates=functools.partial(self._report_applied, node),
-            )
-        self.transport.start_pumps()
-        for stack in self.stacks.values():
-            stack.start()
-
-    def _report_applied(self, node: int, updates, source, sender) -> None:
+    def on_applied(node: int, updates: List[Update], source: str) -> None:
         stamp = time.monotonic()
-        self.on_applied(node, [(update.uid, stamp) for update in updates])
+        report(node, [(update.uid, stamp) for update in updates])
 
-    def call(self, node: int, method: str, args: Sequence) -> object:
-        """Serve one client call at hosted ``node``.
+    return on_applied
 
-        ``put`` (args ``key, value``) returns ``(update, stamp)``, the
-        stamp a ``time.monotonic()`` reading taken just before the
-        write; ``read`` (args ``key``) returns the store entry;
-        ``stats`` returns this host's counters.  A put or read at a node
-        an injected fault crashed raises :class:`ReplicationError`.
-        """
-        if method == "stats":
-            return self.stats()
-        stack = self.stacks.get(node)
-        if stack is None:
-            raise ReplicationError(f"node {node} not started yet")
-        if not self.transport.links.node_is_up(node):
-            raise ReplicationError(f"node {node} is down (injected fault)")
-        if method == "put":
-            stamp = time.monotonic()
-            return stack.server.local_write(*args), stamp
-        if method == "read":
-            return stack.server.read(*args)
-        raise ReplicationError(f"unknown cluster call {method!r}")
 
-    def stats(self) -> Dict[str, object]:
-        """Sessions summed over the hosted stacks, plus the transport's
-        traffic, handler errors and delivery counters."""
-        sessions = dict.fromkeys(SESSION_COUNTERS, 0)
-        for stack in self.stacks.values():
-            for name in SESSION_COUNTERS:
-                sessions[name] += getattr(stack.anti_entropy.stats, name)
-        return {
-            "sessions": sessions,
-            "traffic": self.transport.counters.snapshot(),
-            "handler_errors": len(self.transport.handler_errors),
-            "delivery": self.transport.delivery_stats(),
-        }
-
-    def fault(self, event: FaultEvent) -> bool:
-        """Apply one fault event here; False when it cannot take effect."""
-        return apply_fault(self.injector, event)
-
-    def packet_counts(self) -> Dict[str, int]:
-        """The transport's packet-fault effect counters, by name."""
-        counters = self.transport.counters
-        return {name: getattr(counters, name) for name in PACKET_COUNTERS}
+def boot_live(host: ReplicaHost) -> None:
+    """Boot a live host: build its stacks, start its transport's pumps,
+    then start the stacks."""
+    host.build()
+    host.transport.start_pumps()
+    host.start()
 
 
 @dataclass
@@ -245,7 +147,7 @@ async def _node_main(spec: NodeSpec) -> None:
         maxlen=APPLIED_REPLAY_LIMIT
     )
 
-    def on_applied(node: int, pairs) -> None:
+    def report_applied(node: int, pairs) -> None:
         # Report arrivals to the hub (no drain: frames are tiny, the
         # loop flushes them).
         applied_log.extend(pairs)
@@ -254,8 +156,9 @@ async def _node_main(spec: NodeSpec) -> None:
             writer.write(encode_frame(("applied", node, pairs)))
 
     demand = ShockableDemand(spec.demand) if spec.has_shocks else spec.demand
-    host = NodeHost(
-        runtime, transport, spec.topology, demand, spec.config, [spec.node], on_applied
+    host = ReplicaHost(
+        runtime, transport, spec.topology, demand, spec.config, [spec.node],
+        stamp_applies(report_applied),
     )
     address = await transport.serve(spec.host)
 
@@ -312,7 +215,7 @@ async def _node_main(spec: NodeSpec) -> None:
                         # After a failover the new hub re-sends start:
                         # the host is already live, just re-ack.
                         if push_task is None:
-                            host.start()
+                            boot_live(host)
                             push_task = asyncio.ensure_future(
                                 push_packet_counters()
                             )

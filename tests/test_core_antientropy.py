@@ -7,7 +7,8 @@ import pytest
 from repro.core.system import ReplicationSystem
 from repro.core.variants import weak_consistency
 from repro.demand.static import ConstantDemand
-from repro.topology.simple import line
+from repro.replica.messages import SessionBusy, SessionRequest, SummaryMessage
+from repro.topology.simple import line, star
 
 
 def two_node_system(**overrides):
@@ -140,3 +141,86 @@ class TestBusyRefusal:
         system.start()
         system.run_until(20.0)
         assert system.session_stats_total()["refused_sent"] == 0
+
+
+class TestSessionRoles:
+    def test_each_node_counts_the_role_it_completed_in(self):
+        """On a star every leaf's only partner is the hub, so the hub
+        answers far more sessions than it starts; no node can complete
+        more sessions as initiator than it initiated."""
+        system = ReplicationSystem(
+            topology=star(9), demand=ConstantDemand(1.0),
+            config=weak_consistency(), seed=3,
+        )
+        system.start()
+        system.run_until(30.0)
+        hub = system.nodes[0].anti_entropy.stats
+        assert hub.completed_responder > 4 * hub.initiated > 0
+        for node, stack in system.nodes.items():
+            stats = stack.anti_entropy.stats
+            assert 0 < stats.completed_initiator <= stats.initiated, node
+        leaves = [system.nodes[n].anti_entropy.stats for n in range(1, 9)]
+        assert hub.completed_responder == sum(s.completed_initiator for s in leaves)
+
+
+class TestOutOfProtocolMessages:
+    """A session message that breaks the protocol — bytes off a socket
+    can carry one — sends nothing and completes nothing."""
+
+    def test_reply_summary_to_an_initiator_is_ignored(self):
+        system = two_node_system()
+        system.servers[0].local_write("k", "v")
+        initiator = system.nodes[0].anti_entropy
+        assert initiator.initiate_with(1)
+        [state] = initiator._sessions.values()
+        sent = system.network.counters.messages_sent
+        system.nodes[0].on_message(
+            1, SummaryMessage(state.sid, 1, system.servers[1].summary(), is_reply=True)
+        )
+        assert system.network.counters.messages_sent == sent
+        assert not state.sent_batch and not state.received_batch
+        # The session still runs its ordinary course afterwards.
+        system.run_until(1.0)
+        assert initiator.stats.completed_initiator == 1
+        assert system.servers[1].is_consistent_with(system.servers[0])
+
+    def test_request_summary_to_a_responder_is_ignored(self):
+        system = two_node_system()
+        system.servers[1].local_write("k", "v")
+        responder = system.nodes[1].anti_entropy
+        system.nodes[1].on_message(0, SessionRequest(7, 0))
+        [state] = responder._sessions.values()
+        sent = system.network.counters.messages_sent
+        system.nodes[1].on_message(
+            0, SummaryMessage(7, 0, system.servers[0].summary(), is_reply=False)
+        )
+        assert system.network.counters.messages_sent == sent
+        assert not state.sent_batch
+        assert responder.stats.completed_responder == 0
+        assert responder.stats.updates_sent == 0
+
+    def test_summary_for_no_session_or_from_a_stranger_is_ignored(self):
+        system = ReplicationSystem(
+            topology=line(3), demand=ConstantDemand(1.0),
+            config=weak_consistency(), seed=3,
+        )
+        system.servers[1].local_write("k", "v")
+        responder = system.nodes[1].anti_entropy
+        system.nodes[1].on_message(0, SessionRequest(7, 0))
+        [state] = responder._sessions.values()
+        sent = system.network.counters.messages_sent
+        summary = system.servers[2].summary()
+        system.nodes[1].on_message(2, SummaryMessage(7, 2, summary, is_reply=True))
+        system.nodes[1].on_message(2, SummaryMessage(8, 2, summary, is_reply=True))
+        assert system.network.counters.messages_sent == sent
+        assert not state.sent_batch
+        assert responder.stats.updates_sent == 0
+
+    def test_busy_for_no_session_or_to_a_responder_is_ignored(self):
+        system = two_node_system()
+        responder = system.nodes[1].anti_entropy
+        system.nodes[1].on_message(0, SessionRequest(7, 0))
+        system.nodes[1].on_message(0, SessionBusy(7, 0))
+        system.nodes[1].on_message(0, SessionBusy(8, 0))
+        assert list(responder._sessions) == [7]
+        assert responder.stats.refused_received == 0

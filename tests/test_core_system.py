@@ -72,6 +72,17 @@ class TestConstruction:
         # Warm-started tables know immediate neighbours.
         assert system.tables[0].believed(1) == 1.0
 
+    def test_a_late_replica_gets_a_table_of_its_neighbours_demand(self):
+        system = ReplicationSystem(
+            ring(6), ConstantDemand(2.0), dynamic_fast_consistency(), seed=1
+        )
+        system.start()
+        system.run_until(2.0)
+        system.add_replica(6, attach_to=[0, 3])
+        table = system.tables[6]
+        assert (table.believed(0), table.believed(3)) == (2.0, 2.0)
+        assert system.nodes[6].advertiser is not None
+
     def test_inject_write_unknown_node(self):
         system = ReplicationSystem(
             ring(6), ConstantDemand(1.0), weak_consistency(), seed=1

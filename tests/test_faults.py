@@ -18,7 +18,6 @@ from repro.experiments.scenarios import FAULTS, build_faults, build_system
 from repro.faults import (
     PACKET_ACTIONS,
     FaultEvent,
-    FaultProcess,
     FaultSchedule,
     ShockableDemand,
     apply_fault,
@@ -229,7 +228,7 @@ class TestGenerators:
 
 
 # ---------------------------------------------------------------------------
-# ShockableDemand + FaultProcess
+# ShockableDemand + fault replay in the simulator (inject_faults)
 # ---------------------------------------------------------------------------
 
 
@@ -264,8 +263,8 @@ class TestShockableDemand:
 class TestFaultProcess:
     def test_blocked_link_stalls_convergence_until_restored(self):
         system = weak_system(line(4))
-        process = FaultProcess(
-            system, FaultSchedule(events=(link_down(0.5, 1, 2), link_up(30.0, 1, 2)))
+        process = system.inject_faults(
+            FaultSchedule(events=(link_down(0.5, 1, 2), link_up(30.0, 1, 2)))
         )
         system.start()
         update = system.inject_write(0)
@@ -275,9 +274,8 @@ class TestFaultProcess:
 
     def test_partition_heal_applied(self):
         system = weak_system(line(4))
-        process = FaultProcess(
-            system,
-            FaultSchedule(events=(partition(0.5, [[0, 1], [2, 3]]), heal(20.0))),
+        process = system.inject_faults(
+            FaultSchedule(events=(partition(0.5, [[0, 1], [2, 3]]), heal(20.0)))
         )
         system.start()
         update = system.inject_write(0)
@@ -288,8 +286,8 @@ class TestFaultProcess:
     def test_leave_parks_handler_and_join_restores_it(self):
         system = weak_system(line(4))
         original = system.network.handler_for(2)
-        process = FaultProcess(
-            system, FaultSchedule(events=(leave(0.5, 2), join(10.0, 2)))
+        process = system.inject_faults(
+            FaultSchedule(events=(leave(0.5, 2), join(10.0, 2)))
         )
         system.start()
         system.sim.run(until=5.0)
@@ -310,7 +308,7 @@ class TestFaultProcess:
         original = system.network.handler_for(2)
         schedule = FaultSchedule(events=(leave(0.5, 2), node_up(10.0, 2)))
         assert schedule.always_recovers()
-        FaultProcess(system, schedule)
+        system.inject_faults(schedule)
         system.start()
         update = system.inject_write(0)
         done = system.run_until_replicated(update.uid, max_time=100.0)
@@ -319,8 +317,8 @@ class TestFaultProcess:
 
     def test_demand_shock_without_wrapper_is_skipped(self):
         system = weak_system(line(3))
-        process = FaultProcess(
-            system, FaultSchedule(events=(demand_shock(1.0, [0], 9.0),))
+        process = system.inject_faults(
+            FaultSchedule(events=(demand_shock(1.0, [0], 9.0),))
         )
         system.start()
         system.sim.run(until=2.0)
@@ -331,8 +329,8 @@ class TestFaultProcess:
         topo = line(3)
         demand = ShockableDemand(ConstantDemand(4.0))
         system = ReplicationSystem(topo, demand, weak_consistency(), seed=1)
-        process = FaultProcess(
-            system, FaultSchedule(events=(demand_shock(1.0, [2], 9.0),))
+        process = system.inject_faults(
+            FaultSchedule(events=(demand_shock(1.0, [2], 9.0),))
         )
         system.start()
         system.sim.run(until=2.0)
@@ -344,7 +342,7 @@ class TestFaultProcess:
         system.start()
         system.sim.run(until=5.0)
         with pytest.raises(FaultError):
-            FaultProcess(system, FaultSchedule(events=(heal(1.0),)))
+            system.inject_faults(FaultSchedule(events=(heal(1.0),)))
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +600,7 @@ class TestPacketFaultSchedule:
             events=(corrupt_frame(0.0, 1.0, 500.0),), name="storm"
         )
         system = weak_system(topo, seed=3)
-        process = FaultProcess(system, schedule)
+        process = system.inject_faults(schedule)
         system.start()
         system.inject_write(0)
         system.run_until(50.0)
@@ -626,7 +624,7 @@ class TestPacketFaultSchedule:
             name="wan",
         )
         system = weak_system(topo, seed=4)
-        FaultProcess(system, schedule)
+        system.inject_faults(schedule)
         system.start()
         update = system.inject_write(0)
         assert system.run_until_replicated(update.uid, max_time=500.0) is not None

@@ -25,7 +25,6 @@ from repro.demand.static import UniformRandomDemand
 from repro.experiments.backends import ProcessPoolBackend, SerialBackend
 from repro.experiments.plan import ExperimentPlan
 from repro.faults import (
-    FaultProcess,
     FaultSchedule,
     demand_shock,
     heal,
@@ -95,7 +94,7 @@ def build_faulted_system(seed: int, config) -> Tuple[ReplicationSystem, FaultSch
     demand = prepare_demand(UniformRandomDemand(0.0, 100.0, seed=seed), schedule)
     system = ReplicationSystem(topo, demand, config, seed=seed)
     if schedule.events:
-        system.fault_process = FaultProcess(system, schedule)
+        system.fault_process = system.inject_faults(schedule)
     return system, schedule
 
 

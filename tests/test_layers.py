@@ -25,6 +25,11 @@ RANKS = {
 UNRANKED = {"__init__", "cli", "__main__"}
 #: The protocol proper: message-driven logic that runs in every world.
 PROTOCOL = ("protocol", "antientropy", "fastupdate", "acking", "policies", "config", "variants")
+#: Core modules every world runs besides the protocol: the replica host
+#: and the metrics read off its topic bus and transport counters.
+WORLD_FREE = ("host", "metrics")
+#: The only core modules that build a simulator of their own.
+SIM_BUILDERS = ("system", "strong")
 MODULES = sorted(SRC.rglob("*.py"))
 
 
@@ -72,14 +77,32 @@ def test_packages_import_only_lower_ranks():
     assert not violations, "\n".join(violations)
 
 
-def test_protocol_modules_import_no_world():
-    worlds = {"sim", "runtime"}
-    leaks = sorted(
+def _world_leaks(names):
+    """``core/<name>.py -> sim|runtime`` for every such import of ``names``."""
+    return sorted(
         {
             f"core/{name}.py -> {target}"
-            for name in PROTOCOL
+            for name in names
             for target in _imports(SRC / "core" / f"{name}.py")
-            if target in worlds
+            if target in {"sim", "runtime"}
         }
     )
+
+
+def test_protocol_modules_import_no_world():
+    leaks = _world_leaks(PROTOCOL)
     assert not leaks, "\n".join(leaks)
+
+
+def test_host_and_metrics_import_no_world():
+    leaks = _world_leaks(WORLD_FREE)
+    assert not leaks, "\n".join(leaks)
+
+
+def test_only_the_simulator_builders_in_core_import_sim():
+    importers = sorted(
+        path.stem
+        for path in (SRC / "core").glob("*.py")
+        if "sim" in set(_imports(path))
+    )
+    assert set(importers) <= set(SIM_BUILDERS), importers

@@ -1,8 +1,9 @@
 """Chaos harness: one FaultSchedule, three execution worlds.
 
 The same declarative schedule must (a) replay in the simulator through
-``FaultProcess``, (b) replay against a live queue-mode cluster through
-``FaultReplayer``, and (c) travel over a control socket into a
+``ReplicationSystem.inject_faults``, (b) replay against a live
+queue-mode cluster through ``ReplicaCluster.inject_faults`` — one
+``FaultReplayer`` in both — and (c) travel over a control socket into a
 spawn-per-node TCP cluster.  These tests pin the cross-world contract:
 identical applied/skipped accounting, clean client errors while a
 target is crashed, and convergence after heal.
@@ -17,7 +18,7 @@ import pytest
 
 from repro.errors import ReplicationError
 from repro.experiments.scenarios import VARIANTS, build_faults, build_system
-from repro.faults import FaultProcess, FaultSchedule
+from repro.faults import FaultSchedule
 from repro.faults.generators import rolling_restart
 from repro.faults.schedule import (
     corrupt_frame,
@@ -57,8 +58,8 @@ class TestFaultTraceGuards:
         # never even *call* record() — the wants() guard keeps fault
         # injection zero-cost when tracing is off.
         system = build_system(topology="line", n=4, variant="weak", seed=3)
-        process = FaultProcess(
-            system, FaultSchedule(events=(node_down(1.0, 0),))
+        process = system.inject_faults(
+            FaultSchedule(events=(node_down(1.0, 0),))
         )
         bomb = self.BombTracer()
         bomb.enable_only(["something-else"])
@@ -78,7 +79,7 @@ class TestScheduleParity:
         schedule = rolling_restart(topology, seed=5)
 
         system = build_system(topology="line", n=4, variant="weak", seed=5)
-        process = FaultProcess(system, schedule)
+        process = system.inject_faults(schedule)
         system.start()
         system.run_until(schedule.duration + 1.0)
         sim_stats = dict(process.stats)
@@ -253,8 +254,8 @@ class TestTcpCluster:
 class TestPacketFaultParity:
     def test_all_four_packet_actions_apply_in_sim_and_live(self):
         # ISSUE gate: the same schedule object carrying every packet
-        # action accounts identically in virtual time (FaultProcess)
-        # and on the wall clock (FaultReplayer over the queue cluster).
+        # action accounts identically in virtual time (the simulator's
+        # replayer) and on the wall clock (the queue cluster's).
         topology = line(3)
         schedule = FaultSchedule(
             events=(
@@ -267,7 +268,7 @@ class TestPacketFaultParity:
         ).validate()
 
         system = build_system(topology="line", n=3, variant="weak", seed=9)
-        process = FaultProcess(system, schedule)
+        process = system.inject_faults(schedule)
         system.start()
         system.run_until(schedule.duration + 1.0)
         sim_stats = dict(process.stats)

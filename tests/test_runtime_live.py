@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, ReplicationError, SimulationError
-from repro.core.system import build_node_stack
+from repro.core.host import build_node_stack
 from repro.demand.static import ExplicitDemand
 from repro.runtime import Runtime
 from repro.runtime.cluster import ReplicaCluster

@@ -1,7 +1,7 @@
 """One replica host for both live transports.
 
 The queue cluster and every TCP node process run the same
-:class:`~repro.runtime.nodeproc.NodeHost`, and the cluster records a
+:class:`~repro.core.host.ReplicaHost`, and the cluster records a
 heal in one place whichever the transport.  These tests pin that
 contract: churn heals are timed over both transports, ``stats()`` and
 the ``status?`` reply report the same counters, and ``repro chaos``
@@ -16,13 +16,14 @@ import time
 import pytest
 
 from repro.cli import main
+from repro.core.host import ReplicaHost
 from repro.core.variants import fast_consistency
 from repro.demand.static import UniformRandomDemand
 from repro.errors import ReplicationError
 from repro.faults.schedule import FaultSchedule, demand_shock, join, leave, partition
 from repro.runtime.cluster import ReplicaCluster
 from repro.runtime.live import AsyncioRuntime, AsyncioTransport, new_event_loop
-from repro.runtime.nodeproc import NodeHost
+from repro.runtime.nodeproc import boot_live, stamp_applies
 from repro.runtime.tcp import FrameDecoder, SyncFrameChannel
 from repro.topology.simple import line, ring
 
@@ -103,14 +104,14 @@ def test_host_refuses_unknown_calls_and_crashed_nodes():
     async def main_():
         runtime.start()
         transport = AsyncioTransport(runtime, line(2))
-        host = NodeHost(
+        host = ReplicaHost(
             runtime, transport, line(2), UniformRandomDemand(seed=1),
             fast_consistency(), [0, 1],
-            lambda node, pairs: applied.append((node, pairs)),
+            stamp_applies(lambda node, pairs: applied.append((node, pairs))),
         )
         with pytest.raises(ReplicationError, match="node 0 not started yet"):
             host.call(0, "put", ("k", "v"))
-        host.start()
+        boot_live(host)
         update, stamp = host.call(0, "put", ("k", "v"))
         [(node, [(uid, applied_at)])] = applied
         assert (node, uid) == (0, update.uid)
