@@ -39,91 +39,56 @@ protocol code on wall-clock time, serving client traffic)::
         cluster.wait_replicated(update.uid, timeout=10.0)
         print(cluster.get("content", node=9), cluster.stats()["traffic"])
 
+Every package exports its names lazily through one map
+(:mod:`repro._exports`): ``import repro`` loads none of the packages, and
+a name's module is imported the first time the name is read.  A simulation thus
+never loads :mod:`asyncio`, and a live node never loads the simulator.
+
 The README's "Layout" section lists the packages and their layer
 order; ``python -m repro all`` prints every paper artefact beside the
 paper's own values.
 """
 
-from .core import (
-    ProtocolConfig,
-    ReplicationSystem,
-    StrongConsistencySystem,
-    bridge_system,
-    detect_islands,
-    dynamic_fast_consistency,
-    fast_consistency,
-    high_demand_consistency,
-    push_only_consistency,
-    static_table_consistency,
-    weak_consistency,
-)
-from .errors import (
-    ConfigurationError,
-    DemandError,
-    ExperimentError,
-    ExperimentSizeWarning,
-    FaultError,
-    ReplicationError,
-    ReproError,
-    SimulationError,
-    TopologyError,
-    TransportError,
-)
-from .faults import FaultSchedule
-from .runtime import Clock, FaultInjector, Runtime, SimRuntime, Transport
+from . import _exports
 
 __version__ = "1.1.0"
 
-#: Asyncio-backed names; resolved lazily so ``import repro`` stays free
-#: of :mod:`asyncio` (PEP 562 module __getattr__).
-_LIVE_EXPORTS = ("ReplicaCluster", "AsyncioRuntime")
-
 __all__ = [
     "__version__",
-    "ProtocolConfig",
-    "ReplicationSystem",
-    "StrongConsistencySystem",
-    "weak_consistency",
-    "high_demand_consistency",
-    "fast_consistency",
-    "push_only_consistency",
-    "dynamic_fast_consistency",
-    "static_table_consistency",
-    "detect_islands",
-    "bridge_system",
-    # runtime port & adapters
-    "Clock",
-    "Transport",
-    "Runtime",
-    "FaultInjector",
-    "SimRuntime",
-    "AsyncioRuntime",
-    "ReplicaCluster",
-    # faults
-    "FaultSchedule",
-    # errors
-    "ReproError",
-    "FaultError",
-    "SimulationError",
-    "TopologyError",
-    "DemandError",
-    "ReplicationError",
-    "ConfigurationError",
-    "ExperimentError",
-    "TransportError",
-    "ExperimentSizeWarning",
+    *_exports.lazy_exports(
+        __name__,
+        {
+            ".core.config": ("ProtocolConfig",),
+            ".core.system": ("ReplicationSystem",),
+            ".core.strong": ("StrongConsistencySystem",),
+            ".core.variants": (
+                "weak_consistency",
+                "high_demand_consistency",
+                "fast_consistency",
+                "push_only_consistency",
+                "dynamic_fast_consistency",
+                "static_table_consistency",
+            ),
+            ".core.islands": ("detect_islands", "bridge_system"),
+            # runtime port & adapters
+            ".port.base": ("Clock", "Transport", "Runtime", "FaultInjector"),
+            ".sim.runtime": ("SimRuntime",),
+            ".runtime.live": ("AsyncioRuntime",),
+            ".runtime.cluster": ("ReplicaCluster",),
+            # faults
+            ".faults.schedule": ("FaultSchedule",),
+            ".errors": (
+                "ReproError",
+                "FaultError",
+                "SimulationError",
+                "TopologyError",
+                "DemandError",
+                "ReplicationError",
+                "ConfigurationError",
+                "ExperimentError",
+                "TransportError",
+                "ExperimentSizeWarning",
+            ),
+        },
+    ),
 ]
-
-
-def __getattr__(name: str):
-    if name in _LIVE_EXPORTS:
-        from . import runtime
-
-        value = getattr(runtime, name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LIVE_EXPORTS))

@@ -25,14 +25,16 @@ only when beliefs or neighbours move, so choosing them is a walk down a
 ready order: skip the sender, stop at the first neighbour no higher than
 this node (``downhill``), take ``fanout``.
 
-Island bridging (§6) plugs in through ``extra_targets``: overlay peers
-(other island leaders) always receive offers regardless of demand.
+Island bridging (§6) plugs in through ``extra_targets``, which
+:meth:`~repro.core.protocol.ReplicationNode.add_bridge_targets` fills:
+overlay peers (other island leaders) always receive offers regardless
+of demand.
 """
 
 from __future__ import annotations
 
 from math import inf
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional
+from typing import Callable, Dict, FrozenSet, List, Optional
 
 from ..demand.views import NeighborRanking
 from ..errors import ReplicationError
@@ -80,8 +82,6 @@ class FastUpdateAgent:
         ranking: This node's neighbours ordered by believed demand.
         own_demand: Zero-arg callable returning this node's current true
             demand (a server always knows its own request rate).
-        extra_targets: Overlay peers that always receive offers
-            (island-leader bridges).
     """
 
     __slots__ = ("runtime", "transport", "server", "config", "ranking",
@@ -94,7 +94,6 @@ class FastUpdateAgent:
         config: ProtocolConfig,
         ranking: NeighborRanking,
         own_demand: Callable[[], float],
-        extra_targets: Iterable[int] = (),
     ):
         self.runtime = runtime
         self.transport = runtime.transport
@@ -103,11 +102,10 @@ class FastUpdateAgent:
         self.ranking = ranking
         self.own_demand = own_demand
         self.node = server.node
-        #: Immutable, so every node without bridges shares one empty set;
-        #: :meth:`ReplicationNode.add_bridge_targets` rebinds it.
-        self.extra_targets: FrozenSet[int] = (
-            frozenset(int(t) for t in extra_targets) or _NO_TARGETS
-        )
+        #: Overlay peers that always receive offers (island-leader
+        #: bridges).  Immutable, so every node without bridges shares one
+        #: empty set; :meth:`ReplicationNode.add_bridge_targets` rebinds it.
+        self.extra_targets: FrozenSet[int] = _NO_TARGETS
         self.stats = FastUpdateStats()
         #: push hops each update had taken when it reached this node,
         #: per origin and only for origins a cascade delivered from

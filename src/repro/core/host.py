@@ -26,8 +26,6 @@ from ..demand.views import (
     TableDemandView,
 )
 from ..errors import ConfigurationError, ReplicationError
-from ..faults.process import SystemFaultInjector, apply_fault
-from ..faults.schedule import FaultEvent
 from ..port.base import Runtime
 from ..replica.log import MaxEntries, Update
 from ..replica.server import NewUpdatesListener, ReplicaServer
@@ -253,7 +251,9 @@ class ReplicaHost:
         self.servers: Dict[int, ReplicaServer] = {}
         self.tables: Dict[int, DemandTable] = {}  # "advertised" knowledge only
         self.started = False
-        self.injector = SystemFaultInjector(transport, demand, runtime, self.nodes)
+        #: Built by the first :meth:`fault`, so a simulation without
+        #: faults never loads :mod:`repro.faults`.
+        self.injector: Optional["SystemFaultInjector"] = None
 
     def build(self) -> None:
         """Build the stack of every hosted node."""
@@ -284,8 +284,14 @@ class ReplicaHost:
         for stack in self.nodes.values():
             stack.start()
 
-    def fault(self, event: FaultEvent) -> bool:
+    def fault(self, event: "FaultEvent") -> bool:
         """Apply one fault event here; False when it cannot take effect."""
+        from ..faults.process import SystemFaultInjector, apply_fault
+
+        if self.injector is None:
+            self.injector = SystemFaultInjector(
+                self.transport, self.demand, self.runtime, self.nodes
+            )
         return apply_fault(self.injector, event)
 
     def session_stats_total(self) -> Dict[str, int]:

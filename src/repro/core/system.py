@@ -39,14 +39,10 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..demand.base import DemandModel
 from ..errors import ConfigurationError, SimulationError
-from ..faults.process import FaultReplayer
-from ..faults.schedule import FaultSchedule
-from ..replica.creation import DonorInfo, MostCompleteLog
 from ..replica.log import Update, UpdateId
 from ..sim.engine import Simulator
 from ..sim.network import FixedLatency, LatencyModel, Network
 from ..sim.runtime import SimRuntime
-from ..topology.analysis import bfs_distances
 from ..topology.graph import Topology
 from .config import ProtocolConfig
 from .host import TOPIC_UPDATE_APPLIED, ReplicaHost
@@ -165,6 +161,9 @@ class ReplicationSystem(ReplicaHost):
                 changing membership safely needs Golding's group
                 membership protocol, which is out of scope.
         """
+        from ..replica.creation import DonorInfo, MostCompleteLog
+        from ..topology.analysis import bfs_distances
+
         if self.config.log_truncation == "acked":
             raise ConfigurationError(
                 "add_replica is not supported with acked truncation "
@@ -340,7 +339,7 @@ class ReplicationSystem(ReplicaHost):
         times = self.apply_times(uid)
         return all(n in times for n in self.active_nodes)
 
-    def inject_faults(self, schedule: FaultSchedule) -> FaultReplayer:
+    def inject_faults(self, schedule: "FaultSchedule") -> "FaultReplayer":
         """Replay ``schedule`` against this system in virtual time.
 
         Schedule times are absolute protocol times (the replay is
@@ -352,6 +351,8 @@ class ReplicationSystem(ReplicaHost):
         Raises:
             FaultError: If an event's time has already passed.
         """
+        from ..faults.process import FaultReplayer
+
         return FaultReplayer(self.runtime, self.fault, schedule, anchor=0.0)
 
     # -- running ----------------------------------------------------------------

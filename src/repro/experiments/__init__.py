@@ -31,155 +31,85 @@ measures something other than the §5 trial, so it runs as a plan like
 any other.
 """
 
-from .backends import (
-    ExecutionBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    resolve_backend,
-)
-from .campaign import Campaign, CampaignPaused, CampaignResult, scenario_key
-from .cdf import EmpiricalCdf, SummaryStats, session_grid
-from .columnar import export_columnar, read_column, read_manifest
-from .figures import (
-    PAPER,
-    AblationResult,
-    Figure3Result,
-    FigureCdfResult,
-    IslandsResult,
-    OverheadResult,
-    ScalingResult,
-    StrongCostResult,
-    Table1Result,
-    Table2Result,
-    UniformTopologiesResult,
-    ablation_experiment,
-    figure3,
-    figure_cdf,
-    islands_experiment,
-    overhead_experiment,
-    scaling_experiment,
-    strong_cost_experiment,
-    table1_orderings,
-    table2_dynamic,
-    uniform_topologies,
-)
-from .figures import (
-    CAMPAIGNS,
-    build_campaign,
-    figure_cdf_plan,
-    figures_campaign,
-    robustness_campaign,
-    scaling_campaign,
-    scaling_plans,
-    smoke_campaign,
-)
-from .sink import (
-    CheckpointStatus,
-    JsonLinesSink,
-    ResultSink,
-    StreamingSink,
-    default_sidecar,
-    sink_status,
-    stream_status,
-)
-from .harness import (
-    DEFAULT_TOP_FRACTION,
-    RepSeeds,
-    TrialSpec,
-    rep_seeds,
-    run_trial,
-)
-from .plan import ExperimentPlan, ScenarioSpec, run_scenario
-from .results import ExperimentResult, TrialResult, VariantSeries
-from .scenarios import (
-    DEMANDS,
-    FAULTS,
-    TOPOLOGIES,
-    VARIANTS,
-    build_demand,
-    build_faults,
-    build_system,
-    build_topology,
-    build_variant,
-)
-from .tables import format_kv, format_table
+from .. import _exports
 
-__all__ = [
-    "EmpiricalCdf",
-    "SummaryStats",
-    "session_grid",
-    "ExperimentResult",
-    "TrialResult",
-    "VariantSeries",
-    "TrialSpec",
-    "run_trial",
-    "DEFAULT_TOP_FRACTION",
-    "RepSeeds",
-    "rep_seeds",
-    # declarative pipeline
-    "ExperimentPlan",
-    "ScenarioSpec",
-    "run_scenario",
-    "figure_cdf_plan",
-    "scaling_plans",
-    # execution backends
-    "ExecutionBackend",
-    "SerialBackend",
-    "ProcessPoolBackend",
-    "resolve_backend",
-    # campaigns & checkpoint sinks
-    "Campaign",
-    "CampaignResult",
-    "CampaignPaused",
-    "scenario_key",
-    "JsonLinesSink",
-    "StreamingSink",
-    "ResultSink",
-    "sink_status",
-    "stream_status",
-    "CheckpointStatus",
-    "default_sidecar",
-    "export_columnar",
-    "read_column",
-    "read_manifest",
-    "CAMPAIGNS",
-    "build_campaign",
-    "scaling_campaign",
-    "figures_campaign",
-    "robustness_campaign",
-    "smoke_campaign",
-    "format_table",
-    "format_kv",
-    # figure drivers
-    "PAPER",
-    "figure_cdf",
-    "figure3",
-    "table1_orderings",
-    "table2_dynamic",
-    "scaling_experiment",
-    "uniform_topologies",
-    "islands_experiment",
-    "overhead_experiment",
-    "ablation_experiment",
-    "strong_cost_experiment",
-    "FigureCdfResult",
-    "Figure3Result",
-    "Table1Result",
-    "Table2Result",
-    "ScalingResult",
-    "UniformTopologiesResult",
-    "IslandsResult",
-    "OverheadResult",
-    "AblationResult",
-    "StrongCostResult",
-    # scenario registry
-    "TOPOLOGIES",
-    "DEMANDS",
-    "VARIANTS",
-    "FAULTS",
-    "build_topology",
-    "build_demand",
-    "build_variant",
-    "build_faults",
-    "build_system",
-]
+__all__ = _exports.lazy_exports(
+    __name__,
+    {
+        ".cdf": ("EmpiricalCdf", "SummaryStats", "session_grid"),
+        ".results": ("ExperimentResult", "TrialResult", "VariantSeries"),
+        ".harness": (
+            "TrialSpec",
+            "run_trial",
+            "DEFAULT_TOP_FRACTION",
+            "RepSeeds",
+            "rep_seeds",
+        ),
+        # declarative pipeline
+        ".plan": ("ExperimentPlan", "ScenarioSpec", "run_scenario"),
+        # execution backends
+        ".backends": (
+            "ExecutionBackend",
+            "SerialBackend",
+            "ProcessPoolBackend",
+            "resolve_backend",
+        ),
+        # campaigns & checkpoint sinks
+        ".campaign": ("Campaign", "CampaignResult", "CampaignPaused", "scenario_key"),
+        ".sink": (
+            "JsonLinesSink",
+            "StreamingSink",
+            "ResultSink",
+            "sink_status",
+            "stream_status",
+            "CheckpointStatus",
+            "default_sidecar",
+        ),
+        ".columnar": ("export_columnar", "read_column", "read_manifest"),
+        ".tables": ("format_table", "format_kv"),
+        # figure drivers and the campaigns and plans built from them
+        ".figures": (
+            "figure_cdf_plan",
+            "scaling_plans",
+            "CAMPAIGNS",
+            "build_campaign",
+            "scaling_campaign",
+            "figures_campaign",
+            "robustness_campaign",
+            "smoke_campaign",
+            "PAPER",
+            "figure_cdf",
+            "figure3",
+            "table1_orderings",
+            "table2_dynamic",
+            "scaling_experiment",
+            "uniform_topologies",
+            "islands_experiment",
+            "overhead_experiment",
+            "ablation_experiment",
+            "strong_cost_experiment",
+            "FigureCdfResult",
+            "Figure3Result",
+            "Table1Result",
+            "Table2Result",
+            "ScalingResult",
+            "UniformTopologiesResult",
+            "IslandsResult",
+            "OverheadResult",
+            "AblationResult",
+            "StrongCostResult",
+        ),
+        # scenario registry
+        ".scenarios": (
+            "TOPOLOGIES",
+            "DEMANDS",
+            "VARIANTS",
+            "FAULTS",
+            "build_topology",
+            "build_demand",
+            "build_variant",
+            "build_faults",
+            "build_system",
+        ),
+    },
+)

@@ -26,72 +26,46 @@ and :class:`~repro.experiments.plan.ExperimentPlan` sweep them across
 execution backends bit-identically.
 """
 
-from .generators import (
-    corrupt_storm,
-    demand_shock_storm,
-    flapping_links,
-    lossy_wan,
-    poisson_churn,
-    rolling_restart,
-    split_brain,
-)
-from .process import (
-    FAULT_PRIORITY,
-    FaultReplayer,
-    ShockableDemand,
-    SystemFaultInjector,
-    apply_fault,
-    prepare_demand,
-)
-from .schedule import (
-    ACTIONS,
-    PACKET_ACTIONS,
-    FaultEvent,
-    FaultSchedule,
-    corrupt_frame,
-    demand_shock,
-    heal,
-    join,
-    latency_shock,
-    leave,
-    link_down,
-    link_up,
-    node_down,
-    node_up,
-    packet_duplicate,
-    packet_reorder,
-    partition,
-)
+from .. import _exports
 
-__all__ = [
-    "ACTIONS",
-    "FAULT_PRIORITY",
-    "PACKET_ACTIONS",
-    "FaultEvent",
-    "FaultReplayer",
-    "FaultSchedule",
-    "ShockableDemand",
-    "SystemFaultInjector",
-    "apply_fault",
-    "corrupt_frame",
-    "corrupt_storm",
-    "demand_shock",
-    "demand_shock_storm",
-    "flapping_links",
-    "heal",
-    "join",
-    "latency_shock",
-    "leave",
-    "link_down",
-    "link_up",
-    "lossy_wan",
-    "node_down",
-    "node_up",
-    "packet_duplicate",
-    "packet_reorder",
-    "partition",
-    "poisson_churn",
-    "prepare_demand",
-    "rolling_restart",
-    "split_brain",
-]
+__all__ = _exports.lazy_exports(
+    __name__,
+    {
+        ".schedule": (
+            "ACTIONS",
+            "PACKET_ACTIONS",
+            "FaultEvent",
+            "FaultSchedule",
+            "corrupt_frame",
+            "demand_shock",
+            "heal",
+            "join",
+            "latency_shock",
+            "leave",
+            "link_down",
+            "link_up",
+            "node_down",
+            "node_up",
+            "packet_duplicate",
+            "packet_reorder",
+            "partition",
+        ),
+        ".generators": (
+            "corrupt_storm",
+            "demand_shock_storm",
+            "flapping_links",
+            "lossy_wan",
+            "poisson_churn",
+            "rolling_restart",
+            "split_brain",
+        ),
+        ".process": (
+            "FAULT_PRIORITY",
+            "FaultReplayer",
+            "ShockableDemand",
+            "SystemFaultInjector",
+            "apply_fault",
+            "prepare_demand",
+        ),
+    },
+)

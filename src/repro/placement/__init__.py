@@ -18,41 +18,28 @@ Layout:
   replica-count trajectory, control-traffic accounting.
 """
 
-from .controller import PlacementController, PlacementEvent
-from .messages import DemandReport, PlacementAck, PlacementCommand
-from .metrics import (
-    PlacementTraffic,
-    capacity_satisfied_series,
-    placement_traffic,
-    replica_count_series,
-)
-from .policies import (
-    DONOR_POLICIES,
-    POLICIES,
-    EfficiencyFactorPolicy,
-    PlacementPolicy,
-    PlacementSetup,
-    ThresholdPolicy,
-    TopShareDemandPolicy,
-    build_policy,
-)
+from .. import _exports
 
-__all__ = [
-    "DONOR_POLICIES",
-    "POLICIES",
-    "DemandReport",
-    "EfficiencyFactorPolicy",
-    "PlacementAck",
-    "PlacementCommand",
-    "PlacementController",
-    "PlacementEvent",
-    "PlacementPolicy",
-    "PlacementSetup",
-    "PlacementTraffic",
-    "ThresholdPolicy",
-    "TopShareDemandPolicy",
-    "build_policy",
-    "capacity_satisfied_series",
-    "placement_traffic",
-    "replica_count_series",
-]
+__all__ = _exports.lazy_exports(
+    __name__,
+    {
+        ".controller": ("PlacementController", "PlacementEvent"),
+        ".messages": ("DemandReport", "PlacementAck", "PlacementCommand"),
+        ".metrics": (
+            "PlacementTraffic",
+            "capacity_satisfied_series",
+            "placement_traffic",
+            "replica_count_series",
+        ),
+        ".policies": (
+            "DONOR_POLICIES",
+            "POLICIES",
+            "EfficiencyFactorPolicy",
+            "PlacementPolicy",
+            "PlacementSetup",
+            "ThresholdPolicy",
+            "TopShareDemandPolicy",
+            "build_policy",
+        ),
+    },
+)

@@ -8,30 +8,21 @@ the one :class:`Channel` send path and its :class:`LinkModel`
 runtime hosts (:mod:`repro.port.rng`, :mod:`repro.port.trace`).
 """
 
-from .base import (
-    Clock,
-    FaultInjector,
-    MessageHandler,
-    Runtime,
-    TopicBus,
-    Transport,
-)
-from .linkstate import Channel, LinkModel, TrafficCounters
-from .rng import RngRegistry, derive_seed
-from .trace import TraceRecord, Tracer
+from .. import _exports
 
-__all__ = [
-    "Clock",
-    "Transport",
-    "Runtime",
-    "TopicBus",
-    "MessageHandler",
-    "FaultInjector",
-    "LinkModel",
-    "Channel",
-    "TrafficCounters",
-    "RngRegistry",
-    "derive_seed",
-    "Tracer",
-    "TraceRecord",
-]
+__all__ = _exports.lazy_exports(
+    __name__,
+    {
+        ".base": (
+            "Clock",
+            "Transport",
+            "Runtime",
+            "TopicBus",
+            "MessageHandler",
+            "FaultInjector",
+        ),
+        ".linkstate": ("LinkModel", "Channel", "TrafficCounters"),
+        ".rng": ("RngRegistry", "derive_seed"),
+        ".trace": ("Tracer", "TraceRecord"),
+    },
+)

@@ -15,9 +15,7 @@ a disabled tracer and one memoised dict lookup for a filtered one.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set
 
 
@@ -189,6 +187,9 @@ class Tracer:
         header-driven consumers while values containing ``;``, ``=``,
         ``,``, quotes or newlines survive the round trip unambiguously.
         """
+        import csv
+        import json
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["time", "category", "fields"])

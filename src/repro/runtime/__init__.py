@@ -24,70 +24,31 @@ here beside the adapters:
   :class:`repro.runtime.tracking.ReplicationTracker` keeps its
   per-update apply stamps.
 
-The asyncio-backed names are imported lazily (PEP 562) so that
-``import repro`` — and every simulation-only workflow — never imports
-:mod:`asyncio`.
+Like every package's, the names are exported lazily
+(:mod:`repro._exports`): importing this package loads neither
+:mod:`asyncio` nor the simulator, only the module of the name read.
 """
 
-from __future__ import annotations
+from .. import _exports
 
-from ..port import (
-    Channel,
-    Clock,
-    FaultInjector,
-    LinkModel,
-    MessageHandler,
-    Runtime,
-    TopicBus,
-    Transport,
+__all__ = _exports.lazy_exports(
+    __name__,
+    {
+        # port
+        "..port.base": (
+            "Clock",
+            "Transport",
+            "Runtime",
+            "TopicBus",
+            "MessageHandler",
+            "FaultInjector",
+        ),
+        "..port.linkstate": ("LinkModel", "Channel"),
+        # adapters
+        "..sim.runtime": ("SimRuntime",),
+        ".live": ("AsyncioRuntime", "AsyncioTransport"),
+        ".tcp": ("TcpTransport", "FrameDecoder", "SyncFrameChannel"),
+        # live client API
+        ".cluster": ("ReplicaCluster", "DEFAULT_TIME_SCALE"),
+    },
 )
-from ..sim.runtime import SimRuntime
-
-#: Names resolved lazily from the asyncio-backed modules.
-_LIVE_EXPORTS = {
-    "AsyncioRuntime": "live",
-    "AsyncioTransport": "live",
-    "ReplicaCluster": "cluster",
-    "DEFAULT_TIME_SCALE": "cluster",
-    "TcpTransport": "tcp",
-    "FrameDecoder": "tcp",
-    "SyncFrameChannel": "tcp",
-}
-
-__all__ = [
-    # port
-    "Clock",
-    "Transport",
-    "Runtime",
-    "TopicBus",
-    "MessageHandler",
-    "FaultInjector",
-    "LinkModel",
-    "Channel",
-    # adapters
-    "SimRuntime",
-    "AsyncioRuntime",
-    "AsyncioTransport",
-    "TcpTransport",
-    "FrameDecoder",
-    "SyncFrameChannel",
-    # live client API
-    "ReplicaCluster",
-    "DEFAULT_TIME_SCALE",
-]
-
-
-def __getattr__(name: str):
-    module_name = _LIVE_EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(f".{module_name}", __name__)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LIVE_EXPORTS))

@@ -75,10 +75,10 @@ from ..demand.static import UniformRandomDemand
 from ..errors import ConfigurationError, ReplicationError, ReproError
 from ..faults.process import HEAL_ACTIONS, FaultReplayer, prepare_demand
 from ..faults.schedule import ACTION_DEMAND_SHOCK, FaultEvent, FaultSchedule
+from ..port.latency import LatencyModel
 from ..replica.log import Update, UpdateId
 from ..replica.server import ReplicaServer
 from ..replica.store import StoreEntry
-from ..sim.network import LatencyModel
 from ..telemetry.registry import MetricRegistry
 from ..topology.brite import internet_like
 from ..topology.graph import Topology

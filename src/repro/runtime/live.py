@@ -34,10 +34,10 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
 from ..port.base import Runtime, TopicBus
+from ..port.latency import FixedLatency, LatencyModel
 from ..port.linkstate import Channel, message_kind
 from ..port.rng import RngRegistry
 from ..port.trace import Tracer
-from ..sim.network import FixedLatency, LatencyModel
 
 
 def new_event_loop() -> asyncio.AbstractEventLoop:

@@ -51,8 +51,8 @@ from ..core.host import AppliedListener, ReplicaHost
 from ..demand.base import DemandModel
 from ..faults.process import ShockableDemand
 from ..faults.schedule import FaultEvent
+from ..port.latency import LatencyModel
 from ..replica.log import Update, UpdateId
-from ..sim.network import LatencyModel
 from ..topology.graph import Topology
 from .live import AsyncioRuntime, new_event_loop
 from .tcp import (

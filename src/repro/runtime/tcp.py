@@ -58,8 +58,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import SimulationError, TransportError
 from ..port.base import MessageHandler
+from ..port.latency import LatencyModel
 from ..port.linkstate import CORRUPT, DUPLICATED, message_kind
-from ..sim.network import LatencyModel
 from .live import AsyncioRuntime, AsyncioTransport
 
 #: Header size: 4-byte unsigned big-endian frame length followed by the

@@ -22,20 +22,14 @@ observation at a time, so a 10**6-trial campaign summarises in the
 same few kilobytes as a 10-trial one.
 """
 
-from .emitter import SnapshotEmitter, read_snapshots
-from .moments import RunningMoments
-from .registry import SCHEMA, Counter, Gauge, MetricRegistry, series_id
-from .sketch import DEFAULT_K, QuantileSketch
+from .. import _exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "RunningMoments",
-    "QuantileSketch",
-    "MetricRegistry",
-    "SnapshotEmitter",
-    "read_snapshots",
-    "series_id",
-    "SCHEMA",
-    "DEFAULT_K",
-]
+__all__ = _exports.lazy_exports(
+    __name__,
+    {
+        ".emitter": ("SnapshotEmitter", "read_snapshots"),
+        ".moments": ("RunningMoments",),
+        ".registry": ("Counter", "Gauge", "MetricRegistry", "series_id", "SCHEMA"),
+        ".sketch": ("QuantileSketch", "DEFAULT_K"),
+    },
+)

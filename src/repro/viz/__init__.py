@@ -1,22 +1,12 @@
 """Terminal visualisation: ASCII line/CDF plots and demand surfaces."""
 
-from .ascii import bar_chart, cdf_plot, line_plot
-from .export import (
-    curves_to_csv,
-    rows_to_csv,
-    save_curves_csv,
-    save_rows_csv,
-)
-from .surface import render_surface, render_topology_demand
+from .. import _exports
 
-__all__ = [
-    "line_plot",
-    "cdf_plot",
-    "bar_chart",
-    "render_surface",
-    "render_topology_demand",
-    "curves_to_csv",
-    "save_curves_csv",
-    "rows_to_csv",
-    "save_rows_csv",
-]
+__all__ = _exports.lazy_exports(
+    __name__,
+    {
+        ".ascii": ("line_plot", "cdf_plot", "bar_chart"),
+        ".surface": ("render_surface", "render_topology_demand"),
+        ".export": ("curves_to_csv", "save_curves_csv", "rows_to_csv", "save_rows_csv"),
+    },
+)

@@ -14,6 +14,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 RANKS = {
     "errors": 0,
+    "_exports": 0,
     **dict.fromkeys(("port", "topology", "telemetry"), 1),
     **dict.fromkeys(("sim", "demand"), 2),
     **dict.fromkeys(("replica", "faults", "viz"), 3),

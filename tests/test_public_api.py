@@ -91,7 +91,8 @@ def test_import_repro_does_not_import_asyncio():
         "assert 'asyncio' not in sys.modules, 'asyncio imported eagerly'\n"
         "assert 'repro.runtime.live' not in sys.modules\n"
         "assert 'repro.runtime.cluster' not in sys.modules\n"
-        "assert 'repro.runtime' in sys.modules  # the port itself is eager\n"
+        "assert 'repro.sim.engine' not in sys.modules\n"
+        "assert 'repro.core.system' not in sys.modules\n"
         "repro.ReplicaCluster  # touching the name triggers the import\n"
         "assert 'repro.runtime.cluster' in sys.modules\n"
         "assert 'asyncio' in sys.modules\n"
