@@ -13,7 +13,10 @@ A cluster of replicas running the paper's protocol on the wall-clock
   fraction of a millisecond is kept;
 * ``transport="tcp"`` — one OS process per node, each running the same
   :class:`~repro.core.host.ReplicaHost` for its own node on a
-  :class:`~repro.runtime.tcp.TcpTransport` over real sockets.  The
+  :class:`~repro.runtime.tcp.TcpTransport` over real sockets.  Node
+  processes are forked from one ``multiprocessing`` forkserver per
+  parent process, started with the node program already imported
+  (:func:`node_context`).  The
   parent runs a nameserver-style *hub*: node processes bind an
   ephemeral port, register it, receive the full directory, and start.
   Client calls, fault events, and replication reports travel as
@@ -62,6 +65,7 @@ import asyncio
 import concurrent.futures
 import functools
 import itertools
+import os
 import threading
 import time
 from typing import Callable, Dict, List, Optional, Set, Tuple
@@ -93,8 +97,51 @@ DEFAULT_TIME_SCALE = 0.05
 #: Ceiling on cross-thread control calls (put/get/stats plumbing).
 _CALL_TIMEOUT = 30.0
 
-#: Ceiling on tcp-mode boot (spawn + register + ready handshake).
+#: Ceiling on tcp-mode boot (fork from the preloaded forkserver +
+#: register + ready handshake).  The first boot in a process also
+#: starts the forkserver, which imports the node program once.
 _BOOT_TIMEOUT = 60.0
+
+#: The import root of this ``repro`` (the directory holding the package).
+_IMPORT_ROOT = os.path.dirname(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+)
+
+#: Serialises the PYTHONPATH pin of boots on concurrent threads.
+_FORKSERVER_LOCK = threading.Lock()
+
+
+def node_context():
+    """The context node processes start from, its forkserver running.
+
+    The forkserver is this process's one ``multiprocessing`` forkserver:
+    started at the first call, it imports the node program (the module
+    of :func:`~repro.runtime.nodeproc.node_process_main`) once and
+    forks every node process from that clean, single-threaded image,
+    and it exits with this process.  ``forkserver.main`` does not apply
+    the parent's ``sys.path`` before preloading and swallows the
+    ``ImportError``, so a parent that put ``repro`` on ``sys.path`` by
+    hand would get no preload; the start is therefore made with this
+    package's import root at the head of ``PYTHONPATH``, which also
+    makes the forkserver preload this ``repro`` and no other copy.
+    """
+    # Imported here: a queue cluster never starts a process.
+    import multiprocessing
+    import multiprocessing.forkserver
+
+    context = multiprocessing.get_context("forkserver")
+    context.set_forkserver_preload([node_process_main.__module__])
+    with _FORKSERVER_LOCK:
+        saved = os.environ.get("PYTHONPATH")
+        os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_IMPORT_ROOT, saved)))
+        try:
+            multiprocessing.forkserver.ensure_running()
+        finally:
+            if saved is None:
+                del os.environ["PYTHONPATH"]
+            else:
+                os.environ["PYTHONPATH"] = saved
+    return context
 
 #: Default bound on per-update tracking state (see ``track_limit``).
 DEFAULT_TRACK_LIMIT = 4096
@@ -401,15 +448,13 @@ class ReplicaCluster:
 
     async def _boot_tcp(self) -> None:
         """One node process per node, each running its own host."""
-        import multiprocessing
-
         self._node_call = self._tcp_call
         self._fault = self._forward_fault
         self._one_node_per_host = self._node_ids
         self._all_registered = asyncio.Event()
         self._all_ready = asyncio.Event()
         await self._open_control_server(self._control_port or 0, self._standby_hubs)
-        context = multiprocessing.get_context("spawn")
+        context = node_context()
         for node in self._node_ids:
             spec = NodeSpec(
                 node=node,

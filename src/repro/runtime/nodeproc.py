@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import asyncio
 import collections
+import gc
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -49,8 +50,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..core.config import ProtocolConfig
 from ..core.host import AppliedListener, ReplicaHost
 from ..demand.base import DemandModel
-from ..faults.process import ShockableDemand
-from ..faults.schedule import FaultEvent
 from ..port.latency import LatencyModel
 from ..replica.log import Update, UpdateId
 from ..topology.graph import Topology
@@ -155,7 +154,11 @@ async def _node_main(spec: NodeSpec) -> None:
         if writer is not None and not writer.is_closing():
             writer.write(encode_frame(("applied", node, pairs)))
 
-    demand = ShockableDemand(spec.demand) if spec.has_shocks else spec.demand
+    demand = spec.demand
+    if spec.has_shocks:
+        from ..faults.process import ShockableDemand
+
+        demand = ShockableDemand(demand)
     host = ReplicaHost(
         runtime, transport, spec.topology, demand, spec.config, [spec.node],
         stamp_applies(report_applied),
@@ -222,6 +225,8 @@ async def _node_main(spec: NodeSpec) -> None:
                         writer.write(encode_frame(("ready", spec.node)))
                         await writer.drain()
                     elif kind == "fault":
+                        from ..faults.schedule import FaultEvent
+
                         _, action, action_args = frame
                         host.fault(FaultEvent(0.0, action, tuple(action_args)))
                     elif kind == "call":
@@ -251,9 +256,25 @@ async def _node_main(spec: NodeSpec) -> None:
 
 
 def node_process_main(spec: NodeSpec) -> None:
-    """Child-process entry point (target of ``multiprocessing.Process``)."""
+    """Child-process entry point (target of ``multiprocessing.Process``).
+
+    The cluster starts it from a forkserver that has imported this
+    module already (:func:`~repro.runtime.cluster.node_context`), so a
+    node process begins as a fork with the node program loaded and
+    only unpickles its ``spec``.
+    """
+    # What is alive now is the node program, inherited from the
+    # forkserver, and this node's spec; all of it lives as long as the
+    # process.  Freeze it, so that the collector never scans it and never
+    # writes to the pages shared with the forkserver (each write would
+    # copy a page).
+    gc.freeze()
     loop = new_event_loop()
     try:
         loop.run_until_complete(_node_main(spec))
     finally:
         loop.close()
+        # A fork exits through os._exit, past the interpreter's
+        # finalisation: collect now, so that a socket or transport left
+        # open still warns as it would at a normal interpreter exit.
+        gc.collect()

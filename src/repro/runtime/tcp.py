@@ -369,7 +369,7 @@ class TcpTransport(AsyncioTransport):
     """Socket-backed transport hosting a subset of the topology's nodes.
 
     Each process owns one ``TcpTransport`` serving its *local* nodes
-    (one, in the cluster's spawn-per-node mode).  It is the queue
+    (one, in the cluster's process-per-node mode).  It is the queue
     transport plus a wire: sends, the link model's verdict, the
     delivery heap and local handler calls are inherited from
     :class:`AsyncioTransport` and its channel; a due message (or

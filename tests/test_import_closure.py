@@ -37,6 +37,7 @@ CLOSURES = {
     "repro.runtime.nodeproc": (
         "repro.sim.",
         "repro.experiments.",
+        "repro.faults.",
         "repro.core.system",
         "repro.topology.brite",
     ),

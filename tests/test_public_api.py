@@ -11,9 +11,11 @@ Two properties are enforced:
 
 from __future__ import annotations
 
+import ast
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +58,23 @@ def test_all_entries_resolve(module_name):
         assert getattr(module, name, None) is not None, (
             f"{module_name}.__all__ lists {name!r} but it does not resolve"
         )
+
+
+def test_no_lazy_export_map_repeats_a_submodule():
+    """A map is a dict literal: a repeated submodule key would silently
+    drop the first entry's names from ``__all__``."""
+    maps = [
+        (init, node.args[1])
+        for init in sorted(Path(repro.__file__).parent.rglob("__init__.py"))
+        for node in ast.walk(ast.parse(init.read_text(encoding="utf-8")))
+        if getattr(getattr(node, "func", None), "attr", None) == "lazy_exports"
+    ]
+    assert len(maps) == len(PACKAGES)
+    for init, mapping in maps:
+        assert isinstance(mapping, ast.Dict), f"{init}: the map is not a dict literal"
+        keys = [ast.literal_eval(key) for key in mapping.keys]
+        repeated = sorted({key for key in keys if keys.count(key) > 1})
+        assert not repeated, f"{init}: submodule repeated in lazy_exports: {repeated}"
 
 
 @pytest.mark.parametrize("module_name", PACKAGES)

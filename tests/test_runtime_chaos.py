@@ -4,7 +4,7 @@ The same declarative schedule must (a) replay in the simulator through
 ``ReplicationSystem.inject_faults``, (b) replay against a live
 queue-mode cluster through ``ReplicaCluster.inject_faults`` — one
 ``FaultReplayer`` in both — and (c) travel over a control socket into a
-spawn-per-node TCP cluster.  These tests pin the cross-world contract:
+process-per-node TCP cluster.  These tests pin the cross-world contract:
 identical applied/skipped accounting, clean client errors while a
 target is crashed, and convergence after heal.
 """
