@@ -71,7 +71,7 @@ __all__ = [
             ),
             ".core.islands": ("detect_islands", "bridge_system"),
             # runtime port & adapters
-            ".port.base": ("Clock", "Transport", "Runtime", "FaultInjector"),
+            ".port.base": ("Runtime",),
             ".sim.runtime": ("SimRuntime",),
             ".runtime.live": ("AsyncioRuntime",),
             ".runtime.cluster": ("ReplicaCluster",),

@@ -5,10 +5,9 @@ simulator's :class:`~repro.core.system.ReplicationSystem` is a host on a
 :class:`~repro.sim.runtime.SimRuntime`; the queue cluster runs one
 hosting every node, and each TCP node process one hosting its own node.
 The host builds the stacks (:func:`build_node_stack`), gives each node
-one slotted apply listener, applies fault events through its one
-:class:`~repro.faults.process.SystemFaultInjector` and sums the session
-counters; pumps, hub links and simulator drive controls stay with the
-world that owns them.
+one slotted apply listener, applies every fault event itself
+(:meth:`ReplicaHost.fault`) and sums the session counters; pumps, hub
+links and simulator drive controls stay with the world that owns them.
 """
 
 from __future__ import annotations
@@ -25,8 +24,9 @@ from ..demand.views import (
     SnapshotDemandView,
     TableDemandView,
 )
-from ..errors import ConfigurationError, ReplicationError
-from ..port.base import Runtime
+from ..errors import ConfigurationError, FaultError, ReplicationError
+from ..port.base import MessageHandler, Runtime
+from ..port.linkstate import PACKET_ACTIONS
 from ..replica.log import MaxEntries, Update
 from ..replica.server import NewUpdatesListener, ReplicaServer
 from ..topology.graph import Topology
@@ -214,8 +214,8 @@ class ReplicaHost:
     Args:
         runtime: The runtime the stacks run on; ``transport`` becomes
             its transport.
-        transport: Carries the hosted nodes' messages; its link model is
-            what faults mutate.
+        transport: Carries the hosted nodes' messages; its link model and
+            handler table are what faults mutate.
         topology: The replica interconnection graph.
         demand: The demand model (already wrapped by
             :func:`~repro.faults.process.prepare_demand` when shocks
@@ -251,9 +251,8 @@ class ReplicaHost:
         self.servers: Dict[int, ReplicaServer] = {}
         self.tables: Dict[int, DemandTable] = {}  # "advertised" knowledge only
         self.started = False
-        #: Built by the first :meth:`fault`, so a simulation without
-        #: faults never loads :mod:`repro.faults`.
-        self.injector: Optional["SystemFaultInjector"] = None
+        #: Delivery handlers ``leave`` detached, until the node comes back.
+        self.parked: Dict[int, MessageHandler] = {}
 
     def build(self) -> None:
         """Build the stack of every hosted node."""
@@ -285,14 +284,63 @@ class ReplicaHost:
             stack.start()
 
     def fault(self, event: "FaultEvent") -> bool:
-        """Apply one fault event here; False when it cannot take effect."""
-        from ..faults.process import SystemFaultInjector, apply_fault
+        """Apply one fault event here; False when it cannot take effect.
 
-        if self.injector is None:
-            self.injector = SystemFaultInjector(
-                self.transport, self.demand, self.runtime, self.nodes
-            )
-        return apply_fault(self.injector, event)
+        Node, link, partition and packet actions mutate the transport's
+        :class:`~repro.port.linkstate.LinkModel`; a shock multiplies the
+        demand, when the model is shockable
+        (:func:`~repro.faults.process.prepare_demand`).  ``leave``
+        detaches the node's delivery handler and parks it here; the
+        node's next ``node_up`` or ``join`` attaches it again, and a
+        ``join`` of a hosted node with no handler attaches its stack's.
+        Churn of a node hosted elsewhere only changes the link model.
+
+        Raises:
+            FaultError: If the action is not one of
+                :data:`~repro.faults.schedule.ACTIONS`.
+        """
+        # Imported here, so a simulation without faults never loads
+        # repro.faults.
+        from ..faults import schedule
+
+        action, args = event.action, event.args
+        links = self.transport.links
+        if action == schedule.ACTION_NODE_DOWN:
+            links.set_node_down(args[0])
+        elif action == schedule.ACTION_LEAVE:
+            node = args[0]
+            handler = self.transport.handler_for(node)
+            if handler is not None:
+                self.parked[node] = handler
+            self.transport.detach(node)
+            links.set_node_down(node)
+        elif action in (schedule.ACTION_NODE_UP, schedule.ACTION_JOIN):
+            node = args[0]
+            handler = self.parked.pop(node, None)
+            if handler is None and action == schedule.ACTION_JOIN and node in self.nodes:
+                handler = self.transport.handler_for(node) or self.nodes[node].on_message
+            if handler is not None:
+                self.transport.attach(node, handler)
+            links.set_node_up(node)
+        elif action == schedule.ACTION_LINK_DOWN:
+            links.set_link_down(args[0], args[1])
+        elif action == schedule.ACTION_LINK_UP:
+            links.set_link_up(args[0], args[1])
+        elif action == schedule.ACTION_PARTITION:
+            links.partition(args[0])
+        elif action == schedule.ACTION_HEAL:
+            links.heal_partition()
+        elif action == schedule.ACTION_DEMAND_SHOCK:
+            apply_shock = getattr(self.demand, "apply_shock", None)
+            if apply_shock is None:
+                return False
+            apply_shock(args[0], args[1], at=self.runtime.now)
+        elif action in PACKET_ACTIONS:
+            # Duration rides last in every packet action's args.
+            links.apply_packet_fault(action, args[:-1], args[-1], self.runtime.now)
+        else:
+            raise FaultError(f"unknown fault action {action!r}")
+        return True
 
     def session_stats_total(self) -> Dict[str, int]:
         """Every anti-entropy session counter, summed over the stacks."""

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..errors import DemandError
-from ..port.base import Clock, Transport
+from ..port.base import Runtime
+from ..port.linkstate import Channel
 from .base import DemandModel
 from .views import DemandTable
 
@@ -45,7 +46,7 @@ class DemandAdvertiser:
     Args:
         runtime: Owning clock (a :class:`~repro.port.base.Runtime`
             or a bare :class:`~repro.sim.engine.Simulator`).
-        transport: Transport used for adverts.
+        transport: The channel adverts are sent on.
         node: This node's id.
         model: Ground-truth demand (the node knows its own demand by
             counting its clients' requests).
@@ -61,8 +62,8 @@ class DemandAdvertiser:
 
     def __init__(
         self,
-        runtime: Clock,
-        transport: Transport,
+        runtime: Runtime,
+        transport: Channel,
         node: int,
         model: DemandModel,
         table: DemandTable,
@@ -120,7 +121,7 @@ class DemandAdvertiser:
 
 
 def bootstrap_tables(
-    network: Transport, model: DemandModel, at_time: float = 0.0
+    network: Channel, model: DemandModel, at_time: float = 0.0
 ) -> Dict[int, DemandTable]:
     """Pre-populate every node's table with its neighbours' true demand.
 

@@ -12,13 +12,13 @@ sweepable experiment axis:
   :func:`demand_shock_storm`, :func:`rolling_restart`, and the
   packet-level :func:`lossy_wan` / :func:`corrupt_storm`), pure
   functions of ``(topology, seed)`` like the demand registry's builders.
-* :mod:`repro.faults.process` — replay over the
-  :class:`~repro.port.base.FaultInjector` port:
-  :class:`FaultReplayer` (one replay for every world: anchored at
-  protocol time 0 in the simulator, deterministic, and at the moment of
-  injection on a live cluster's wall clock),
-  :class:`SystemFaultInjector` / :func:`apply_fault`, and
-  :class:`ShockableDemand` / :func:`prepare_demand` for demand shocks.
+* :mod:`repro.faults.process` — replay: :class:`FaultReplayer` (one
+  replay for every world: anchored at protocol time 0 in the simulator,
+  deterministic, and at the moment of injection on a live cluster's
+  wall clock), and :class:`ShockableDemand` / :func:`prepare_demand`
+  for demand shocks.  Each replayed event is applied by
+  :meth:`ReplicaHost.fault <repro.core.host.ReplicaHost.fault>`, the
+  one fault path of every world.
 
 Registry names (``"split_brain"``, ``"poisson_churn"``, ...) live in
 :data:`repro.experiments.scenarios.FAULTS`; ``repro sweep --faults``
@@ -63,8 +63,6 @@ __all__ = _exports.lazy_exports(
             "FAULT_PRIORITY",
             "FaultReplayer",
             "ShockableDemand",
-            "SystemFaultInjector",
-            "apply_fault",
             "prepare_demand",
         ),
     },

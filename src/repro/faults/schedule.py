@@ -62,6 +62,10 @@ ACTIONS = frozenset(
 _DOWN_ACTIONS = frozenset({ACTION_NODE_DOWN, ACTION_LEAVE})
 _UP_ACTIONS = frozenset({ACTION_NODE_UP, ACTION_JOIN})
 
+#: Actions that may restore reachability; a live cluster times its
+#: post-heal convergence from the last of them.
+HEAL_ACTIONS = _UP_ACTIONS | {ACTION_LINK_UP, ACTION_HEAL}
+
 
 @dataclass(frozen=True)
 class FaultEvent:

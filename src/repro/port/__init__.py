@@ -2,7 +2,7 @@
 
 The bottom layer: the simulator (:mod:`repro.sim`) and the live runtimes
 (:mod:`repro.runtime`) build on it, and it imports neither.  It holds the
-:class:`Runtime` contracts and the :class:`TopicBus` (:mod:`repro.port.base`),
+:class:`Runtime` contract and the :class:`TopicBus` (:mod:`repro.port.base`),
 the one :class:`Channel` send path and its :class:`LinkModel`
 (:mod:`repro.port.linkstate`), and the RNG streams and tracer every
 runtime hosts (:mod:`repro.port.rng`, :mod:`repro.port.trace`).
@@ -13,14 +13,7 @@ from .. import _exports
 __all__ = _exports.lazy_exports(
     __name__,
     {
-        ".base": (
-            "Clock",
-            "Transport",
-            "Runtime",
-            "TopicBus",
-            "MessageHandler",
-            "FaultInjector",
-        ),
+        ".base": ("Runtime", "TopicBus", "MessageHandler"),
         ".linkstate": ("LinkModel", "Channel", "TrafficCounters"),
         ".rng": ("RngRegistry", "derive_seed"),
         ".trace": ("Tracer", "TraceRecord"),

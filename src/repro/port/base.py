@@ -2,24 +2,15 @@
 
 The replication protocol (anti-entropy sessions, fast-update pushes,
 demand advertisements) is pure message-driven logic.  Everything it
-needs from the outside world fits three small contracts:
+needs from the outside world is one facade:
 
-* :class:`Clock` — read the current time, schedule/cancel callbacks;
-* :class:`Transport` — send one-hop messages between nodes, register
-  per-node delivery handlers, enumerate neighbours (links carry latency
-  and may lose messages);
-* :class:`Runtime` — the facade the protocol stack is actually handed:
-  it *is* a clock, owns a transport, and hosts the cross-cutting
-  services every deployment needs (named RNG streams, structured
-  tracing, a topic bus);
-* :class:`FaultInjector` — the actions a fault schedule can take
-  against a running deployment (crash/recover a node, fail links,
-  partition/heal, shock demand, churn).  One declarative
-  :class:`~repro.faults.schedule.FaultSchedule` replays through any
-  injector, which is what turns the fault subsystem into a chaos
-  harness for the live runtimes.
+* :class:`Runtime` — what the protocol stack is actually handed: a
+  clock (read the time, schedule and cancel callbacks), the
+  :class:`~repro.port.linkstate.Channel` its one-hop messages travel
+  on, and the cross-cutting services every deployment needs (named RNG
+  streams, structured tracing, a :class:`TopicBus`).
 
-Two adapters implement the port:
+Two adapters implement it:
 
 * :class:`repro.sim.runtime.SimRuntime` binds the protocol to
   the discrete-event simulator — virtual time, bit-reproducible traces;
@@ -29,123 +20,23 @@ Two adapters implement the port:
   traffic on; over a :class:`repro.runtime.tcp.TcpTransport` it is one
   replica process of a TCP cluster.
 
-Both :class:`Clock` and :class:`Transport` are structural
-(:mod:`typing` protocols): the existing
-:class:`~repro.sim.engine.Simulator` and
-:class:`~repro.sim.network.Network` satisfy them as-is, so simulation
-code pays nothing for the boundary.
+Faults are not a port: every world applies them through its
+:meth:`ReplicaHost.fault <repro.core.host.ReplicaHost.fault>`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    runtime_checkable,
-)
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from .rng import RngRegistry
 from .trace import Tracer
 
+if TYPE_CHECKING:  # linkstate imports this module
+    from .linkstate import Channel
+
 #: Per-node delivery callback: ``handler(src, message)``.
 MessageHandler = Callable[[int, object], None]
-
-
-@runtime_checkable
-class Clock(Protocol):
-    """Time source, one-shot scheduling, and seeded randomness.
-
-    Times and delays are in protocol units (the paper's "session
-    times"); an adapter maps them to virtual or wall-clock seconds.
-    ``rng`` rides along because every scheduler client (session timers,
-    workload arrivals, advert jitter) draws its gaps from named
-    deterministic streams — a clock without it cannot host the
-    protocol's periodic activity.
-    """
-
-    #: Named deterministic RNG streams (protocol components draw
-    #: choices via ``rng.stream(name, *key)``, intervals via ``rng.draws``).
-    rng: RngRegistry
-
-    @property
-    def now(self) -> float:
-        """Current time in protocol units."""
-        ...
-
-    def schedule(
-        self,
-        delay: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = 0,
-        label: str = "",
-    ) -> object:
-        """Run ``callback(*args)`` after ``delay``; returns a cancel handle."""
-        ...
-
-    def schedule_at(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = 0,
-        label: str = "",
-    ) -> object:
-        """Run ``callback(*args)`` at absolute ``time``; returns a handle."""
-        ...
-
-    def cancel(self, handle: object) -> bool:
-        """Cancel a scheduled callback; True if it was still pending."""
-        ...
-
-
-@runtime_checkable
-class Transport(Protocol):
-    """Node-to-node messaging along topology links.
-
-    Links have per-hop latency (a :class:`~repro.sim.network.LatencyModel`)
-    and may drop messages; every send is metered through ``counters``.
-    Every transport in the tree is a
-    :class:`~repro.port.linkstate.Channel`: one send path, whatever
-    the world.
-    """
-
-    #: The link graph (``nodes`` / ``neighbors`` / ``has_edge`` /
-    #: ``edge_weight``) the transport routes over.
-    topology: Any
-
-    #: Traffic meters (a :class:`~repro.port.linkstate.TrafficCounters`).
-    counters: Any
-
-    def send(self, src: int, dst: int, message: object) -> bool:
-        """One-hop send; True if the message entered the channel."""
-        ...
-
-    def attach(self, node: int, handler: MessageHandler) -> None:
-        """Register ``node``'s delivery callback (its ``on_message``)."""
-        ...
-
-    def detach(self, node: int) -> None:
-        """Remove a node's handler; in-flight messages to it are dropped."""
-        ...
-
-    def handler_for(self, node: int) -> Optional[MessageHandler]:
-        """The currently attached handler of ``node`` (None if detached)."""
-        ...
-
-    def neighbors(self, node: int) -> List[int]:
-        """Peers reachable in one hop (physical plus overlay links)."""
-        ...
-
-    def physical_neighbors(self, node: int) -> Sequence[int]:
-        """Topology neighbours only (partner-selection candidate set)."""
-        ...
 
 
 class TopicBus:
@@ -182,92 +73,13 @@ class TopicBus:
         return len(handlers)
 
 
-class FaultInjector(ABC):
-    """The fault-action port: what a schedule can do to a deployment.
-
-    Each method applies one :class:`~repro.faults.schedule.FaultEvent`
-    action.  One adapter exists,
-    :class:`repro.faults.process.SystemFaultInjector`, one per
-    :class:`~repro.core.host.ReplicaHost`: it mutates the
-    :class:`~repro.port.linkstate.LinkModel` (and handler table) of a
-    transport, whichever world it belongs to — the simulator, the
-    in-process asyncio cluster, one node process of a TCP cluster.  The
-    hub of a TCP cluster has no transport of its own; it forwards each
-    event to its node processes, whose injectors apply it.
-
-    Replay (deciding *when* each action fires) is separate: one
-    :class:`repro.faults.process.FaultReplayer` serves every world
-    (virtual time in the simulator, wall clock on a live cluster); every
-    event reaches an injector through
-    :func:`repro.faults.process.apply_fault`.
-    """
-
-    @abstractmethod
-    def crash_node(self, node: int) -> None:
-        """Crash ``node``: it neither sends nor receives until recovered."""
-
-    @abstractmethod
-    def recover_node(self, node: int) -> None:
-        """Bring a crashed ``node`` back."""
-
-    @abstractmethod
-    def set_link(self, a: int, b: int, up: bool) -> None:
-        """Fail (``up=False``) or restore (``up=True``) the a-b link."""
-
-    @abstractmethod
-    def partition(self, groups: Sequence[Sequence[int]]) -> None:
-        """Split the network; messages only flow within a group."""
-
-    @abstractmethod
-    def heal(self) -> None:
-        """Remove any active partition."""
-
-    @abstractmethod
-    def shock_demand(self, nodes: Sequence[int], factor: float) -> bool:
-        """Multiply ``nodes``' demand by ``factor`` from now on.
-
-        Returns False when the deployment cannot absorb shocks (demand
-        model not shockable); the replay records the event as skipped.
-        """
-
-    def leave_node(self, node: int) -> None:
-        """Churn out: crash ``node`` and park its delivery handler.
-
-        Default: plain crash.  Injectors whose transport keeps per-node
-        handlers override this to detach and park the handler so a later
-        join restores delivery exactly as it was.
-        """
-        self.crash_node(node)
-
-    def join_node(self, node: int) -> None:
-        """Churn in: restore the handler (if parked) and recover."""
-        self.recover_node(node)
-
-    def packet_fault(
-        self, action: str, params: Sequence[float], duration: float
-    ) -> bool:
-        """Open a windowed packet-level disturbance on the channel.
-
-        ``action`` is one of the packet actions in
-        :data:`repro.port.linkstate.PACKET_ACTIONS` (latency shock,
-        reorder, duplicate, corrupt-frame); ``params`` are the event
-        args without the trailing duration.  The window expires on its
-        own after ``duration`` protocol units — there is no paired
-        "undo" action.
-
-        Returns False when the deployment cannot express packet faults
-        (the default); the replay records the event as skipped, which
-        is what the sim≡live parity assertions compare.
-        """
-        return False
-
-
 class Runtime(ABC):
     """Facade handed to every protocol component: clock + transport +
     cross-cutting services.
 
     Attributes:
-        transport: The :class:`Transport` messages travel on.
+        transport: The :class:`~repro.port.linkstate.Channel` messages
+            travel on.
         rng: Named deterministic RNG streams
             (:class:`~repro.port.rng.RngRegistry`).
         trace: Structured tracer (:class:`~repro.port.trace.Tracer`).
@@ -281,7 +93,7 @@ class Runtime(ABC):
             own tip; None until ``build_node_stack`` creates it.
     """
 
-    transport: Transport
+    transport: Channel
     rng: RngRegistry
     trace: Tracer
     demand_view: Any = None

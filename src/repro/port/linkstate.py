@@ -11,8 +11,9 @@ corrupted or carried, after what delay, and did the channel reorder or
 duplicate it?  The model holds everything that answer depends on —
 crash / failed-link / partition state, the loss probability, the latency
 model, the windowed packet-level faults and the named RNG stream all of
-them draw from — and it is also the fault surface: a fault injector
-mutates the model, never the transport.  So one
+them draw from — and it is also the fault surface: a host's fault path
+(:meth:`~repro.core.host.ReplicaHost.fault`) mutates the model, never
+the send path.  So one
 :class:`~repro.faults.schedule.FaultSchedule` means the same thing in
 every execution world by construction, not by keeping copies in step.
 
@@ -363,8 +364,8 @@ class Channel:
     def handler_for(self, node: int) -> Optional[MessageHandler]:
         """The currently attached handler of ``node`` (None if detached).
 
-        Fault injectors use this to park a churned-out node's handler so
-        a later re-join can restore delivery exactly as it was.
+        A host's fault path uses this to park a churned-out node's
+        handler so a later re-join can restore delivery exactly as it was.
         """
         return self._handlers.get(node)
 

@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..demand.base import DemandModel
 from ..errors import ReplicationError
-from ..port.base import Clock
+from ..port.base import Runtime
 from .log import UpdateId
 from .server import ReplicaServer
 
@@ -54,7 +54,7 @@ class ClientWorkload:
 
     def __init__(
         self,
-        runtime: Clock,
+        runtime: Runtime,
         server: ReplicaServer,
         model: DemandModel,
         max_rate: float,
@@ -129,7 +129,7 @@ class ClientWorkload:
 
 
 def start_workloads(
-    runtime: Clock,
+    runtime: Runtime,
     servers: Dict[int, ReplicaServer],
     model: DemandModel,
     max_rate: float,

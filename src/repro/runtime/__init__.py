@@ -5,7 +5,7 @@ process per replica over TCP.  The protocol stack in :mod:`repro.core`
 depends only on the narrow interfaces of :mod:`repro.port`, re-exported
 here beside the adapters:
 
-* :class:`Clock` / :class:`Transport` / :class:`Runtime` — the port;
+* :class:`Runtime` — the port;
 * :class:`LinkModel` and :class:`Channel` — the one place that decides
   whether and how a message is carried, and the one send path.  Every
   transport is a channel; the worlds differ only in the scheduling port
@@ -35,14 +35,7 @@ __all__ = _exports.lazy_exports(
     __name__,
     {
         # port
-        "..port.base": (
-            "Clock",
-            "Transport",
-            "Runtime",
-            "TopicBus",
-            "MessageHandler",
-            "FaultInjector",
-        ),
+        "..port.base": ("Runtime", "TopicBus", "MessageHandler"),
         "..port.linkstate": ("LinkModel", "Channel"),
         # adapters
         "..sim.runtime": ("SimRuntime",),

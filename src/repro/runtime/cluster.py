@@ -43,11 +43,11 @@ Chaos: the same declarative
 runs against a live cluster — pass ``faults=schedule`` to arm it at
 boot, or call :meth:`ReplicaCluster.inject_faults` on a running
 cluster.  Every event lands on a host's
-:class:`~repro.faults.process.SystemFaultInjector`, the one the
-simulator uses: in queue mode the cluster's host applies it; in tcp
+:meth:`~repro.core.host.ReplicaHost.fault`, the one fault path the
+simulator uses too: in queue mode the cluster's host applies it; in tcp
 mode the hub forwards it as one ``fault`` frame to every node process,
 whose host applies it.  Packet-level actions (latency shocks,
-reordering, duplication, frame corruption) ride the same port.  With
+reordering, duplication, frame corruption) ride the same path.  With
 ``control_port`` set (any mode), external clients — the ``repro
 chaos`` CLI — can connect and inject schedules over a socket,
 authenticated by a shared ``token`` when one is set.
@@ -77,8 +77,13 @@ from ..core.variants import fast_consistency
 from ..demand.base import DemandModel
 from ..demand.static import UniformRandomDemand
 from ..errors import ConfigurationError, ReplicationError, ReproError
-from ..faults.process import HEAL_ACTIONS, FaultReplayer, prepare_demand
-from ..faults.schedule import ACTION_DEMAND_SHOCK, FaultEvent, FaultSchedule
+from ..faults.process import FaultReplayer, prepare_demand
+from ..faults.schedule import (
+    ACTION_DEMAND_SHOCK,
+    HEAL_ACTIONS,
+    FaultEvent,
+    FaultSchedule,
+)
 from ..port.latency import LatencyModel
 from ..replica.log import Update, UpdateId
 from ..replica.server import ReplicaServer
@@ -101,6 +106,10 @@ _CALL_TIMEOUT = 30.0
 #: register + ready handshake).  The first boot in a process also
 #: starts the forkserver, which imports the node program once.
 _BOOT_TIMEOUT = 60.0
+
+#: Seconds between checks for a dead node process during boot; longer
+#: than a warm boot, so a boot that goes well never polls.
+_BOOT_POLL = 0.5
 
 #: The import root of this ``repro`` (the directory holding the package).
 _IMPORT_ROOT = os.path.dirname(
@@ -476,27 +485,50 @@ class ReplicaCluster:
             )
             process.start()
             self._processes[node] = process
-        try:
-            await asyncio.wait_for(
-                self._all_registered.wait(), timeout=_BOOT_TIMEOUT
-            )
-        except asyncio.TimeoutError:
-            raise ReplicationError(
-                f"tcp cluster boot timed out: "
-                f"{len(self._node_addresses)}/{self._n} nodes registered"
-            ) from None
+        await self._await_boot(
+            self._all_registered,
+            lambda: f"{len(self._node_addresses)}/{self._n} nodes registered",
+        )
         directory = dict(self._node_addresses)
         for writer in self._node_writers.values():
             writer.write(encode_frame(("directory", directory)))
             writer.write(encode_frame(("start",)))
             await writer.drain()
-        try:
-            await asyncio.wait_for(self._all_ready.wait(), timeout=_BOOT_TIMEOUT)
-        except asyncio.TimeoutError:
-            raise ReplicationError(
-                f"tcp cluster boot timed out: "
-                f"{len(self._ready_nodes)}/{self._n} nodes ready"
-            ) from None
+        await self._await_boot(
+            self._all_ready, lambda: f"{len(self._ready_nodes)}/{self._n} nodes ready"
+        )
+
+    async def _await_boot(
+        self, done: asyncio.Event, progress: Callable[[], str]
+    ) -> None:
+        """Wait for a boot stage, failing at once if a node process died.
+
+        A node process that exits before the cluster is up can never
+        register or report ready, so there is no point in waiting out
+        the boot timeout for it.
+        """
+        deadline = time.monotonic() + _BOOT_TIMEOUT
+        while True:
+            try:
+                await asyncio.wait_for(done.wait(), timeout=_BOOT_POLL)
+                return
+            except asyncio.TimeoutError:
+                pass
+            dead = {
+                node: process.exitcode
+                for node, process in self._processes.items()
+                if process.exitcode is not None
+            }
+            if dead:
+                raise ReplicationError(
+                    "tcp cluster boot failed: node process exited: "
+                    + ", ".join(
+                        f"node {node} (exit code {code})"
+                        for node, code in sorted(dead.items())
+                    )
+                )
+            if time.monotonic() >= deadline:
+                raise ReplicationError(f"tcp cluster boot timed out: {progress()}")
 
     async def _open_control_server(self, port: int, standbys: int) -> None:
         self._control_server = await asyncio.start_server(

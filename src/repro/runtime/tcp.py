@@ -1,7 +1,7 @@
 """TcpTransport: the protocol over real sockets, across OS processes.
 
-The same :class:`~repro.port.base.Transport` contract the in-process
-:class:`~repro.runtime.live.AsyncioTransport` satisfies, implemented on
+The same :class:`~repro.port.linkstate.Channel` the in-process
+:class:`~repro.runtime.live.AsyncioTransport` is, implemented on
 length-prefixed TCP frames so an :class:`~repro.runtime.live.AsyncioRuntime`
 cluster can span OS processes (or machines):
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from ..errors import SimulationError
-from ..port.base import Runtime, Transport
+from ..port.base import Runtime
 from ..port.rng import RngRegistry
 from ..port.trace import Tracer
 from .engine import Simulator
@@ -37,7 +37,7 @@ class SimRuntime(Runtime):
 
     def __init__(self, sim: Simulator, transport: Optional[Network] = None):
         self.sim = sim
-        self.transport: Transport = transport  # type: ignore[assignment]
+        self.transport: Network = transport  # type: ignore[assignment]
 
     def bind_transport(self, transport: Network) -> None:
         """Attach the transport once the network has been built."""

@@ -16,11 +16,11 @@ from repro.experiments.harness import TrialSpec, rep_seeds, run_trial
 from repro.experiments.plan import ExperimentPlan
 from repro.experiments.scenarios import FAULTS, build_faults, build_system
 from repro.faults import (
+    ACTIONS,
     PACKET_ACTIONS,
     FaultEvent,
     FaultSchedule,
     ShockableDemand,
-    apply_fault,
     corrupt_frame,
     corrupt_storm,
     demand_shock,
@@ -42,7 +42,6 @@ from repro.faults import (
     rolling_restart,
     split_brain,
 )
-from repro.port.base import FaultInjector
 from repro.topology.simple import line, ring
 
 
@@ -345,6 +344,44 @@ class TestFaultProcess:
             system.inject_faults(FaultSchedule(events=(heal(1.0),)))
 
 
+#: One event of every action, and of one that is none, on a 3-node line.
+_ONE_EVENT = {
+    "node_down": node_down(0.0, 1),
+    "node_up": node_up(0.0, 1),
+    "link_down": link_down(0.0, 0, 1),
+    "link_up": link_up(0.0, 0, 1),
+    "partition": partition(0.0, [[0], [1, 2]]),
+    "heal": heal(0.0),
+    "demand_shock": demand_shock(0.0, [1], 2.0),
+    "leave": leave(0.0, 1),
+    "join": join(0.0, 1),
+    "latency_shock": latency_shock(0.0, 2.0, 1.0),
+    "packet_reorder": packet_reorder(0.0, 0.5, 1.0, 1.0),
+    "packet_duplicate": packet_duplicate(0.0, 0.5, 1.0),
+    "corrupt_frame": corrupt_frame(0.0, 0.5, 1.0),
+    "meteor": FaultEvent(0.0, "meteor", (1,)),
+}
+
+
+class TestHostFault:
+    """``ReplicaHost.fault``: the one place every world applies an event."""
+
+    def test_the_table_names_every_action(self):
+        assert set(_ONE_EVENT) == ACTIONS | {"meteor"}
+
+    @pytest.mark.parametrize("action", sorted(_ONE_EVENT))
+    def test_every_action_applies_and_no_other(self, action):
+        system = weak_system(line(3))
+        event = _ONE_EVENT[action]
+        if action not in ACTIONS:
+            with pytest.raises(FaultError, match="unknown fault action 'meteor'"):
+                system.fault(event)
+        else:
+            # A shock needs a shockable demand (prepare_demand); this
+            # system's is unwrapped, so only the shock does not apply.
+            assert system.fault(event) is (action != "demand_shock")
+
+
 # ---------------------------------------------------------------------------
 # Partition metrics
 # ---------------------------------------------------------------------------
@@ -638,33 +675,6 @@ class TestPacketFaultSchedule:
             "reorders_applied",
         ):
             assert key in snapshot
-
-    def test_packet_fault_default_injector_skips(self):
-        # An injector that does not override packet_fault() reports the
-        # event unappliable, and replays count it as skipped — the
-        # sim == live parity accounting for transports without packet
-        # support.
-        class Bare(FaultInjector):
-            def crash_node(self, node):  # pragma: no cover - unused
-                pass
-
-            def recover_node(self, node):  # pragma: no cover - unused
-                pass
-
-            def set_link(self, a, b, up):  # pragma: no cover - unused
-                pass
-
-            def partition(self, groups):  # pragma: no cover - unused
-                pass
-
-            def heal(self):  # pragma: no cover - unused
-                pass
-
-            def shock_demand(self, nodes, factor):  # pragma: no cover
-                return False
-
-        event = corrupt_frame(1.0, 0.5, 2.0)
-        assert apply_fault(Bare(), event) is False
 
 
 class TestPacketGenerators:

@@ -9,8 +9,8 @@
     through ``AsyncioTransport`` on a hand-cranked loop meters and
     traces identically, overlay link included; both are one
     :class:`Channel`, and structurally so.
-(c) The single fault injector parks and restores delivery handlers the
-    same way over all three transports.
+(c) ``ReplicaHost.fault``, the one fault path, parks and restores
+    delivery handlers the same way over all three transports.
 (d) A raising handler stops a simulation but not a live drain.
 """
 
@@ -25,13 +25,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.host import ReplicaHost
 from repro.errors import SimulationError
-from repro.faults.process import SystemFaultInjector
 from repro.faults.schedule import (
     ACTION_CORRUPT_FRAME,
     ACTION_LATENCY_SHOCK,
     ACTION_PACKET_DUPLICATE,
     ACTION_PACKET_REORDER,
+    join,
+    leave,
+    node_up,
 )
 from repro.port.linkstate import (
     CORRUPT,
@@ -52,6 +55,7 @@ from repro.sim.network import (
     JitteredLatency,
     Network,
 )
+from repro.sim.runtime import SimRuntime
 from repro.port.trace import Tracer
 from repro.topology.graph import Topology
 from test_runtime_live import _ManualLoop, _manual_runtime
@@ -511,7 +515,7 @@ class TestHandlerErrorBoundary:
 
 
 # ---------------------------------------------------------------------------
-# (c) the one injector's handler parking, in every world
+# (c) the one fault path's handler parking, in every world
 # ---------------------------------------------------------------------------
 
 
@@ -525,7 +529,8 @@ class _Stack:
 
 def _sim_world():
     sim = Simulator(seed=3)
-    return Network(sim, _complete_topology()), sim
+    network = Network(sim, _complete_topology())
+    return network, SimRuntime(sim, network)
 
 
 def _queue_world():
@@ -539,62 +544,71 @@ def _tcp_world():
 
 
 @pytest.mark.parametrize("world", [_sim_world, _queue_world, _tcp_world])
-class TestInjectorHandlerParking:
+class TestHostHandlerParking:
     #: The node every world hosts (the TCP world hosts only this one).
     NODE = 2
 
-    def _injector(self, world):
-        transport, clock = world()
+    def _host(self, world):
+        transport, runtime = world()
+        host = ReplicaHost(
+            runtime, transport, transport.topology, None, None, [self.NODE], None
+        )
         stack = _Stack()
-        injector = SystemFaultInjector(transport, None, clock, {self.NODE: stack})
-        return injector, transport, stack
+        host.nodes[self.NODE] = stack  # stands in for a built stack
+        return host, transport, stack
 
     def test_leave_then_join_restores_the_parked_handler(self, world):
-        injector, transport, stack = self._injector(world)
+        host, transport, stack = self._host(world)
 
         def custom(src, message):
             pass
 
         transport.attach(self.NODE, custom)
-        injector.leave_node(self.NODE)
+        assert host.fault(leave(0.0, self.NODE))
         assert transport.handler_for(self.NODE) is None
         assert not transport.links.node_is_up(self.NODE)
-        injector.join_node(self.NODE)
+        assert host.fault(join(0.0, self.NODE))
         assert transport.handler_for(self.NODE) is custom
         assert transport.links.node_is_up(self.NODE)
 
     def test_leave_then_node_up_restores_the_parked_handler(self, world):
-        injector, transport, stack = self._injector(world)
+        host, transport, stack = self._host(world)
 
         def custom(src, message):
             pass
 
         transport.attach(self.NODE, custom)
-        injector.leave_node(self.NODE)
-        injector.recover_node(self.NODE)
+        host.fault(leave(0.0, self.NODE))
+        host.fault(node_up(0.0, self.NODE))
         assert transport.handler_for(self.NODE) is custom
         assert transport.links.node_is_up(self.NODE)
         # A second join finds nothing parked and a handler attached.
-        injector.join_node(self.NODE)
+        host.fault(join(0.0, self.NODE))
         assert transport.handler_for(self.NODE) is custom
 
     def test_join_without_leave_attaches_the_stack_only_if_detached(self, world):
-        injector, transport, stack = self._injector(world)
-        injector.join_node(self.NODE)
+        host, transport, stack = self._host(world)
+        host.fault(join(0.0, self.NODE))
         assert transport.handler_for(self.NODE) == stack.on_message
 
         def custom(src, message):
             pass
 
         transport.attach(self.NODE, custom)
-        injector.join_node(self.NODE)
+        host.fault(join(0.0, self.NODE))
         assert transport.handler_for(self.NODE) is custom
 
+    def test_node_up_never_attaches_the_stack(self, world):
+        host, transport, stack = self._host(world)
+        host.fault(node_up(0.0, self.NODE))
+        assert transport.handler_for(self.NODE) is None
+        assert transport.links.node_is_up(self.NODE)
+
     def test_churn_of_a_node_hosted_elsewhere_only_moves_the_model(self, world):
-        injector, transport, stack = self._injector(world)
+        host, transport, stack = self._host(world)
         other = 4
-        injector.leave_node(other)
+        host.fault(leave(0.0, other))
         assert not transport.links.node_is_up(other)
-        injector.join_node(other)  # no stack for it here: nothing to attach
+        host.fault(join(0.0, other))  # no stack for it here: nothing to attach
         assert transport.links.node_is_up(other)
         assert transport.handler_for(other) is None

@@ -28,8 +28,6 @@ DOCUMENTED_TOP_LEVEL = [
     "fast_consistency",
     "weak_consistency",
     # the runtime port and both execution worlds
-    "Clock",
-    "Transport",
     "Runtime",
     "SimRuntime",
     "AsyncioRuntime",

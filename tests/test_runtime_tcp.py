@@ -777,6 +777,35 @@ class TestTcpClusterPlumbing:
             assert delivery["in_flight_peak"] >= 3  # summed: >= 1 per process
             assert stats["traffic"]["messages_dropped"] == 0
 
+    def test_boot_fails_fast_when_the_node_processes_die(self):
+        """Every node process dies unpickling its spec: ``start()``
+        raises with the exit codes instead of waiting out the boot
+        timeout, and reaps the dead processes."""
+        import multiprocessing
+        import time
+
+        from repro.demand.static import UniformRandomDemand
+        from repro.errors import ReplicationError
+        from repro.runtime.cluster import ReplicaCluster
+
+        class UnpicklableDemand(UniformRandomDemand):
+            def __reduce__(self):
+                # Pickles here; int("not-a-number") raises in the child.
+                return (int, ("not-a-number",))
+
+        cluster = ReplicaCluster(
+            line(3),
+            seed=3,
+            demand=UnpicklableDemand(seed=3),
+            transport="tcp",
+            standby_hubs=0,
+        )
+        started = time.monotonic()
+        with pytest.raises(ReplicationError, match=r"node \d \(exit code 1\)"):
+            cluster.start()
+        assert time.monotonic() - started < 10.0
+        assert multiprocessing.active_children() == []
+
 
 class TestNodeProcessShutdown:
     def test_children_leave_no_pending_tasks(self, capfd):

@@ -69,6 +69,12 @@ TARGETS: Dict[str, Tuple[str, ...]] = {
         "tests/test_runtime_nodehost.py",
         "tests/test_replica_creation.py",
         "tests/test_demand_views_adverts.py",
+        "tests/test_link_model.py",
+    ),
+    "faults/process.py": (
+        "tests/test_faults.py",
+        "tests/test_faults_properties.py",
+        "tests/test_link_model.py",
     ),
 }
 
