@@ -25,7 +25,7 @@ as traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from ..errors import ConfigurationError, SimulationError
 from ..replica.log import Update
@@ -40,8 +40,7 @@ from ..topology.graph import Topology
 HEADER_BYTES = 20
 
 
-@dataclass(frozen=True)
-class StrongPrepare:
+class StrongPrepare(NamedTuple):
     """Prepare wave carrying the update body down the tree."""
 
     write_id: int
@@ -53,8 +52,7 @@ class StrongPrepare:
         return HEADER_BYTES + self.update.size_bytes()
 
 
-@dataclass(frozen=True)
-class StrongAck:
+class StrongAck(NamedTuple):
     """Aggregated acknowledgement travelling up the tree."""
 
     write_id: int
@@ -66,8 +64,7 @@ class StrongAck:
         return HEADER_BYTES
 
 
-@dataclass(frozen=True)
-class StrongCommit:
+class StrongCommit(NamedTuple):
     """Commit wave making the value visible everywhere."""
 
     write_id: int

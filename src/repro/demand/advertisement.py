@@ -13,8 +13,7 @@ scalability claim rests on demand dissemination being cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 from ..errors import DemandError
 from ..port.base import Runtime
@@ -27,8 +26,7 @@ ADVERT_HEADER_BYTES = 20
 ADVERT_VALUE_BYTES = 8
 
 
-@dataclass(frozen=True)
-class DemandAdvert:
+class DemandAdvert(NamedTuple):
     """Wire message: ``sender`` currently serves ``value`` requests/unit."""
 
     sender: int

@@ -12,11 +12,16 @@ framing header, so it costs no extra metered bytes): receivers drop
 stale reports, apply commands idempotently, and re-ack duplicates —
 which is what lets the controller retry unacknowledged commands over a
 lossy, reordering network without double-spawning replicas.
+
+Like the replication messages (:mod:`repro.replica.messages`) each is a
+:class:`typing.NamedTuple`, so equality does not look at the type:
+``PlacementAck(3, 1) == (3, 1)``. Receivers dispatch on the class and
+never compare messages of different types.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 #: Bytes of framing per control message (addresses, type tag, seq).
 CONTROL_HEADER_BYTES = 20
@@ -24,8 +29,7 @@ CONTROL_HEADER_BYTES = 20
 CONTROL_VALUE_BYTES = 8
 
 
-@dataclass(frozen=True)
-class DemandReport:
+class DemandReport(NamedTuple):
     """Site -> controller: ``sender`` currently serves ``value`` req/unit.
 
     ``seq`` increases per sender; the controller keeps only the newest
@@ -42,8 +46,7 @@ class DemandReport:
         return CONTROL_HEADER_BYTES + CONTROL_VALUE_BYTES
 
 
-@dataclass(frozen=True)
-class PlacementCommand:
+class PlacementCommand(NamedTuple):
     """Controller -> site: run ``target`` extra copies for ``site``.
 
     ``seq`` increases per site; a site applies each seq at most once
@@ -60,8 +63,7 @@ class PlacementCommand:
         return CONTROL_HEADER_BYTES + CONTROL_VALUE_BYTES
 
 
-@dataclass(frozen=True)
-class PlacementAck:
+class PlacementAck(NamedTuple):
     """Site -> controller: command ``seq`` for ``site`` took effect."""
 
     site: int

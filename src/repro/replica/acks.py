@@ -19,15 +19,13 @@ exactly like the data itself. Safety properties:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from ..errors import ReplicationError
 from .versions import ENTRY_BYTES, SummaryVector, elementwise_min
 
 
-@dataclass(frozen=True)
-class AckEntry:
+class AckEntry(NamedTuple):
     """What one replica was last known to have received."""
 
     summary: SummaryVector

@@ -28,7 +28,6 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..errors import ReplicationError
@@ -43,7 +42,6 @@ UpdateId = Tuple[int, int]
 UPDATE_HEADER_BYTES = 36
 
 
-@dataclass(frozen=True)
 class Update:
     """One replicated write operation.
 
@@ -54,40 +52,80 @@ class Update:
         key: Data item written.
         value: New value (opaque to the protocol).
         payload_bytes: Simulated payload size for traffic accounting.
+        uid: ``(origin, seq)``, built once per write. Every offer naming
+            the write, and the system's apply-time table, then hold a
+            reference to this one tuple, not a copy of their own (logs
+            and push-depth tables go by ``origin`` and ``seq``).
+
+    Immutable and slotted: one is made per write and every replica holds
+    it, so it carries no ``__dict__``. It pickles as the class and the
+    six fields; ``uid`` is derived, not carried, and the receiver builds
+    it again.
     """
 
-    origin: int
-    seq: int
-    timestamp: Timestamp
-    key: str
-    value: object = None
-    payload_bytes: int = 256
+    __slots__ = ("origin", "seq", "timestamp", "key", "value", "payload_bytes", "uid")
 
-    def __post_init__(self) -> None:
-        if self.seq <= 0:
-            raise ReplicationError(f"sequence numbers start at 1, got {self.seq}")
-        if self.payload_bytes < 0:
-            raise ReplicationError(f"negative payload {self.payload_bytes}")
+    def __init__(
+        self,
+        origin: int,
+        seq: int,
+        timestamp: Timestamp,
+        key: str,
+        value: object = None,
+        payload_bytes: int = 256,
+    ):
+        if seq <= 0:
+            raise ReplicationError(f"sequence numbers start at 1, got {seq}")
+        if payload_bytes < 0:
+            raise ReplicationError(f"negative payload {payload_bytes}")
+        _set_origin(self, origin)
+        _set_seq(self, seq)
+        _set_timestamp(self, timestamp)
+        _set_key(self, key)
+        _set_value(self, value)
+        _set_payload_bytes(self, payload_bytes)
+        _set_uid(self, (origin, seq))
 
-    @cached_property
-    def uid(self) -> UpdateId:
-        """``(origin, seq)``, built once per write.
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
-        Every offer naming the write, and the system's apply-time table,
-        then hold a reference to this one tuple, not a copy of their own
-        (logs and push-depth tables go by ``origin`` and ``seq``).
-        """
-        return (self.origin, self.seq)
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
-    def __getstate__(self) -> Dict[str, object]:
-        # uid is derived state: a frame carries the six fields only and
-        # the receiver rebuilds the tuple on first use.
-        state = self.__dict__.copy()
-        state.pop("uid", None)
-        return state
+    def _field_values(self) -> Tuple[object, ...]:
+        return (self.origin, self.seq, self.timestamp, self.key, self.value,
+                self.payload_bytes)
+
+    def __repr__(self) -> str:
+        return (
+            f"Update(origin={self.origin!r}, seq={self.seq!r}, "
+            f"timestamp={self.timestamp!r}, key={self.key!r}, "
+            f"value={self.value!r}, payload_bytes={self.payload_bytes!r})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Update:
+            return self._field_values() == other._field_values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._field_values())
+
+    def __reduce__(self):
+        return (Update, self._field_values())
 
     def size_bytes(self) -> int:
         return UPDATE_HEADER_BYTES + len(self.key) + self.payload_bytes
+
+
+# Slot setters that bypass the refusing ``__setattr__``.
+_set_origin = Update.origin.__set__
+_set_seq = Update.seq.__set__
+_set_timestamp = Update.timestamp.__set__
+_set_key = Update.key.__set__
+_set_value = Update.value.__set__
+_set_payload_bytes = Update.payload_bytes.__set__
+_set_uid = Update.uid.__set__
 
 
 # ---------------------------------------------------------------------------

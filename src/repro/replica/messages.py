@@ -17,12 +17,18 @@ The message classes map onto the paper's §2.1 algorithm:
   of new arrived messages"),
 * steps 15-16: :class:`FastUpdateReply` (YES with the needed ids / NO),
 * step 17: :class:`FastUpdatePayload`.
+
+Each message is a :class:`typing.NamedTuple`: immutable, without a
+``__dict__``, and the cheapest value to build, hold and pickle — every
+write is copied to every replica, in several messages per hop. Equality
+is therefore tuple equality and does not look at the type:
+``SessionRequest(1, 2) == SessionBusy(1, 2)``. Nothing compares, hashes
+or collects messages of different types; receivers dispatch on the class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .log import Update, UpdateId
 from .timestamps import Timestamp
@@ -38,8 +44,7 @@ OFFER_ENTRY_BYTES = 24
 REPLY_ENTRY_BYTES = 16
 
 
-@dataclass(frozen=True)
-class SessionRequest:
+class SessionRequest(NamedTuple):
     """Step 2: ask a neighbour to start an anti-entropy session."""
 
     session_id: int
@@ -51,8 +56,7 @@ class SessionRequest:
         return HEADER_BYTES
 
 
-@dataclass(frozen=True)
-class SessionBusy:
+class SessionBusy(NamedTuple):
     """Partner refusal (it is already in a session); initiator moves on."""
 
     session_id: int
@@ -64,8 +68,7 @@ class SessionBusy:
         return HEADER_BYTES
 
 
-@dataclass(frozen=True)
-class SummaryMessage:
+class SummaryMessage(NamedTuple):
     """Steps 4-6: a replica's summary vector.
 
     ``is_reply`` distinguishes the responder's summary (step 4) from the
@@ -91,8 +94,7 @@ class SummaryMessage:
         return size
 
 
-@dataclass(frozen=True)
-class UpdateBatch:
+class UpdateBatch(NamedTuple):
     """Steps 8 and 11: the writes the partner has not seen.
 
     ``closing`` marks the last batch of a session so both ends can
@@ -110,8 +112,7 @@ class UpdateBatch:
         return HEADER_BYTES + sum(u.size_bytes() for u in self.updates)
 
 
-@dataclass(frozen=True)
-class SessionAbort:
+class SessionAbort(NamedTuple):
     """Sent when a session times out or cannot be served."""
 
     session_id: int
@@ -124,8 +125,7 @@ class SessionAbort:
         return HEADER_BYTES + len(self.reason)
 
 
-@dataclass(frozen=True)
-class FastUpdateOffer:
+class FastUpdateOffer(NamedTuple):
     """Step 13: "id and timestamp of new arrived messages".
 
     Note that fast-update exchanges carry *no summary vectors* — that is
@@ -151,8 +151,7 @@ class FastUpdateOffer:
         return tuple(uid for uid, _ in self.entries)
 
 
-@dataclass(frozen=True)
-class FastUpdateReply:
+class FastUpdateReply(NamedTuple):
     """Steps 15-16: YES with the ids still needed, or NO (empty).
 
     The paper's reply is a whole-offer YES/NO; replying per-id is the
@@ -174,8 +173,7 @@ class FastUpdateReply:
         return not self.needed
 
 
-@dataclass(frozen=True)
-class FastUpdatePayload:
+class FastUpdatePayload(NamedTuple):
     """Step 17: the update bodies the partner said YES to."""
 
     sender: int

@@ -10,31 +10,103 @@ synchronised wall clocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copyreg
 
 from ..errors import ReplicationError
 
 
-@dataclass(frozen=True, order=True)
 class Timestamp:
     """A Lamport timestamp: ``(counter, node)``, totally ordered.
 
     The node id breaks counter ties, so two distinct events never have
     equal timestamps unless they are the same (origin, counter) pair.
+
+    Immutable and slotted: one is made per write, so it carries no
+    ``__dict__``. It pickles to the bytes it did as a frozen dataclass
+    (``copyreg.__newobj__`` and a state dict), which pinned read replies
+    on the wire depend on.
     """
 
-    counter: int
-    node: int
+    __slots__ = ("counter", "node")
 
-    def __post_init__(self) -> None:
-        if self.counter < 0:
-            raise ReplicationError(f"negative timestamp counter {self.counter}")
-        if self.node < 0:
-            raise ReplicationError(f"negative node id {self.node}")
+    def __init__(self, counter: int, node: int):
+        if counter < 0:
+            raise ReplicationError(f"negative timestamp counter {counter}")
+        if node < 0:
+            raise ReplicationError(f"negative node id {node}")
+        _set_counter(self, counter)
+        _set_node(self, node)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"Timestamp(counter={self.counter!r}, node={self.node!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Timestamp:
+            return self.counter == other.counter and self.node == other.node
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.counter, self.node))
+
+    # Order on (counter, node), compared field by field: a write's
+    # timestamp is compared at every replica it reaches.
+    def __lt__(self, other: "Timestamp") -> bool:
+        if other.__class__ is Timestamp:
+            counter = self.counter
+            return counter < other.counter or (
+                counter == other.counter and self.node < other.node
+            )
+        return NotImplemented
+
+    def __le__(self, other: "Timestamp") -> bool:
+        if other.__class__ is Timestamp:
+            counter = self.counter
+            return counter < other.counter or (
+                counter == other.counter and self.node <= other.node
+            )
+        return NotImplemented
+
+    def __gt__(self, other: "Timestamp") -> bool:
+        if other.__class__ is Timestamp:
+            counter = self.counter
+            return counter > other.counter or (
+                counter == other.counter and self.node > other.node
+            )
+        return NotImplemented
+
+    def __ge__(self, other: "Timestamp") -> bool:
+        if other.__class__ is Timestamp:
+            counter = self.counter
+            return counter > other.counter or (
+                counter == other.counter and self.node >= other.node
+            )
+        return NotImplemented
+
+    def __reduce_ex__(self, protocol: int):
+        return (
+            copyreg.__newobj__,
+            (Timestamp,),
+            {"counter": self.counter, "node": self.node},
+        )
+
+    def __setstate__(self, state: dict) -> None:
+        _set_counter(self, state["counter"])
+        _set_node(self, state["node"])
 
     def next_for(self, node: int) -> "Timestamp":
         """The timestamp a write at ``node`` gets after observing this."""
         return Timestamp(counter=self.counter + 1, node=node)
+
+
+# Slot setters that bypass the refusing ``__setattr__``.
+_set_counter = Timestamp.counter.__set__
+_set_node = Timestamp.node.__set__
 
 
 #: The timestamp smaller than every real one.

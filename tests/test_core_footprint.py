@@ -9,6 +9,9 @@ idle replica occupies is gated here the way a speed would be:
 * bytes per (replica, write) of a converged keep-all run — what history
   costs beside the ``Update`` objects themselves — stay under a stated
   bound and do not grow with the history;
+* bytes per client write on one replica — the ``Update``, its ``uid``
+  and its ``Timestamp`` — stay under a stated bound, which a
+  ``__dict__`` on either class breaks;
 * the objects instantiated per replica or per session carry no
   ``__dict__``, and what every node believes alike (oracle or snapshot
   demand, an empty bridge set) or holds alike (each origin's write
@@ -97,13 +100,11 @@ def test_idle_replica_is_small_and_the_system_is_linear_in_replicas(config):
 #: the log, the push table and the apply-time map each hashed the id.
 HISTORY_BYTES_PER_REPLICA_WRITE = 20
 
-#: Where an ``Update`` and what hangs off it are allocated: the server's
-#: ``local_write``, the dataclass ``__init__`` and ``cached_property``.
+#: Where an ``Update`` and its ``Timestamp`` are allocated: the server's
+#: ``local_write`` and the clock's ``tick``.
 UPDATE_OBJECTS = (
     tracemalloc.Filter(False, "*/repro/replica/server.py"),
     tracemalloc.Filter(False, "*/repro/replica/timestamps.py"),
-    tracemalloc.Filter(False, "<string>"),
-    tracemalloc.Filter(False, "*/functools.py"),
 )
 
 
@@ -152,6 +153,49 @@ def test_history_costs_a_slot_per_replica_and_write():
     # Twice the history, the same bytes a write: a table that hashed ids
     # would step up each time it resized; these do not.
     assert long <= 1.05 * short
+
+
+#: Bytes one client write costs its replica: the slotted ``Update`` (88)
+#: with its ``uid`` tuple (56), the ``Timestamp`` (48), the two ``int``s
+#: past the small-int cache (sequence and counter, 32 each) and a slot
+#: in its origin's history list. Measured 262; 342 while both were
+#: frozen dataclasses, whose ``__dict__`` the cached ``uid`` filled. A
+#: ``__dict__`` slot on the ``Timestamp`` alone reads 294.
+UPDATE_BYTES_PER_WRITE = 288
+
+#: Where a write's objects are allocated: the server, the clock and the
+#: log (``Update.__init__`` builds the ``uid`` and appends to the history).
+WRITE_OBJECTS = (
+    tracemalloc.Filter(True, "*/repro/replica/server.py"),
+    tracemalloc.Filter(True, "*/repro/replica/timestamps.py"),
+    tracemalloc.Filter(True, "*/repro/replica/log.py"),
+)
+
+
+def update_bytes_per_write(writes: int) -> float:
+    server = ReplicaServer(0)
+    for _ in range(100):
+        server.local_write("k", None)  # the key is stored: nothing grows there
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(WRITE_OBJECTS)
+        for _ in range(writes):
+            server.local_write("k", None).uid  # as the apply-time table reads it
+        gc.collect()
+        after = tracemalloc.take_snapshot().filter_traces(WRITE_OBJECTS)
+    finally:
+        tracemalloc.stop()
+    assert len(server.log) == 100 + writes
+    grown = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+    return grown / writes
+
+
+def test_a_write_costs_its_update_and_timestamp_and_no_dict():
+    update = ReplicaServer(0).local_write("k", None)
+    assert not hasattr(update, "__dict__")
+    assert not hasattr(update.timestamp, "__dict__")
+    assert update_bytes_per_write(4000) <= UPDATE_BYTES_PER_WRITE
 
 
 def small_system(config=None, n: int = 5) -> ReplicationSystem:

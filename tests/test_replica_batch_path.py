@@ -261,7 +261,11 @@ class TestUpdateOnTheWire:
         touched, untouched = make_update(2, 9), make_update(2, 9)
         touched.uid
         assert pickle.dumps(touched, 5) == pickle.dumps(untouched, 5)
-        assert "uid" not in pickle.loads(pickle.dumps(touched, 5)).__dict__
+        clone = pickle.loads(pickle.dumps(touched, 5))
+        # The class and the six fields: uid is built again, not read.
+        fields = (2, 9, Timestamp(29, 2), "k2", (2, 9), 256)
+        assert clone.__reduce__() == (Update, fields)
+        assert clone.uid == (2, 9)
 
     def test_pinned_payload_frame_is_no_bigger_than_before(self):
         payload = pinned_payload()

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import operator
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ReplicationError
 from repro.replica.timestamps import ZERO, LamportClock, Timestamp
@@ -14,6 +18,20 @@ class TestTimestamp:
         assert Timestamp(1, 0) < Timestamp(2, 0)
         assert Timestamp(1, 0) < Timestamp(1, 1)  # node breaks ties
         assert Timestamp(3, 5) > Timestamp(2, 9)
+
+    @given(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+           st.tuples(st.integers(0, 3), st.integers(0, 3)))
+    def test_compares_and_hashes_as_its_counter_node_pair(self, a, b):
+        left, right = Timestamp(*a), Timestamp(*b)
+        for compare in (operator.eq, operator.ne, operator.lt, operator.le,
+                        operator.gt, operator.ge):
+            assert compare(left, right) == compare(a, b)
+        assert hash(left) == hash(a)
+
+    def test_orders_only_against_timestamps(self):
+        assert Timestamp(1, 0) != (1, 0)
+        with pytest.raises(TypeError):
+            Timestamp(1, 0) < (2, 0)
 
     def test_zero_is_minimal(self):
         assert ZERO <= Timestamp(0, 0)

@@ -76,6 +76,13 @@ TARGETS: Dict[str, Tuple[str, ...]] = {
         "tests/test_faults_properties.py",
         "tests/test_link_model.py",
     ),
+    "replica/log.py": (
+        "tests/test_replica_log_store.py",
+        "tests/test_replica_log_properties.py",
+        "tests/test_replica_batch_path.py",
+        "tests/test_replica_server.py",
+        "tests/test_core_footprint.py",
+    ),
 }
 
 _NEGATED = {
