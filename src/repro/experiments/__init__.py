@@ -16,7 +16,7 @@ layer is split in five:
 * **Campaigns** (:mod:`repro.experiments.campaign`) — a
   :class:`Campaign` runs many named plans over one shared backend,
   checkpointing every completed trial to a
-  :class:`~repro.experiments.sink.JsonLinesSink` so interrupted runs
+  :class:`~repro.experiments.sink.StreamingSink` so interrupted runs
   resume bit-identically.
 * **Columnar export** (:mod:`repro.experiments.columnar`) — a
   checkpoint streamed into packed per-column binaries for offline
@@ -56,15 +56,7 @@ __all__ = _exports.lazy_exports(
         ),
         # campaigns & checkpoint sinks
         ".campaign": ("Campaign", "CampaignResult", "CampaignPaused", "scenario_key"),
-        ".sink": (
-            "JsonLinesSink",
-            "StreamingSink",
-            "ResultSink",
-            "sink_status",
-            "stream_status",
-            "CheckpointStatus",
-            "default_sidecar",
-        ),
+        ".sink": ("StreamingSink", "stream_status", "CheckpointStatus"),
         ".columnar": ("export_columnar", "read_column", "read_manifest"),
         ".tables": ("format_table", "format_kv"),
         # figure drivers and the campaigns and plans built from them

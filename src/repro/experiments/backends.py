@@ -28,7 +28,7 @@ no-ops, so callers can treat every backend uniformly::
 Both backends also support *streaming* execution:
 :meth:`run_trials_iter` yields ``(index, TrialResult)`` pairs as trials
 complete (possibly out of input order on a pool), which is what lets a
-:class:`~repro.experiments.sink.JsonLinesSink` checkpoint every
+:class:`~repro.experiments.sink.StreamingSink` checkpoint every
 completed scenario the moment it finishes. The list-returning
 ``run_trials`` reassembles the stream in input order, so it stays
 bit-identical across backends.

@@ -11,7 +11,7 @@ workers once for the entire campaign instead of once per plan.
 
 Trials stream through the backend's ``run_trials_iter`` and every
 completed scenario is checkpointed to a
-:class:`~repro.experiments.sink.JsonLinesSink` as the backend yields
+:class:`~repro.experiments.sink.StreamingSink` as the backend yields
 it (a process pool yields per completed chunk), keyed by
 ``plan::rep=../faults=../variant=..``. A killed campaign
 resumes by re-running with the same sink: recorded keys are skipped and
@@ -24,7 +24,8 @@ Example::
 
     campaign = Campaign("scaling", scaling_plans(sizes=(25, 50, 100)))
     with ProcessPoolBackend(max_workers=8) as backend:
-        outcome = campaign.run(backend, sink=JsonLinesSink("scaling.jsonl"))
+        with StreamingSink("scaling.jsonl") as sink:
+            outcome = campaign.run(backend, sink=sink)
     outcome.results["50"].series["fast"].cdf_all().mean()
 """
 
@@ -47,7 +48,7 @@ from ..errors import ExperimentError
 from .backends import ExecutionBackend, resolve_backend
 from .plan import ExperimentPlan
 from .results import ExperimentResult, PathLike, TrialResult
-from .sink import ResultSink
+from .sink import StreamingSink
 
 
 class CampaignPaused(ExperimentError):
@@ -250,7 +251,7 @@ class Campaign:
     def run(
         self,
         backend: Union[None, int, str, ExecutionBackend] = None,
-        sink: Optional[ResultSink] = None,
+        sink: Optional[StreamingSink] = None,
         limit: Optional[int] = None,
     ) -> CampaignResult:
         """Run every plan over one shared backend.
@@ -260,8 +261,9 @@ class Campaign:
                 *instance* is reused as-is and left open for the caller;
                 a spec (``None``/int/str) is resolved here and closed
                 when the campaign finishes.
-            sink: Optional checkpoint. Scenarios whose keys are already
-                recorded are not re-executed — their stored rows are
+            sink: Optional :class:`StreamingSink` checkpoint; its header
+                is stamped (or verified) first. Scenarios whose keys are
+                already recorded are not re-executed — their stored rows are
                 spliced back in — and every newly completed trial is
                 recorded immediately, so interrupting the run loses
                 nothing that finished.
@@ -288,7 +290,7 @@ class Campaign:
             )
         owns_backend = not isinstance(backend, ExecutionBackend)
         resolved = resolve_backend(backend)
-        if sink is not None and hasattr(sink, "write_header"):
+        if sink is not None:
             sink.write_header(self.header())
         executed = 0
         skipped = 0

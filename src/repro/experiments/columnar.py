@@ -4,9 +4,11 @@
 into one packed binary file per :class:`TrialResult` column plus a
 ``manifest.json``, so offline analysis (numpy ``fromfile``, pandas,
 duckdb...) reads a 10**6-trial campaign without parsing a million JSON
-objects.  The export itself streams: each checkpoint line is parsed,
-appended to the open column files, and dropped — peak memory is one
-record, not the campaign.
+objects.  The export itself streams: each checkpoint line is parsed
+by the sink's :class:`~repro.experiments.sink.CheckpointReader` (so a
+torn record is skipped here exactly as a resume skips it), appended to
+the open column files, and dropped — peak memory is one record, not
+the campaign.
 
 Layout (schema ``repro-columnar/1``)::
 
@@ -36,10 +38,11 @@ import struct
 import sys
 from array import array
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..errors import ExperimentError
 from .results import PathLike, TrialResult
+from .sink import CheckpointReader
 
 __all__ = ["COLUMN_DTYPES", "export_columnar", "read_column", "read_manifest"]
 
@@ -69,27 +72,6 @@ def _column_dtypes() -> Dict[str, str]:
 COLUMN_DTYPES: Dict[str, str] = _column_dtypes()
 
 
-def _iter_trial_rows(path: Path) -> Iterator[Tuple[str, Dict[str, object]]]:
-    """Stream ``(key, trial_dict)`` from a checkpoint, tolerant of the
-    truncated final line an interrupted writer leaves behind."""
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn final line of a killed (or live) writer
-            if not isinstance(row, dict) or row.get("kind") != "trial":
-                continue
-            key = row.get("key")
-            trial = row.get("trial")
-            if key is None or not isinstance(trial, dict):
-                continue  # torn at a freak JSON-valid boundary
-            yield str(key), trial
-
-
 def export_columnar(
     checkpoint: PathLike, out_dir: PathLike
 ) -> Dict[str, object]:
@@ -110,7 +92,7 @@ def export_columnar(
     handles = {name: (out / f"{name}.bin").open("wb") for name in names}
     try:
         with (out / "keys.txt").open("w", encoding="utf-8") as keys_fh:
-            for key, trial in _iter_trial_rows(checkpoint):
+            for key, trial in CheckpointReader(checkpoint).trials():
                 keys_fh.write(key + "\n")
                 for name in names:
                     value = trial.get(name)

@@ -12,7 +12,9 @@ The subsystem has three layers, smallest first:
   the live cluster's ``stats()``, and the ``repro serve`` snapshot
   emitter.
 * **Emission** — :class:`SnapshotEmitter` appends newline-JSON snapshot
-  records for live tails (``repro serve --metrics-interval``).
+  records for live tails (``repro serve --metrics-interval``), and
+  :class:`JsonLines` reads every newline-JSON file back (snapshot
+  trails and campaign checkpoints) under one torn-line rule.
 
 Columnar export of campaign checkpoints reads trial results, so it
 lives with them in :mod:`repro.experiments.columnar`.
@@ -27,7 +29,7 @@ from .. import _exports
 __all__ = _exports.lazy_exports(
     __name__,
     {
-        ".emitter": ("SnapshotEmitter", "read_snapshots"),
+        ".emitter": ("JsonLines", "SnapshotEmitter", "read_snapshots"),
         ".moments": ("RunningMoments",),
         ".registry": ("Counter", "Gauge", "MetricRegistry", "series_id", "SCHEMA"),
         ".sketch": ("QuantileSketch", "DEFAULT_K"),

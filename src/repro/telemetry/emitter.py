@@ -9,7 +9,10 @@ campaign sidecar — one reader consumes both worlds.
 
 Each line is flushed as written (crash-safe by construction, like the
 campaign checkpoint); a consumer tails the file and JSON-parses each
-line independently.
+line independently.  :class:`JsonLines` is the one reader of every
+newline-JSON file in the repo — snapshot trails here, campaign
+checkpoints in :mod:`repro.experiments.sink` — so all of them share one
+torn-line rule.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Dict, Iterator, Optional, TextIO, Union
 from ..errors import ExperimentError
 from .registry import MetricRegistry
 
-__all__ = ["SnapshotEmitter", "read_snapshots"]
+__all__ = ["JsonLines", "SnapshotEmitter", "read_snapshots"]
 
 PathLike = Union[str, Path]
 
@@ -75,18 +78,39 @@ class SnapshotEmitter:
         self.close()
 
 
+class JsonLines:
+    """Stream the JSON objects of a newline-JSON file, one line at a time.
+
+    A line that is not a JSON object — the truncated final line a killed
+    (or still running) writer leaves, or any other damage — is *torn*:
+    skipped and counted in :attr:`torn`, never raised.  Blank lines are
+    neither yielded nor counted.  Memory stays one line whatever the
+    file's length.
+    """
+
+    def __init__(self, path: PathLike):
+        self.path = Path(path)
+        self.torn = 0
+
+    def __iter__(self) -> Iterator[Dict[str, object]]:
+        with self.path.open("r", encoding="utf-8") as fh:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    row = json.loads(line)
+                except json.JSONDecodeError:
+                    row = None
+                if isinstance(row, dict):
+                    yield row
+                else:
+                    self.torn += 1
+
+
 def read_snapshots(path: PathLike) -> Iterator[Dict[str, object]]:
-    """Parse an emitted trail; skips a torn final line, like every
-    newline-JSON reader in the repo."""
+    """Parse an emitted trail under the :class:`JsonLines` torn-line rule."""
     path = Path(path)
     if not path.exists():
         raise ExperimentError(f"no snapshot trail at {path}")
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield json.loads(line)
-            except json.JSONDecodeError:
-                continue
+    yield from JsonLines(path)

@@ -18,7 +18,7 @@ from repro.experiments.campaign import (
 from repro.experiments.figures import build_campaign, scaling_experiment, smoke_campaign
 from repro.experiments.plan import ExperimentPlan
 from repro.experiments.results import TrialResult, VariantSeries
-from repro.experiments.sink import JsonLinesSink, sink_status
+from repro.experiments.sink import StreamingSink
 
 
 def small_plan(name="t", **overrides) -> ExperimentPlan:
@@ -176,58 +176,44 @@ def make_trial(rep=0, time_all=3.25) -> TrialResult:
     )
 
 
-class TestJsonLinesSink:
+class TestCheckpointLog:
     def test_record_and_reload_roundtrip_bit_identical(self, tmp_path):
         path = tmp_path / "cp.jsonl"
         trial = make_trial(time_all=3.0000000000000004)  # repr round-trips
-        with JsonLinesSink(path) as sink:
+        with StreamingSink(path) as sink:
             sink.record("p::rep=0/faults=none/variant=weak", trial)
-        reloaded = JsonLinesSink(path)
+        reloaded = StreamingSink(path)
         assert reloaded.get("p::rep=0/faults=none/variant=weak") == trial
         assert len(reloaded) == 1
 
     def test_duplicate_record_keeps_file_append_only(self, tmp_path):
         path = tmp_path / "cp.jsonl"
-        with JsonLinesSink(path) as sink:
+        with StreamingSink(path) as sink:
             sink.record("k", make_trial())
             sink.record("k", make_trial(rep=9))  # ignored: already recorded
         assert len(path.read_text().splitlines()) == 1
-        assert JsonLinesSink(path).get("k").rep == 0
+        assert StreamingSink(path).get("k").rep == 0
 
     def test_truncated_final_line_is_tolerated(self, tmp_path):
         path = tmp_path / "cp.jsonl"
-        with JsonLinesSink(path) as sink:
+        with StreamingSink(path) as sink:
             sink.record("a", make_trial())
             sink.record("b", make_trial(rep=1))
         first, second = path.read_text().splitlines()
         path.write_text(first + "\n" + second[:20])  # kill mid-write of 'b'
-        survivor = JsonLinesSink(path)
+        survivor = StreamingSink(path)
         assert "a" in survivor
         assert len(survivor) == 1
 
     def test_header_written_once_and_mismatch_rejected(self, tmp_path):
         path = tmp_path / "cp.jsonl"
-        with JsonLinesSink(path) as sink:
+        with StreamingSink(path) as sink:
             sink.write_header({"campaign": "x", "total": 4, "plans": {"a": 4}})
             sink.write_header({"campaign": "x", "total": 4, "plans": {"a": 4}})
         assert len(path.read_text().splitlines()) == 1
-        reopened = JsonLinesSink(path)
+        reopened = StreamingSink(path)
         with pytest.raises(ExperimentError):
             reopened.write_header({"campaign": "y", "total": 4, "plans": {"a": 4}})
-
-    def test_sink_status_reports_counts_by_plan(self, tmp_path):
-        path = tmp_path / "cp.jsonl"
-        with JsonLinesSink(path) as sink:
-            sink.write_header({"campaign": "x", "total": 3, "plans": {"a": 2, "b": 1}})
-            sink.record("a::rep=0/faults=none/variant=weak", make_trial())
-            sink.record("b::rep=0/faults=none/variant=weak", make_trial())
-        header, counts = sink_status(path)
-        assert header["campaign"] == "x"
-        assert counts == {"a": 1, "b": 1}
-
-    def test_sink_status_missing_file_raises(self, tmp_path):
-        with pytest.raises(ExperimentError):
-            sink_status(tmp_path / "never-started.jsonl")
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +255,12 @@ class TestCampaign:
         campaign = smoke_campaign(reps=2, seed=5)
         uninterrupted = campaign.run()
         path = tmp_path / "cp.jsonl"
-        with JsonLinesSink(path) as sink:
+        with StreamingSink(path) as sink:
             with pytest.raises(CampaignPaused) as excinfo:
                 campaign.run(sink=sink, limit=5)
         assert excinfo.value.done == 5
         assert excinfo.value.total == campaign.total_trials()
-        with JsonLinesSink(path) as sink:
+        with StreamingSink(path) as sink:
             resumed = campaign.run(sink=sink)
         assert json.dumps(resumed.to_dict(), sort_keys=True) == json.dumps(
             uninterrupted.to_dict(), sort_keys=True
@@ -283,7 +269,7 @@ class TestCampaign:
     def test_resume_skips_recorded_scenarios(self, tmp_path, monkeypatch):
         campaign = two_plan_campaign()
         path = tmp_path / "cp.jsonl"
-        with JsonLinesSink(path) as sink:
+        with StreamingSink(path) as sink:
             campaign.run(sink=sink)
         executed = []
         real = backends_module.run_scenario
@@ -292,17 +278,17 @@ class TestCampaign:
             "run_scenario",
             lambda spec: executed.append(spec) or real(spec),
         )
-        with JsonLinesSink(path) as sink:
+        with StreamingSink(path) as sink:
             rerun = campaign.run(sink=sink)
         assert executed == []
         assert rerun.total_trials() == campaign.total_trials()
 
     def test_checkpoint_from_other_campaign_rejected(self, tmp_path):
         path = tmp_path / "cp.jsonl"
-        with JsonLinesSink(path) as sink:
+        with StreamingSink(path) as sink:
             two_plan_campaign().run(sink=sink)
         other = Campaign("other", {"a": small_plan("a")})
-        with JsonLinesSink(path) as sink:
+        with StreamingSink(path) as sink:
             with pytest.raises(ExperimentError):
                 other.run(sink=sink)
 
@@ -311,10 +297,10 @@ class TestCampaign:
         # header fingerprints full plan definitions, so old-seed trials
         # can never be silently spliced into a new-seed run.
         path = tmp_path / "cp.jsonl"
-        with JsonLinesSink(path) as sink:
+        with StreamingSink(path) as sink:
             with pytest.raises(CampaignPaused):
                 smoke_campaign(reps=1, seed=3).run(sink=sink, limit=2)
-        with JsonLinesSink(path) as sink:
+        with StreamingSink(path) as sink:
             with pytest.raises(ExperimentError, match="different campaign"):
                 smoke_campaign(reps=1, seed=4).run(sink=sink)
 
@@ -327,7 +313,7 @@ class TestCampaign:
         # caller meant; the guard lives in Campaign.run, not only the CLI.
         with pytest.raises(ExperimentError, match="limit without a sink"):
             two_plan_campaign().run(limit=3)
-        with JsonLinesSink(tmp_path / "cp.jsonl") as sink:
+        with StreamingSink(tmp_path / "cp.jsonl") as sink:
             with pytest.raises(CampaignPaused):
                 two_plan_campaign().run(sink=sink, limit=3)
 

@@ -17,13 +17,14 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ExperimentError
-from repro.experiments.campaign import Campaign, CampaignPaused
+from repro.experiments.campaign import Campaign, CampaignPaused, scenario_key
 from repro.experiments.plan import ExperimentPlan
+from repro.experiments.results import TrialResult
 from repro.experiments.sink import (
+    SIDECAR_SCHEMA,
     StreamingSink,
     _scenario_parts,
-    default_sidecar,
-    sink_status,
+    _sidecar,
     stream_status,
 )
 from repro.experiments.scenarios import VARIANTS
@@ -63,7 +64,7 @@ def two_plan_campaign(**overrides) -> Campaign:
 
 
 def exact_groups(sink):
-    """(plan, series) -> list of materialized trials, from the sink."""
+    """(plan, series) -> list of the sink's loaded trials."""
     groups = {}
     for key in sink.keys():
         groups.setdefault(_scenario_parts(key), []).append(sink.get(key))
@@ -176,7 +177,7 @@ class TestStreamingMatchesExact:
         with StreamingSink(path) as sink:
             two_plan_campaign().run(sink=sink)
             expected = sink.registry.to_json()
-        sidecar = default_sidecar(path)
+        sidecar = _sidecar(path)
         assert sidecar.exists()
         payload = json.loads(sidecar.read_text(encoding="utf-8"))
         assert payload["schema"] == "repro-telemetry-sidecar/1"
@@ -263,6 +264,62 @@ class TestInterruptResume:
             assert total == 3
 
 
+    def test_resume_over_incomplete_record_is_bit_identical(self, tmp_path):
+        # A JSON-valid trial record without its payload is torn, as a
+        # truncated line is: the resume re-runs that scenario.
+        campaign = two_plan_campaign()
+        straight_path = tmp_path / "straight.jsonl"
+        with StreamingSink(straight_path) as sink:
+            straight = campaign.run(sink=sink)
+            straight_json = sink.registry.to_json()
+
+        path = tmp_path / "cp.jsonl"
+        with StreamingSink(path) as sink:
+            with pytest.raises(CampaignPaused):
+                campaign.run(sink=sink, limit=3)
+        fourth = scenario_key("a", campaign.plans["a"].scenarios()[3])
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"kind": "trial", "key": fourth}) + "\n")
+        assert stream_status(path).torn_lines == 1
+        with StreamingSink(path) as sink:
+            assert len(sink) == 3 and fourth not in sink
+            resumed = campaign.run(sink=sink)
+            resumed_json = sink.registry.to_json()
+
+        assert json.dumps(resumed.to_dict(), sort_keys=True) == json.dumps(
+            straight.to_dict(), sort_keys=True
+        )
+        assert resumed_json == straight_json
+
+    def test_payload_the_result_type_rejects_raises(self, tmp_path):
+        path = tmp_path / "cp.jsonl"
+        record = {"kind": "trial", "key": "a::rep=0", "trial": {"rep": 0}}
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(ExperimentError, match="malformed trial record"):
+            StreamingSink(path)
+
+    def test_sidecar_written_every_256_records_and_on_close(self, tmp_path):
+        path = tmp_path / "cp.jsonl"
+        sidecar = _sidecar(path)
+        trial = TrialResult(
+            rep=0, origin=0, time_all=1.0, time_top=1.0, time_top1=1.0,
+            mean_time=1.0, diameter=1, messages=1, bytes_sent=1,
+        )
+        with StreamingSink(path) as sink:
+            for rep in range(255):
+                sink.record(f"p::rep={rep}/variant=fast", trial)
+            assert not sidecar.exists()
+            sink.record("p::rep=255/variant=fast", trial)
+            assert json.loads(sidecar.read_text())["folded"] == 256
+            sink.record("p::rep=256/variant=fast", trial)
+            assert json.loads(sidecar.read_text())["folded"] == 256
+        assert json.loads(sidecar.read_text())["folded"] == 257
+        # A reopen that folds nothing new leaves the sidecar alone.
+        mtime = sidecar.stat().st_mtime_ns
+        StreamingSink(path).close()
+        assert sidecar.stat().st_mtime_ns == mtime
+
+
 # ---------------------------------------------------------------------------
 # O(1) status and torn-line tolerance
 # ---------------------------------------------------------------------------
@@ -303,28 +360,77 @@ class TestStreamStatus:
         assert status.trials == trials
         assert status.torn_lines == 1 and status.partial
 
-    def test_materialize_false_get_raises(self, tmp_path):
+    def test_foreign_sidecar_shows_no_aggregates(self, tmp_path):
+        # Resume refuses a sidecar of another schema; status must not
+        # show its aggregates either.
+        path = tmp_path / "cp.jsonl"
+        header = {"kind": "header", "campaign": "x", "plans": {}}
+        path.write_text(json.dumps(header) + "\n", encoding="utf-8")
+        foreign = {
+            "schema": "someone-elses/3",
+            "folded": 5,
+            "telemetry": MetricRegistry().snapshot(),
+        }
+        _sidecar(path).write_text(json.dumps(foreign), encoding="utf-8")
+        status = stream_status(path)
+        assert status.trials == 0
+        assert status.telemetry is None and status.folded == 0
+        with pytest.raises(ExperimentError, match="not a telemetry sidecar"):
+            StreamingSink(path)
+
+    def test_sidecar_past_the_log_shows_no_aggregates(self, tmp_path):
+        # A watermark past the log's trial count is where the sink
+        # refolds: the sidecar's aggregates describe trials the log no
+        # longer holds.
         path = tmp_path / "cp.jsonl"
         with StreamingSink(path) as sink:
             two_plan_campaign().run(sink=sink)
-            key = next(iter(sink.keys()))
-        with StreamingSink(path, materialize=False) as sink:
-            assert key in sink
-            with pytest.raises(ExperimentError):
-                sink.get(key)
-            assert sink.get("not::recorded") is None
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[:4]), encoding="utf-8")  # header + 3
+        status = stream_status(path)
+        assert status.trials == 3
+        assert status.telemetry is None and status.folded == 0
 
+    def test_sidecar_behind_the_log_shows_aggregates(self, tmp_path):
+        # A watermark below the log's trial count is a sidecar that lags
+        # a live writer: a resume trusts it, so status shows it.
+        path = tmp_path / "cp.jsonl"
+        with StreamingSink(path) as sink:
+            two_plan_campaign().run(sink=sink)
+            expected = sink.registry.to_json()
+        doc = json.loads(_sidecar(path).read_text(encoding="utf-8"))
+        doc["folded"] = 1
+        _sidecar(path).write_text(json.dumps(doc), encoding="utf-8")
+        status = stream_status(path)
+        assert status.folded == 1 < status.trials
+        assert status.telemetry.to_json() == expected
+
+    def test_readers_agree_on_a_damaged_checkpoint(self, tmp_path):
+        path = tmp_path / "cp.jsonl"
+        with StreamingSink(path) as sink:
+            two_plan_campaign().run(sink=sink)
+            trials = len(sink)
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write("\n")  # blank: neither a trial nor torn
+            fh.write(json.dumps({"kind": "trial", "key": "a::rep=9"}) + "\n")
+            fh.write(json.dumps({"kind": "trial", "key": 7, "trial": {}}) + "\n")
+            fh.write('{"kind": "trial", "key": "a::rep=9/fau')  # torn final line
+        status = stream_status(path)
+        manifest = export_columnar(path, tmp_path / "cols")
+        assert len(StreamingSink(path)) == status.trials == manifest["rows"] == trials
+        assert status.torn_lines == 3
 
     def test_status_memory_flat_in_trial_count(self, tmp_path):
         # 10x more trials: the streaming pass's traced peak stays flat,
-        # while the list baseline, which loads every trial, grows.
+        # while the list baseline (opening the sink, which loads every
+        # trial) grows.
         peaks = {}
         for trials in (1_000, 10_000):
             path = tmp_path / f"cp_{trials}.jsonl"
             write_synthetic_checkpoint(path, trials)
             status, stream_kb = traced_peak_kb(lambda: stream_status(path))
-            (_, counts), list_kb = traced_peak_kb(lambda: sink_status(path))
-            assert status.trials == counts["bench"] == trials
+            sink, list_kb = traced_peak_kb(lambda: StreamingSink(path))
+            assert status.trials == status.counts["bench"] == len(sink) == trials
             assert status.torn_lines == 0
             peaks[trials] = stream_kb, list_kb
         small_stream, _ = peaks[1_000]

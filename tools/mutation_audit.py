@@ -83,6 +83,10 @@ TARGETS: Dict[str, Tuple[str, ...]] = {
         "tests/test_replica_server.py",
         "tests/test_core_footprint.py",
     ),
+    "experiments/sink.py": (
+        "tests/test_experiments_campaign.py",
+        "tests/test_telemetry_integration.py",
+    ),
 }
 
 _NEGATED = {
